@@ -37,20 +37,31 @@ let make (spec : Lis.Spec.t) : t =
   done;
   { lo; len; buckets = Array.map Array.of_list buckets }
 
-(** [decode t enc] is the instruction index matching [enc], or [-1]. *)
-let decode t enc =
+(* A loop rather than a local recursive function, so [enc] stays an
+   unboxed [int64] in both callers. *)
+let[@inline] find t enc =
   let key =
     Int64.to_int (Int64.shift_right_logical enc t.lo) land ((1 lsl t.len) - 1)
   in
   let cands = Array.unsafe_get t.buckets key in
   let n = Array.length cands in
-  let rec go i =
-    if i >= n then -1
-    else
-      let mask, mtch, idx = Array.unsafe_get cands i in
-      if Int64.equal (Int64.logand enc mask) mtch then idx else go (i + 1)
-  in
-  go 0
+  let i = ref 0 and found = ref (-1) in
+  while !found < 0 && !i < n do
+    let mask, mtch, idx = Array.unsafe_get cands !i in
+    if Int64.equal (Int64.logand enc mask) mtch then found := idx;
+    incr i
+  done;
+  !found
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(** [decode t enc] is the instruction index matching [enc], or [-1]. *)
+let decode t enc = find t enc
+
+(** [decode_slot t b off] decodes the encoding held in the native-endian
+    8-byte slot at byte [off] of [b] (an execution frame's encoding slot)
+    without boxing it. *)
+let decode_slot t b off = find t (get64 b off)
 
 (** Largest candidate-list length (decoder quality metric for tests). *)
 let max_bucket t =

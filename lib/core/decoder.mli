@@ -11,6 +11,11 @@ val make : Lis.Spec.t -> t
 (** [decode t enc] is the matching instruction index, or [-1]. *)
 val decode : t -> int64 -> int
 
+(** [decode_slot t b off] is [decode t] of the native-endian 8-byte slot at
+    byte [off] of [b]; it allocates nothing (the engine's per-instruction
+    decode). *)
+val decode_slot : t -> Bytes.t -> int -> int
+
 (** Largest candidate-list length (decoder quality metric). *)
 val max_bucket : t -> int
 

@@ -3,8 +3,10 @@
 
     The header (pc, encoding, next pc, fault, instruction index) is the
     paper's "minimal information needed to control the simulator"; the
-    [info] array holds the interface-visible cells for the chosen buildset,
-    laid out by {!Slots}. *)
+    [info] bytes hold the interface-visible cells for the chosen buildset,
+    one unboxed 8-byte slot per cell, laid out by {!Slots}. Read and
+    write them with {!get} and {!set}; compiled code stores into them
+    directly. *)
 
 type t = {
   mutable pc : int64;
@@ -13,7 +15,7 @@ type t = {
   mutable instr_index : int;  (** decoded instruction id; -1 before decode *)
   mutable fault : Machine.Fault.t option;
   mutable ckpt : int;  (** speculation checkpoint token; -1 if none *)
-  info : int64 array;
+  info : Bytes.t;
 }
 
 let create ~info_slots =
@@ -24,8 +26,24 @@ let create ~info_slots =
     instr_index = -1;
     fault = None;
     ckpt = -1;
-    info = Array.make (max info_slots 1) 0L;
+    info = Semir.Frame.info_bytes info_slots;
   }
+
+(** Number of information slots (at least one). *)
+let slots t = Bytes.length t.info / 8
+
+let check t slot =
+  if slot < 0 || slot >= slots t then invalid_arg "Di: slot out of range"
+
+(** [get t slot] reads a visible cell by its DI slot (from {!Slots}). *)
+let get t slot =
+  check t slot;
+  Bytes.get_int64_ne t.info (8 * slot)
+
+(** [set t slot v] overwrites a visible cell (fault injection, tests). *)
+let set t slot v =
+  check t slot;
+  Bytes.set_int64_ne t.info (8 * slot) v
 
 let clear t =
   t.pc <- 0L;
@@ -34,9 +52,6 @@ let clear t =
   t.instr_index <- -1;
   t.fault <- None;
   t.ckpt <- -1;
-  Array.fill t.info 0 (Array.length t.info) 0L
+  Bytes.fill t.info 0 (Bytes.length t.info) '\000'
 
-let copy t = { t with info = Array.copy t.info }
-
-(** [get t slot] reads a visible cell by its DI slot (from {!Slots}). *)
-let get t slot = t.info.(slot)
+let copy t = { t with info = Bytes.copy t.info }

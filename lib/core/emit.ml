@@ -6,28 +6,35 @@
     synthesis. The emitted text shows exactly what the buildset bought:
     hidden cells appear as scratch slots (or vanish entirely under DCE),
     visible cells as DI-info stores, and each entrypoint is one function
-    per instruction. It is what a user inspects to understand the cost of
+    per instruction. Cells are rendered as the byte slots compiled code
+    uses: native-endian 8-byte slots of the frame's [s] bytes (scratch)
+    or of its [di] bytes (visible), at their byte offsets. It is what a user inspects to understand the cost of
     an interface, and what they would paste into a standalone project. *)
 
 let buf_add = Buffer.add_string
+
+(* The store and byte offset of a cell's slot. *)
+let cell_slot (slots : Slots.t) c =
+  match slots.loc.(c) with
+  | Semir.Frame.In_di i -> ("fr.di", Semir.Frame.di_off i)
+  | Semir.Frame.In_scratch i -> ("fr.s", Semir.Frame.scratch_off i)
 
 let rec emit_expr (spec : Lis.Spec.t) (slots : Slots.t) b (e : Semir.Ir.expr) =
   let add = buf_add b in
   let sub e = emit_expr spec slots b e in
   match e with
   | Const v -> add (Printf.sprintf "0x%LxL" v)
-  | Cell c -> (
-    match slots.loc.(c) with
-    | Semir.Frame.In_di i ->
-      add (Printf.sprintf "fr.di.(%d) (* %s *)" i (Lis.Spec.cell_name spec c))
-    | Semir.Frame.In_scratch i ->
-      add (Printf.sprintf "fr.scratch.(%d) (* %s *)" i (Lis.Spec.cell_name spec c)))
+  | Cell c ->
+    let store, off = cell_slot slots c in
+    add
+      (Printf.sprintf "(Bytes.get_int64_ne %s %d (* %s *))" store off
+         (Lis.Spec.cell_name spec c))
   | Enc { lo; len; signed } ->
     add
-      (Printf.sprintf "Semir.Value.enc_bits fr.enc ~lo:%d ~len:%d ~signed:%b" lo
-         len signed)
-  | Pc -> add "fr.pc"
-  | Next_pc -> add "fr.next_pc"
+      (Printf.sprintf "Semir.Value.enc_bits (enc fr) ~lo:%d ~len:%d ~signed:%b"
+         lo len signed)
+  | Pc -> add "(pc fr)"
+  | Next_pc -> add "(next_pc fr)"
   | Bin (op, x, y) ->
     add "(";
     add
@@ -115,14 +122,12 @@ let rec emit_stmt spec slots b ~indent (s : Semir.Ir.stmt) =
   add pad;
   (match s with
   | Semir.Ir.Set_cell (c, e) ->
-    (match slots.Slots.loc.(c) with
-    | Semir.Frame.In_di i ->
-      add (Printf.sprintf "fr.di.(%d) (* %s *) <- " i (Lis.Spec.cell_name spec c))
-    | Semir.Frame.In_scratch i ->
-      add
-        (Printf.sprintf "fr.scratch.(%d) (* %s *) <- " i (Lis.Spec.cell_name spec c)));
+    let store, off = cell_slot slots c in
+    add
+      (Printf.sprintf "Bytes.set_int64_ne %s %d (* %s *) (" store off
+         (Lis.Spec.cell_name spec c));
     emit_expr spec slots b e;
-    add ";"
+    add ");"
   | Store { width; addr; value } ->
     add "Machine.Memory.write st.Machine.State.mem ~addr:(";
     emit_expr spec slots b addr;
@@ -130,9 +135,9 @@ let rec emit_stmt spec slots b ~indent (s : Semir.Ir.stmt) =
     emit_expr spec slots b value;
     add ");"
   | Set_next_pc e ->
-    add "fr.next_pc <- ";
+    add "set_next_pc fr (";
     emit_expr spec slots b e;
-    add ";"
+    add ");"
   | Reg_write { cls; index; value } ->
     add (Printf.sprintf "Semir.Regaccess.write st.Machine.State.regs ~cls:%d (" cls);
     emit_expr spec slots b index;
@@ -154,7 +159,7 @@ let rec emit_stmt spec slots b ~indent (s : Semir.Ir.stmt) =
       add "end;")
   | Fault_illegal ->
     add
-      "Machine.State.raise_fault st (Machine.Fault.Illegal_instruction fr.enc);"
+      "Machine.State.raise_fault st (Machine.Fault.Illegal_instruction (enc fr));"
   | Fault_unaligned e ->
     add "Machine.State.raise_fault st (Machine.Fault.Unaligned_access (";
     emit_expr spec slots b e;
@@ -213,7 +218,8 @@ let buildset_to_ocaml (spec : Lis.Spec.t) (bs_name : string) : string =
             if ir = [] then buf_add b "  ignore st; ignore fr; ()\n"
             else begin
               buf_add b "  ignore st;\n";
-              List.iter (emit_stmt spec slots b ~indent:2) ir
+              List.iter (emit_stmt spec slots b ~indent:2) ir;
+              buf_add b "  ()\n"
             end;
             buf_add b "\n")
         irs)

@@ -30,7 +30,7 @@ type stats = {
       (** block dispatches resolved by a predecessor's successor cache *)
   mutable chain_miss : int;
       (** chained dispatches that fell back to the block hash table *)
-  mutable instrs_executed : int64;  (** via this interface's calls *)
+  mutable instrs_executed : int;  (** via this interface's calls *)
   mutable absint_ns : int;
       (** synthesis-time cost of the abstract-interpretation pass that
           gates the store-free optimizations (0 when disabled) *)

@@ -19,14 +19,14 @@
 
 type t = {
   mutable reg_flat : int array;
-  mutable reg_old : int64 array;
+  mutable reg_old : Bytes.t;  (** 8-byte slot per entry *)
   mutable reg_n : int;
-  mutable mem_addr : int64 array;
-  mutable mem_old : int64 array;
+  mutable mem_addr : int array;  (** native-int addresses *)
+  mutable mem_old : Bytes.t;  (** 8-byte slot per entry *)
   mutable mem_width : int array;
   mutable mem_n : int;
   (* per checkpoint: packed (reg_n << 31) | mem_n, plus pc and retired
-     count at checkpoint time *)
+     count at checkpoint time (shared boxes, never fresh ones) *)
   mutable ck_meta : int array;
   mutable ck_pc : int64 array;
   mutable ck_count : int64 array;
@@ -42,13 +42,16 @@ type t = {
   mutable undone_stores : int;
 }
 
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 let create () =
   {
     reg_flat = Array.make 256 0;
-    reg_old = Array.make 256 0L;
+    reg_old = Bytes.create (8 * 256);
     reg_n = 0;
-    mem_addr = Array.make 256 0L;
-    mem_old = Array.make 256 0L;
+    mem_addr = Array.make 256 0;
+    mem_old = Bytes.create (8 * 256);
     mem_width = Array.make 256 0;
     mem_n = 0;
     ck_meta = Array.make 256 0;
@@ -67,15 +70,15 @@ let meta_reg m = m lsr 31
 let meta_mem m = m land 0x7FFFFFFF
 
 let[@inline never] grow_regs t =
-  let cap = 2 * Array.length t.reg_flat in
-  t.reg_flat <- Array.append t.reg_flat (Array.make (cap / 2) 0);
-  t.reg_old <- Array.append t.reg_old (Array.make (cap / 2) 0L)
+  let cap = Array.length t.reg_flat in
+  t.reg_flat <- Array.append t.reg_flat (Array.make cap 0);
+  t.reg_old <- Bytes.extend t.reg_old 0 (8 * cap)
 
 let[@inline never] grow_mem t =
-  let cap = 2 * Array.length t.mem_addr in
-  t.mem_addr <- Array.append t.mem_addr (Array.make (cap / 2) 0L);
-  t.mem_old <- Array.append t.mem_old (Array.make (cap / 2) 0L);
-  t.mem_width <- Array.append t.mem_width (Array.make (cap / 2) 0)
+  let cap = Array.length t.mem_addr in
+  t.mem_addr <- Array.append t.mem_addr (Array.make cap 0);
+  t.mem_old <- Bytes.extend t.mem_old 0 (8 * cap);
+  t.mem_width <- Array.append t.mem_width (Array.make cap 0)
 
 let[@inline never] grow_ck t =
   let cap = 2 * Array.length t.ck_meta in
@@ -83,18 +86,19 @@ let[@inline never] grow_ck t =
   t.ck_pc <- Array.append t.ck_pc (Array.make (cap / 2) 0L);
   t.ck_count <- Array.append t.ck_count (Array.make (cap / 2) 0L)
 
+(* Both loggers copy the old value slot to slot: no [int64] is boxed. *)
 let record_reg t (st : Machine.State.t) flat =
   let n = t.reg_n in
   if n >= Array.length t.reg_flat then grow_regs t;
   Array.unsafe_set t.reg_flat n flat;
-  Array.unsafe_set t.reg_old n (Machine.Regfile.read_flat st.regs flat);
+  set64 t.reg_old (8 * n) (get64 st.regs.Machine.Regfile.v (8 * flat));
   t.reg_n <- n + 1
 
 let record_store t (st : Machine.State.t) addr width =
   let n = t.mem_n in
   if n >= Array.length t.mem_addr then grow_mem t;
   Array.unsafe_set t.mem_addr n addr;
-  Array.unsafe_set t.mem_old n (Machine.Memory.read st.mem ~addr ~width);
+  Machine.Memory.load_into st.mem ~addr ~width ~signed:false t.mem_old (8 * n);
   Array.unsafe_set t.mem_width n width;
   t.mem_n <- n + 1
 
@@ -127,13 +131,14 @@ let rollback t (st : Machine.State.t) token =
   t.rollbacks <- t.rollbacks + 1;
   t.undone_regs <- t.undone_regs + (t.reg_n - reg_mark);
   t.undone_stores <- t.undone_stores + (t.mem_n - mem_mark);
+  (* logged values were read from the register, so already masked *)
   for i = t.reg_n - 1 downto reg_mark do
-    Machine.Regfile.write_flat st.regs t.reg_flat.(i) t.reg_old.(i)
+    set64 st.regs.Machine.Regfile.v (8 * t.reg_flat.(i)) (get64 t.reg_old (8 * i))
   done;
   t.reg_n <- reg_mark;
   for i = t.mem_n - 1 downto mem_mark do
-    Machine.Memory.write st.mem ~addr:t.mem_addr.(i) ~width:t.mem_width.(i)
-      t.mem_old.(i)
+    Machine.Memory.store_from st.mem ~addr:t.mem_addr.(i)
+      ~width:t.mem_width.(i) t.mem_old (8 * i)
   done;
   t.mem_n <- mem_mark;
   st.pc <- t.ck_pc.(token);
@@ -178,10 +183,10 @@ let compact t =
       t.ck_meta.(i) <- pack ~reg_n:(meta_reg m - reg0) ~mem_n:(meta_mem m - mem0)
     done;
     Array.blit t.reg_flat reg0 t.reg_flat 0 (t.reg_n - reg0);
-    Array.blit t.reg_old reg0 t.reg_old 0 (t.reg_n - reg0);
+    Bytes.blit t.reg_old (8 * reg0) t.reg_old 0 (8 * (t.reg_n - reg0));
     t.reg_n <- t.reg_n - reg0;
     Array.blit t.mem_addr mem0 t.mem_addr 0 (t.mem_n - mem0);
-    Array.blit t.mem_old mem0 t.mem_old 0 (t.mem_n - mem0);
+    Bytes.blit t.mem_old (8 * mem0) t.mem_old 0 (8 * (t.mem_n - mem0));
     Array.blit t.mem_width mem0 t.mem_width 0 (t.mem_n - mem0);
     t.mem_n <- t.mem_n - mem0;
     t.ck_n <- live_ck;

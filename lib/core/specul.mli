@@ -11,11 +11,12 @@ type t
 
 val create : unit -> t
 
-(** Record the old value of a register / memory word about to be written.
-    Normally called through {!hooks} by compiled code. *)
+(** Record the old value of a register (by flat index) / memory word (by
+    native-int address, {!Machine.Memory.addr_int}, and width) about to be
+    written. Normally called through {!hooks} by compiled code. *)
 val record_reg : t -> Machine.State.t -> int -> unit
 
-val record_store : t -> Machine.State.t -> int64 -> int -> unit
+val record_store : t -> Machine.State.t -> int -> int -> unit
 
 (** Hooks to compile into speculative interfaces. *)
 val hooks : t -> Semir.Hooks.t

@@ -13,6 +13,13 @@ open Machine
 
 exception Synth_error of string
 
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let pc_off = Semir.Frame.pc_off
+let enc_off = Semir.Frame.enc_off
+let next_pc_off = Semir.Frame.next_pc_off
+
 let synth_error fmt = Format.kasprintf (fun m -> raise (Synth_error m)) fmt
 
 (** Execution backend: [Compiled] closures (default) or the reference
@@ -134,6 +141,16 @@ let rec dummy_block =
     b_s2 = dummy_block;
   }
 
+(* The boxed form of a site's next pc [n]: the fall-through box, or a
+   successor-cache key of block [b] when the branch went where it went
+   before, so only an unpredicted target allocates a box. Inlined, so [n]
+   arrives unboxed. *)
+let[@inline] next_box b n fall =
+  if Int64.equal n fall then fall
+  else if Int64.equal n b.b_s1_pc then b.b_s1_pc
+  else if Int64.equal n b.b_s2_pc then b.b_s2_pc
+  else n
+
 (* A block handed to dispatch must start at the pc that was requested —
    the one structural invariant the successor caches could silently
    break. The check is a single 64-bit compare per block dispatch; a
@@ -181,6 +198,11 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   let frame =
     Semir.Frame.create ~di_slots:slots.di_size ~scratch_slots:slots.scratch_size
   in
+  (* The engine moves the frame header through its unboxed slots. An
+     [int64] field of a DI record or of [st] is written only when its
+     value changes, and then with an existing box where one is at hand
+     (a block's pc arrays, its successor cache). *)
+  let fs = frame.s in
   let n_instrs = Array.length spec.instrs in
   let decoder = Decoder.make spec in
   let instr_bytes64 = Int64.of_int spec.instr_bytes in
@@ -210,7 +232,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       site_cache_hits = 0;
       chain_taken = 0;
       chain_miss = 0;
-      instrs_executed = 0L;
+      instrs_executed = 0;
       absint_ns = 0;
       fastpath_classes = 0;
       stable_blocks = 0;
@@ -313,17 +335,21 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   (* --- execution ------------------------------------------------------ *)
   let exec_item (di : Di.t) = function
     | I_fetch ->
-      frame.enc <-
-        Memory.read st.mem ~addr:frame.pc ~width:spec.instr_bytes;
-      frame.next_pc <- Int64.add frame.pc instr_bytes64
+      let pc = get64 fs pc_off in
+      Memory.load_into st.mem
+        ~addr:(Int64.to_int pc land max_int)
+        ~width:spec.instr_bytes ~signed:false fs enc_off;
+      set64 fs next_pc_off (Int64.add pc instr_bytes64)
     | I_decode codes ->
-      let idx = Decoder.decode decoder frame.enc in
+      let idx = Decoder.decode_slot decoder fs enc_off in
       if idx < 0 then
-        State.raise_fault st (Fault.Illegal_instruction frame.enc)
+        State.raise_fault st (Fault.Illegal_instruction (get64 fs enc_off))
       else begin
         di.instr_index <- idx;
-        frame.enc <- Int64.logand frame.enc (Array.unsafe_get size_mask idx);
-        frame.next_pc <- Int64.add frame.pc (Array.unsafe_get size64 idx);
+        set64 fs enc_off
+          (Int64.logand (get64 fs enc_off) (Array.unsafe_get size_mask idx));
+        set64 fs next_pc_off
+          (Int64.add (get64 fs pc_off) (Array.unsafe_get size64 idx));
         (Array.unsafe_get codes idx) st frame
       end
     | I_chunk codes ->
@@ -336,25 +362,26 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
           "entrypoint called before decode"
       else (Array.unsafe_get codes idx) st frame
   in
+  (* Loops, not local recursive functions: a per-call closure would be
+     the engine's largest allocation. *)
   let exec_items di (items : item array) =
-    let n = Array.length items in
-    let rec go k =
-      if k < n && not st.halted then begin
-        exec_item di items.(k);
-        go (k + 1)
-      end
-    in
-    go 0
+    let k = ref 0 in
+    while !k < Array.length items && not st.halted do
+      exec_item di (Array.unsafe_get items !k);
+      incr k
+    done
   in
   let load_frame (di : Di.t) =
-    frame.pc <- di.pc;
-    frame.enc <- di.encoding;
-    frame.next_pc <- di.next_pc;
+    set64 fs pc_off di.pc;
+    set64 fs enc_off di.encoding;
+    set64 fs next_pc_off di.next_pc;
     frame.di <- di.info
   in
   let save_frame (di : Di.t) =
-    di.encoding <- frame.enc;
-    di.next_pc <- frame.next_pc;
+    let e = get64 fs enc_off in
+    if not (Int64.equal e di.encoding) then di.encoding <- e;
+    let n = get64 fs next_pc_off in
+    if not (Int64.equal n di.next_pc) then di.next_pc <- n;
     di.fault <- st.fault
   in
 
@@ -380,18 +407,16 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       di.fault <- None;
       auto_checkpoint di;
       load_frame di;
-      let rec go k =
-        if k < n_eps && not st.halted then begin
-          exec_items di ep_items.(k);
-          go (k + 1)
-        end
-      in
-      go 0;
+      let k = ref 0 in
+      while !k < n_eps && not st.halted do
+        exec_items di (Array.unsafe_get ep_items !k);
+        incr k
+      done;
       save_frame di;
       if not st.halted then begin
-        st.pc <- frame.next_pc;
+        st.pc <- di.next_pc;
         st.instr_count <- Int64.add st.instr_count 1L;
-        stats.instrs_executed <- Int64.add stats.instrs_executed 1L
+        stats.instrs_executed <- stats.instrs_executed + 1
       end
     end
   in
@@ -470,7 +495,8 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     else build ()
   in
   let illegal_site : Semir.Compile.code =
-   fun st fr -> State.raise_fault st (Fault.Illegal_instruction fr.enc)
+   fun st fr ->
+    State.raise_fault st (Fault.Illegal_instruction (Semir.Frame.enc fr))
   in
   (* Pages holding translated code, mapped to the blocks compiled from
      them; a write to such a page invalidates those blocks (and thereby
@@ -612,8 +638,12 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       b
     end
   in
-  (* Engine-owned DI ring returned by [run_block]. *)
+  (* Engine-owned DI ring returned by [run_block], with every possible
+     [(ring, count)] result built in advance so a call returns one
+     without allocating. *)
   let dis = ref (Array.init 4 (fun _ -> Di.create ~info_slots:slots.di_size)) in
+  let results d = Array.init (Array.length d + 1) (fun n -> (d, n)) in
+  let dis_results = ref (results !dis) in
   let ensure_dis n =
     if Array.length !dis < n then begin
       let bigger =
@@ -621,11 +651,18 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
             if i < Array.length !dis then !dis.(i)
             else Di.create ~info_slots:slots.di_size)
       in
-      dis := bigger
+      dis := bigger;
+      dis_results := results bigger
     end
   in
+  (* a one-instruction batch: the ring's first record, counted unless the
+     instruction faulted *)
+  let one_result () =
+    Array.unsafe_get !dis_results
+      (if st.halted && st.fault <> None then 0 else 1)
+  in
   let run_block () =
-    if st.halted then (!dis, 0)
+    if st.halted then Array.unsafe_get !dis_results 0
     else begin
       let pc0 = st.pc in
       let b = lookup_from !last_block pc0 in
@@ -651,17 +688,18 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       do
         let di = Array.unsafe_get dis !k in
         let pc = Array.unsafe_get pcs !k in
+        let fall = Array.unsafe_get pcs (!k + 1) in
         di.pc <- pc;
         di.encoding <- Array.unsafe_get encs !k;
         di.instr_index <- Array.unsafe_get idxs !k;
         di.fault <- None;
         auto_checkpoint di;
-        frame.pc <- pc;
-        frame.enc <- di.encoding;
-        frame.next_pc <- Array.unsafe_get pcs (!k + 1);
+        set64 fs pc_off pc;
+        set64 fs enc_off di.encoding;
+        set64 fs next_pc_off fall;
         frame.di <- di.info;
         (Array.unsafe_get codes !k) st frame;
-        di.next_pc <- frame.next_pc;
+        di.next_pc <- next_box b (get64 fs next_pc_off) fall;
         di.fault <- st.fault;
         if not st.halted then incr executed;
         incr k
@@ -669,12 +707,11 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       if !executed > 0 then begin
         (* the last executed site's next_pc is the continuation; on a halt
            the fetch pc stays put (rollback restores it anyway) *)
-        if not st.halted then st.pc <- frame.next_pc;
+        if not st.halted then st.pc <- (Array.unsafe_get dis (!k - 1)).next_pc;
         st.instr_count <- Int64.add st.instr_count (Int64.of_int !executed);
-        stats.instrs_executed <-
-          Int64.add stats.instrs_executed (Int64.of_int !executed)
+        stats.instrs_executed <- stats.instrs_executed + !executed
       end;
-      (dis, !executed)
+      Array.unsafe_get !dis_results !executed
     end
   in
   (* Non-block buildsets still offer [run_block] as a one-instruction
@@ -688,16 +725,14 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       run_block
     end
     else fun () ->
-      ensure_dis 1;
-      let d = !dis in
-      run_one d.(0);
-      (d, if st.halted && st.fault <> None then 0 else 1)
+      run_one !dis.(0);
+      one_result ()
   in
 
   let retire (di : Di.t) =
     st.pc <- di.next_pc;
     st.instr_count <- Int64.add st.instr_count 1L;
-    stats.instrs_executed <- Int64.add stats.instrs_executed 1L
+    stats.instrs_executed <- stats.instrs_executed + 1
   in
   let redirect pc = st.pc <- pc in
   let no_spec (_ : unit) =
@@ -776,7 +811,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
           0 ep_items
       in
       R.probe reg "core.instrs_executed" (fun () ->
-          R.Int (Int64.to_int stats.Iface.instrs_executed));
+          R.Int stats.Iface.instrs_executed);
       (* block-cache gauges exist only where a block cache does, so a
          block pass sharing a registry with a per-instruction primary
          interface contributes them without fighting over names *)
@@ -808,8 +843,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
           R.Int
             (if bs.bs_block then
                max 0
-                 (Int64.to_int stats.Iface.instrs_executed
-                 - stats.Iface.sites_compiled)
+                 (stats.Iface.instrs_executed - stats.Iface.sites_compiled)
              else
                max 0
                  (seg_calls.(1).R.n + seg_calls.(2).R.n - (n_code_segs * n_instrs))));
@@ -826,14 +860,11 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       let exec_ep_obs di k =
         let t0 = Obs.Clock.now_ns () in
         let items = ep_items.(k) in
-        let n = Array.length items in
-        let rec go i =
-          if i < n && not st.halted then begin
-            exec_item_obs di items.(i);
-            go (i + 1)
-          end
-        in
-        go 0;
+        let i = ref 0 in
+        while !i < Array.length items && not st.halted do
+          exec_item_obs di items.(!i);
+          incr i
+        done;
         let dt = Obs.Clock.elapsed_ns t0 in
         R.incr crossings;
         R.incr ep_calls.(k);
@@ -859,18 +890,16 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
           di.fault <- None;
           auto_checkpoint di;
           load_frame di;
-          let rec go k =
-            if k < n_eps && not st.halted then begin
-              exec_ep_obs di k;
-              go (k + 1)
-            end
-          in
-          go 0;
+          let k = ref 0 in
+          while !k < n_eps && not st.halted do
+            exec_ep_obs di !k;
+            incr k
+          done;
           save_frame di;
           if not st.halted then begin
-            st.pc <- frame.next_pc;
+            st.pc <- di.next_pc;
             st.instr_count <- Int64.add st.instr_count 1L;
-            stats.instrs_executed <- Int64.add stats.instrs_executed 1L
+            stats.instrs_executed <- stats.instrs_executed + 1
           end;
           ring_instr di t0
         end
@@ -898,10 +927,8 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
           | Some _ | None -> ());
           r
         else fun () ->
-          ensure_dis 1;
-          let d = !dis in
-          run_one_obs d.(0);
-          (d, if st.halted && st.fault <> None then 0 else 1)
+          run_one_obs !dis.(0);
+          one_result ()
       in
       (run_one_obs, run_block_obs, step_obs)
   in
@@ -965,7 +992,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     end;
     executed ()
   in
-  let fast_di = Array.make (max 1 slots.di_size) 0L in
+  let fast_di = Semir.Frame.info_bytes slots.di_size in
   (* [note] is the profiler hook, called once per executed block with the
      block's entry pc and executed-site count. It is bound statically at
      synthesis time — the unprofiled instance passes a constant no-op, so
@@ -985,9 +1012,9 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       let k = ref 0 in
       let go = ref true in
       while !go do
-        frame.pc <- Array.unsafe_get pcs !k;
-        frame.enc <- Array.unsafe_get encs !k;
-        frame.next_pc <- Array.unsafe_get pcs (!k + 1);
+        set64 fs pc_off (Array.unsafe_get pcs !k);
+        set64 fs enc_off (Array.unsafe_get encs !k);
+        set64 fs next_pc_off (Array.unsafe_get pcs (!k + 1));
         (Array.unsafe_get codes !k) st frame;
         if st.halted then go := false
         else begin
@@ -996,10 +1023,12 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
         end
       done;
       if !k > 0 then begin
-        if not st.halted then st.pc <- frame.next_pc;
+        if not st.halted then begin
+          (* [pcs.(k)] is the last executed site's fall-through *)
+          st.pc <- next_box b (get64 fs next_pc_off) (Array.unsafe_get pcs !k)
+        end;
         st.instr_count <- Int64.add st.instr_count (Int64.of_int !k);
-        stats.Iface.instrs_executed <-
-          Int64.add stats.Iface.instrs_executed (Int64.of_int !k);
+        stats.Iface.instrs_executed <- stats.Iface.instrs_executed + !k;
         executed := !executed + !k;
         note pc0 !k
       end

@@ -137,10 +137,10 @@ let inject_fault t ~index (st : Machine.State.t) =
   log t index Fault_sub "spurious arithmetic fault"
 
 let inject_di t ~index (di : Specsim.Di.t) =
-  let n = Array.length di.info in
+  let n = Specsim.Di.slots di in
   let slot = Prng.below ~seed:t.seed ~index ~salt:9 n in
-  di.info.(slot) <-
-    Int64.logxor di.info.(slot) (Prng.draw ~seed:t.seed ~index ~salt:10);
+  Specsim.Di.set di slot
+    (Int64.logxor (Specsim.Di.get di slot) (Prng.draw ~seed:t.seed ~index ~salt:10));
   log t index Di_slot (Printf.sprintf "di slot %d" slot)
 
 (** [bug t st di] — the per-instruction corruption hook. Keyed on
@@ -182,6 +182,6 @@ let journaled_corrupt t ~trial (j : Specsim.Specul.t) (st : Machine.State.t) =
   let addr =
     Int64.of_int (8 * Prng.below ~seed:t.seed ~index ~salt:13 4096)
   in
-  Specsim.Specul.record_store j st addr 8;
+  Specsim.Specul.record_store j st (Machine.Memory.addr_int addr) 8;
   Machine.Memory.write st.mem ~addr ~width:8
     (Prng.draw ~seed:t.seed ~index ~salt:14)

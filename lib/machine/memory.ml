@@ -145,50 +145,93 @@ let write_bytes_slow t a width v =
         land 0xff)
     done
 
+(* Native-endian unchecked accessors and byte swaps: page accesses
+   assemble values from these so [load_into] / [store_from] never box. *)
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* the memory's byte order differs from the host's *)
+let swapped t = Sys.big_endian <> (t.endian = Big)
+
+(* [width] bytes at [off] of page [p], zero-extended; [width] is valid
+   and the access stays inside the page. *)
+let[@inline] get_page p off width swap =
+  Int64.add 0L
+    (match width with
+    | 1 -> Int64.of_int (Char.code (Bytes.unsafe_get p off))
+    | 2 ->
+      let h = get16 p off in
+      Int64.of_int (if swap then bswap16 h else h)
+    | 4 ->
+      let w = get32 p off in
+      Int64.logand (Int64.of_int32 (if swap then bswap32 w else w)) 0xFFFFFFFFL
+    | _ ->
+      let d = get64 p off in
+      if swap then bswap64 d else d)
+
+let[@inline] set_page p off width swap v =
+  match width with
+  | 1 -> Bytes.unsafe_set p off (Char.unsafe_chr (Int64.to_int v land 0xff))
+  | 2 ->
+    let h = Int64.to_int v land 0xffff in
+    set16 p off (if swap then bswap16 h else h)
+  | 4 ->
+    let w = Int64.to_int32 v in
+    set32 p off (if swap then bswap32 w else w)
+  | _ -> set64 p off (if swap then bswap64 v else v)
+
+let[@inline] sign_extend v width =
+  let bits = 64 - (8 * width) in
+  Int64.shift_right (Int64.shift_left v bits) bits
+
 let read t ~addr ~width =
   check_width width;
   let a = to_int addr in
   let off = a land page_mask in
-  if off + width <= page_size then begin
-    let p = page t (a lsr page_bits) in
-    match (width, t.endian) with
-    | 1, _ -> Int64.of_int (Char.code (Bytes.unsafe_get p off))
-    | 2, Little -> Int64.of_int (Bytes.get_uint16_le p off)
-    | 2, Big -> Int64.of_int (Bytes.get_uint16_be p off)
-    | 4, Little -> Int64.of_int32 (Bytes.get_int32_le p off) |> Int64.logand 0xFFFFFFFFL
-    | 4, Big -> Int64.of_int32 (Bytes.get_int32_be p off) |> Int64.logand 0xFFFFFFFFL
-    | 8, Little -> Bytes.get_int64_le p off
-    | 8, Big -> Bytes.get_int64_be p off
-    | _ -> assert false
-  end
+  if off + width <= page_size then
+    get_page (page t (a lsr page_bits)) off width (swapped t)
   else read_bytes_slow t a width
-
-let sign_extend v width =
-  let bits = 64 - (8 * width) in
-  Int64.shift_right (Int64.shift_left v bits) bits
 
 let read_signed t ~addr ~width = sign_extend (read t ~addr ~width) width
 
-let write t ~addr ~width v =
-  check_width width;
-  let a = to_int addr in
+(* [v] into the page holding native-int address [a], then the code-write
+   hooks; or byte by byte when the access straddles pages. *)
+let[@inline] put t a width v =
   let off = a land page_mask in
   if off + width <= page_size then begin
     let idx = a lsr page_bits in
-    let p = page t idx in
-    (match (width, t.endian) with
-    | 1, _ -> Bytes.unsafe_set p off (Char.unsafe_chr (Int64.to_int v land 0xff))
-    | 2, Little -> Bytes.set_uint16_le p off (Int64.to_int v land 0xffff)
-    | 2, Big -> Bytes.set_uint16_be p off (Int64.to_int v land 0xffff)
-    | 4, Little -> Bytes.set_int32_le p off (Int64.to_int32 v)
-    | 4, Big -> Bytes.set_int32_be p off (Int64.to_int32 v)
-    | 8, Little -> Bytes.set_int64_le p off v
-    | 8, Big -> Bytes.set_int64_be p off v
-    | _ -> assert false);
+    set_page (page t idx) off width (swapped t) v;
     if idx >= t.code_lo && idx <= t.code_hi && Hashtbl.mem t.code_pages idx
     then t.on_code_write idx
   end
   else write_bytes_slow t a width v
+
+let write t ~addr ~width v =
+  check_width width;
+  put t (to_int addr) width v
+
+let load_into t ~addr ~width ~signed dst dst_off =
+  check_width width;
+  let a = addr land max_int in
+  let off = a land page_mask in
+  let v =
+    Int64.add 0L
+      (if off + width <= page_size then
+         get_page (page t (a lsr page_bits)) off width (swapped t)
+       else read_bytes_slow t a width)
+  in
+  set64 dst dst_off (if signed then sign_extend v width else v)
+
+let store_from t ~addr ~width src src_off =
+  check_width width;
+  put t (addr land max_int) width (get64 src src_off)
 
 let load_bytes t addr b =
   for i = 0 to Bytes.length b - 1 do

@@ -29,6 +29,20 @@ val read_signed : t -> addr:int64 -> width:int -> int64
     @raise Invalid_argument on an unsupported width. *)
 val write : t -> addr:int64 -> width:int -> int64 -> unit
 
+(** [load_into mem ~addr ~width ~signed dst off] reads like {!read} (or
+    {!read_signed}) at the native-int address [addr] (see {!addr_int})
+    and stores the value in the native-endian 8-byte slot at byte [off] of
+    [dst]. No [int64] crosses the call, so it allocates nothing: this is
+    the access path of compiled code and the engine's fetch.
+    @raise Invalid_argument on an unsupported width. *)
+val load_into :
+  t -> addr:int -> width:int -> signed:bool -> Bytes.t -> int -> unit
+
+(** [store_from mem ~addr ~width src off] is {!write} of the native-endian
+    8-byte slot at byte [off] of [src], allocation-free like
+    {!load_into}. Code-write hooks fire as for {!write}. *)
+val store_from : t -> addr:int -> width:int -> Bytes.t -> int -> unit
+
 val read_byte : t -> int64 -> int
 val write_byte : t -> int64 -> int -> unit
 

@@ -9,10 +9,15 @@ type t = {
   classes : class_def array;
   bases : int array;
   total : int;
-  v : int64 array;
+  v : Bytes.t;
   (* Per-flat-register write mask; 0L marks a hardwired-zero register. *)
-  masks : int64 array;
+  masks : Bytes.t;
 }
+
+(* Native-endian, unchecked 8-byte slots: register [i] lives at byte
+   [8 * i] of [v], its write mask at byte [8 * i] of [masks]. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let width_mask width =
   if width >= 64 then -1L
@@ -41,18 +46,25 @@ let create classes =
     bases.(i) <- !total;
     total := !total + classes.(i).count
   done;
-  let masks = Array.make !total 0L in
+  let masks = Bytes.make (8 * !total) '\000' in
   for i = 0 to n - 1 do
     let c = classes.(i) in
     let m = width_mask c.width in
     for j = 0 to c.count - 1 do
-      masks.(bases.(i) + j) <-
+      set64 masks
+        (8 * (bases.(i) + j))
         (match c.hardwired_zero with Some z when z = j -> 0L | _ -> m)
     done
   done;
-  { classes; bases; total = !total; v = Array.make !total 0L; masks }
+  {
+    classes;
+    bases;
+    total = !total;
+    v = Bytes.make (8 * !total) '\000';
+    masks;
+  }
 
-let copy t = { t with v = Array.copy t.v }
+let copy t = { t with v = Bytes.copy t.v }
 
 let class_index t name =
   let rec find i =
@@ -77,36 +89,42 @@ let check t ~cls ~idx =
 
 let read t ~cls ~idx =
   check t ~cls ~idx;
-  t.v.(t.bases.(cls) + idx)
+  get64 t.v (8 * (t.bases.(cls) + idx))
 
 let write t ~cls ~idx value =
   check t ~cls ~idx;
-  let flat = t.bases.(cls) + idx in
-  t.v.(flat) <- Int64.logand value t.masks.(flat)
+  let o = 8 * (t.bases.(cls) + idx) in
+  set64 t.v o (Int64.logand value (get64 t.masks o))
 
-let read_flat t i = Array.unsafe_get t.v i
+let read_flat t i = get64 t.v (8 * i)
 
 let write_flat t i value =
-  Array.unsafe_set t.v i (Int64.logand value (Array.unsafe_get t.masks i))
+  let o = 8 * i in
+  set64 t.v o (Int64.logand value (get64 t.masks o))
 
-let is_hardwired_flat t i = Int64.equal t.masks.(i) 0L
-let mask_flat t i = t.masks.(i)
+let is_hardwired_flat t i =
+  if i < 0 || i >= t.total then invalid_arg "Regfile: bad flat index";
+  Int64.equal (get64 t.masks (8 * i)) 0L
+
+let mask_flat t i =
+  if i < 0 || i >= t.total then invalid_arg "Regfile: bad flat index";
+  get64 t.masks (8 * i)
 
 let blit ~src ~dst =
   if src.total <> dst.total then invalid_arg "Regfile.blit: layout mismatch";
-  Array.blit src.v 0 dst.v 0 src.total
+  Bytes.blit src.v 0 dst.v 0 (8 * src.total)
 
 let equal a b =
   a.total = b.total
   && Array.for_all2 (fun (x : class_def) y -> x = y) a.classes b.classes
-  && Array.for_all2 Int64.equal a.v b.v
+  && Bytes.equal a.v b.v
 
 let pp ppf t =
   Array.iteri
     (fun ci c ->
       Format.fprintf ppf "@[<v 2>%s:@," c.cname;
       for i = 0 to c.count - 1 do
-        let v = t.v.(t.bases.(ci) + i) in
+        let v = read_flat t (t.bases.(ci) + i) in
         if not (Int64.equal v 0L) then
           Format.fprintf ppf "%s%d = 0x%Lx@," c.cname i v
       done;

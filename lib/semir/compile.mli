@@ -3,21 +3,15 @@
     Compilation happens once, at synthesis time; execution runs no IR
     dispatch at all. *)
 
-(** A compiled expression: evaluates against the machine and the frame. *)
-type ecode = Machine.State.t -> Frame.t -> int64
-
-(** A compiled statement sequence. *)
+(** A compiled statement sequence. It allocates nothing: values move
+    through the unboxed slots of the frame, the DI record and the
+    register file. *)
 type code = Machine.State.t -> Frame.t -> unit
-
-val nop : code
-
-(** [expr loc e] compiles one expression under the cell-location map. *)
-val expr : Frame.location array -> Ir.expr -> ecode
 
 (** [program ?hooks ?layout ?mem_fast_path ~loc p] compiles a whole
     action body. [hooks] intercept architectural writes for speculation
     journaling; [layout], when given, lets static register numbers
-    compile to single array accesses (it must match the register file of
+    compile to single slot accesses (it must match the register file of
     every machine the code will run against). [mem_fast_path] (default
     off) gives every load/store site a one-entry page cache — a per-site
     software TLB — hitting the backing bytes directly and falling back
@@ -32,7 +26,3 @@ val program :
   loc:Frame.location array ->
   Ir.program ->
   code
-
-(** [sequence codes] fuses already-compiled codes into one (used when
-    fusing actions into an entrypoint or instructions into a block). *)
-val sequence : code list -> code

@@ -8,6 +8,7 @@
 type t = {
   on_reg_write : Machine.State.t -> int -> unit;
       (** called with the flat register index about to be overwritten *)
-  on_store : Machine.State.t -> int64 -> int -> unit;
-      (** called with the address and width (bytes) about to be stored *)
+  on_store : Machine.State.t -> int -> int -> unit;
+      (** called with the address (native-int form, {!Machine.Memory.addr_int})
+          and width (bytes) about to be stored *)
 }

@@ -5,6 +5,7 @@ let () =
       ("memory", Test_memory.suite);
       ("regfile", Test_regfile.suite);
       ("semir", Test_semir.suite);
+      ("alloc", Test_alloc.suite);
       ("lis", Test_lis.suite);
       ("synth", Test_synth.suite);
       ("alpha", Test_alpha.suite);

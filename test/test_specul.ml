@@ -19,7 +19,7 @@ let jwrite_reg j st flat v =
   Regfile.write_flat st.regs flat v
 
 let jwrite_mem j st addr v =
-  Specsim.Specul.record_store j st addr 8;
+  Specsim.Specul.record_store j st (Memory.addr_int addr) 8;
   Memory.write st.mem ~addr ~width:8 v
 
 let test_basic_rollback () =
