@@ -186,32 +186,21 @@ let buildset_to_ocaml (spec : Lis.Spec.t) (bs_name : string) : string =
        \   DI info slots: %d; hidden scratch slots: %d; speculation: %b. *)\n\n"
        spec.name bs.bs_name slots.di_size slots.scratch_size bs.bs_speculation);
   buf_add b "open Semir.Frame\n\n";
-  let ep_segs =
-    Array.map
-      (fun (_, syms) -> Synth.segments_of_entrypoint syms)
-      bs.bs_entrypoints
+  let flat =
+    Array.of_list
+      (List.concat_map
+         (fun (_, syms) -> Plan.segments_of_entrypoint syms)
+         (Array.to_list bs.bs_entrypoints))
   in
-  (* replicate the synthesizer's per-segment optimized IR *)
-  let flat_segs = Array.to_list ep_segs |> List.concat in
-  let flat = Array.of_list flat_segs in
-  let n_segs = Array.length flat in
-  Array.iter
-    (fun (instr : Lis.Spec.instr) ->
-      let irs = Array.map (Synth.seg_ir instr) flat in
-      let module Iset = Set.Make (Int) in
-      let downstream = Array.make (n_segs + 1) Iset.empty in
-      for k = n_segs - 1 downto 0 do
-        downstream.(k) <-
-          Iset.union downstream.(k + 1)
-            (Iset.of_list (Semir.Ir.program_reads irs.(k)))
-      done;
+  (* the synthesizer's own per-segment optimized IR *)
+  let seg_ir = Plan.optimize_segments spec bs flat in
+  Array.iteri
+    (fun ii (instr : Lis.Spec.instr) ->
       Array.iteri
         (fun k ir ->
           match flat.(k) with
-          | Synth.Seg_fetch -> ()
-          | Synth.Seg_decode | Synth.Seg_ir _ ->
-            let keep c = bs.bs_visible.(c) || Iset.mem c downstream.(k + 1) in
-            let ir = Semir.Opt.optimize ~keep ir in
+          | Plan.Seg_fetch -> ()
+          | Plan.Seg_decode | Plan.Seg_ir _ ->
             buf_add b
               (Printf.sprintf "let %s_seg%d (st : Machine.State.t) (fr : t) =\n"
                  (sanitize instr.i_name) k);
@@ -222,14 +211,14 @@ let buildset_to_ocaml (spec : Lis.Spec.t) (bs_name : string) : string =
               buf_add b "  ()\n"
             end;
             buf_add b "\n")
-        irs)
+        seg_ir.(ii))
     spec.instrs;
   (* dispatch tables *)
   Array.iteri
     (fun k seg ->
       match seg with
-      | Synth.Seg_fetch -> ()
-      | Synth.Seg_decode | Synth.Seg_ir _ ->
+      | Plan.Seg_fetch -> ()
+      | Plan.Seg_decode | Plan.Seg_ir _ ->
         buf_add b (Printf.sprintf "let seg%d_table = [|\n" k);
         Array.iter
           (fun (i : Lis.Spec.instr) ->

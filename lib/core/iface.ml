@@ -32,8 +32,9 @@ type stats = {
       (** chained dispatches that fell back to the block hash table *)
   mutable instrs_executed : int;  (** via this interface's calls *)
   mutable absint_ns : int;
-      (** synthesis-time cost of the abstract-interpretation pass that
-          gates the store-free optimizations (0 when disabled) *)
+      (** time this synthesis spent in the abstract-interpretation pass
+          that gates the store-free optimizations (0 when disabled, or
+          when a synthesis cache already held the verdicts) *)
   mutable fastpath_classes : int;
       (** instruction classes granted the memory fast path because the
           analysis proved them store- and syscall-free *)

@@ -7,11 +7,14 @@
     speculation hooks are compiled in only when asked for, and — for
     block-semantic buildsets — each basic block is specialized against its
     concrete instruction encodings and cached (the binary-translation
-    analog). *)
+    analog).
+
+    What depends only on the specification and the buildset is the
+    {!Plan}; [make] instantiates it on a machine. *)
 
 open Machine
 
-exception Synth_error of string
+exception Synth_error = Plan.Synth_error
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
@@ -20,7 +23,7 @@ let pc_off = Semir.Frame.pc_off
 let enc_off = Semir.Frame.enc_off
 let next_pc_off = Semir.Frame.next_pc_off
 
-let synth_error fmt = Format.kasprintf (fun m -> raise (Synth_error m)) fmt
+let synth_error = Plan.synth_error
 
 (** Execution backend: [Compiled] closures (default) or the reference
     [Interpreted] AST walker (paper footnote 5's baseline). *)
@@ -48,50 +51,12 @@ let mutation_of_string = function
   | "stride4" -> Some Stride4
   | _ -> None
 
-(* An entrypoint is a sequence of items; fetch and decode are engine
-   builtins, everything else is per-instruction compiled code. *)
-type item =
-  | I_fetch
-  | I_decode of Semir.Compile.code array  (* per instruction *)
-  | I_chunk of Semir.Compile.code array
-
-(* Segment: compilation-time view of an item. *)
-type seg = Seg_fetch | Seg_decode | Seg_ir of Lis.Spec.action_sym list
-
 let spec_window = 64
 
-(* ------------------------------------------------------------------ *)
-(* Segment construction                                                *)
-(* ------------------------------------------------------------------ *)
+(** A synthesis cache: the {!Plan} of one specification. *)
+type cache = Plan.t
 
-let segments_of_entrypoint (syms : Lis.Spec.action_sym list) : seg list =
-  let flush acc cur =
-    match cur with [] -> acc | _ -> Seg_ir (List.rev cur) :: acc
-  in
-  let rec go acc cur = function
-    | [] -> List.rev (flush acc cur)
-    | Lis.Spec.A_fetch :: rest -> go (Seg_fetch :: flush acc cur) [] rest
-    | Lis.Spec.A_decode :: rest -> go (Seg_decode :: flush acc cur) [] rest
-    | sym :: rest -> go acc (sym :: cur) rest
-  in
-  go [] [] syms
-
-let sym_ir (i : Lis.Spec.instr) = function
-  | Lis.Spec.A_fetch | Lis.Spec.A_decode -> []
-  | Lis.Spec.A_read_operands -> i.i_read
-  | Lis.Spec.A_writeback -> i.i_writeback
-  | Lis.Spec.A_user name -> Lis.Spec.user_action i name
-
-(* IR contributed by a segment for instruction [i]; decode contributes the
-   generated operand-id extraction. *)
-let seg_ir (i : Lis.Spec.instr) = function
-  | Seg_fetch -> []
-  | Seg_decode -> i.i_decode
-  | Seg_ir syms -> List.concat_map (sym_ir i) syms
-
-module Iset = Set.Make (Int)
-
-let reads_of (p : Semir.Ir.program) = Iset.of_list (Semir.Ir.program_reads p)
+let cache = Plan.create
 
 (* ------------------------------------------------------------------ *)
 (* Translation cache                                                   *)
@@ -173,24 +138,33 @@ let dispatch_invariant_violation (st : State.t) ~want ~got =
 (* ------------------------------------------------------------------ *)
 
 let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
-    ?(site_cache = true) ?(absint = true) ?mutate ?obs ?st (spec : Lis.Spec.t)
-    (bs_name : string) : Iface.t =
-  let bs = Lis.Spec.find_buildset spec bs_name in
+    ?(site_cache = true) ?(absint = true) ?mutate ?cache ?obs ?st
+    (spec : Lis.Spec.t) (bs_name : string) : Iface.t =
+  let plan =
+    match cache with
+    | None -> Plan.create spec
+    | Some c when c.Plan.spec == spec -> c
+    | Some _ ->
+      invalid_arg
+        (Printf.sprintf "Synth.make: cache of another specification (%s/%s)"
+           spec.name bs_name)
+  in
+  let check_liveness = function
+    | [] -> ()
+    | summary when not allow_hidden_crossing ->
+      synth_error
+        "buildset %s/%s hides %d cell(s) that cross entrypoint boundaries:@\n%s"
+        spec.name bs_name (List.length summary)
+        (String.concat "\n"
+           (List.map
+              (fun (c, w, r) ->
+                Printf.sprintf "  '%s' written in '%s', read in '%s'" c w r)
+              summary))
+    | _ -> ()
+  in
+  let bp = Plan.buildset plan bs_name ~check_liveness in
+  let bs = bp.Plan.bs and slots = bp.Plan.slots in
   let st = match st with Some s -> s | None -> Lis.Spec.make_machine spec in
-  let slots = Slots.make spec bs in
-  (match Liveness.check spec bs with
-  | [] -> ()
-  | violations when not allow_hidden_crossing ->
-    let summary = Liveness.summarize violations in
-    synth_error
-      "buildset %s/%s hides %d cell(s) that cross entrypoint boundaries:@\n%s"
-      spec.name bs.bs_name (List.length summary)
-      (String.concat "\n"
-         (List.map
-            (fun (c, w, r) ->
-              Printf.sprintf "  '%s' written in '%s', read in '%s'" c w r)
-            summary))
-  | _ -> ());
   let journal = if bs.bs_speculation then Some (Specul.create ()) else None in
   let hooks = Option.map Specul.hooks journal in
   let layout = st.State.regs in
@@ -204,22 +178,12 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
      (a block's pc arrays, its successor cache). *)
   let fs = frame.s in
   let n_instrs = Array.length spec.instrs in
-  let decoder = Decoder.make spec in
+  let decoder = plan.Plan.decoder in
   let instr_bytes64 = Int64.of_int spec.instr_bytes in
-  (* Per-instruction encoded width: fetch always reads the full
-     [instr_bytes] window; decode then corrects [next_pc] and truncates
-     the encoding to the decoded instruction's own parcel. Both are
-     no-ops for uniform ISAs. *)
-  let size64 =
-    Array.map (fun (i : Lis.Spec.instr) -> Int64.of_int i.i_size) spec.instrs
-  in
-  let size_mask =
-    Array.map
-      (fun (i : Lis.Spec.instr) ->
-        if i.i_size >= 8 then -1L
-        else Int64.sub (Int64.shift_left 1L (8 * i.i_size)) 1L)
-      spec.instrs
-  in
+  (* Fetch always reads the full [instr_bytes] window; decode then
+     corrects [next_pc] and truncates the encoding to the decoded
+     instruction's own parcel. Both are no-ops for uniform ISAs. *)
+  let size64 = plan.Plan.size64 and size_mask = plan.Plan.size_mask in
   let stale_chain = mutate = Some Stale_chain in
   let skip_invalidate = mutate = Some Skip_invalidate in
   let stride4 = mutate = Some Stride4 in
@@ -245,16 +209,8 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
      so they get the memory fast path outside block mode and their
      blocks skip the per-site SMC recheck. The analysis is sound, never
      required: [absint = false] degrades every verdict to "unsafe". *)
-  let class_store_free =
-    if not absint then Array.make n_instrs false
-    else begin
-      let t0 = Obs.Clock.now_ns () in
-      let sums = Analysis.Absint.summarize spec in
-      let safe = Array.map Analysis.Absint.store_free sums in
-      stats.Iface.absint_ns <- Obs.Clock.elapsed_ns t0;
-      safe
-    end
-  in
+  let class_store_free, absint_ns = Plan.store_free plan ~absint in
+  stats.Iface.absint_ns <- absint_ns;
   if not bs.bs_block then
     stats.Iface.fastpath_classes <-
       Array.fold_left (fun n s -> if s then n + 1 else n) 0 class_store_free;
@@ -265,82 +221,32 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     | Interpreted -> fun st fr -> Semir.Eval.exec ?hooks ~loc st fr ir
   in
 
-  (* --- entrypoint plans ---------------------------------------------- *)
-  let ep_segs =
-    Array.map (fun (_, syms) -> segments_of_entrypoint syms) bs.bs_entrypoints
+  (* --- entrypoint code ------------------------------------------------ *)
+  (* Compiled code reads the machine only through its [st] argument, so
+     instances on any machine can share it — except where speculation
+     hooks capture this instance's journal. Per-instruction interfaces
+     get their code here, in set-up; block interfaces only on their first
+     [run_one]/[step], which their block loops never make. *)
+  let items () =
+    let build () =
+      Plan.compile_items bp ~store_free:class_store_free
+        ~compile:(fun ~mem_fast_path ir -> compile_program ~mem_fast_path ir)
+    in
+    if backend = Compiled && journal = None then
+      Plan.shared_items bp ~absint build
+    else build ()
   in
-  let flat_segs = Array.to_list ep_segs |> List.concat in
-  (* Sanity: per-instruction dispatch needs decode before any IR. *)
-  (let seen_decode = ref false in
-   List.iter
-     (fun s ->
-       match s with
-       | Seg_decode -> seen_decode := true
-       | Seg_ir _ when not !seen_decode ->
-         synth_error
-           "buildset %s/%s runs instruction actions before 'decode'" spec.name
-           bs.bs_name
-       | Seg_ir _ | Seg_fetch -> ())
-     flat_segs);
-
-  (* Per-instruction optimized IR per IR-bearing segment, with cross-
-     segment liveness driving DCE: a cell assignment survives only if the
-     cell is interface-visible or read by a later segment. *)
-  let n_segs = List.length flat_segs in
-  let flat_segs_arr = Array.of_list flat_segs in
-  let per_instr_seg_ir =
-    Array.init n_instrs (fun ii ->
-        let instr = spec.instrs.(ii) in
-        let irs = Array.map (seg_ir instr) flat_segs_arr in
-        (* downstream reads per segment *)
-        let downstream = Array.make (n_segs + 1) Iset.empty in
-        for k = n_segs - 1 downto 0 do
-          downstream.(k) <- Iset.union downstream.(k + 1) (reads_of irs.(k))
-        done;
-        Array.mapi
-          (fun k ir ->
-            let keep c =
-              bs.bs_visible.(c) || Iset.mem c downstream.(k + 1)
-            in
-            Semir.Opt.optimize ~keep ir)
-          irs)
-  in
-  let ep_items : item array array =
-    let seg_index = ref 0 in
-    Array.map
-      (fun segs ->
-        Array.of_list
-          (List.map
-             (fun seg ->
-               let k = !seg_index in
-               incr seg_index;
-               match seg with
-               | Seg_fetch -> I_fetch
-               | Seg_decode ->
-                 I_decode
-                   (Array.init n_instrs (fun ii ->
-                        compile_program
-                          ~mem_fast_path:class_store_free.(ii)
-                          per_instr_seg_ir.(ii).(k)))
-               | Seg_ir _ ->
-                 I_chunk
-                   (Array.init n_instrs (fun ii ->
-                        compile_program
-                          ~mem_fast_path:class_store_free.(ii)
-                          per_instr_seg_ir.(ii).(k))))
-             segs))
-      ep_segs
-  in
+  let ep_items = ref (if bs.bs_block then [||] else items ()) in
 
   (* --- execution ------------------------------------------------------ *)
   let exec_item (di : Di.t) = function
-    | I_fetch ->
+    | Plan.I_fetch ->
       let pc = get64 fs pc_off in
       Memory.load_into st.mem
         ~addr:(Int64.to_int pc land max_int)
         ~width:spec.instr_bytes ~signed:false fs enc_off;
       set64 fs next_pc_off (Int64.add pc instr_bytes64)
-    | I_decode codes ->
+    | Plan.I_decode codes ->
       let idx = Decoder.decode_slot decoder fs enc_off in
       if idx < 0 then
         State.raise_fault st (Fault.Illegal_instruction (get64 fs enc_off))
@@ -352,7 +258,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
           (Int64.add (get64 fs pc_off) (Array.unsafe_get size64 idx));
         (Array.unsafe_get codes idx) st frame
       end
-    | I_chunk codes ->
+    | Plan.I_chunk codes ->
       let idx = di.instr_index in
       if idx < 0 then
         Sim_error.raisef ~component:"interface"
@@ -364,7 +270,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   in
   (* Loops, not local recursive functions: a per-call closure would be
      the engine's largest allocation. *)
-  let exec_items di (items : item array) =
+  let exec_items di (items : Plan.item array) =
     let k = ref 0 in
     while !k < Array.length items && not st.halted do
       exec_item di (Array.unsafe_get items !k);
@@ -387,7 +293,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
 
   let step di k =
     load_frame di;
-    exec_items di ep_items.(k);
+    exec_items di !ep_items.(k);
     save_frame di
   in
 
@@ -399,7 +305,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       Specul.auto_trim j ~window:spec_window
   in
 
-  let n_eps = Array.length ep_items in
+  let n_eps = Array.length bs.bs_entrypoints in
   let run_one (di : Di.t) =
     if not st.halted then begin
       di.pc <- st.pc;
@@ -407,9 +313,10 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       di.fault <- None;
       auto_checkpoint di;
       load_frame di;
+      let items = !ep_items in
       let k = ref 0 in
       while !k < n_eps && not st.halted do
-        exec_items di (Array.unsafe_get ep_items !k);
+        exec_items di (Array.unsafe_get items !k);
         incr k
       done;
       save_frame di;
@@ -422,222 +329,6 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   in
 
   (* --- block mode ------------------------------------------------------ *)
-  (* Full per-instruction chain IR in sequence order (fetch excluded),
-     used for per-site specialization. *)
-  let chain_ir =
-    Array.map
-      (fun (i : Lis.Spec.instr) ->
-        List.concat_map
-          (fun sym ->
-            match sym with
-            | Lis.Spec.A_decode -> i.i_decode
-            | other -> sym_ir i other)
-          (Array.to_list spec.sequence))
-      spec.instrs
-  in
-  let rec stmt_is_ctrl (s : Semir.Ir.stmt) =
-    match s with
-    | Set_next_pc _ | Syscall | Halt | Fault_illegal | Fault_unaligned _
-    | Fault_arith _ ->
-      true
-    | If (_, t, f) -> List.exists stmt_is_ctrl t || List.exists stmt_is_ctrl f
-    | Set_cell _ | Store _ | Reg_write _ -> false
-  in
-  let is_ctrl = Array.map (List.exists stmt_is_ctrl) chain_ir in
-  (* Cells read by some instruction before it writes them (cross-
-     instruction carriers); they must survive DCE in block mode. *)
-  let carried =
-    Array.fold_left
-      (fun acc ir ->
-        let rec upward live (reads : Iset.t) = function
-          | [] -> reads
-          | s :: rest ->
-            let srs = Iset.of_list (Semir.Ir.stmt_reads [] s) in
-            let exposed = Iset.diff srs live in
-            let live =
-              Iset.union live (Iset.of_list (Semir.Ir.stmt_writes [] s))
-            in
-            upward live (Iset.union reads exposed) rest
-        in
-        Iset.union acc (upward Iset.empty Iset.empty ir))
-      Iset.empty chain_ir
-  in
-  let block_keep c = bs.bs_visible.(c) || Iset.mem c carried in
-
-  let max_block = 64 in
-  let module Bcache = Hashtbl in
-  let blocks : (int64, block) Bcache.t = Bcache.create 1024 in
-  (* Shared translation cache: specialization depends only on the
-     encoding, never on the pc, so loops entered at several pcs,
-     duplicated code and rebuilt blocks reuse compiled sites instead of
-     recompiling. The cache survives [flush_code_cache]: entries keyed
-     by [(instr, encoding)] stay correct whatever memory now holds. *)
-  let site_tbl : (int * int64, Semir.Compile.code) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let compile_site enc idx =
-    let build () =
-      stats.Iface.sites_compiled <- stats.Iface.sites_compiled + 1;
-      let ir = Semir.Opt.optimize ~enc ~keep:block_keep chain_ir.(idx) in
-      compile_program ~mem_fast_path:site_cache ir
-    in
-    if site_cache then begin
-      let key = (idx, enc) in
-      match Hashtbl.find_opt site_tbl key with
-      | Some c ->
-        stats.Iface.site_cache_hits <- stats.Iface.site_cache_hits + 1;
-        c
-      | None ->
-        let c = build () in
-        Hashtbl.add site_tbl key c;
-        c
-    end
-    else build ()
-  in
-  let illegal_site : Semir.Compile.code =
-   fun st fr ->
-    State.raise_fault st (Fault.Illegal_instruction (Semir.Frame.enc fr))
-  in
-  (* Pages holding translated code, mapped to the blocks compiled from
-     them; a write to such a page invalidates those blocks (and thereby
-     every chain link into them, since dispatch re-checks [b_valid]). *)
-  let page_blocks : (int, block list ref) Hashtbl.t = Hashtbl.create 16 in
-  let last_block = ref dummy_block in
-  if bs.bs_block && not skip_invalidate then
-    Memory.add_code_write_hook st.mem (fun pidx ->
-        match Hashtbl.find_opt page_blocks pidx with
-        | None -> ()
-        | Some l ->
-          List.iter
-            (fun b ->
-              if b.b_valid then begin
-                b.b_valid <- false;
-                Bcache.remove blocks b.b_pc0;
-                stats.Iface.block_invalidations <-
-                  stats.Iface.block_invalidations + 1
-              end)
-            !l;
-          l := [];
-          last_block := dummy_block);
-  let build_block pc0 =
-    let codes = ref [] and encs = ref [] and idxs = ref [] in
-    let rev_pcs = ref [] in
-    let n = ref 0 in
-    let pc = ref pc0 in
-    let stop = ref false in
-    let stable = ref true in
-    while not !stop do
-      let enc = Memory.read st.mem ~addr:!pc ~width:spec.instr_bytes in
-      let idx = Decoder.decode decoder enc in
-      if idx < 0 then begin
-        codes := illegal_site :: !codes;
-        encs := enc :: !encs;
-        idxs := idx :: !idxs;
-        rev_pcs := !pc :: !rev_pcs;
-        incr n;
-        pc := Int64.add !pc instr_bytes64;
-        stable := false;
-        stop := true
-      end
-      else begin
-        (* truncate to the decoded parcel: the tail of the fetch window
-           belongs to the next instruction, and must not key the site
-           cache or leak into operand fields *)
-        let enc = Int64.logand enc (Array.unsafe_get size_mask idx) in
-        if not class_store_free.(idx) then stable := false;
-        codes := compile_site enc idx :: !codes;
-        encs := enc :: !encs;
-        idxs := idx :: !idxs;
-        rev_pcs := !pc :: !rev_pcs;
-        incr n;
-        pc := Int64.add !pc (Array.unsafe_get size64 idx);
-        if is_ctrl.(idx) || !n >= max_block then stop := true
-      end
-    done;
-    stats.Iface.blocks_compiled <- stats.Iface.blocks_compiled + 1;
-    if !stable then stats.Iface.stable_blocks <- stats.Iface.stable_blocks + 1;
-    (* [pcs] carries the true site addresses plus the fall-through pc;
-       the seeded [Stride4] defect replaces them with a uniform 4-byte
-       walk, observable on any ISA whose real strides differ. *)
-    let pcs =
-      if stride4 then
-        Array.init (!n + 1) (fun i -> Int64.add pc0 (Int64.of_int (4 * i)))
-      else Array.of_list (List.rev (!pc :: !rev_pcs))
-    in
-    let b =
-      {
-        b_pc0 = pc0;
-        b_codes = Array.of_list (List.rev !codes);
-        b_encs = Array.of_list (List.rev !encs);
-        b_idxs = Array.of_list (List.rev !idxs);
-        b_pcs = pcs;
-        b_stable = !stable;
-        b_valid = true;
-        b_s1_pc = -1L;
-        b_s1 = dummy_block;
-        b_s2_pc = -1L;
-        b_s2 = dummy_block;
-      }
-    in
-    (* Register the code pages this block was translated from. *)
-    let lo = Memory.addr_int pc0 lsr Memory.page_bits in
-    let hi = Memory.addr_int (Int64.sub pcs.(!n) 1L) lsr Memory.page_bits in
-    for pidx = lo to hi do
-      Memory.note_code_page st.mem pidx;
-      let l =
-        match Hashtbl.find_opt page_blocks pidx with
-        | Some l -> l
-        | None ->
-          let l = ref [] in
-          Hashtbl.add page_blocks pidx l;
-          l
-      in
-      l := b :: !l
-    done;
-    b
-  in
-  let find_block pc0 =
-    match Bcache.find_opt blocks pc0 with
-    | Some b ->
-      stats.Iface.block_hits <- stats.Iface.block_hits + 1;
-      b
-    | None ->
-      let b = build_block pc0 in
-      Bcache.add blocks pc0 b;
-      b
-  in
-  (* Chained dispatch: try the predecessor's successor cache before the
-     hash table, installing / promoting on the way (most recent first). *)
-  (* [trust] is the single-trust invariant ([b_valid] is the only thing
-     dispatch believes); [Stale_chain] breaks it for every real block. *)
-  let trust b = b.b_valid || (stale_chain && not (Int64.equal b.b_pc0 (-1L))) in
-  let lookup_from prev pc0 =
-    if not (chain && trust prev) then find_block pc0
-    else if Int64.equal prev.b_s1_pc pc0 && trust prev.b_s1 then begin
-      stats.Iface.chain_taken <- stats.Iface.chain_taken + 1;
-      stats.Iface.block_hits <- stats.Iface.block_hits + 1;
-      prev.b_s1
-    end
-    else if Int64.equal prev.b_s2_pc pc0 && trust prev.b_s2 then begin
-      let b = prev.b_s2 in
-      prev.b_s2_pc <- prev.b_s1_pc;
-      prev.b_s2 <- prev.b_s1;
-      prev.b_s1_pc <- pc0;
-      prev.b_s1 <- b;
-      stats.Iface.chain_taken <- stats.Iface.chain_taken + 1;
-      stats.Iface.block_hits <- stats.Iface.block_hits + 1;
-      b
-    end
-    else begin
-      stats.Iface.chain_miss <- stats.Iface.chain_miss + 1;
-      let b = find_block pc0 in
-      prev.b_s2_pc <- prev.b_s1_pc;
-      prev.b_s2 <- prev.b_s1;
-      prev.b_s1_pc <- pc0;
-      prev.b_s1 <- b;
-      b
-    end
-  in
   (* Engine-owned DI ring returned by [run_block], with every possible
      [(ring, count)] result built in advance so a call returns one
      without allocating. *)
@@ -661,72 +352,310 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     Array.unsafe_get !dis_results
       (if st.halted && st.fault <> None then 0 else 1)
   in
-  let run_block () =
-    if st.halted then Array.unsafe_get !dis_results 0
-    else begin
-      let pc0 = st.pc in
-      let b = lookup_from !last_block pc0 in
-      if not (Int64.equal b.b_pc0 pc0) then
-        dispatch_invariant_violation st ~want:pc0 ~got:b.b_pc0;
-      last_block := b;
-      let codes = b.b_codes
-      and encs = b.b_encs
-      and idxs = b.b_idxs
-      and pcs = b.b_pcs in
-      let len = Array.length codes in
-      ensure_dis len;
-      let dis = !dis in
-      let executed = ref 0 in
-      let k = ref 0 in
-      (* [b_valid] re-checked per site: a store that hits this block's
-         own code page stops execution after the faulting-free site that
-         performed it, so stale sites never run. Stable blocks skip the
-         recheck — none of their sites can store, so nothing can
-         invalidate any block while they run. *)
-      while
-        !k < len && not st.halted && (b.b_valid || b.b_stable || stale_chain)
-      do
-        let di = Array.unsafe_get dis !k in
-        let pc = Array.unsafe_get pcs !k in
-        let fall = Array.unsafe_get pcs (!k + 1) in
-        di.pc <- pc;
-        di.encoding <- Array.unsafe_get encs !k;
-        di.instr_index <- Array.unsafe_get idxs !k;
-        di.fault <- None;
-        auto_checkpoint di;
-        set64 fs pc_off pc;
-        set64 fs enc_off di.encoding;
-        set64 fs next_pc_off fall;
-        frame.di <- di.info;
-        (Array.unsafe_get codes !k) st frame;
-        di.next_pc <- next_box b (get64 fs next_pc_off) fall;
-        di.fault <- st.fault;
-        if not st.halted then incr executed;
-        incr k
+  (* The translation cache, built for block buildsets only: the block
+     loop, the chained fast loop and the flush of the block tables. *)
+  let block_engine () =
+    let { Plan.chain_ir; is_ctrl; carried } = Plan.block_plan plan in
+    let block_keep c = bs.bs_visible.(c) || Plan.Iset.mem c carried in
+    let max_block = 64 in
+    let blocks : (int64, block) Hashtbl.t = Hashtbl.create 1024 in
+    (* Shared translation cache: specialization depends only on the
+       encoding, never on the pc, so loops entered at several pcs,
+       duplicated code and rebuilt blocks reuse compiled sites instead of
+       recompiling. The cache survives [flush_code_cache]: entries keyed
+       by [(instr, encoding)] stay correct whatever memory now holds. *)
+    let site_tbl : (int * int64, Semir.Compile.code) Hashtbl.t =
+      Hashtbl.create 256
+    in
+    let compile_site enc idx =
+      let build () =
+        stats.Iface.sites_compiled <- stats.Iface.sites_compiled + 1;
+        let ir = Semir.Opt.optimize ~enc ~keep:block_keep chain_ir.(idx) in
+        compile_program ~mem_fast_path:site_cache ir
+      in
+      if site_cache then begin
+        let key = (idx, enc) in
+        match Hashtbl.find_opt site_tbl key with
+        | Some c ->
+          stats.Iface.site_cache_hits <- stats.Iface.site_cache_hits + 1;
+          c
+        | None ->
+          let c = build () in
+          Hashtbl.add site_tbl key c;
+          c
+      end
+      else build ()
+    in
+    let illegal_site : Semir.Compile.code =
+     fun st fr ->
+      State.raise_fault st (Fault.Illegal_instruction (Semir.Frame.enc fr))
+    in
+    (* Pages holding translated code, mapped to the blocks compiled from
+       them; a write to such a page invalidates those blocks (and thereby
+       every chain link into them, since dispatch re-checks [b_valid]). *)
+    let page_blocks : (int, block list ref) Hashtbl.t = Hashtbl.create 16 in
+    let last_block = ref dummy_block in
+    if not skip_invalidate then
+      Memory.add_code_write_hook st.mem (fun pidx ->
+          match Hashtbl.find_opt page_blocks pidx with
+          | None -> ()
+          | Some l ->
+            List.iter
+              (fun b ->
+                if b.b_valid then begin
+                  b.b_valid <- false;
+                  Hashtbl.remove blocks b.b_pc0;
+                  stats.Iface.block_invalidations <-
+                    stats.Iface.block_invalidations + 1
+                end)
+              !l;
+            l := [];
+            last_block := dummy_block);
+    let build_block pc0 =
+      let codes = ref [] and encs = ref [] and idxs = ref [] in
+      let rev_pcs = ref [] in
+      let n = ref 0 in
+      let pc = ref pc0 in
+      let stop = ref false in
+      let stable = ref true in
+      while not !stop do
+        let enc = Memory.read st.mem ~addr:!pc ~width:spec.instr_bytes in
+        let idx = Decoder.decode decoder enc in
+        if idx < 0 then begin
+          codes := illegal_site :: !codes;
+          encs := enc :: !encs;
+          idxs := idx :: !idxs;
+          rev_pcs := !pc :: !rev_pcs;
+          incr n;
+          pc := Int64.add !pc instr_bytes64;
+          stable := false;
+          stop := true
+        end
+        else begin
+          (* truncate to the decoded parcel: the tail of the fetch window
+             belongs to the next instruction, and must not key the site
+             cache or leak into operand fields *)
+          let enc = Int64.logand enc (Array.unsafe_get size_mask idx) in
+          if not class_store_free.(idx) then stable := false;
+          codes := compile_site enc idx :: !codes;
+          encs := enc :: !encs;
+          idxs := idx :: !idxs;
+          rev_pcs := !pc :: !rev_pcs;
+          incr n;
+          pc := Int64.add !pc (Array.unsafe_get size64 idx);
+          if is_ctrl.(idx) || !n >= max_block then stop := true
+        end
       done;
-      if !executed > 0 then begin
-        (* the last executed site's next_pc is the continuation; on a halt
-           the fetch pc stays put (rollback restores it anyway) *)
-        if not st.halted then st.pc <- (Array.unsafe_get dis (!k - 1)).next_pc;
-        st.instr_count <- Int64.add st.instr_count (Int64.of_int !executed);
-        stats.instrs_executed <- stats.instrs_executed + !executed
-      end;
-      Array.unsafe_get !dis_results !executed
-    end
+      stats.Iface.blocks_compiled <- stats.Iface.blocks_compiled + 1;
+      if !stable then stats.Iface.stable_blocks <- stats.Iface.stable_blocks + 1;
+      (* [pcs] carries the true site addresses plus the fall-through pc;
+         the seeded [Stride4] defect replaces them with a uniform 4-byte
+         walk, observable on any ISA whose real strides differ. *)
+      let pcs =
+        if stride4 then
+          Array.init (!n + 1) (fun i -> Int64.add pc0 (Int64.of_int (4 * i)))
+        else Array.of_list (List.rev (!pc :: !rev_pcs))
+      in
+      let b =
+        {
+          b_pc0 = pc0;
+          b_codes = Array.of_list (List.rev !codes);
+          b_encs = Array.of_list (List.rev !encs);
+          b_idxs = Array.of_list (List.rev !idxs);
+          b_pcs = pcs;
+          b_stable = !stable;
+          b_valid = true;
+          b_s1_pc = -1L;
+          b_s1 = dummy_block;
+          b_s2_pc = -1L;
+          b_s2 = dummy_block;
+        }
+      in
+      (* Register the code pages this block was translated from. *)
+      let lo = Memory.addr_int pc0 lsr Memory.page_bits in
+      let hi = Memory.addr_int (Int64.sub pcs.(!n) 1L) lsr Memory.page_bits in
+      for pidx = lo to hi do
+        Memory.note_code_page st.mem pidx;
+        let l =
+          match Hashtbl.find_opt page_blocks pidx with
+          | Some l -> l
+          | None ->
+            let l = ref [] in
+            Hashtbl.add page_blocks pidx l;
+            l
+        in
+        l := b :: !l
+      done;
+      b
+    in
+    let find_block pc0 =
+      match Hashtbl.find_opt blocks pc0 with
+      | Some b ->
+        stats.Iface.block_hits <- stats.Iface.block_hits + 1;
+        b
+      | None ->
+        let b = build_block pc0 in
+        Hashtbl.add blocks pc0 b;
+        b
+    in
+    (* Chained dispatch: try the predecessor's successor cache before the
+       hash table, installing / promoting on the way (most recent first). *)
+    (* [trust] is the single-trust invariant ([b_valid] is the only thing
+       dispatch believes); [Stale_chain] breaks it for every real block. *)
+    let trust b =
+      b.b_valid || (stale_chain && not (Int64.equal b.b_pc0 (-1L)))
+    in
+    let lookup_from prev pc0 =
+      if not (chain && trust prev) then find_block pc0
+      else if Int64.equal prev.b_s1_pc pc0 && trust prev.b_s1 then begin
+        stats.Iface.chain_taken <- stats.Iface.chain_taken + 1;
+        stats.Iface.block_hits <- stats.Iface.block_hits + 1;
+        prev.b_s1
+      end
+      else if Int64.equal prev.b_s2_pc pc0 && trust prev.b_s2 then begin
+        let b = prev.b_s2 in
+        prev.b_s2_pc <- prev.b_s1_pc;
+        prev.b_s2 <- prev.b_s1;
+        prev.b_s1_pc <- pc0;
+        prev.b_s1 <- b;
+        stats.Iface.chain_taken <- stats.Iface.chain_taken + 1;
+        stats.Iface.block_hits <- stats.Iface.block_hits + 1;
+        b
+      end
+      else begin
+        stats.Iface.chain_miss <- stats.Iface.chain_miss + 1;
+        let b = find_block pc0 in
+        prev.b_s2_pc <- prev.b_s1_pc;
+        prev.b_s2 <- prev.b_s1;
+        prev.b_s1_pc <- pc0;
+        prev.b_s1 <- b;
+        b
+      end
+    in
+    let run_block () =
+      if st.halted then Array.unsafe_get !dis_results 0
+      else begin
+        let pc0 = st.pc in
+        let b = lookup_from !last_block pc0 in
+        if not (Int64.equal b.b_pc0 pc0) then
+          dispatch_invariant_violation st ~want:pc0 ~got:b.b_pc0;
+        last_block := b;
+        let codes = b.b_codes
+        and encs = b.b_encs
+        and idxs = b.b_idxs
+        and pcs = b.b_pcs in
+        let len = Array.length codes in
+        ensure_dis len;
+        let dis = !dis in
+        let executed = ref 0 in
+        let k = ref 0 in
+        (* [b_valid] re-checked per site: a store that hits this block's
+           own code page stops execution after the faulting-free site that
+           performed it, so stale sites never run. Stable blocks skip the
+           recheck — none of their sites can store, so nothing can
+           invalidate any block while they run. *)
+        while
+          !k < len && not st.halted && (b.b_valid || b.b_stable || stale_chain)
+        do
+          let di = Array.unsafe_get dis !k in
+          let pc = Array.unsafe_get pcs !k in
+          let fall = Array.unsafe_get pcs (!k + 1) in
+          di.pc <- pc;
+          di.encoding <- Array.unsafe_get encs !k;
+          di.instr_index <- Array.unsafe_get idxs !k;
+          di.fault <- None;
+          auto_checkpoint di;
+          set64 fs pc_off pc;
+          set64 fs enc_off di.encoding;
+          set64 fs next_pc_off fall;
+          frame.di <- di.info;
+          (Array.unsafe_get codes !k) st frame;
+          di.next_pc <- next_box b (get64 fs next_pc_off) fall;
+          di.fault <- st.fault;
+          if not st.halted then incr executed;
+          incr k
+        done;
+        if !executed > 0 then begin
+          (* the last executed site's next_pc is the continuation; on a
+             halt the fetch pc stays put (rollback restores it anyway) *)
+          if not st.halted then
+            st.pc <- (Array.unsafe_get dis (!k - 1)).next_pc;
+          st.instr_count <- Int64.add st.instr_count (Int64.of_int !executed);
+          stats.instrs_executed <- stats.instrs_executed + !executed
+        end;
+        Array.unsafe_get !dis_results !executed
+      end
+    in
+    (* The translation-cache hot path: block-to-block dispatch through the
+       successor caches, no DI materialization, no per-instruction
+       bookkeeping. [note] is the profiler hook, called once per executed
+       block with the block's entry pc and executed-site count. It is
+       bound statically at synthesis time — the unprofiled instance
+       passes a constant no-op, so the only residual cost is one closure
+       call per block (~amortized to noise by block length), and chained
+       dispatch survives profiling. *)
+    let fast_di = Semir.Frame.info_bytes slots.di_size in
+    let run_fast_chained ~note n =
+      let executed = ref 0 in
+      frame.di <- fast_di;
+      while !executed < n && not st.halted do
+        let pc0 = st.pc in
+        let b = lookup_from !last_block pc0 in
+        if not (Int64.equal b.b_pc0 pc0) then
+          dispatch_invariant_violation st ~want:pc0 ~got:b.b_pc0;
+        last_block := b;
+        let codes = b.b_codes and encs = b.b_encs and pcs = b.b_pcs in
+        let len = Array.length codes in
+        let k = ref 0 in
+        let go = ref true in
+        while !go do
+          set64 fs pc_off (Array.unsafe_get pcs !k);
+          set64 fs enc_off (Array.unsafe_get encs !k);
+          set64 fs next_pc_off (Array.unsafe_get pcs (!k + 1));
+          (Array.unsafe_get codes !k) st frame;
+          if st.halted then go := false
+          else begin
+            incr k;
+            if !k >= len || not (b.b_valid || b.b_stable) then go := false
+          end
+        done;
+        if !k > 0 then begin
+          if not st.halted then begin
+            (* [pcs.(k)] is the last executed site's fall-through *)
+            st.pc <-
+              next_box b (get64 fs next_pc_off) (Array.unsafe_get pcs !k)
+          end;
+          st.instr_count <- Int64.add st.instr_count (Int64.of_int !k);
+          stats.Iface.instrs_executed <- stats.Iface.instrs_executed + !k;
+          executed := !executed + !k;
+          note pc0 !k
+        end
+      done;
+      !executed
+    in
+    (* Invalidate before dropping: chain links and [last_block] may still
+       point at these blocks, and dispatch trusts only [b_valid]. The
+       shared site cache survives — [(instr, encoding)] keys stay correct
+       whatever memory now holds. The memory's code-page set also stays:
+       other interfaces on the same machine may still have live blocks. *)
+    let flush () =
+      Hashtbl.iter (fun _ b -> b.b_valid <- false) blocks;
+      Hashtbl.reset blocks;
+      Hashtbl.reset page_blocks;
+      last_block := dummy_block
+    in
+    (run_block, run_fast_chained, flush)
   in
+  let engine = if bs.bs_block then Some (block_engine ()) else None in
   (* Non-block buildsets still offer [run_block] as a one-instruction
      batch so consumers can be written against one call style. *)
   let run_block =
-    if bs.bs_block then begin
-      if n_eps <> 1 then
-        synth_error
-          "buildset %s/%s: 'semantic block' requires a single entrypoint"
-          spec.name bs.bs_name;
-      run_block
-    end
-    else fun () ->
-      run_one !dis.(0);
-      one_result ()
+    match engine with
+    | Some (run_block, _, _) -> run_block
+    | None ->
+      fun () ->
+        run_one !dis.(0);
+        one_result ()
   in
 
   let retire (di : Di.t) =
@@ -751,15 +680,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   in
   let flush_code_cache () =
     stats.Iface.block_invalidations <- stats.Iface.block_invalidations + 1;
-    (* Invalidate before dropping: chain links and [last_block] may still
-       point at these blocks, and dispatch trusts only [b_valid]. The
-       shared site cache survives — [(instr, encoding)] keys stay correct
-       whatever memory now holds. The memory's code-page set also stays:
-       other interfaces on the same machine may still have live blocks. *)
-    Bcache.iter (fun _ b -> b.b_valid <- false) blocks;
-    Bcache.reset blocks;
-    Hashtbl.reset page_blocks;
-    last_block := dummy_block
+    Option.iter (fun (_, _, flush) -> flush ()) engine
   in
 
   (* --- observability --------------------------------------------------- *)
@@ -801,15 +722,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
          IR-bearing segment holds one eagerly-compiled closure per
          instruction; in block mode closures are specialized per site
          and cached with the block. *)
-      let n_code_segs =
-        Array.fold_left
-          (fun acc items ->
-            Array.fold_left
-              (fun acc item ->
-                match item with I_fetch -> acc | I_decode _ | I_chunk _ -> acc + 1)
-              acc items)
-          0 ep_items
-      in
+      let n_code_segs = Plan.n_code_segs bp in
       R.probe reg "core.instrs_executed" (fun () ->
           R.Int stats.Iface.instrs_executed);
       (* block-cache gauges exist only where a block cache does, so a
@@ -849,7 +762,12 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
                  (seg_calls.(1).R.n + seg_calls.(2).R.n - (n_code_segs * n_instrs))));
       (match journal with Some j -> Specul.register_obs j o | None -> ());
       let exec_item_obs di item =
-        let k = match item with I_fetch -> 0 | I_decode _ -> 1 | I_chunk _ -> 2 in
+        let k =
+          match item with
+          | Plan.I_fetch -> 0
+          | Plan.I_decode _ -> 1
+          | Plan.I_chunk _ -> 2
+        in
         let t0 = Obs.Clock.now_ns () in
         exec_item di item;
         let dt = Obs.Clock.elapsed_ns t0 in
@@ -859,7 +777,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       (* one observed entrypoint crossing: the timed unit of Table III *)
       let exec_ep_obs di k =
         let t0 = Obs.Clock.now_ns () in
-        let items = ep_items.(k) in
+        let items = !ep_items.(k) in
         let i = ref 0 in
         while !i < Array.length items && not st.halted do
           exec_item_obs di items.(!i);
@@ -971,12 +889,10 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   (* --- fast dispatch --------------------------------------------------- *)
   (* The generic loop reproduces the historical [run_n] exactly (and is
      what instrumented, journaled, per-instruction and unchained
-     interfaces get); the chained loop below it is the translation-cache
-     hot path: block-to-block dispatch through the successor caches, no
-     DI materialization, no per-instruction bookkeeping. Both return
-     after at most [n] instructions plus block slack — the preemption
-     point watchdogs rely on, so chained dispatch cannot spin past a
-     slice. *)
+     interfaces get); the block engine's chained loop is the
+     translation-cache hot path. Both return after at most [n]
+     instructions plus block slack — the preemption point watchdogs rely
+     on, so chained dispatch cannot spin past a slice. *)
   let run_fast_generic n =
     let start = st.instr_count in
     let executed () = Int64.to_int (Int64.sub st.instr_count start) in
@@ -992,63 +908,31 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     end;
     executed ()
   in
-  let fast_di = Semir.Frame.info_bytes slots.di_size in
-  (* [note] is the profiler hook, called once per executed block with the
-     block's entry pc and executed-site count. It is bound statically at
-     synthesis time — the unprofiled instance passes a constant no-op, so
-     the only residual cost is one closure call per block (~amortized to
-     noise by block length), and chained dispatch survives profiling. *)
-  let run_fast_chained ~note n =
-    let executed = ref 0 in
-    frame.di <- fast_di;
-    while !executed < n && not st.halted do
-      let pc0 = st.pc in
-      let b = lookup_from !last_block pc0 in
-      if not (Int64.equal b.b_pc0 pc0) then
-        dispatch_invariant_violation st ~want:pc0 ~got:b.b_pc0;
-      last_block := b;
-      let codes = b.b_codes and encs = b.b_encs and pcs = b.b_pcs in
-      let len = Array.length codes in
-      let k = ref 0 in
-      let go = ref true in
-      while !go do
-        set64 fs pc_off (Array.unsafe_get pcs !k);
-        set64 fs enc_off (Array.unsafe_get encs !k);
-        set64 fs next_pc_off (Array.unsafe_get pcs (!k + 1));
-        (Array.unsafe_get codes !k) st frame;
-        if st.halted then go := false
-        else begin
-          incr k;
-          if !k >= len || not (b.b_valid || b.b_stable) then go := false
-        end
-      done;
-      if !k > 0 then begin
-        if not st.halted then begin
-          (* [pcs.(k)] is the last executed site's fall-through *)
-          st.pc <- next_box b (get64 fs next_pc_off) (Array.unsafe_get pcs !k)
-        end;
-        st.instr_count <- Int64.add st.instr_count (Int64.of_int !k);
-        stats.Iface.instrs_executed <- stats.Iface.instrs_executed + !k;
-        executed := !executed + !k;
-        note pc0 !k
-      end
-    done;
-    !executed
-  in
   (* Chained dispatch is compatible with profile-only observation (the
      per-block [note] hook), but not with full instrumentation, which
      needs per-call DI materialization and timing. *)
   let run_fast =
-    if
-      bs.bs_block && chain
-      && Option.is_none journal
-      && (match obs with None -> true | Some o -> not o.Obs.full)
-    then
+    match engine with
+    | Some (_, run_fast_chained, _)
+      when chain && Option.is_none journal
+           && (match obs with None -> true | Some o -> not o.Obs.full) -> (
       match prof with
       | None -> run_fast_chained ~note:(fun _ _ -> ())
       | Some p ->
-        run_fast_chained ~note:(fun pc0 k -> Obs.Prof.note p ~pc:pc0 ~instrs:k)
-    else run_fast_generic
+        run_fast_chained ~note:(fun pc0 k -> Obs.Prof.note p ~pc:pc0 ~instrs:k))
+    | _ -> run_fast_generic
+  in
+  (* Block interfaces compile their per-instruction code on first use. *)
+  let run_one, step =
+    if not bs.bs_block then (run_one, step)
+    else
+      let ensure () = if Array.length !ep_items = 0 then ep_items := items () in
+      ( (fun di ->
+          ensure ();
+          run_one di),
+        fun di k ->
+          ensure ();
+          step di k )
   in
   {
     Iface.spec;

@@ -28,28 +28,31 @@ val mutation_to_string : mutation -> string
 (** Inverse of {!mutation_to_string}; [None] on unknown names. *)
 val mutation_of_string : string -> mutation option
 
-(** Internal plan/segment types, exposed for {!Emit} and for tests. *)
-type item =
-  | I_fetch
-  | I_decode of Semir.Compile.code array
-  | I_chunk of Semir.Compile.code array
-
-type seg = Seg_fetch | Seg_decode | Seg_ir of Lis.Spec.action_sym list
-
 (** Sliding rollback-horizon (instructions) for speculative interfaces. *)
 val spec_window : int
 
-val segments_of_entrypoint : Lis.Spec.action_sym list -> seg list
+(** A synthesis cache: the {!Plan} of one specification, filled on use.
+    It holds what synthesis derives without a machine — the absint
+    store-free verdicts, the decoder, the block engine's chain IR, and
+    per buildset the slot layout, liveness verdict, segments and
+    optimized IR — plus the compiled per-instruction code that later
+    non-speculative [Compiled] interfaces of the same buildset share.
+    A cache belongs to its caller (a campaign, a fleet worker, a
+    supervised session) and to the one domain that uses it; the library
+    holds none globally. *)
+type cache
 
-(** IR contributed by one action symbol / one segment for an instruction. *)
-val sym_ir : Lis.Spec.instr -> Lis.Spec.action_sym -> Semir.Ir.program
+(** [cache spec] is an empty cache for [spec]. *)
+val cache : Lis.Spec.t -> cache
 
-val seg_ir : Lis.Spec.instr -> seg -> Semir.Ir.program
-
-(** [make ?backend ?allow_hidden_crossing ?chain ?site_cache ?obs ?st
-    spec buildset] synthesizes the interface. A fresh machine is created
-    unless [st] is given (sharing [st] across interfaces is how sampling
-    and rotating validation work).
+(** [make ?backend ?allow_hidden_crossing ?chain ?site_cache ?cache ?obs
+    ?st spec buildset] synthesizes the interface. A fresh machine is
+    created unless [st] is given (sharing [st] across interfaces is how
+    sampling and rotating validation work). [cache] supplies the plan;
+    without it [make] builds a private one, so both ways run the same
+    code. An interface made through a cache behaves exactly like a fresh
+    one: shared code reads the machine only through its arguments, and
+    its per-site page caches check memory identity and generation.
 
     Block-semantic buildsets get a translation-cache engine: compiled
     blocks carry a bi-morphic successor cache so hot edges dispatch
@@ -60,9 +63,10 @@ val seg_ir : Lis.Spec.instr -> seg -> Semir.Ir.program
     holding translated code are tracked so writes to them invalidate the
     affected blocks and chain links — self-modifying code observes its
     own stores. Disabling both flags reproduces the pre-cache engine for
-    A/B comparison. [mutate] deliberately re-breaks the engine (one
-    {!mutation} bug class) — for fuzzer validation only, never for real
-    simulation.
+    A/B comparison. Their per-instruction code, which only [run_one] and
+    [step] use, is compiled on the first such call. [mutate] deliberately
+    re-breaks the engine (one {!mutation} bug class) — for fuzzer
+    validation only, never for real simulation.
 
     [absint] (default on) runs {!Analysis.Absint} at synthesis time and
     gates two optimizations on its store-free verdicts: instruction
@@ -71,7 +75,8 @@ val seg_ir : Lis.Spec.instr -> seg -> Semir.Ir.program
     skip the per-site SMC recheck (they cannot invalidate themselves
     mid-run; invalidation between runs is still honored). The analysis
     is advisory — [absint:false] degrades every verdict to "unsafe" and
-    reproduces the unanalyzed engine. Stats [absint_ns],
+    reproduces the unanalyzed engine. Stats [absint_ns] (analysis time
+    this synthesis spent: 0 when [cache] already held the verdicts),
     [fastpath_classes], [stable_blocks].
 
     [obs], when given, compiles instrumentation into the interface's
@@ -86,7 +91,9 @@ val seg_ir : Lis.Spec.instr -> seg -> Semir.Ir.program
     guarantee, same compiled-in pattern as {!Semir.Hooks}.
     @raise Synth_error when the buildset hides a cell that crosses
     entrypoint boundaries (override with [allow_hidden_crossing] to
-    observe the paper's runtime manifestation of the bug). *)
+    observe the paper's runtime manifestation of the bug).
+    @raise Invalid_argument when [cache] was made for another
+    specification. *)
 val make :
   ?backend:backend ->
   ?allow_hidden_crossing:bool ->
@@ -94,6 +101,7 @@ val make :
   ?site_cache:bool ->
   ?absint:bool ->
   ?mutate:mutation ->
+  ?cache:cache ->
   ?obs:Obs.t ->
   ?st:Machine.State.t ->
   Lis.Spec.t ->

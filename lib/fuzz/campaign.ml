@@ -56,6 +56,8 @@ let run_seq ~cfg ?obs ?stats ?metrics ~super ~isa ~seed ~budget ~journal
     ~quarantine ~resume () : report =
   let spec = Driver.spec_of_isa isa in
   let cx = Gen.make_ctx ~isa spec in
+  (* one synthesis cache for every oracle execution of the campaign *)
+  let cache = Specsim.Synth.cache spec in
   let view =
     if resume then Super.Journal.load ~path:journal
     else Super.Journal.empty_view ()
@@ -118,7 +120,7 @@ let run_seq ~cfg ?obs ?stats ?metrics ~super ~isa ~seed ~budget ~journal
                  Super.Supervisor.run_case ?stats scfg
                    ~index:(Int64.of_int !execs)
                    (fun ~deadline:_ ->
-                     Oracle.run_pair spec ?prof cfg tc ~buildset:bs)
+                     Oracle.run_pair spec ?prof ~cache cfg tc ~buildset:bs)
                with
                | Super.Supervisor.Done (None, attempts) ->
                  incr clean;
@@ -265,11 +267,12 @@ let run_fleet ~cfg ?obs ?stats ?metrics ~super fl ~isa ~seed ~budget ~journal
          ~detail:(detail ^ " -> " ^ path)
          case)
   in
+  (* each worker owns a synthesis cache, which never crosses domains *)
   let workers =
     Array.init (Fleet.jobs fl) (fun _ ->
-        Super.Supervisor.worker_ctx ?obs ?stats ())
+        (Super.Supervisor.worker_ctx ?obs ?stats (), Specsim.Synth.cache spec))
   in
-  let task k (ws : Super.Supervisor.worker_ctx) : case_out =
+  let task k ((ws : Super.Supervisor.worker_ctx), cache) : case_out =
     let tc = Gen.generate cx ~seed ~index:(k / nbs) in
     let bs = buildsets.(k mod nbs) in
     let prof =
@@ -280,7 +283,7 @@ let run_fleet ~cfg ?obs ?stats ?metrics ~super fl ~isa ~seed ~budget ~journal
     match
       Super.Supervisor.run_case ?stats:ws.Super.Supervisor.wc_stats scfg
         ~index:(Int64.of_int (k + 1))
-        (fun ~deadline:_ -> Oracle.run_pair spec ?prof cfg tc ~buildset:bs)
+        (fun ~deadline:_ -> Oracle.run_pair spec ?prof ~cache cfg tc ~buildset:bs)
     with
     | Super.Supervisor.Done (None, attempts) -> C_pass attempts
     | Super.Supervisor.Done (Some d, attempts) ->
@@ -341,7 +344,7 @@ let run_fleet ~cfg ?obs ?stats ?metrics ~super fl ~isa ~seed ~budget ~journal
   in
   let finish () =
     Array.iter
-      (Super.Supervisor.join_worker_ctx ?obs ?stats ~into:mobs)
+      (fun (ws, _) -> Super.Supervisor.join_worker_ctx ?obs ?stats ~into:mobs ws)
       workers;
     Super.Journal.close w
   in

@@ -35,7 +35,10 @@ let hunt_fleet ~cfg fl ~isa ~seed ~budget : outcome =
   let cx = Gen.make_ctx ~isa spec in
   let buildsets = Array.of_list cfg.Oracle.buildsets in
   let nbs = Array.length buildsets in
-  let workers = Array.make (Fleet.jobs fl) () in
+  (* one synthesis cache per worker domain *)
+  let workers =
+    Array.init (Fleet.jobs fl) (fun _ -> Specsim.Synth.cache spec)
+  in
   let chunk = nbs * max 2 (Fleet.jobs fl) in
   let found = ref None in
   let base = ref 0 in
@@ -46,10 +49,11 @@ let hunt_fleet ~cfg fl ~isa ~seed ~budget : outcome =
         ~tasks:
           (Array.init n (fun i ->
                let k = !base + i in
-               fun () ->
+               fun cache ->
                  let tc = Gen.generate cx ~seed ~index:(k / nbs) in
                  match
-                   Oracle.run_pair spec cfg tc ~buildset:buildsets.(k mod nbs)
+                   Oracle.run_pair spec ~cache cfg tc
+                     ~buildset:buildsets.(k mod nbs)
                  with
                  | Some d -> Some (k, tc, d)
                  | None -> None))
@@ -98,6 +102,7 @@ let hunt ?(cfg = Oracle.default_config) ?fleet ~isa ~seed ~budget () : outcome
   | _ ->
   let spec = spec_of_isa isa in
   let cx = Gen.make_ctx ~isa spec in
+  let cache = Specsim.Synth.cache spec in
   let execs = ref 0 in
   let programs = ref 0 in
   let found = ref None in
@@ -110,7 +115,7 @@ let hunt ?(cfg = Oracle.default_config) ?fleet ~isa ~seed ~budget () : outcome
       (fun bs ->
         if !found = None && !execs < budget then begin
           incr execs;
-          match Oracle.run_pair spec cfg tc ~buildset:bs with
+          match Oracle.run_pair spec ~cache cfg tc ~buildset:bs with
           | Some d -> found := Some (tc, d)
           | None -> ()
         end)
@@ -130,7 +135,7 @@ let hunt ?(cfg = Oracle.default_config) ?fleet ~isa ~seed ~budget () : outcome
     let bs = d.Oracle.d_buildset in
     let { Shrink.s_tc; s_tests } = Shrink.shrink spec cfg ~buildset:bs tc in
     let d' =
-      match Oracle.run_pair spec cfg s_tc ~buildset:bs with
+      match Oracle.run_pair spec ~cache cfg s_tc ~buildset:bs with
       | Some d' -> d'
       | None -> d (* cannot happen: shrinking preserves divergence *)
     in
@@ -154,6 +159,7 @@ let replay (r : Repro.t) : (string * Oracle.divergence option) list =
       bs :: List.filter (fun b -> not (String.equal b bs)) r.r_cfg.Oracle.buildsets
     | None -> r.r_cfg.Oracle.buildsets
   in
+  let cache = Specsim.Synth.cache spec in
   List.map
-    (fun bs -> (bs, Oracle.run_pair spec r.r_cfg r.r_tc ~buildset:bs))
+    (fun bs -> (bs, Oracle.run_pair spec ~cache r.r_cfg r.r_tc ~buildset:bs))
     buildsets

@@ -98,11 +98,14 @@ let load_image (spec : Lis.Spec.t) (tc : Gen.testcase) (st : Machine.State.t) =
   install_pseudo_os spec st;
   Machine.State.reset st ~pc:Gen.code_base
 
-(** [boot spec tc ...] synthesizes an interface on a fresh machine loaded
-    with the testcase image, pseudo-OS installed, pc at the code base. *)
+(** [boot spec tc ...] synthesizes an interface (through [cache] when
+    given) on a fresh machine loaded with the testcase image, pseudo-OS
+    installed, pc at the code base. *)
 let boot (spec : Lis.Spec.t) (tc : Gen.testcase) ~buildset ~chain ~site_cache
-    ?mutate ?obs () : Specsim.Iface.t =
-  let iface = Specsim.Synth.make ~chain ~site_cache ?mutate ?obs spec buildset in
+    ?mutate ?cache ?obs () : Specsim.Iface.t =
+  let iface =
+    Specsim.Synth.make ~chain ~site_cache ?mutate ?cache ?obs spec buildset
+  in
   load_image spec tc iface.st;
   iface
 
@@ -159,9 +162,14 @@ let fault_str (st : Machine.State.t) =
     reference; [None] means full agreement within the budget. [?prof]
     attaches a shared hot-region profiler to every candidate boot, so a
     whole campaign accumulates into one region table (the flame view of
-    the campaign). *)
-let run_pair (spec : Lis.Spec.t) ?prof (cfg : config) (tc : Gen.testcase)
-    ~buildset : divergence option =
+    the campaign). [cache] is the caller's synthesis cache for [spec]
+    (see {!Specsim.Synth.cache}); without one, the candidate and the
+    reference still share a private one. *)
+let run_pair (spec : Lis.Spec.t) ?prof ?cache (cfg : config)
+    (tc : Gen.testcase) ~buildset : divergence option =
+  let cache =
+    match cache with Some c -> c | None -> Specsim.Synth.cache spec
+  in
   let obs =
     if cfg.check_crossings then Some (Obs.create ?prof ())
     else Option.map (fun p -> Obs.profile_only ~prof:p ()) prof
@@ -169,10 +177,12 @@ let run_pair (spec : Lis.Spec.t) ?prof (cfg : config) (tc : Gen.testcase)
   let cand =
     driver
       (boot spec tc ~buildset ~chain:cfg.chain ~site_cache:cfg.site_cache
-         ?mutate:cfg.mutate ?obs ())
+         ?mutate:cfg.mutate ~cache ?obs ())
   in
   let refd =
-    driver (boot spec tc ~buildset:cfg.reference ~chain:true ~site_cache:true ())
+    driver
+      (boot spec tc ~buildset:cfg.reference ~chain:true ~site_cache:true ~cache
+         ())
   in
   (* only a fully-instrumented context counts crossings; a profile-only
      one builds seed closures and its registry would read a false 0 *)
@@ -303,4 +313,7 @@ let run_pair (spec : Lis.Spec.t) ?prof (cfg : config) (tc : Gen.testcase)
     returns all divergences found (empty = conforming testcase). *)
 let run_all (spec : Lis.Spec.t) (cfg : config) (tc : Gen.testcase) :
     divergence list =
-  List.filter_map (fun bs -> run_pair spec cfg tc ~buildset:bs) cfg.buildsets
+  let cache = Specsim.Synth.cache spec in
+  List.filter_map
+    (fun bs -> run_pair spec ~cache cfg tc ~buildset:bs)
+    cfg.buildsets

@@ -22,9 +22,10 @@ type result = {
 let shrink (spec : Lis.Spec.t) (cfg : Oracle.config) ~buildset
     (tc : Gen.testcase) : result =
   let tests = ref 0 in
+  let cache = Specsim.Synth.cache spec in
   let still_fails tc' =
     incr tests;
-    Option.is_some (Oracle.run_pair spec cfg tc' ~buildset)
+    Option.is_some (Oracle.run_pair spec ~cache cfg tc' ~buildset)
   in
   let cur = ref tc in
   (* [remove ~fixup t idxs] drops the instruction slots in [idxs]

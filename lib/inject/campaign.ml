@@ -96,12 +96,12 @@ let spec_buildset = "one_decode_spec"
 (* Checkpoint, run, corrupt through the journal, run, roll back; the
    restore must be byte-exact. Window kept well under the engine's
    auto-trim horizon so the manual token stays rollbackable. *)
-let run_spec_trials (t : Workload.target) (kernel : Vir.Kernels.sized)
+let run_spec_trials ?cache (t : Workload.target) (kernel : Vir.Kernels.sized)
     (cfg : config) =
   let spec = Lazy.force t.spec in
   if not (List.mem spec_buildset (Lis.Spec.buildset_names spec)) then (0, 0)
   else begin
-    let l = Workload.load t ~buildset:spec_buildset kernel.program in
+    let l = Workload.load ?cache t ~buildset:spec_buildset kernel.program in
     let iface = l.iface in
     match iface.journal with
     | None -> (0, 0)
@@ -140,8 +140,11 @@ let run_spec_trials (t : Workload.target) (kernel : Vir.Kernels.sized)
 
 let run_cell ?obs (t : Workload.target) ~(kernel : Vir.Kernels.sized)
     (cfg : config) : report =
-  let lt = Workload.load t ~buildset:cfg.buildset kernel.program in
-  let lc = Workload.load t ~buildset:cfg.buildset kernel.program in
+  (* one synthesis cache per cell: timing, checker, demotions and the
+     rollback trials all synthesize this ISA *)
+  let cache = Specsim.Synth.cache (Lazy.force t.spec) in
+  let lt = Workload.load ~cache t ~buildset:cfg.buildset kernel.program in
+  let lc = Workload.load ~cache t ~buildset:cfg.buildset kernel.program in
   let inj = Injector.create ~seed:cfg.seed ~rate:cfg.rate ~sites:cfg.sites () in
   (* Graceful degradation: when the timing side uses the block engine and
      a checkpoint replay cannot reconverge, hand the checker the same
@@ -158,7 +161,7 @@ let run_cell ?obs (t : Workload.target) ~(kernel : Vir.Kernels.sized)
     match List.nth_opt demote_ladder k with
     | Some (chain, site_cache) ->
       Some
-        (Specsim.Synth.make ~chain ~site_cache ~st:lt.iface.st spec
+        (Specsim.Synth.make ~chain ~site_cache ~cache ~st:lt.iface.st spec
            cfg.buildset)
     | None -> None
   in
@@ -230,7 +233,7 @@ let run_cell ?obs (t : Workload.target) ~(kernel : Vir.Kernels.sized)
       && String.equal (Machine.Os_emu.output lc.os) expected.output
     | None -> false
   in
-  let trials, exact = run_spec_trials t kernel cfg in
+  let trials, exact = run_spec_trials ~cache t kernel cfg in
   {
     r_isa = t.tname;
     r_kernel = kernel.kname;

@@ -90,6 +90,8 @@ type t = {
   mutable d_ckpt : string;  (** state at the last verified slice boundary *)
   d_obs : Obs.t option;
   d_stats : Supervisor.stats option;
+  d_cache : Specsim.Synth.cache;
+      (** the session's synthesis cache: shadow, every rung, demotions *)
 }
 
 let level_name t = t.d_levels.(t.d_idx).lv_name
@@ -101,9 +103,9 @@ let primary_state t = t.d_st
     verified result (exit status, output, digest). *)
 let shadow_state t = t.d_shadow_st
 
-let synth_level ?obs ~st spec (lv : level) =
+let synth_level ?obs ~cache ~st spec (lv : level) =
   Specsim.Synth.make ?obs ?mutate:lv.lv_mutate ~chain:lv.lv_chain
-    ~site_cache:lv.lv_site ~st spec lv.lv_buildset
+    ~site_cache:lv.lv_site ~cache ~st spec lv.lv_buildset
 
 (** [create ~spec ~buildset ~load ()] prepares a session. [load] must
     fully prepare a machine for the workload — image, OS emulation,
@@ -118,17 +120,19 @@ let create ?obs ?stats ?mutate ?(chain = true) ?(site_cache = true)
   let sst = Lis.Spec.make_machine spec in
   load st;
   load sst;
+  let cache = Specsim.Synth.cache spec in
   {
     d_spec = spec;
     d_levels = levels;
     d_idx = 0;
     d_st = st;
-    d_iface = synth_level ?obs ~st spec levels.(0);
+    d_iface = synth_level ?obs ~cache ~st spec levels.(0);
     d_shadow_st = sst;
-    d_shadow = Specsim.Synth.make ~st:sst spec reference;
+    d_shadow = Specsim.Synth.make ~cache ~st:sst spec reference;
     d_ckpt = Checkpoint.save sst;
     d_obs = obs;
     d_stats = stats;
+    d_cache = cache;
   }
 
 let states_agree (p : State.t) (s : State.t) =
@@ -172,7 +176,9 @@ let demote t ~detail =
   Checkpoint.restore t.d_st t.d_ckpt;
   Checkpoint.restore t.d_shadow_st t.d_ckpt;
   t.d_idx <- t.d_idx + 1;
-  t.d_iface <- synth_level ?obs:t.d_obs ~st:t.d_st t.d_spec t.d_levels.(t.d_idx);
+  t.d_iface <-
+    synth_level ?obs:t.d_obs ~cache:t.d_cache ~st:t.d_st t.d_spec
+      t.d_levels.(t.d_idx);
   Option.iter
     (fun s ->
       Obs.Registry.incr s.Supervisor.s_demotions;

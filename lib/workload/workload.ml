@@ -82,11 +82,12 @@ let load_image ?obs ?input (t : target) (program : Vir.Lang.program)
 (** [load target ~buildset kernel] synthesizes the interface, assembles the
     kernel and installs it at the code base with the OS emulator hooked up.
     [obs] compiles instrumentation into the interface (see
-    {!Specsim.Synth.make}); omitted, the interface is uninstrumented. *)
-let load ?(backend = Specsim.Synth.Compiled) ?chain ?site_cache ?absint ?obs
-    ?input (t : target) ~buildset (program : Vir.Lang.program) : loaded =
+    {!Specsim.Synth.make}); omitted, the interface is uninstrumented.
+    [cache] is a synthesis cache for [t]'s spec. *)
+let load ?(backend = Specsim.Synth.Compiled) ?chain ?site_cache ?absint ?cache
+    ?obs ?input (t : target) ~buildset (program : Vir.Lang.program) : loaded =
   let iface =
-    Specsim.Synth.make ~backend ?chain ?site_cache ?absint ?obs
+    Specsim.Synth.make ~backend ?chain ?site_cache ?absint ?cache ?obs
       (Lazy.force t.spec) buildset
   in
   let os = load_image ?obs ?input t program iface.st in
@@ -161,8 +162,9 @@ let run_rotating ?input ?(budget = 100_000_000) (t : target) ~buildsets
     (program : Vir.Lang.program) : outcome =
   let spec = Lazy.force t.spec in
   let st = Lis.Spec.make_machine spec in
+  let cache = Specsim.Synth.cache spec in
   let ifaces =
-    List.map (fun bs -> Specsim.Synth.make ~st spec bs) buildsets
+    List.map (fun bs -> Specsim.Synth.make ~cache ~st spec bs) buildsets
   in
   let ifaces = Array.of_list ifaces in
   if Array.length ifaces = 0 then

@@ -8,6 +8,7 @@ let () =
       ("alloc", Test_alloc.suite);
       ("lis", Test_lis.suite);
       ("synth", Test_synth.suite);
+      ("plan", Test_plan.suite);
       ("alpha", Test_alpha.suite);
       ("arm", Test_arm.suite);
       ("ppc", Test_ppc.suite);

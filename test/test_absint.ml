@@ -269,7 +269,17 @@ let test_synth_fastpath_gating () =
   Alcotest.(check int) "absint off: no fast path" 0
     off.stats.Specsim.Iface.fastpath_classes;
   Alcotest.(check int) "absint off: no analysis time" 0
-    off.stats.Specsim.Iface.absint_ns
+    off.stats.Specsim.Iface.absint_ns;
+  (* a synthesis through a cache that already holds the verdicts gates
+     the same classes and spends no analysis time *)
+  let cache = Specsim.Synth.cache spec in
+  ignore (Specsim.Synth.make ~cache spec "one_all");
+  let cached = Specsim.Synth.make ~cache spec "one_all" in
+  Alcotest.(check int) "cached: same fast-path classes"
+    on.stats.Specsim.Iface.fastpath_classes
+    cached.stats.Specsim.Iface.fastpath_classes;
+  Alcotest.(check int) "cached: no analysis time" 0
+    cached.stats.Specsim.Iface.absint_ns
 
 let find_kernel name =
   match
