@@ -7,9 +7,10 @@
      dune exec bench/main.exe -- --bechamel -- Bechamel micro-benchmarks
 
    Experiments: table1 table2 table3 dispatch fig1 fig24 ablation sampling
-   inject fuzz overhead profiler supervision workload validate.
+   inject fuzz overhead supervision workload validate.
    [--gate-profiler]
-   exits nonzero when the profiler section's overhead exceeds its budget.
+   exits nonzero when the overhead section's profile-only overhead
+   exceeds its budget.
    Absolute numbers are host- and substrate-dependent; the reproduction
    targets are the *shapes*: which interface wins, by roughly what factor,
    and where the costs come from. See EXPERIMENTS.md.
@@ -732,152 +733,32 @@ let inject () =
     \ checkpoint restores appear once divergence storms set in)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Observability overhead: zero when disabled, measured when enabled    *)
+(* Observation overhead: off, profile-only and full, side by side      *)
 (* ------------------------------------------------------------------ *)
 
-(* The zero-overhead claim is structural — with obs omitted,
-   Specsim.Synth.make hands out exactly the closures it built before the
-   observability layer existed (no flag tests, no indirection). This
-   experiment backs the claim empirically: the uninstrumented interface
-   is measured twice, and the spread between the two measurements (pure
-   run-to-run noise) is the honest bound on what "instrumented off"
-   costs. The instrumented build is then measured for comparison, and
-   every interface's counter snapshot goes into BENCH_results.json. *)
-let overhead () =
-  print_endline
-    "=== Observability overhead: instrumented-off vs instrumented-on ===";
-  let t = Workload.alpha in
-  let k = List.nth Vir.Kernels.bench_suite 4 (* hash_loop *) in
-  (* The comparison chases a <=2% effect on a possibly-shared host.
-     Coarse back-to-back runs cannot resolve that here (load spikes from
-     co-tenants swing whole runs by more than 2%), so the three sides —
-     baseline A, baseline B (identical machine code to A), and the
-     instrumented build — advance in small timed chunks with rotating
-     order inside one loop. Every side samples the same noise
-     environment; aggregate throughput per side is then comparable at
-     well under the 2% budget. The A/B pair executes the same closures,
-     so their residual spread is the honest noise floor. *)
-  let warm = if !quick then 5_000 else 20_000 in
-  let rows =
-    List.map
-      (fun (bs, mult) ->
-        let chunk = (if !quick then 10_000 else 20_000) * mult in
-        let rounds = if !quick then 60 else 120 in
-        let side ?obs () =
-          let fresh () = Workload.load ?obs t ~buildset:bs k.program in
-          let l : Workload.loaded ref = ref (fresh ()) in
-          ignore (drive !l.iface warm);
-          let chunks = ref [] in
-          let run () =
-            if !l.iface.st.halted then l := fresh ();
-            (* GC work happens outside the timed window *)
-            Gc.minor ();
-            let t0 = Unix.gettimeofday () in
-            let c = drive !l.iface chunk in
-            let dt = Unix.gettimeofday () -. t0 in
-            if c > 0 then chunks := (c, dt) :: !chunks
-          in
-          (* trimmed aggregate over the middle chunks: the slow tail
-             carries major GC slices and co-tenant spikes, the fast tail
-             lucky turbo windows; both sides are trimmed identically so
-             they stay comparable *)
-          let mips () =
-            let sorted =
-              List.sort
-                (fun (na, da) (nb, db) ->
-                  Float.compare (da /. float_of_int na) (db /. float_of_int nb))
-                !chunks
-            in
-            let total = List.length sorted in
-            let lo = total / 10 and hi = total - (total / 5) in
-            let kept = List.filteri (fun i _ -> i >= lo && i < hi) sorted in
-            let n = List.fold_left (fun a (c, _) -> a + c) 0 kept in
-            let dt = List.fold_left (fun a (_, d) -> a +. d) 0. kept in
-            if dt <= 0. then 0. else float_of_int n /. dt /. 1e6
-          in
-          (run, mips)
-        in
-        let run_a, mips_a = side () in
-        let run_b, mips_b = side () in
-        let run_o, mips_o = side ~obs:(Obs.create ()) () in
-        Gc.full_major ();
-        for i = 1 to rounds do
-          match i mod 3 with
-          | 1 ->
-            run_a ();
-            run_b ();
-            run_o ()
-          | 2 ->
-            run_b ();
-            run_o ();
-            run_a ()
-          | _ ->
-            run_o ();
-            run_a ();
-            run_b ()
-        done;
-        let off_a = mips_a () in
-        let off_b = mips_b () in
-        let on_ = mips_o () in
-        let spread =
-          100. *. Float.abs (off_a -. off_b) /. Float.max off_a off_b
-        in
-        Printf.printf
-          "  %-12s off %7.2f / %7.2f MIPS (spread %4.1f%%)   on %7.2f MIPS \
-           (%.2fx when enabled)\n"
-          bs off_a off_b spread on_
-          (if on_ <= 0. then 0. else Float.max off_a off_b /. on_);
-        (bs, off_a, off_b, on_, spread))
-      [ ("block_min", 8); ("one_all", 1); ("step_all", 1) ]
-  in
-  let worst =
-    List.fold_left (fun a (_, _, _, _, s) -> Float.max a s) 0. rows
-  in
-  Printf.printf
-    "instrumented-off is the seed fast path (obs compiled out at synthesis \
-     time);\nmeasured spread %.1f%% %s the 2%% zero-overhead budget\n\n"
-    worst
-    (if worst <= 2.0 then "is within" else "EXCEEDS");
-  add_json "overhead"
-    (Obs.Export.Obj
-       (List.map
-          (fun (bs, off_a, off_b, on_, spread) ->
-            ( bs,
-              Obs.Export.Obj
-                [
-                  ("mips_off", Obs.Export.Float (Float.max off_a off_b));
-                  ("mips_off_remeasured", Obs.Export.Float (Float.min off_a off_b));
-                  ("off_spread_pct", Obs.Export.Float spread);
-                  ("mips_on", Obs.Export.Float on_);
-                ] ))
-          rows));
-  (* one counter snapshot per interface, for the machine-readable output *)
-  let snap_budget = if !quick then 20_000 else 60_000 in
-  add_json "counters"
-    (Obs.Export.Obj
-       (List.map
-          (fun (bs, _) ->
-            let o = Obs.create () in
-            let l = Workload.load ~obs:o t ~buildset:bs k.program in
-            ignore (drive l.iface snap_budget);
-            (bs, Obs.Export.json_of_snapshot (Obs.snapshot o)))
-          paper_table2))
+(* Observation is compiled in at synthesis time, so each context is its
+   own simulator. Four sides of one interface run the same kernel:
+   off A and off B (identical machine code: with obs omitted,
+   Specsim.Synth.make hands out the plain closures), profile-only
+   (Obs.profile_only: the plain closures plus the profiler's
+   cached-region compare-and-add — per block inside the chained loop on
+   block_min, per retirement on one_all and step_all) and full
+   (Obs.create: exact counters, 1-in-N sampled latency histograms,
+   chained dispatch kept).
 
-(* ------------------------------------------------------------------ *)
-(* Profiler overhead: hot-region attribution off vs on                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Same rotating-chunk methodology as the observability experiment, but
-   the instrumented side is a profile-only context (Obs.profile_only):
-   synthesis keeps the seed closures — including the chained block fast
-   path — and adds only the profiler's cached-region compare-and-add.
-   block_min exercises the per-block note inside the chained dispatch
-   loop (one note per basic block); step_all exercises the
-   per-retirement note (one note per instruction, the worst case). The
-   budget is the same 2%: profiling has to be cheap enough to leave on
-   while hunting hot regions. [--gate-profiler] turns the budget into an
-   exit status for CI, with the A/B noise floor as the tolerance when
-   the host is too noisy to resolve 2%. *)
+   The comparison chases a <=2% effect on a possibly-shared host, which
+   coarse back-to-back runs cannot resolve: co-tenant load swings whole
+   runs by more than that. So each round times one chunk per side
+   back-to-back, starting from a different side each round, and each
+   overhead is the MEDIAN over rounds of the per-round paired ratio
+   against the mean of A and B: load drifting between rounds cancels
+   within a round, and spikes land in the tails the median ignores. The
+   A/B pair runs identical code, so the median of its per-round spread
+   is the noise floor of the same estimator. [--gate-profiler] turns the
+   profiler's 2% budget into an exit status for CI on the interfaces it
+   has always gated (block_min and step_all), with the noise floor as
+   the tolerance when the host is too noisy to resolve 2%. Every
+   interface's counter snapshot also goes into BENCH_results.json. *)
 let gate_profiler = ref false
 let profiler_worst = ref 0.
 let profiler_floor = ref 0.
@@ -890,19 +771,19 @@ let median = function
     let n = Array.length a in
     if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
 
-let profiler () =
-  print_endline "=== Profiler overhead: hot-region attribution off vs on ===";
+let overhead () =
+  print_endline "=== Observation overhead: off vs profile-only vs full ===";
   let t = Workload.alpha in
   let k = List.nth Vir.Kernels.bench_suite 4 (* hash_loop *) in
   let warm = if !quick then 5_000 else 20_000 in
   let rows =
     List.map
-      (fun (bs, mult) ->
+      (fun (bs, mult, gated) ->
         let chunk = (if !quick then 10_000 else 20_000) * mult in
         let rounds = if !quick then 60 else 120 in
-        (* one side = one prebuilt simulator; [run] times one chunk and
+        (* one side = one prebuilt simulator; a call times one chunk and
            returns its throughput (instructions per second) *)
-        let side ?obs () =
+        let side obs =
           let fresh () = Workload.load ?obs t ~buildset:bs k.program in
           let l : Workload.loaded ref = ref (fresh ()) in
           ignore (drive !l.iface warm);
@@ -915,84 +796,80 @@ let profiler () =
             let dt = Unix.gettimeofday () -. t0 in
             if c > 0 && dt > 0. then float_of_int c /. dt else 0.
         in
-        let run_a = side () in
-        let run_b = side () in
-        let run_p = side ~obs:(Obs.profile_only ()) () in
+        let sides =
+          [| side None; side None; side (Some (Obs.profile_only ()));
+             side (Some (Obs.create ())) |]
+        in
+        let n = Array.length sides in
         Gc.full_major ();
-        (* The comparison chases a <=2% effect on a possibly-shared host.
-           Each round times one chunk per side back-to-back in rotating
-           order, and the statistic is the MEDIAN over rounds of the
-           per-round paired ratio — host load drifting between rounds
-           cancels within each round, and co-tenant spikes land in the
-           tails the median ignores. The A/B pair runs identical machine
-           code, so the median of its per-round spread is the honest
-           noise floor on the same estimator. *)
         let per_round = ref [] in
         for i = 1 to rounds do
-          let a = ref 0. and b = ref 0. and p = ref 0. in
-          (match i mod 3 with
-          | 1 ->
-            a := run_a ();
-            b := run_b ();
-            p := run_p ()
-          | 2 ->
-            b := run_b ();
-            p := run_p ();
-            a := run_a ()
-          | _ ->
-            p := run_p ();
-            a := run_a ();
-            b := run_b ());
-          if !a > 0. && !b > 0. && !p > 0. then
-            per_round := (!a, !b, !p) :: !per_round
+          let r = Array.make n 0. in
+          for j = 0 to n - 1 do
+            let s = (i + j) mod n in
+            r.(s) <- sides.(s) ()
+          done;
+          if Array.for_all (fun x -> x > 0.) r then per_round := r :: !per_round
         done;
         let rs = !per_round in
-        let off_mips =
-          median (List.map (fun (a, b, _) -> (a +. b) /. 2. /. 1e6) rs)
-        in
-        let on_mips = median (List.map (fun (_, _, p) -> p /. 1e6) rs) in
-        let overhead_pct =
-          median
-            (List.map (fun (a, b, p) -> 100. *. (((a +. b) /. 2. /. p) -. 1.)) rs)
-        in
+        let off r = (r.(0) +. r.(1)) /. 2. in
+        let mips f = median (List.map (fun r -> f r /. 1e6) rs) in
+        let over s = median (List.map (fun r -> 100. *. ((off r /. r.(s)) -. 1.)) rs) in
         let spread =
           median
             (List.map
-               (fun (a, b, _) -> 100. *. Float.abs (a -. b) /. Float.max a b)
+               (fun r -> 100. *. Float.abs (r.(0) -. r.(1)) /. Float.max r.(0) r.(1))
                rs)
         in
+        let m =
+          [
+            ("mips_off", mips off);
+            ("off_spread_pct", spread);
+            ("mips_profile_only", mips (fun r -> r.(2)));
+            ("profile_only_overhead_pct", over 2);
+            ("mips_full", mips (fun r -> r.(3)));
+            ("full_overhead_pct", over 3);
+          ]
+        in
+        let v name = List.assoc name m in
         Printf.printf
-          "  %-12s off %7.2f MIPS (A/B spread %4.1f%%)   profiled %7.2f MIPS \
-           (overhead %4.1f%%)\n"
-          bs off_mips spread on_mips overhead_pct;
-        (bs, off_mips, on_mips, spread, overhead_pct))
-      [ ("block_min", 8); ("step_all", 1) ]
+          "  %-10s off %6.2f MIPS (A/B spread %4.1f%%)   profile-only %6.2f \
+           (%+5.1f%%)   full %6.2f (%+5.1f%%)\n"
+          bs (v "mips_off") spread (v "mips_profile_only")
+          (v "profile_only_overhead_pct") (v "mips_full") (v "full_overhead_pct");
+        (bs, gated, m))
+      [ ("block_min", 8, true); ("one_all", 1, false); ("step_all", 1, true) ]
   in
-  let worst_over =
-    List.fold_left (fun a (_, _, _, _, o) -> Float.max a o) 0. rows
+  let worst name =
+    List.fold_left
+      (fun a (_, gated, m) -> if gated then Float.max a (List.assoc name m) else a)
+      0. rows
   in
-  let worst_spread =
-    List.fold_left (fun a (_, _, _, s, _) -> Float.max a s) 0. rows
-  in
-  profiler_worst := worst_over;
-  profiler_floor := worst_spread;
+  profiler_worst := worst "profile_only_overhead_pct";
+  profiler_floor := worst "off_spread_pct";
   Printf.printf
-    "worst profiler overhead %.1f%% (A/B noise floor %.1f%%) %s the 2%% budget\n"
-    worst_over worst_spread
-    (if worst_over <= Float.max 2.0 worst_spread then "is within" else "EXCEEDS");
-  add_json "profiler"
+    "worst profile-only overhead %.1f%% (A/B noise floor %.1f%%) %s the 2%% \
+     budget\n"
+    !profiler_worst !profiler_floor
+    (if !profiler_worst <= Float.max 2.0 !profiler_floor then "is within"
+     else "EXCEEDS");
+  add_json "overhead"
     (Obs.Export.Obj
        (List.map
-          (fun (bs, off_mips, on_mips, spread, overhead_pct) ->
-            ( bs,
-              Obs.Export.Obj
-                [
-                  ("mips_off", Obs.Export.Float off_mips);
-                  ("mips_on", Obs.Export.Float on_mips);
-                  ("off_spread_pct", Obs.Export.Float spread);
-                  ("overhead_pct", Obs.Export.Float overhead_pct);
-                ] ))
+          (fun (bs, _, m) ->
+            (bs, Obs.Export.Obj (List.map (fun (n, x) -> (n, Obs.Export.Float x)) m)))
           rows));
+  (* one counter snapshot per interface, for the machine-readable output *)
+  let snap_budget = if !quick then 20_000 else 60_000 in
+  add_json "counters"
+    (Obs.Export.Obj
+       (List.map
+          (fun (bs, _) ->
+            let o = Obs.create () in
+            let l = Workload.load ~obs:o t ~buildset:bs k.program in
+            ignore (drive l.iface snap_budget);
+            (bs, Obs.Export.json_of_snapshot (Obs.snapshot o)))
+          paper_table2));
   (* sanity: the profiler finds the kernel's hot loop *)
   let prof = Obs.Prof.create () in
   let l =
@@ -1000,12 +877,12 @@ let profiler () =
       k.program
   in
   ignore (drive l.iface (if !quick then 50_000 else 200_000));
-  (match Obs.Prof.report ~top:1 prof with
+  match Obs.Prof.report ~top:1 prof with
   | r :: _ ->
     Printf.printf
       "hot region (one_all, %s): 0x%Lx-0x%Lx with %.1f%% of instructions\n\n"
       k.kname r.Obs.Prof.rg_lo r.Obs.Prof.rg_hi (100. *. r.Obs.Prof.rg_share)
-  | [] -> print_newline ())
+  | [] -> print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz throughput: cost of the 12-way conformance oracle               *)
@@ -1685,7 +1562,6 @@ let () =
     if want "fuzz" then fuzz_bench ();
     if want "fleet" then fleet_bench ();
     if want "overhead" then overhead ();
-    if want "profiler" then profiler ();
     if want "supervision" then supervision ();
     if want "absint" then absint_bench ();
     if want "workload" then workload_bench ();

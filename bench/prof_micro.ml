@@ -2,7 +2,7 @@
    bound what [Obs.Prof.note] can cost a synthesized interface: the fast
    path (same region as the previous call) and the switch path (a loop
    body straddling a region boundary, the ping-pong worst case). The
-   bench harness's `profiler` section measures the same costs end to end;
+   bench harness's `overhead` section measures the same costs end to end;
    this isolates them when the end-to-end number needs explaining. *)
 
 let () =

@@ -1178,8 +1178,10 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Run a kernel through an instrumented interface and print the \
-          counter/histogram table: entrypoint crossings and per-segment \
-          latency histograms, block-cache and fused-closure reuse, \
+          counter/histogram table: exact entrypoint crossings and \
+          per-segment latency histograms of a jittered 1-in-256 sample \
+          (gauge synth.latency_sample_every), block-cache and \
+          fused-closure reuse, \
           speculation journal, timing-model and checker counters. The \
           profile aggregates the primary run with a block-translation pass \
           and a short timing-first checked window.")

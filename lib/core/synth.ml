@@ -268,15 +268,6 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
           "entrypoint called before decode"
       else (Array.unsafe_get codes idx) st frame
   in
-  (* Loops, not local recursive functions: a per-call closure would be
-     the engine's largest allocation. *)
-  let exec_items di (items : Plan.item array) =
-    let k = ref 0 in
-    while !k < Array.length items && not st.halted do
-      exec_item di (Array.unsafe_get items !k);
-      incr k
-    done
-  in
   let load_frame (di : Di.t) =
     set64 fs pc_off di.pc;
     set64 fs enc_off di.encoding;
@@ -291,9 +282,84 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     di.fault <- st.fault
   in
 
+  (* --- observability --------------------------------------------------- *)
+  (* Selected here, at synthesis time — the compiled-in hook pattern.
+     Unobserved and profile-only interfaces run the plain crossing: no
+     counting. A full context runs the counted crossing, timed on a
+     jittered 1-in-[Obs.Sample.every] sample, and gets {!Instrument}'s
+     wrappers on [run_one], [run_block] and the chained loop. *)
+  let ins =
+    match obs with
+    | Some o when o.Obs.full ->
+      Some
+        (Instrument.create o bs stats ~journal
+           ~fused_closures:(Plan.n_code_segs bp * n_instrs))
+    | Some _ | None -> None
+  in
+  let count (c : Obs.Registry.counter) = c.n <- c.n + 1 in
+  let segment = function
+    | Plan.I_fetch -> 0
+    | Plan.I_decode _ -> 1
+    | Plan.I_chunk _ -> 2
+  in
+  (* a sampled crossing: one clock read before the first segment and one
+     after each *)
+  let timed (i : Instrument.t) di (items : Plan.item array) k =
+    let t0 = Obs.Clock.now () in
+    let last = ref t0 in
+    let j = ref 0 in
+    while !j < Array.length items && not st.halted do
+      let item = Array.unsafe_get items !j in
+      exec_item di item;
+      let s = segment item in
+      count i.seg_calls.(s);
+      let now = Obs.Clock.now () in
+      Obs.Hist.record i.seg_ns.(s) (now - !last);
+      last := now;
+      incr j
+    done;
+    Obs.Hist.record i.ep_ns.(k) (!last - t0)
+  in
+  (* One entrypoint crossing: the hook the plain [run_one] and [step]
+     loops call. The synthesis-time constant [ins] picks its body, so
+     both loops make a direct call. Loops, not local recursive
+     functions: a per-call closure would be the engine's largest
+     allocation. Counters and the sampler's countdown are updated in
+     place, since a call into another module costs more than the update
+     (see {!Obs.Sample.t}). *)
+  let exec_ep di k =
+    let items = !ep_items.(k) in
+    match ins with
+    | None ->
+      let j = ref 0 in
+      while !j < Array.length items && not st.halted do
+        exec_item di (Array.unsafe_get items !j);
+        incr j
+      done
+    | Some i ->
+      let smp = i.sampler in
+      (* [Obs.Sample.tick], inlined *)
+      if smp.left > 1 then begin
+        smp.left <- smp.left - 1;
+        let j = ref 0 in
+        while !j < Array.length items && not st.halted do
+          let item = Array.unsafe_get items !j in
+          exec_item di item;
+          count (Array.unsafe_get i.seg_calls (segment item));
+          incr j
+        done
+      end
+      else begin
+        Obs.Sample.rearm smp;
+        timed i di items k
+      end;
+      count i.crossings;
+      count (Array.unsafe_get i.ep_calls k)
+  in
+
   let step di k =
     load_frame di;
-    exec_items di !ep_items.(k);
+    exec_ep di k;
     save_frame di
   in
 
@@ -313,10 +379,9 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       di.fault <- None;
       auto_checkpoint di;
       load_frame di;
-      let items = !ep_items in
       let k = ref 0 in
       while !k < n_eps && not st.halted do
-        exec_items di (Array.unsafe_get items !k);
+        exec_ep di !k;
         incr k
       done;
       save_frame di;
@@ -326,6 +391,9 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
         stats.instrs_executed <- stats.instrs_executed + 1
       end
     end
+  in
+  let run_one =
+    match ins with Some i -> Instrument.run_one i spec st run_one | None -> run_one
   in
 
   (* --- block mode ------------------------------------------------------ *)
@@ -650,9 +718,10 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   (* Non-block buildsets still offer [run_block] as a one-instruction
      batch so consumers can be written against one call style. *)
   let run_block =
-    match engine with
-    | Some (run_block, _, _) -> run_block
-    | None ->
+    match (engine, ins) with
+    | Some (run_block, _, _), None -> run_block
+    | Some (run_block, _, _), Some i -> Instrument.run_block i run_block
+    | None, _ ->
       fun () ->
         run_one !dis.(0);
         one_result ()
@@ -683,177 +752,9 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     Option.iter (fun (_, _, flush) -> flush ()) engine
   in
 
-  (* --- observability --------------------------------------------------- *)
-  (* Instrumented call paths are selected here, at synthesis time — the
-     compiled-in hook pattern. With [obs = None] the closures above are
-     handed out untouched: no flag tests, no extra indirection, the
-     zero-overhead guarantee. With [obs = Some _] every entrypoint call
-     and engine segment is counted and timed into log2 histograms, and a
-     per-instruction event goes to the trace ring when one is attached. *)
-  let run_one, run_block, step =
-    match obs with
-    | None -> (run_one, run_block, step)
-    (* profile-only contexts skip all of this: the profiler attribution
-       wrapper below is the whole instrumentation *)
-    | Some o when not o.Obs.full -> (run_one, run_block, step)
-    | Some (o : Obs.t) ->
-      let module R = Obs.Registry in
-      let reg = o.Obs.reg in
-      let crossings = R.counter reg "synth.entrypoint_calls" in
-      let ep_names = Array.map fst bs.bs_entrypoints in
-      let ep_calls =
-        Array.map (fun nm -> R.counter reg ("synth.ep." ^ nm ^ ".calls")) ep_names
-      in
-      let ep_hist =
-        Array.map (fun nm -> R.histogram reg ("synth.ep." ^ nm ^ ".ns")) ep_names
-      in
-      let seg_calls =
-        Array.map
-          (fun nm -> R.counter reg ("synth.seg." ^ nm ^ ".calls"))
-          [| "fetch"; "decode"; "ir" |]
-      in
-      let seg_hist =
-        Array.map
-          (fun nm -> R.histogram reg ("synth.seg." ^ nm ^ ".ns"))
-          [| "fetch"; "decode"; "ir" |]
-      in
-      let block_hist = R.histogram reg "synth.block.ns" in
-      (* Fused-closure accounting: in per-instruction modes every
-         IR-bearing segment holds one eagerly-compiled closure per
-         instruction; in block mode closures are specialized per site
-         and cached with the block. *)
-      let n_code_segs = Plan.n_code_segs bp in
-      R.probe reg "core.instrs_executed" (fun () ->
-          R.Int stats.Iface.instrs_executed);
-      (* block-cache gauges exist only where a block cache does, so a
-         block pass sharing a registry with a per-instruction primary
-         interface contributes them without fighting over names *)
-      if bs.bs_block then begin
-        R.probe reg "core.block_cache.hits" (fun () ->
-            R.Int stats.Iface.block_hits);
-        R.probe reg "core.block_cache.compiled" (fun () ->
-            R.Int stats.Iface.blocks_compiled);
-        R.probe reg "core.block_cache.invalidations" (fun () ->
-            R.Int stats.Iface.block_invalidations);
-        R.probe reg "core.block_cache.chain_taken" (fun () ->
-            R.Int stats.Iface.chain_taken);
-        R.probe reg "core.block_cache.chain_miss" (fun () ->
-            R.Int stats.Iface.chain_miss);
-        R.probe reg "core.block_cache.site_cache_hits" (fun () ->
-            R.Int stats.Iface.site_cache_hits);
-        R.probe reg "core.block_cache.stable_blocks" (fun () ->
-            R.Int stats.Iface.stable_blocks)
-      end;
-      R.probe reg "core.absint_ns" (fun () -> R.Int stats.Iface.absint_ns);
-      if not bs.bs_block then
-        R.probe reg "core.absint_fastpath_classes" (fun () ->
-            R.Int stats.Iface.fastpath_classes);
-      R.probe reg "core.fused_closures_compiled" (fun () ->
-          R.Int
-            (if bs.bs_block then stats.Iface.sites_compiled
-             else n_code_segs * n_instrs));
-      R.probe reg "core.fused_closure_reuse" (fun () ->
-          R.Int
-            (if bs.bs_block then
-               max 0
-                 (stats.Iface.instrs_executed - stats.Iface.sites_compiled)
-             else
-               max 0
-                 (seg_calls.(1).R.n + seg_calls.(2).R.n - (n_code_segs * n_instrs))));
-      (match journal with Some j -> Specul.register_obs j o | None -> ());
-      let exec_item_obs di item =
-        let k =
-          match item with
-          | Plan.I_fetch -> 0
-          | Plan.I_decode _ -> 1
-          | Plan.I_chunk _ -> 2
-        in
-        let t0 = Obs.Clock.now_ns () in
-        exec_item di item;
-        let dt = Obs.Clock.elapsed_ns t0 in
-        R.incr seg_calls.(k);
-        Obs.Hist.record seg_hist.(k) dt
-      in
-      (* one observed entrypoint crossing: the timed unit of Table III *)
-      let exec_ep_obs di k =
-        let t0 = Obs.Clock.now_ns () in
-        let items = !ep_items.(k) in
-        let i = ref 0 in
-        while !i < Array.length items && not st.halted do
-          exec_item_obs di items.(!i);
-          incr i
-        done;
-        let dt = Obs.Clock.elapsed_ns t0 in
-        R.incr crossings;
-        R.incr ep_calls.(k);
-        Obs.Hist.record ep_hist.(k) dt
-      in
-      let ring_instr (di : Di.t) t0 =
-        match o.Obs.ring with
-        | None -> ()
-        | Some ring ->
-          let name =
-            if di.instr_index >= 0 then spec.instrs.(di.instr_index).i_name
-            else "?"
-          in
-          Obs.Ring.record ring ~ts_ns:t0 ~dur_ns:(Obs.Clock.elapsed_ns t0) ~name
-            ~cat:"instr"
-            ~args:[ ("pc", Obs.Ring.I di.pc) ]
-      in
-      let run_one_obs (di : Di.t) =
-        if not st.halted then begin
-          let t0 = Obs.Clock.now_ns () in
-          di.pc <- st.pc;
-          di.instr_index <- -1;
-          di.fault <- None;
-          auto_checkpoint di;
-          load_frame di;
-          let k = ref 0 in
-          while !k < n_eps && not st.halted do
-            exec_ep_obs di !k;
-            incr k
-          done;
-          save_frame di;
-          if not st.halted then begin
-            st.pc <- di.next_pc;
-            st.instr_count <- Int64.add st.instr_count 1L;
-            stats.instrs_executed <- stats.instrs_executed + 1
-          end;
-          ring_instr di t0
-        end
-      in
-      let step_obs di k =
-        load_frame di;
-        exec_ep_obs di k;
-        save_frame di
-      in
-      let run_block_obs =
-        if bs.bs_block then fun () ->
-          let t0 = Obs.Clock.now_ns () in
-          let (dis, n) as r = run_block () in
-          let dt = Obs.Clock.elapsed_ns t0 in
-          (* each executed site is one crossing of the block entrypoint *)
-          R.add crossings n;
-          R.add ep_calls.(0) n;
-          Obs.Hist.record block_hist dt;
-          (match o.Obs.ring with
-          | Some ring when n > 0 ->
-            Obs.Ring.record ring ~ts_ns:t0 ~dur_ns:dt ~name:"block" ~cat:"block"
-              ~args:
-                [ ("pc", Obs.Ring.I dis.(0).Di.pc);
-                  ("instrs", Obs.Ring.I (Int64.of_int n)) ]
-          | Some _ | None -> ());
-          r
-        else fun () ->
-          run_one_obs !dis.(0);
-          one_result ()
-      in
-      (run_one_obs, run_block_obs, step_obs)
-  in
-
   (* --- hot-region profiling -------------------------------------------- *)
-  (* Same compiled-in rule as the counters above, layered outside them so
-     it works in both full and profile-only contexts. Attribution uses
+  (* Same compiled-in rule as the instruments above, layered outside them
+     so it works in both full and profile-only contexts. Attribution uses
      the retired-instruction delta, so halted entries and uncounted
      halting instructions attribute exactly what [instr_count] records.
      Block interfaces attribute whole blocks at their entry pc — the
@@ -888,11 +789,11 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
 
   (* --- fast dispatch --------------------------------------------------- *)
   (* The generic loop reproduces the historical [run_n] exactly (and is
-     what instrumented, journaled, per-instruction and unchained
-     interfaces get); the block engine's chained loop is the
-     translation-cache hot path. Both return after at most [n]
-     instructions plus block slack — the preemption point watchdogs rely
-     on, so chained dispatch cannot spin past a slice. *)
+     what journaled, per-instruction and unchained interfaces get); the
+     block engine's chained loop is the translation-cache hot path. Both
+     return after at most [n] instructions plus block slack — the
+     preemption point watchdogs rely on, so chained dispatch cannot spin
+     past a slice. *)
   let run_fast_generic n =
     let start = st.instr_count in
     let executed () = Int64.to_int (Int64.sub st.instr_count start) in
@@ -908,18 +809,16 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     end;
     executed ()
   in
-  (* Chained dispatch is compatible with profile-only observation (the
-     per-block [note] hook), but not with full instrumentation, which
-     needs per-call DI materialization and timing. *)
+  (* Chained dispatch survives profiling and full observation: both hook
+     its per-block [note]. *)
   let run_fast =
     match engine with
-    | Some (_, run_fast_chained, _)
-      when chain && Option.is_none journal
-           && (match obs with None -> true | Some o -> not o.Obs.full) -> (
-      match prof with
-      | None -> run_fast_chained ~note:(fun _ _ -> ())
-      | Some p ->
-        run_fast_chained ~note:(fun pc0 k -> Obs.Prof.note p ~pc:pc0 ~instrs:k))
+    | Some (_, run_fast_chained, _) when chain && Option.is_none journal -> (
+      match (ins, prof) with
+      | None, None -> run_fast_chained ~note:(fun _ _ -> ())
+      | None, Some p ->
+        run_fast_chained ~note:(fun pc0 k -> Obs.Prof.note p ~pc:pc0 ~instrs:k)
+      | Some i, _ -> Instrument.run_fast i ?prof run_fast_chained)
     | _ -> run_fast_generic
   in
   (* Block interfaces compile their per-instruction code on first use. *)

@@ -80,15 +80,20 @@ val cache : Lis.Spec.t -> cache
     [fastpath_classes], [stable_blocks].
 
     [obs], when given, compiles instrumentation into the interface's
-    call paths: every entrypoint crossing is counted
-    ("synth.entrypoint_calls", "synth.ep.<name>.calls") and timed into
-    log2 histograms ("synth.ep.<name>.ns"), engine segments
-    (fetch / decode / ir) are attributed separately ("synth.seg.*"),
-    block-cache and fused-closure statistics are exported as "core.*"
-    gauges, and — when the context carries a trace ring — one event is
-    recorded per instruction (or per block). Without [obs] the interface
-    is byte-for-byte the uninstrumented one: the zero-overhead
-    guarantee, same compiled-in pattern as {!Semir.Hooks}.
+    call paths (see {!Instrument}): every entrypoint crossing is counted
+    exactly ("synth.entrypoint_calls", "synth.ep.<name>.calls"), as are
+    engine segments (fetch / decode / ir, "synth.seg.<seg>.calls") and
+    executed block sites; about one crossing or block in
+    {!Obs.Sample.every}, at jittered gaps, is timed into log2 histograms
+    ("synth.ep.<name>.ns", "synth.seg.<seg>.ns", "synth.block.ns"), with
+    the rate published as "synth.latency_sample_every"; block-cache and
+    fused-closure statistics are exported as "core.*" gauges; and — when
+    the context carries a trace ring — one event is recorded per
+    instruction (or per block). Chained dispatch is kept. A
+    profile-only context ({!Obs.profile_only}) compiles in the profiler's
+    attribution alone. Without [obs] the interface is the uninstrumented
+    one: the zero-overhead guarantee, same compiled-in pattern as
+    {!Semir.Hooks}.
     @raise Synth_error when the buildset hides a cell that crosses
     entrypoint boundaries (override with [allow_hidden_crossing] to
     observe the paper's runtime manifestation of the bug).

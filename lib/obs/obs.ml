@@ -3,11 +3,12 @@
 
     The design rule (same as {!Semir.Hooks}): observability is
     {e compiled in} at synthesis/construction time. A component receives
-    [Obs.t option]; with [None] it builds exactly the closures it builds
-    today — no flag tests, no closure indirection, nothing on the fast
-    path — so an unobserved simulator pays zero overhead. With [Some]
-    it builds instrumented closures that update registry counters,
-    record log2 latency histograms, and (when a ring is attached) append
+    [Obs.t option]; with [None] it builds the plain closures — no
+    counting, no clock reads on the fast path — so an unobserved
+    simulator pays no instrumentation cost. With [Some]
+    it builds instrumented closures that update registry counters
+    exactly, record a jittered 1-in-{!Sample.every} sample of latencies
+    into log2 histograms, and (when a ring is attached) append
     structured trace events.
 
     A context owns:
@@ -18,11 +19,11 @@
       ({!Export.jsonl_of_events} / {!Export.chrome_of_events});
     - [prof]: an optional hot-region execution {!Prof}iler, attributed
       by the synthesized interfaces at retirement/block boundaries;
-    - [full]: whether the heavyweight counter/histogram/ring
-      instrumentation is compiled in. {!profile_only} contexts set it
+    - [full]: whether the counter/histogram/ring instrumentation is
+      compiled in. {!profile_only} contexts set it
       to [false]: synthesis then builds the {e seed} closures plus only
       the profiler's cached-region attribution — the light hook whose
-      overhead the bench profiler section bounds at 2%. *)
+      overhead the bench overhead section bounds at 2%. *)
 
 module Clock = Clock
 module Hist = Hist
@@ -31,6 +32,7 @@ module Registry = Registry
 module Export = Export
 module Prof = Prof
 module Metrics = Metrics
+module Sample = Sample
 
 type t = {
   reg : Registry.t;
@@ -57,7 +59,7 @@ let create ?(trace = false) ?ring_capacity ?prof () =
     closures are the seed closures plus one cached-region
     compare-and-add per retirement (or per block on block interfaces,
     where the chained translation-cache fast path is retained). This is
-    what [lisim profile] and the bench profiler-overhead section use. *)
+    what [lisim profile] and the bench overhead section use. *)
 let profile_only ?prof () =
   let prof = match prof with Some p -> p | None -> Prof.create () in
   { reg = Registry.create (); ring = None; prof = Some prof; full = false }

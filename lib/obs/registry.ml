@@ -49,6 +49,16 @@ let get (c : counter) = c.n
 let probe t name f =
   if not (Hashtbl.mem t.probes name) then Hashtbl.add t.probes name f
 
+(** [drop_probes t ~prefix] unregisters every probe whose name starts
+    with [prefix]: for a component that replaces the one that registered
+    them (a supervised session's demoted interface), which the
+    first-registration rule would otherwise leave reading the old one. *)
+let drop_probes t ~prefix =
+  Hashtbl.fold
+    (fun name _ acc -> if String.starts_with ~prefix name then name :: acc else acc)
+    t.probes []
+  |> List.iter (Hashtbl.remove t.probes)
+
 (** [histogram t name] — find or create. Call once, keep the record. *)
 let histogram t name =
   match Hashtbl.find_opt t.hists name with

@@ -176,6 +176,13 @@ let demote t ~detail =
   Checkpoint.restore t.d_st t.d_ckpt;
   Checkpoint.restore t.d_shadow_st t.d_ckpt;
   t.d_idx <- t.d_idx + 1;
+  (* the next rung's gauges replace the abandoned interface's *)
+  Option.iter
+    (fun (o : Obs.t) ->
+      List.iter
+        (fun prefix -> Obs.Registry.drop_probes o.reg ~prefix)
+        [ "core."; "specul." ])
+    t.d_obs;
   t.d_iface <-
     synth_level ?obs:t.d_obs ~cache:t.d_cache ~st:t.d_st t.d_spec
       t.d_levels.(t.d_idx);

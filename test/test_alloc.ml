@@ -99,8 +99,8 @@ let test_shape (name, p) () =
    translated: run the kernel once, reload the same image (clearing
    memory first, so the rewrite does not invalidate the cached blocks)
    and measure the second run, driven as the ledger's Block cells are. *)
-let block_words (t : Workload.target) (k : Vir.Kernels.sized) =
-  let l = Workload.load t ~buildset:"block_min" k.program in
+let block_words ?obs (t : Workload.target) (k : Vir.Kernels.sized) =
+  let l = Workload.load ?obs t ~buildset:"block_min" k.program in
   let iface = l.iface and st = l.iface.st in
   let drive () =
     while not st.halted do
@@ -122,8 +122,8 @@ let block_words (t : Workload.target) (k : Vir.Kernels.sized) =
    [step] per entrypoint plus [retire]. What remains is the accepted
    floor: boxing the DI record's new encoding and next pc, and
    [st.instr_count] — three boxes, nine words. *)
-let per_instr_words (t : Workload.target) (k : Vir.Kernels.sized) bs =
-  let l = Workload.load t ~buildset:bs k.program in
+let per_instr_words ?obs (t : Workload.target) (k : Vir.Kernels.sized) bs =
+  let l = Workload.load ?obs t ~buildset:bs k.program in
   let iface = l.iface and st = l.iface.st in
   let di = Specsim.Di.create ~info_slots:iface.slots.di_size in
   let n = Specsim.Iface.n_entrypoints iface in
@@ -165,6 +165,22 @@ let test_block_run t () =
   if w >= 3.0 then
     Alcotest.failf "%s block_min: %.2f minor words per instruction" t.tname w
 
+(* Full observation counts every crossing but reads the clock on a
+   sample of them only, so an observed interface stays within the plain
+   bounds. *)
+let test_observed_run t () =
+  let w = block_words ~obs:(Obs.create ()) t sort in
+  if w >= 3.0 then
+    Alcotest.failf "%s observed block_min: %.2f minor words per instruction"
+      t.tname w;
+  List.iter
+    (fun bs ->
+      let w = per_instr_words ~obs:(Obs.create ()) t sort bs in
+      if w >= 15.0 then
+        Alcotest.failf "%s observed %s: %.2f minor words per instruction"
+          t.tname bs w)
+    [ "one_all"; "step_all" ]
+
 let suite =
   List.map
     (fun ((name, _) as s) -> Alcotest.test_case name `Quick (test_shape s))
@@ -178,4 +194,8 @@ let suite =
         (test_per_instr_run Workload.alpha);
       Alcotest.test_case "one/step runs: riscv" `Quick
         (test_per_instr_run Workload.riscv);
+      Alcotest.test_case "observed runs: alpha" `Quick
+        (test_observed_run Workload.alpha);
+      Alcotest.test_case "observed runs: riscv" `Quick
+        (test_observed_run Workload.riscv);
     ]

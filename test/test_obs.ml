@@ -1,8 +1,8 @@
 (** Observability layer: ring wrap-around and ordering, histogram bucket
     boundaries and merge, counter/snapshot isolation, exporter round
-    trips (JSONL and the Chrome trace-event format), and a qcheck
-    property tying entrypoint-crossing counts to executed instructions
-    for every buildset of the alpha ISA. *)
+    trips (JSONL and the Chrome trace-event format), the latency
+    sampler's gaps, and a qcheck property tying entrypoint-crossing
+    counts to executed instructions for every buildset of every ISA. *)
 
 (* ---------------- ring buffer ------------------------------------ *)
 
@@ -340,34 +340,155 @@ let test_chrome_export_from_run () =
     Alcotest.(check int) "every ring event exported" 64 (List.length evs)
   | _ -> Alcotest.fail "traceEvents missing"
 
+(* ---------------- latency sampler -------------------------------- *)
+
+let every = Obs.Sample.every
+
+(* the positions (0-based event indices) of the first [n] samples *)
+let sample_positions ?seed n =
+  let s = Obs.Sample.create ?seed () in
+  let pos = Array.make n 0 in
+  let i = ref 0 and k = ref 0 in
+  while !k < n do
+    if Obs.Sample.tick s then begin
+      pos.(!k) <- !i;
+      incr k
+    end;
+    incr i
+  done;
+  pos
+
+let gaps pos = Array.mapi (fun k p -> if k = 0 then p + 1 else p - pos.(k - 1)) pos
+
+let test_sampler_reproducible_and_bounded () =
+  let a = sample_positions 10_000 and b = sample_positions 10_000 in
+  Alcotest.(check bool) "same seed, same positions" true (a = b);
+  Alcotest.(check bool) "another seed, other positions" false
+    (a = sample_positions ~seed:7 10_000);
+  Array.iter
+    (fun g ->
+      if g < 1 || g > (2 * every) - 1 then
+        Alcotest.failf "gap %d outside [1, %d]" g ((2 * every) - 1))
+    (gaps a)
+
+let test_sampler_mean_gap () =
+  let n = 100_000 in
+  let pos = sample_positions n in
+  let mean = float_of_int (pos.(n - 1) + 1) /. float_of_int n in
+  if Float.abs (mean -. float_of_int every) > 0.05 *. float_of_int every then
+    Alcotest.failf "mean gap %.2f, expected %d within 5%%" mean every
+
+(* A loop of period [p] puts event i on site [i mod p]: every site must
+   get samples. A fixed countdown of [every] (a power of two) misses
+   sites at every even period, which the check must catch. *)
+let residues_hit pos p =
+  let hit = Array.make p false in
+  Array.iter (fun i -> hit.(i mod p) <- true) pos;
+  Array.for_all Fun.id hit
+
+let test_sampler_no_aliasing () =
+  let pos = sample_positions 10_000 in
+  for p = 2 to 64 do
+    if not (residues_hit pos p) then
+      Alcotest.failf "loop period %d: a site is never sampled" p
+  done;
+  let countdown = Array.init 10_000 (fun k -> ((k + 1) * every) - 1) in
+  for p = 2 to 64 do
+    Alcotest.(check bool)
+      (Printf.sprintf "fixed countdown aliases at period %d" p)
+      (p mod 2 = 1) (residues_hit countdown p)
+  done
+
 (* ---------------- crossings property ----------------------------- *)
 
+let count_forever = List.nth Vir.Kernels.pathological 1
+
 (* The synthesized instrumentation counts one crossing per entrypoint
-   call. Driving N instructions of the never-halting spin kernel must
-   give exactly N * n_entrypoints crossings for per-instruction
-   interfaces and N for block interfaces (each executed site is one
-   crossing of the block entrypoint) — for every buildset of the ISA. *)
+   call. Driving N instructions of a never-halting loop must give
+   exactly N * n_entrypoints crossings for per-instruction interfaces
+   and N for block interfaces (each executed site is one crossing of the
+   block entrypoint, counted by the chained loop's per-block note) — for
+   every buildset of every ISA, riscv's mixed 2/4-byte blocks
+   included. *)
 let test_crossings_property =
-  let spec = Lazy.force Workload.alpha.spec in
-  let buildsets = Lis.Spec.buildset_names spec in
   QCheck.Test.make ~count:15 ~name:"entrypoint crossings = instrs * entrypoints"
     QCheck.(int_range 1 200)
     (fun budget ->
-      let k = List.hd Vir.Kernels.pathological (* spin: never halts *) in
       List.for_all
-        (fun bs ->
-          let o = Obs.create () in
-          let l = Workload.load ~obs:o Workload.alpha ~buildset:bs k.program in
-          let executed = Specsim.Iface.run_n l.iface budget in
-          let n_eps =
-            if l.iface.bs.bs_block then 1
-            else Specsim.Iface.n_entrypoints l.iface
+        (fun (t : Workload.target) ->
+          let spec = Lazy.force t.spec in
+          let cache = Specsim.Synth.cache spec in
+          List.for_all
+            (fun bs ->
+              let o = Obs.create () in
+              let l =
+                Workload.load ~cache ~obs:o t ~buildset:bs count_forever.program
+              in
+              let executed = Specsim.Iface.run_n l.iface budget in
+              let n_eps =
+                if l.iface.bs.bs_block then 1
+                else Specsim.Iface.n_entrypoints l.iface
+              in
+              let snap = Obs.snapshot o in
+              match Obs.Registry.find_int snap "synth.entrypoint_calls" with
+              | Some crossings -> crossings = executed * n_eps
+              | None -> false)
+            (Lis.Spec.buildset_names spec))
+        Workload.targets)
+
+let hist_count snap name =
+  match Obs.Registry.find snap name with
+  | Some (Obs.Registry.Histogram h) -> Obs.Hist.count h
+  | _ -> Alcotest.failf "histogram %s missing" name
+
+(* Histograms hold samples, counters hold every call: scaled by the
+   published rate, each histogram's count must come back to its
+   counter's. *)
+let test_histograms_are_samples () =
+  List.iter
+    (fun bs ->
+      let o = Obs.create () in
+      let l = Workload.load ~obs:o Workload.alpha ~buildset:bs count_forever.program in
+      ignore (Specsim.Iface.run_n l.iface 20_000);
+      let snap = Obs.snapshot o in
+      Alcotest.(check (option int)) "rate gauge" (Some every)
+        (Obs.Registry.find_int snap "synth.latency_sample_every");
+      let names =
+        Array.to_list
+          (Array.map (fun n -> "synth.ep." ^ n) l.iface.entry_names)
+        @ [ "synth.seg.fetch"; "synth.seg.decode"; "synth.seg.ir" ]
+      in
+      List.iter
+        (fun name ->
+          let calls =
+            Option.value ~default:0
+              (Obs.Registry.find_int snap (name ^ ".calls"))
           in
-          let snap = Obs.snapshot o in
-          match Obs.Registry.find_int snap "synth.entrypoint_calls" with
-          | Some crossings -> crossings = executed * n_eps
-          | None -> false)
-        buildsets)
+          let scaled = hist_count snap (name ^ ".ns") * every in
+          if calls > 0
+             && Float.abs (float_of_int (scaled - calls))
+                > 0.25 *. float_of_int calls
+          then
+            Alcotest.failf "%s %s: %d samples x %d = %d against %d calls" bs
+              name (scaled / every) every scaled calls)
+        names)
+    [ "one_all"; "step_all" ]
+
+(* Observation keeps the chained loop, which must still time blocks. *)
+let test_chained_blocks_sampled () =
+  let o = Obs.create () in
+  let l =
+    Workload.load ~obs:o Workload.alpha ~buildset:"block_min"
+      count_forever.program
+  in
+  let executed = Specsim.Iface.run_n l.iface 20_000 in
+  let snap = Obs.snapshot o in
+  let samples = hist_count snap "synth.block.ns" in
+  Alcotest.(check bool) "block samples recorded" true (samples > 0);
+  Alcotest.(check bool) "blocks are sampled, not all timed" true
+    (samples * 8 < executed);
+  Alcotest.(check bool) "dispatch stayed chained" true
+    (l.iface.stats.chain_taken > 0)
 
 let test_twelve_buildsets () =
   (* the property above must quantify over the full paper matrix *)
@@ -398,6 +519,15 @@ let suite =
     Alcotest.test_case "jsonl export" `Quick test_jsonl_export;
     Alcotest.test_case "chrome export" `Quick test_chrome_export;
     Alcotest.test_case "chrome export from run" `Quick test_chrome_export_from_run;
+    Alcotest.test_case "sampler reproducible, gaps bounded" `Quick
+      test_sampler_reproducible_and_bounded;
+    Alcotest.test_case "sampler mean gap" `Quick test_sampler_mean_gap;
+    Alcotest.test_case "sampler does not alias loops" `Quick
+      test_sampler_no_aliasing;
     QCheck_alcotest.to_alcotest test_crossings_property;
+    Alcotest.test_case "histograms are samples" `Quick
+      test_histograms_are_samples;
+    Alcotest.test_case "chained blocks sampled" `Quick
+      test_chained_blocks_sampled;
     Alcotest.test_case "twelve buildsets" `Quick test_twelve_buildsets;
   ]

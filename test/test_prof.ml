@@ -153,20 +153,30 @@ let test_aggregation_vs_bruteforce () =
 
 (* Block interfaces aggregate at block boundaries (a block is charged
    whole to its entry region), so per-region counts legitimately differ
-   from the per-pc tally — but the total must still be exact. *)
+   from the per-pc tally — but the total must still be exact, whether the
+   profiler rides alone or inside full observation (both keep the chained
+   loop and attribute through its per-block note). *)
 let test_block_totals_exact () =
   let k = List.nth Vir.Kernels.test_suite 3 in
-  let prof = P.create () in
-  let o = Obs.profile_only ~prof () in
-  let l = Workload.load ~obs:o Workload.alpha ~buildset:"block_min" k.program in
-  let outcome = Workload.run_to_completion l in
-  Alcotest.(check int) "total attributed = retired"
-    (Int64.to_int outcome.Workload.instructions)
-    (P.total_instrs prof);
-  let report_sum =
-    List.fold_left (fun a (r : P.region) -> a + r.P.rg_instrs) 0 (P.report prof)
-  in
-  Alcotest.(check int) "report sums to total" (P.total_instrs prof) report_sum
+  List.iter
+    (fun context ->
+      let prof = P.create () in
+      let l =
+        Workload.load ~obs:(context prof) Workload.alpha ~buildset:"block_min"
+          k.program
+      in
+      let outcome = Workload.run_to_completion l in
+      Alcotest.(check int) "total attributed = retired"
+        (Int64.to_int outcome.Workload.instructions)
+        (P.total_instrs prof);
+      let report_sum =
+        List.fold_left
+          (fun a (r : P.region) -> a + r.P.rg_instrs)
+          0 (P.report prof)
+      in
+      Alcotest.(check int) "report sums to total" (P.total_instrs prof)
+        report_sum)
+    [ (fun prof -> Obs.profile_only ~prof ()); (fun prof -> Obs.create ~prof ()) ]
 
 (* ---------------- metrics JSONL round-trip ------------------------ *)
 

@@ -304,6 +304,38 @@ let test_degrade_seeded_defect () =
          (reference_digest spec tc ~halted:r.Super.Degrade.r_halted
           (Int64.to_int r.Super.Degrade.r_instructions)))
 
+(* A demotion re-synthesizes into the session's registry. The core.*
+   gauges must then describe the interface that finished the run, not
+   the abandoned rung that registered them first. *)
+let test_degrade_gauges_follow_demotion () =
+  let t = Workload.alpha in
+  let spec = Lazy.force t.spec in
+  let k =
+    List.find (fun k -> k.Vir.Kernels.kname = "sort") Vir.Kernels.test_suite
+  in
+  let obs = Obs.create () in
+  let session =
+    Super.Degrade.create ~obs ~spec ~buildset:"block_min"
+      ~load:(fun st -> ignore (Workload.load_image t k.program st))
+      ()
+  in
+  let r =
+    Super.Degrade.run ~slice:64 ~force_demote_at:500 ~budget:max_int session
+  in
+  Alcotest.(check string) "demoted one rung" "no-chain"
+    r.Super.Degrade.r_final_level;
+  let final = session.Super.Degrade.d_iface.Specsim.Iface.stats in
+  let snap = Obs.snapshot obs in
+  let gauge name = Obs.Registry.find_int snap name in
+  Alcotest.(check bool) "final rung ran the rest" true
+    (final.instrs_executed > 500);
+  Alcotest.(check (option int)) "core.instrs_executed"
+    (Some final.instrs_executed) (gauge "core.instrs_executed");
+  Alcotest.(check (option int)) "core.block_cache.compiled"
+    (Some final.blocks_compiled) (gauge "core.block_cache.compiled");
+  Alcotest.(check (option int)) "core.block_cache.chain_taken (unchained rung)"
+    (Some 0) (gauge "core.block_cache.chain_taken")
+
 (* ----------------------------------------------------------------- *)
 (* Supervised campaign: journal + resume                               *)
 (* ----------------------------------------------------------------- *)
@@ -407,6 +439,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_forced_demotion_preserves_digest;
     Alcotest.test_case "degrade: seeded defect reaches step_all" `Quick
       test_degrade_seeded_defect;
+    Alcotest.test_case "degrade: gauges follow a demotion" `Quick
+      test_degrade_gauges_follow_demotion;
     Alcotest.test_case "campaign resume runs no case twice" `Quick
       test_campaign_resume_no_case_twice;
     Alcotest.test_case "campaign quarantines a seeded defect" `Quick
