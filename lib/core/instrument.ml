@@ -90,23 +90,6 @@ let create (o : Obs.t) (bs : Lis.Spec.buildset) (stats : Iface.stats)
 
 let traced t = match t.ring with Some _ -> true | None -> false
 
-(* The per-event paths below update counters and the sampler's
-   countdown in place: a call into another module costs more than the
-   update (see {!Obs.Sample.t}). *)
-let[@inline] bump (c : R.counter) n = c.n <- c.n + n
-
-(* [Obs.Sample.tick] *)
-let[@inline] sampled t =
-  let s = t.sampler in
-  if s.left > 1 then begin
-    s.left <- s.left - 1;
-    false
-  end
-  else begin
-    Obs.Sample.rearm s;
-    true
-  end
-
 (** [run_one t spec st run_one] adds the trace ring's per-instruction
     event; without a ring it is [run_one] itself. *)
 let run_one t (spec : Lis.Spec.t) (st : Machine.State.t) run_one =
@@ -129,8 +112,8 @@ let run_one t (spec : Lis.Spec.t) (st : Machine.State.t) run_one =
 (* A block of [n] executed sites: [n] crossings of the block entrypoint,
    and a histogram sample and ring event when it was timed. *)
 let block t ~timed ~t0 pc n =
-  bump t.crossings n;
-  bump (Array.unsafe_get t.ep_calls 0) n;
+  R.add t.crossings n;
+  R.add t.ep_calls.(0) n;
   if timed || traced t then begin
     let dt = Obs.Clock.now () - t0 in
     if timed then Obs.Hist.record t.block_ns dt;
@@ -144,15 +127,12 @@ let block t ~timed ~t0 pc n =
 
 (** [run_block t run_block] — the block engine's [run_block], counted,
     and timed when sampled. *)
-let run_block t run_block =
-  let counted () =
-    let timed = sampled t in
-    let t0 = if timed || traced t then Obs.Clock.now () else 0 in
-    let ((dis, n) as r) = run_block () in
-    block t ~timed ~t0 (if n > 0 then dis.(0).Di.pc else 0L) n;
-    r
-  in
-  counted
+let run_block t run_block () =
+  let timed = Obs.Sample.tick t.sampler in
+  let t0 = if timed || traced t then Obs.Clock.now () else 0 in
+  let ((dis, n) as r) = run_block () in
+  block t ~timed ~t0 (if n > 0 then dis.(0).Di.pc else 0L) n;
+  r
 
 (** [run_fast t ?prof run_fast_chained] — the chained loop with a
     per-block [note] that counts the block's crossings, feeds the
@@ -166,7 +146,7 @@ let run_fast t ?prof run_fast_chained =
   let note pc0 k =
     (match prof with Some p -> Obs.Prof.note p ~pc:pc0 ~instrs:k | None -> ());
     block t ~timed:!timed ~t0:!mark pc0 k;
-    timed := sampled t;
+    timed := Obs.Sample.tick t.sampler;
     arm ()
   in
   fun n ->

@@ -296,6 +296,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
            ~fused_closures:(Plan.n_code_segs bp * n_instrs))
     | Some _ | None -> None
   in
+  (* [Obs.Registry.incr], inlined (see [exec_ep]) *)
   let count (c : Obs.Registry.counter) = c.n <- c.n + 1 in
   let segment = function
     | Plan.I_fetch -> 0
@@ -322,13 +323,14 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   in
   (* One entrypoint crossing: the hook the plain [run_one] and [step]
      loops call. The synthesis-time constant [ins] picks its body, so
-     both loops make a direct call. Loops, not local recursive
-     functions: a per-call closure would be the engine's largest
-     allocation. Counters and the sampler's countdown are updated in
-     place, since a call into another module costs more than the update
-     (see {!Obs.Sample.t}). *)
-  let exec_ep di k =
-    let items = !ep_items.(k) in
+     both loops make a direct call and an unobserved crossing pays one
+     predicted branch. Loops, not local recursive functions: a per-call
+     closure would be the engine's largest allocation. This is the one
+     per-crossing path that updates counters and the sampler's countdown
+     in place, because a call into another module costs more than the
+     update (see {!Obs.Sample.t}); coarser paths in {!Instrument} call
+     [Obs.Sample.tick] and [Obs.Registry.add]. *)
+  let exec_ep di k (items : Plan.item array) =
     match ins with
     | None ->
       let j = ref 0 in
@@ -338,7 +340,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       done
     | Some i ->
       let smp = i.sampler in
-      (* [Obs.Sample.tick], inlined *)
+      (* [Obs.Sample.tick], inlined: keep the two in step *)
       if smp.left > 1 then begin
         smp.left <- smp.left - 1;
         let j = ref 0 in
@@ -359,7 +361,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
 
   let step di k =
     load_frame di;
-    exec_ep di k;
+    exec_ep di k !ep_items.(k);
     save_frame di
   in
 
@@ -379,9 +381,10 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       di.fault <- None;
       auto_checkpoint di;
       load_frame di;
+      let items = !ep_items in
       let k = ref 0 in
       while !k < n_eps && not st.halted do
-        exec_ep di !k;
+        exec_ep di !k (Array.unsafe_get items !k);
         incr k
       done;
       save_frame di;

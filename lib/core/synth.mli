@@ -92,8 +92,9 @@ val cache : Lis.Spec.t -> cache
     instruction (or per block). Chained dispatch is kept. A
     profile-only context ({!Obs.profile_only}) compiles in the profiler's
     attribution alone. Without [obs] the interface is the uninstrumented
-    one: the zero-overhead guarantee, same compiled-in pattern as
-    {!Semir.Hooks}.
+    one, same compiled-in pattern as {!Semir.Hooks}: its entrypoint
+    crossings pay one predicted branch on the synthesis-time choice and
+    nothing else.
     @raise Synth_error when the buildset hides a cell that crosses
     entrypoint boundaries (override with [allow_hidden_crossing] to
     observe the paper's runtime manifestation of the bug).

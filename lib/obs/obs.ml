@@ -4,8 +4,9 @@
     The design rule (same as {!Semir.Hooks}): observability is
     {e compiled in} at synthesis/construction time. A component receives
     [Obs.t option]; with [None] it builds the plain closures — no
-    counting, no clock reads on the fast path — so an unobserved
-    simulator pays no instrumentation cost. With [Some]
+    counting, no clock reads — so an unobserved simulator pays only one
+    predicted branch on a synthesis-time constant per entrypoint
+    crossing (see [Synth.make]). With [Some]
     it builds instrumented closures that update registry counters
     exactly, record a jittered 1-in-{!Sample.every} sample of latencies
     into log2 histograms, and (when a ring is attached) append

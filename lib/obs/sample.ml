@@ -22,14 +22,16 @@ let every = 256
 type t = {
   mutable left : int;
       (** events until the next sample, this one included. {!tick}'s
-          fast case is [left <- left - 1] while [left > 1]: per-event
-          paths inline it, because a call into another module costs more
-          than the decrement (dune's default profile compiles libraries
-          [-opaque], which rules out cross-module inlining). *)
+          fast case is [left <- left - 1] while [left > 1]: the
+          synthesized interfaces' per-crossing path inlines it, because
+          a call into another module costs more than the decrement
+          (dune's default profile compiles libraries [-opaque], which
+          rules out cross-module inlining). Coarser callers use
+          {!tick}. *)
   mutable x : int;  (** generator state *)
 }
 
-let default_seed = 0x2545_F491
+let seed = 0x2545_F491
 
 (* Marsaglia's xorshift32 (13, 17, 5): period 2^32 - 1 over non-zero
    states. *)
@@ -44,11 +46,10 @@ let next_gap t =
 (** [rearm t] draws the gap to the next sample, after a sampled event. *)
 let rearm t = t.left <- next_gap t
 
-(** [create ?seed ()] — a sampler; equal seeds give equal sample
-    positions. *)
-let create ?(seed = default_seed) () =
-  let x = seed land 0xFFFF_FFFF in
-  let t = { left = 0; x = (if x = 0 then default_seed else x) } in
+(** [create ()] — a sampler. Every sampler starts from the same seed,
+    so equal event streams are sampled at equal positions. *)
+let create () =
+  let t = { left = 0; x = seed } in
   rearm t;
   t
 
