@@ -53,5 +53,3 @@ let clear t =
   t.fault <- None;
   t.ckpt <- -1;
   Bytes.fill t.info 0 (Bytes.length t.info) '\000'
-
-let copy t = { t with info = Bytes.copy t.info }

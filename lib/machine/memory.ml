@@ -276,7 +276,24 @@ let blit_all ~src ~dst =
       if not (Bytes.equal page zero_page) then
         Hashtbl.replace dst.pages idx (Bytes.copy page))
 
-let equal_contents a b = Int64.equal (digest a) (digest b)
+exception Differ
+
+(* Page by page, an absent page standing for an all-zero one (the same
+   canonical form [digest] hashes): every page of [a] against its
+   counterpart in [b], then [b]'s pages that [a] lacks. *)
+let equal_contents a b =
+  let same idx p =
+    match Hashtbl.find b.pages idx with
+    | q -> Bytes.equal p q
+    | exception Not_found -> Bytes.equal p zero_page
+  in
+  let extra idx q = Hashtbl.mem a.pages idx || Bytes.equal q zero_page in
+  match
+    Hashtbl.iter (fun idx p -> if not (same idx p) then raise_notrace Differ) a.pages;
+    Hashtbl.iter (fun idx q -> if not (extra idx q) then raise_notrace Differ) b.pages
+  with
+  | () -> true
+  | exception Differ -> false
 
 let dump_bytes t addr len =
   let b = Bytes.create len in

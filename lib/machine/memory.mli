@@ -103,8 +103,9 @@ val add_code_write_hook : t -> (int -> unit) -> unit
 (** [digest mem] is a 64-bit hash of the allocated contents. All-zero
     pages hash like absent pages, so two memories with the same byte
     contents digest equally regardless of which addresses were merely
-    touched. Used by divergence checkers to compare memories in O(pages)
-    instead of O(address space). *)
+    touched. The snapshot primitive: fuzz reports, injection campaigns,
+    watchdog samples and checkpoints keep a digest where they cannot
+    keep a copy. To compare two live memories use {!equal_contents}. *)
 val digest : t -> int64
 
 (** [blit_all ~src ~dst] makes [dst]'s contents byte-equal to [src]
@@ -112,5 +113,8 @@ val digest : t -> int64
     @raise Sim_error.Error on an endianness mismatch. *)
 val blit_all : src:t -> dst:t -> unit
 
-(** [equal_contents a b] compares contents via {!digest}. *)
+(** [equal_contents a b] is [true] when [a] and [b] hold the same bytes
+    at every address: pages are compared directly, an absent page
+    standing for an all-zero one, so it agrees with comparing
+    {!digest}s (up to hash collisions) without hashing anything. *)
 val equal_contents : t -> t -> bool

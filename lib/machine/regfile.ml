@@ -114,10 +114,23 @@ let blit ~src ~dst =
   if src.total <> dst.total then invalid_arg "Regfile.blit: layout mismatch";
   Bytes.blit src.v 0 dst.v 0 (8 * src.total)
 
+let equal_class (x : class_def) (y : class_def) =
+  String.equal x.cname y.cname
+  && x.count = y.count && x.width = y.width
+  && Option.equal Int.equal x.hardwired_zero y.hardwired_zero
+
+(* classes [0, i] of [x] and [y] (a top-level loop: [Array.for_all2]
+   allocates a closure per call) *)
+let rec equal_classes x y i =
+  i < 0 || (equal_class x.(i) y.(i) && equal_classes x y (i - 1))
+
+(* Contents first: checkers call this per instruction on same-layout
+   files, where the byte compare decides and the layout compare is a
+   few integer tests. *)
 let equal a b =
-  a.total = b.total
-  && Array.for_all2 (fun (x : class_def) y -> x = y) a.classes b.classes
-  && Bytes.equal a.v b.v
+  Bytes.equal a.v b.v
+  && Array.length a.classes = Array.length b.classes
+  && equal_classes a.classes b.classes (Array.length a.classes - 1)
 
 let pp ppf t =
   Array.iteri

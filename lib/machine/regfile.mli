@@ -73,7 +73,8 @@ val mask_flat : t -> int -> int64
     (the layouts must match). *)
 val blit : src:t -> dst:t -> unit
 
-(** [equal a b] compares layouts and contents. *)
+(** [equal a b] compares contents, then layouts (class names, counts,
+    widths and hardwired zeros). *)
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

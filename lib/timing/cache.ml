@@ -24,10 +24,10 @@ type t = {
   config : config;
   sets : int;
   line_bits : int;
-  tags : int64 array;  (** sets * ways; -1 = invalid *)
+  tags : int array;  (** sets * ways; -1 = invalid *)
   lru : int array;  (** age per way; 0 = most recent *)
-  mutable accesses : int64;
-  mutable misses : int64;
+  mutable accesses : int;
+  mutable misses : int;
 }
 
 let log2 n =
@@ -42,48 +42,49 @@ let create (config : config) =
     config;
     sets;
     line_bits = log2 config.line_bytes;
-    tags = Array.make (sets * config.ways) (-1L);
+    tags = Array.make (sets * config.ways) (-1);
     lru = Array.init (sets * config.ways) (fun i -> i mod config.ways);
-    accesses = 0L;
-    misses = 0L;
+    accesses = 0;
+    misses = 0;
   }
 
 let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1L);
+  Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.iteri (fun i _ -> t.lru.(i) <- i mod t.config.ways) t.lru;
-  t.accesses <- 0L;
-  t.misses <- 0L
+  t.accesses <- 0;
+  t.misses <- 0
+
+(* Make [way] of the set starting at [base] the most recent; the ways
+   younger than it age by one. *)
+let touch t base way =
+  let age = t.lru.(base + way) in
+  for w = base to base + t.config.ways - 1 do
+    if t.lru.(w) < age then t.lru.(w) <- t.lru.(w) + 1
+  done;
+  t.lru.(base + way) <- 0
 
 (** [access t addr] returns [true] on hit, updating LRU and statistics. *)
-let access t (addr : int64) : bool =
-  t.accesses <- Int64.add t.accesses 1L;
-  let line = Int64.shift_right_logical addr t.line_bits in
-  let set = Int64.to_int line land (t.sets - 1) in
-  let base = set * t.config.ways in
+let access t addr =
+  t.accesses <- t.accesses + 1;
+  let line = addr lsr t.line_bits in
+  let base = (line land (t.sets - 1)) * t.config.ways in
   let hit_way = ref (-1) in
   for w = 0 to t.config.ways - 1 do
-    if Int64.equal t.tags.(base + w) line then hit_way := w
+    if t.tags.(base + w) = line then hit_way := w
   done;
-  let touch way =
-    let age = t.lru.(base + way) in
-    for w = 0 to t.config.ways - 1 do
-      if t.lru.(base + w) < age then t.lru.(base + w) <- t.lru.(base + w) + 1
-    done;
-    t.lru.(base + way) <- 0
-  in
   if !hit_way >= 0 then begin
-    touch !hit_way;
+    touch t base !hit_way;
     true
   end
   else begin
-    t.misses <- Int64.add t.misses 1L;
+    t.misses <- t.misses + 1;
     (* evict the oldest way *)
     let victim = ref 0 in
     for w = 0 to t.config.ways - 1 do
       if t.lru.(base + w) > t.lru.(base + !victim) then victim := w
     done;
     t.tags.(base + !victim) <- line;
-    touch !victim;
+    touch t base !victim;
     false
   end
 
@@ -93,7 +94,7 @@ let latency t addr =
   else t.config.hit_latency + t.config.miss_penalty
 
 let miss_rate t =
-  if Int64.equal t.accesses 0L then 0.
-  else Int64.to_float t.misses /. Int64.to_float t.accesses
+  if t.accesses = 0 then 0.
+  else float_of_int t.misses /. float_of_int t.accesses
 
-let stats t = (t.accesses, t.misses)
+let stats t = (Int64.of_int t.accesses, Int64.of_int t.misses)

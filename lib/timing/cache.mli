@@ -23,11 +23,13 @@ val create : config -> t
 
 val reset : t -> unit
 
-(** [access t addr] is [true] on hit; updates LRU state and statistics. *)
-val access : t -> int64 -> bool
+(** [access t addr] is [true] on hit; updates LRU state and statistics.
+    [addr] is a native-int address ({!Machine.Memory.addr_int}), so a
+    timing model holding it unboxed calls the cache without allocating. *)
+val access : t -> int -> bool
 
 (** [latency t addr] combines an access with the configured latencies. *)
-val latency : t -> int64 -> int
+val latency : t -> int -> int
 
 val miss_rate : t -> float
 

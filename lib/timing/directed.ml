@@ -42,24 +42,38 @@ let ep_memory = 4
 let ep_writeback = 5
 let ep_exception = 6
 
+(* Checked native-endian read of a DI slot; a primitive, so the value is
+   used unboxed. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+
+(* The fetch unit: the next fetch pc, and whether fetch waits for a
+   system call to retire. A record, so the pc stays boxed and IF hands
+   it to the DI header without allocating (a local int64 [ref], or a
+   one-field record, is unboxed and boxed again on every fetch). *)
+type front = { mutable pc : int64; mutable serialize : bool }
+
 type slot = {
   di : Specsim.Di.t;
   mutable busy : bool;
   mutable stall : int;  (** remaining cycles in this stage *)
-  mutable dests : int list;  (** flat register ids being produced *)
-  mutable srcs : int list;
+  dests : int array;  (** flat register ids being produced: [n_dests] first *)
+  mutable n_dests : int;
+  srcs : int array;  (** flat register ids read: [n_srcs] first *)
+  mutable n_srcs : int;
   mutable decoded : bool;
   mutable operands_read : bool;
   mutable syscall : bool;
 }
 
-let fresh_slot (iface : Specsim.Iface.t) =
+let fresh_slot (iface : Specsim.Iface.t) ~max_dests ~max_srcs =
   {
     di = Specsim.Di.create ~info_slots:iface.slots.di_size;
     busy = false;
     stall = 0;
-    dests = [];
-    srcs = [];
+    dests = Array.make max_dests 0;
+    n_dests = 0;
+    srcs = Array.make max_srcs 0;
+    n_srcs = 0;
     decoded = false;
     operands_read = false;
     syscall = false;
@@ -68,8 +82,8 @@ let fresh_slot (iface : Specsim.Iface.t) =
 let clear (s : slot) =
   s.busy <- false;
   s.stall <- 0;
-  s.dests <- [];
-  s.srcs <- [];
+  s.n_dests <- 0;
+  s.n_srcs <- 0;
   s.decoded <- false;
   s.operands_read <- false;
   s.syscall <- false
@@ -80,26 +94,42 @@ let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
       "Directed.run: needs a seven-entrypoint Step interface (e.g. step_all)";
   let st = iface.st in
   let kinds = Specsim.Classify.of_spec iface.spec in
-  let slot_of_cell c = iface.slots.di_slot_of_cell.(c) in
+  let di_slot_of_cell = iface.slots.di_slot_of_cell in
   let regs = st.regs in
-  let flat_of (cls, id_cell) (di : Specsim.Di.t) =
-    let s = slot_of_cell id_cell in
-    if s < 0 then None
-    else
-      Some
-        (Machine.Regfile.base regs cls + Int64.to_int (Specsim.Di.get di s))
+  (* The flat ids of the operands [ops] the interface exposes in [di],
+     written to the front of [dst]; returns how many. *)
+  let operands dst (ops : (int * Semir.Ir.cell) array) (di : Specsim.Di.t) =
+    let n = ref 0 in
+    for i = 0 to Array.length ops - 1 do
+      let cls, id_cell = ops.(i) in
+      let s = di_slot_of_cell.(id_cell) in
+      if s >= 0 then begin
+        dst.(!n) <-
+          Machine.Regfile.base regs cls + Int64.to_int (get64 di.info (8 * s));
+        incr n
+      end
+    done;
+    !n
   in
+  let widest f =
+    Array.fold_left (fun m k -> max m (Array.length (f k))) 0 kinds
+  in
+  let max_dests = widest (fun (k : Specsim.Classify.kind) -> k.dest_regs)
+  and max_srcs = widest (fun (k : Specsim.Classify.kind) -> k.src_regs) in
   let l1i = Cache.create config.l1i in
   let l1d = Cache.create config.l1d in
-  let ea_slot = Specsim.Iface.slot_of iface "effective_addr" in
+  let ea_off =
+    match Specsim.Iface.slot_of iface "effective_addr" with
+    | Some s -> 8 * s
+    | None -> -1
+  in
   (* stage slots: 0 = IF, 1 = ID, 2 = EX, 3 = MEM, 4 = WB *)
-  let stages = Array.init 5 (fun _ -> fresh_slot iface) in
-  let fetch_pc = ref st.pc in
-  let serialize = ref false in
-  let cycles = ref 0L in
-  let retired = ref 0L in
-  let raw_stalls = ref 0L in
-  let flushes = ref 0L in
+  let stages = Array.init 5 (fun _ -> fresh_slot iface ~max_dests ~max_srcs) in
+  let fetch = { pc = st.pc; serialize = false } in
+  let cycles = ref 0 in
+  let retired = ref 0 in
+  let raw_stalls = ref 0 in
+  let flushes = ref 0 in
   let move a b =
     (* move stage contents from index a to empty index b *)
     let tmp = stages.(b) in
@@ -107,16 +137,23 @@ let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
     stages.(a) <- tmp;
     clear stages.(a)
   in
-  let in_flight_dests ~from =
-    let acc = ref [] in
-    for i = from to 4 do
-      if stages.(i).busy then acc := stages.(i).dests @ !acc
+  (* RAW hazard: a source of [id] is a destination of an instruction in
+     EX, MEM or WB *)
+  let raw_hazard (id : slot) =
+    let hit = ref false in
+    for i = 2 to 4 do
+      let s = stages.(i) in
+      if s.busy then
+        for d = 0 to s.n_dests - 1 do
+          for r = 0 to id.n_srcs - 1 do
+            if id.srcs.(r) = s.dests.(d) then hit := true
+          done
+        done
     done;
-    !acc
+    !hit
   in
-  let budget64 = Int64.of_int budget in
-  while (not st.halted) && Int64.compare !retired budget64 < 0 do
-    cycles := Int64.add !cycles 1L;
+  while (not st.halted) && !retired < budget do
+    incr cycles;
     (* ---- WB ---- *)
     let wb = stages.(4) in
     if wb.busy then begin
@@ -124,11 +161,11 @@ let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
       if not st.halted then iface.step wb.di ep_exception;
       if not st.halted then begin
         iface.retire wb.di;
-        retired := Int64.add !retired 1L
+        incr retired
       end;
       if wb.syscall then begin
-        serialize := false;
-        fetch_pc := wb.di.next_pc
+        fetch.serialize <- false;
+        fetch.pc <- wb.di.next_pc
       end;
       clear wb
     end;
@@ -141,23 +178,28 @@ let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
     let ex = stages.(2) in
     if ex.busy && not st.halted && not stages.(3).busy then begin
       iface.step ex.di ep_execute;
-      (* branch resolution: not-taken fetch policy *)
+      (* branch resolution: not-taken fetch policy. Assumes 4-byte
+         instructions, so on riscv every 2-byte RVC instruction counts
+         as a taken branch and flushes (see the riscv stride item in
+         ROADMAP.md); fixing it changes riscv's simulated statistics. *)
       if not (Int64.equal ex.di.next_pc (Int64.add ex.di.pc 4L)) then begin
         clear stages.(0);
         clear stages.(1);
         (* a squashed younger syscall no longer serializes *)
-        serialize := false;
-        fetch_pc := ex.di.next_pc;
-        flushes := Int64.add !flushes 1L;
-        cycles := Int64.add !cycles (Int64.of_int config.mispredict_penalty_extra)
+        fetch.serialize <- false;
+        fetch.pc <- ex.di.next_pc;
+        incr flushes;
+        cycles := !cycles + config.mispredict_penalty_extra
       end;
       (* D-cache access begins as the instruction enters MEM *)
-      let k = if ex.di.instr_index >= 0 then Some kinds.(ex.di.instr_index) else None in
+      let idx = ex.di.instr_index in
       let lat =
-        match (k, ea_slot) with
-        | Some k, Some s when k.is_load || k.is_store ->
-          Cache.latency l1d (Specsim.Di.get ex.di s)
-        | _ -> 1
+        if
+          idx >= 0 && ea_off >= 0
+          && (kinds.(idx).is_load || kinds.(idx).is_store)
+        then
+          Cache.latency l1d (Int64.to_int (get64 ex.di.info ea_off) land max_int)
+        else 1
       in
       move 2 3;
       stages.(3).stall <- lat - 1;
@@ -173,57 +215,55 @@ let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
         if (not st.halted) && id.di.instr_index >= 0 then begin
           let k = kinds.(id.di.instr_index) in
           id.syscall <- k.is_syscall;
-          id.srcs <-
-            Array.to_list k.src_regs
-            |> List.filter_map (fun sr -> flat_of sr id.di);
-          id.dests <-
-            Array.to_list k.dest_regs
-            |> List.filter_map (fun dr -> flat_of dr id.di);
+          id.n_srcs <- operands id.srcs k.src_regs id.di;
+          id.n_dests <- operands id.dests k.dest_regs id.di;
           if k.is_syscall then begin
             (* serialize: squash the younger fetch, stop fetching *)
             clear stages.(0);
-            serialize := true
+            fetch.serialize <- true
           end
         end
       end;
       if st.halted then clear id
+      else if raw_hazard id then incr raw_stalls
       else begin
-        let hazards = in_flight_dests ~from:2 in
-        let raw = List.exists (fun s -> List.mem s hazards) id.srcs in
-        if raw then raw_stalls := Int64.add !raw_stalls 1L
-        else begin
-          iface.step id.di ep_operands;
-          id.operands_read <- true;
-          move 1 2
-        end
+        iface.step id.di ep_operands;
+        id.operands_read <- true;
+        move 1 2
       end
     end;
     (* ---- IF ---- *)
     let iff = stages.(0) in
-    if (not st.halted) && not !serialize then
+    if (not st.halted) && not fetch.serialize then
       if iff.busy then begin
         if iff.stall > 0 then iff.stall <- iff.stall - 1
         else if not stages.(1).busy then move 0 1
       end
       else if not stages.(1).busy then begin
+        let pc = fetch.pc in
         iff.busy <- true;
-        iff.di.pc <- !fetch_pc;
+        iff.di.pc <- pc;
         iff.di.instr_index <- -1;
         iff.di.fault <- None;
         iface.step iff.di ep_fetch;
-        iff.stall <- Cache.latency l1i !fetch_pc - 1;
-        fetch_pc := Int64.add !fetch_pc 4L;
+        iff.stall <- Cache.latency l1i (Int64.to_int pc land max_int) - 1;
+        (* Sequential fetch assumes 4-byte instructions: wrong after a
+           2-byte riscv RVC instruction, which EX then flushes. The fetch
+           entrypoint has normally left pc + 4 in next_pc; sharing that
+           box saves allocating one per fetch. *)
+        let seq = Int64.add pc 4L in
+        fetch.pc <- (if Int64.equal iff.di.next_pc seq then iff.di.next_pc else seq);
         if iff.stall = 0 && not stages.(1).busy then move 0 1
       end
   done;
   {
-    instructions = !retired;
-    cycles = !cycles;
+    instructions = Int64.of_int !retired;
+    cycles = Int64.of_int !cycles;
     ipc =
-      (if Int64.equal !cycles 0L then 0.
-       else Int64.to_float !retired /. Int64.to_float !cycles);
-    raw_stall_cycles = !raw_stalls;
-    branch_flushes = !flushes;
+      (if !cycles = 0 then 0.
+       else float_of_int !retired /. float_of_int !cycles);
+    raw_stall_cycles = Int64.of_int !raw_stalls;
+    branch_flushes = Int64.of_int !flushes;
     icache_miss_rate = Cache.miss_rate l1i;
     dcache_miss_rate = Cache.miss_rate l1d;
   }

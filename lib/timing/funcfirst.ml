@@ -47,8 +47,12 @@ type t = {
   predictor : Predictor.t;
   kinds : Specsim.Classify.kind array;
   ea_slot : int option;
-  mutable cycles : int64;
+  mutable cycles : int;
 }
+
+(* Checked native-endian read of a DI slot: a primitive, so the value
+   reaches the cache unboxed (DESIGN.md §6 item 7 rule a). *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 
 let create ?(config = default_config) (iface : Specsim.Iface.t) : t =
   {
@@ -59,10 +63,8 @@ let create ?(config = default_config) (iface : Specsim.Iface.t) : t =
     predictor = Predictor.create config.predictor;
     kinds = Specsim.Classify.of_spec iface.spec;
     ea_slot = Specsim.Iface.slot_of iface "effective_addr";
-    cycles = 0L;
+    cycles = 0;
   }
-
-let bump t n = t.cycles <- Int64.add t.cycles (Int64.of_int n)
 
 (** [register_obs t obs] exports the timing model's cache and predictor
     statistics as "timing.*" pull gauges — the models already keep these
@@ -85,25 +87,31 @@ let register_obs (t : t) (obs : Obs.t) =
       Int (Int64.to_int (snd (Predictor.stats t.predictor))));
   probe obs.reg "timing.bp.mispredict_rate" (fun () ->
       Float (Predictor.misprediction_rate t.predictor));
-  probe obs.reg "timing.cycles" (fun () -> Int (Int64.to_int t.cycles))
+  probe obs.reg "timing.cycles" (fun () -> Int t.cycles)
 
 (** Cycles accumulated so far by this timing model. *)
-let current_cycles t = t.cycles
+let current_cycles t = Int64.of_int t.cycles
 
 (** Account one retired dynamic instruction. *)
 let consume t (di : Specsim.Di.t) =
-  bump t 1;
-  bump t (Cache.latency t.l1i di.pc - 1);
+  t.cycles <- t.cycles + Cache.latency t.l1i (Machine.Memory.addr_int di.pc);
   if di.instr_index >= 0 then begin
     let k = t.kinds.(di.instr_index) in
     (if k.is_load || k.is_store then
        match t.ea_slot with
-       | Some slot -> bump t (Cache.latency t.l1d (Specsim.Di.get di slot) - 1)
+       | Some slot ->
+         let ea = Int64.to_int (get64 di.info (8 * slot)) land max_int in
+         t.cycles <- t.cycles + Cache.latency t.l1d ea - 1
        | None -> ());
     if k.is_branch then begin
+      (* Assumes 4-byte instructions: a 2-byte riscv RVC branch that
+         falls through reaches pc + 2 and would count as taken. The RVC
+         subset has only unconditional jumps (C_J, C_JR), so this does
+         not fire today (see the riscv stride item in ROADMAP.md). *)
       let taken = not (Int64.equal di.next_pc (Int64.add di.pc 4L)) in
       let predicted = Predictor.update t.predictor ~pc:di.pc ~taken in
-      if predicted <> taken then bump t t.config.mispredict_penalty
+      if predicted <> taken then
+        t.cycles <- t.cycles + t.config.mispredict_penalty
     end
   end
 
@@ -131,10 +139,10 @@ let run (t : t) ~budget : result =
   let instructions = Int64.sub st.instr_count start in
   {
     instructions;
-    cycles = t.cycles;
+    cycles = Int64.of_int t.cycles;
     ipc =
-      (if Int64.equal t.cycles 0L then 0.
-       else Int64.to_float instructions /. Int64.to_float t.cycles);
+      (if t.cycles = 0 then 0.
+       else Int64.to_float instructions /. float_of_int t.cycles);
     icache_miss_rate = Cache.miss_rate t.l1i;
     dcache_miss_rate = Cache.miss_rate t.l1d;
     mispredict_rate = Predictor.misprediction_rate t.predictor;

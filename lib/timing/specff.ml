@@ -33,51 +33,59 @@ type result = {
   ipc : float;
 }
 
+(* Checked native-endian read of a DI slot; a primitive, so the value is
+   compared unboxed. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+
 let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
   if iface.journal = None then
     invalid_arg "Specff.run: needs a speculative interface (…_spec buildset)";
-  let ea_slot =
+  let ea_off =
     match Specsim.Iface.slot_of iface "effective_addr" with
-    | Some s -> s
+    | Some s -> 8 * s
     | None ->
       invalid_arg "Specff.run: interface must expose effective_addr (Decode)"
   in
   let st = iface.st in
-  let kinds = Specsim.Classify.of_spec iface.spec in
   let ff = Funcfirst.create ~config:config.timing_model iface in
-  let scratch = Specsim.Di.create ~info_slots:iface.slots.di_size in
-  let queue : Specsim.Di.t Queue.t = Queue.create () in
-  let rollbacks = ref 0L in
-  let retired = ref 0L in
+  let kinds = ff.kinds in
+  (* The speculative window: a ring of [window] DI records the
+     functional simulator writes in place, oldest at [head]. *)
+  let window = config.window in
+  let ring =
+    Array.init window (fun _ ->
+        Specsim.Di.create ~info_slots:iface.slots.di_size)
+  in
+  let head = ref 0 and pending = ref 0 in
+  let rollbacks = ref 0 in
+  let retired = ref 0 in
   (* The "correct" timer value as a function of simulated time. *)
   (* Coarse enough that the value is stable across one speculative window,
      so divergences settle after a single rollback. *)
   let timer_now () =
     Int64.logand (Int64.shift_right_logical (Funcfirst.current_cycles ff) 10) 0xFFL
   in
-  let budget64 = Int64.of_int budget in
   let speculation_stopped = ref false in
   while
-    (Int64.compare !retired budget64 < 0)
-    && not (Queue.is_empty queue && (st.halted || !speculation_stopped))
+    !retired < budget
+    && not (!pending = 0 && (st.halted || !speculation_stopped))
   do
     (* fill the speculative window *)
-    while Queue.length queue < config.window && not st.halted do
-      iface.run_one scratch;
-      if scratch.fault = None || st.halted then ();
-      if Queue.length queue < config.window then
-        Queue.add (Specsim.Di.copy scratch) queue
+    while !pending < window && not st.halted do
+      iface.run_one ring.((!head + !pending) mod window);
+      incr pending
     done;
     speculation_stopped := st.halted;
     (* timing simulator consumes the oldest instruction *)
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some di ->
+    if !pending > 0 then begin
+      let di = ring.(!head) in
+      head := (!head + 1) mod window;
+      decr pending;
       Funcfirst.consume ff di;
       let is_timer_load =
         di.instr_index >= 0
         && kinds.(di.instr_index).is_load
-        && Int64.equal (Specsim.Di.get di ea_slot) config.timer_addr
+        && Int64.equal (get64 di.info ea_off) config.timer_addr
       in
       let diverged =
         is_timer_load
@@ -89,21 +97,22 @@ let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
       if diverged then begin
         (* undo this instruction and everything younger, fix the value,
            re-execute *)
-        rollbacks := Int64.add !rollbacks 1L;
+        incr rollbacks;
         Specsim.Iface.rollback_di iface di;
         Machine.Memory.write st.mem ~addr:config.timer_addr ~width:4
           (timer_now ());
-        Queue.clear queue;
+        pending := 0;
         speculation_stopped := false
       end
-      else retired := Int64.add !retired 1L
+      else incr retired
+    end
   done;
   let cycles = Funcfirst.current_cycles ff in
   {
-    instructions = !retired;
-    rollbacks = !rollbacks;
+    instructions = Int64.of_int !retired;
+    rollbacks = Int64.of_int !rollbacks;
     cycles;
     ipc =
       (if Int64.equal cycles 0L then 0.
-       else Int64.to_float !retired /. Int64.to_float cycles);
+       else float_of_int !retired /. Int64.to_float cycles);
   }

@@ -12,9 +12,10 @@
 
     Beyond the paper's register + PC comparison, this checker also:
 
-    - compares {e memories} via sparse page digests every
-      [mem_check_interval] instructions (and once at the end of the run),
-      so a memory-corrupting bug is detected within a bounded latency and
+    - compares {e memories} page by page
+      ({!Machine.Memory.equal_contents}) every [mem_check_interval]
+      instructions (and once at the end of the run), so a
+      memory-corrupting bug is detected within a bounded latency and
       {e repaired} rather than silently persisting;
     - treats halt/fault divergence (the timing simulator faulting or
       exiting when the functional simulator did not, or vice versa) as a
@@ -101,8 +102,10 @@ let run ?(bug = fun (_ : Machine.State.t) (_ : Specsim.Di.t) -> ())
   let retired = ref 0 in
   let last_mem_check = ref 0 in
   let tst = (!timing).st and cst = checker.st in
-  (* Memory digests are the checker's one potentially-expensive compare;
-     when observed, each one is timed (the "digest time" attribution).
+  (* The memory comparison is the checker's one potentially-expensive
+     step; when observed, each one is counted in [checker.mem_digests]
+     and timed in [checker.mem_digest_ns]. The names date from when the
+     check hashed both memories; they count and time page comparisons.
      The comparison closure is selected once — unobserved runs keep the
      direct call. *)
   let mem_digests = ref 0 in
@@ -133,8 +136,8 @@ let run ?(bug = fun (_ : Machine.State.t) (_ : Specsim.Di.t) -> ())
     && Machine.Memory.equal_contents tst.mem cst.mem
   in
   (* Direct repair: reload the timing machine's architectural state from
-     the functional simulator. Memory is copied only when the digests
-     disagree (the common register-divergence case keeps O(regs) cost). *)
+     the functional simulator. Memory is copied only when the memories
+     differ (the common register-divergence case keeps O(regs) cost). *)
   let repair () =
     Machine.Regfile.blit ~src:cst.regs ~dst:tst.regs;
     tst.pc <- cst.pc;

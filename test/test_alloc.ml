@@ -181,6 +181,157 @@ let test_observed_run t () =
           t.tname bs w)
     [ "one_all"; "step_all" ]
 
+(* ------------------------------------------------------------------ *)
+(* The timing layer                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The first [n] dynamic instructions of sort on [iface], each in its own
+   record. *)
+let first_dis (iface : Specsim.Iface.t) n =
+  Array.init n (fun _ ->
+      let di = Specsim.Di.create ~info_slots:iface.slots.di_size in
+      iface.run_one di;
+      di)
+
+let test_timing_calls () =
+  let l = Workload.load Workload.alpha ~buildset:"one_decode" sort.program in
+  let dis = first_dis l.iface 1024 in
+  let kinds = Specsim.Classify.of_spec l.iface.spec in
+  let some f =
+    Array.exists
+      (fun (di : Specsim.Di.t) -> di.instr_index >= 0 && f kinds.(di.instr_index))
+      dis
+  in
+  Alcotest.(check bool) "loads, stores and branches consumed" true
+    (some (fun k -> k.is_load) && some (fun k -> k.is_store)
+    && some (fun k -> k.is_branch));
+  let ff = Timing.Funcfirst.create l.iface in
+  let w =
+    words_per (fun () ->
+        for i = 0 to Array.length dis - 1 do
+          Timing.Funcfirst.consume ff dis.(i)
+        done)
+  in
+  if w > 0.01 then Alcotest.failf "Funcfirst.consume: %.2f words per call" (w /. 1024.);
+  (* hits and misses in every set *)
+  let c = Timing.Cache.create Timing.Cache.l1d_default in
+  let w =
+    words_per (fun () ->
+        for a = 0 to 255 do
+          ignore (Timing.Cache.latency c (a * 4160))
+        done)
+  in
+  if w > 0.01 then Alcotest.failf "Cache.latency: %.2f words per call" (w /. 256.);
+  let p = Timing.Predictor.create (Timing.Predictor.Gshare 12) in
+  let w =
+    words_per (fun () ->
+        for i = 0 to Array.length dis - 1 do
+          ignore (Timing.Predictor.update p ~pc:dis.(i).pc ~taken:(i land 3 <> 0))
+        done)
+  in
+  if w > 0.01 then Alcotest.failf "Predictor.update: %.2f words per call" (w /. 1024.)
+
+(* [i] with the minor words its engine calls allocate added up in
+   [engine.(0)] ([Gc.minor_words] returns an unboxed float, and a float
+   array stores one unboxed, so the tally allocates nothing). *)
+let metered (i : Specsim.Iface.t) (engine : float array) =
+  {
+    i with
+    run_one =
+      (fun di ->
+        let w0 = Gc.minor_words () in
+        i.run_one di;
+        engine.(0) <- engine.(0) +. (Gc.minor_words () -. w0));
+    run_block =
+      (fun () ->
+        let w0 = Gc.minor_words () in
+        let r = i.run_block () in
+        engine.(0) <- engine.(0) +. (Gc.minor_words () -. w0);
+        r);
+    step =
+      (fun di k ->
+        let w0 = Gc.minor_words () in
+        i.step di k;
+        engine.(0) <- engine.(0) +. (Gc.minor_words () -. w0));
+    retire =
+      (fun di ->
+        let w0 = Gc.minor_words () in
+        i.retire di;
+        engine.(0) <- engine.(0) +. (Gc.minor_words () -. w0));
+  }
+
+(* Minor words per instruction of an organization's whole run on sort,
+   and the part its engine calls allocated, measured on a second run as
+   [per_instr_words] does; per instruction the last interface retires.
+   The engine's part is the same interfaces driven bare, call for call:
+   a separate bare drive would miss the wrong-path fetches and decodes
+   Directed makes. *)
+let org_words (t : Workload.target) bss run =
+  let engine = [| 0. |] in
+  let ifaces =
+    List.map
+      (fun bs -> metered (Workload.load t ~buildset:bs sort.program).iface engine)
+      bss
+  in
+  run ifaces;
+  List.iter
+    (fun (i : Specsim.Iface.t) ->
+      Machine.Memory.clear i.st.mem;
+      ignore (Workload.load_image t sort.program i.st))
+    ifaces;
+  engine.(0) <- 0.;
+  let w0 = Gc.minor_words () in
+  run ifaces;
+  let w = Gc.minor_words () -. w0 in
+  let n = Int64.to_float (List.nth ifaces (List.length ifaces - 1)).st.instr_count in
+  (w /. n, engine.(0) /. n)
+
+let funcfirst = function
+  | [ i ] -> ignore (Timing.Funcfirst.run (Timing.Funcfirst.create i) ~budget:max_int)
+  | _ -> assert false
+
+(* Each organization on the interfaces it runs on in the ledger. What a
+   run allocates outside its engine calls is the timing model's: per-run
+   set-up (instruction classes, caches, DI records, the checker's
+   checkpoints) and Timingfirst's memory comparison every 64
+   instructions, but nothing per instruction. On sort's 15-20k
+   instructions that is 0.4-0.8 words per instruction, 1.3 for
+   Timingfirst; a model that boxes a counter or builds a list per
+   instruction adds 2 or more. *)
+let slack = 1.5
+
+let organizations =
+  [
+    ("funcfirst", [ "one_decode" ], funcfirst);
+    ("funcfirst_block", [ "block_decode" ], funcfirst);
+    ( "directed",
+      [ "step_all" ],
+      function
+      | [ i ] -> ignore (Timing.Directed.run i ~budget:max_int)
+      | _ -> assert false );
+    ( "specff",
+      [ "one_decode_spec" ],
+      function
+      | [ i ] -> ignore (Timing.Specff.run i ~budget:max_int)
+      | _ -> assert false );
+    ( "timingfirst",
+      [ "one_min"; "one_min" ],
+      function
+      | [ timing; checker ] ->
+        ignore (Timing.Timingfirst.run ~timing ~checker ~budget:max_int ())
+      | _ -> assert false );
+  ]
+
+let test_timing_runs t () =
+  List.iter
+    (fun (name, bss, run) ->
+      let w, engine = org_words t bss run in
+      if w -. engine > slack then
+        Alcotest.failf
+          "%s %s: %.2f minor words per instruction, %.2f of them in engine calls"
+          t.Workload.tname name w engine)
+    organizations
+
 let suite =
   List.map
     (fun ((name, _) as s) -> Alcotest.test_case name `Quick (test_shape s))
@@ -198,4 +349,9 @@ let suite =
         (test_observed_run Workload.alpha);
       Alcotest.test_case "observed runs: riscv" `Quick
         (test_observed_run Workload.riscv);
+      Alcotest.test_case "timing calls" `Quick test_timing_calls;
+      Alcotest.test_case "timing runs: alpha" `Quick
+        (test_timing_runs Workload.alpha);
+      Alcotest.test_case "timing runs: riscv" `Quick
+        (test_timing_runs Workload.riscv);
     ]

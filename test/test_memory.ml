@@ -138,6 +138,86 @@ let prop_isolation =
       Int64.equal (Memory.read m ~addr:aa ~width:8) va
       && Int64.equal (Memory.read m ~addr:ab ~width:8) vb)
 
+(* ------------------------------------------------------------------ *)
+(* Comparing memories                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Random page sets: byte writes into pages 0-7, with offsets biased to
+   a page's first and last byte. *)
+let addr_gen =
+  QCheck.Gen.(
+    map2
+      (fun page off -> Int64.of_int ((page * Memory.page_size) + off))
+      (int_bound 7)
+      (frequency
+         [ (1, return 0); (2, return (Memory.page_size - 1)); (5, int_bound (Memory.page_size - 1)) ]))
+
+let writes_gen = QCheck.Gen.(list_size (int_bound 24) (pair addr_gen (int_bound 255)))
+
+let memory_of ?(touch = []) writes =
+  let m = Memory.create Little in
+  List.iter (fun (a, v) -> Memory.write_byte m a v) writes;
+  (* a read of a fresh page allocates it, all zero *)
+  List.iter (fun a -> ignore (Memory.read_byte m a)) touch;
+  m
+
+let print_writes =
+  QCheck.Print.(list (pair (fun a -> Printf.sprintf "0x%Lx" a) int))
+
+(* Property: [equal_contents] agrees with comparing digests, on pairs
+   that are equal about half the time (the second memory repeats the
+   first one's writes, maybe plus a few of its own, and touches other
+   pages). *)
+let prop_equal_digest =
+  QCheck.Test.make ~name:"equal_contents agrees with digests" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(triple print_writes print_writes (list (fun a -> Int64.to_string a)))
+       QCheck.Gen.(
+         triple writes_gen
+           (frequency [ (1, return []); (1, list_size (int_range 1 3) (pair addr_gen (int_bound 255))) ])
+           (list_size (int_bound 3) addr_gen)))
+    (fun (w, extra, touch) ->
+      let a = memory_of w and b = memory_of ~touch (w @ extra) in
+      let same = Int64.equal (Memory.digest a) (Memory.digest b) in
+      Bool.equal (Memory.equal_contents a b) same
+      && Bool.equal (Memory.equal_contents b a) same)
+
+(* Property: an all-zero page equals an absent one, on either side,
+   whether it was allocated by a read or by writing zeros. *)
+let prop_zero_page_absent =
+  QCheck.Test.make ~name:"all-zero page equals absent page" ~count:300
+    (QCheck.make ~print:QCheck.Print.(pair print_writes (fun a -> Int64.to_string a))
+       QCheck.Gen.(pair writes_gen addr_gen))
+    (fun (w, extra) ->
+      let a = memory_of w in
+      let zero_page = Int64.add (Int64.of_int (8 * Memory.page_size)) extra in
+      let read = memory_of ~touch:[ zero_page ] w
+      and written = memory_of (w @ [ (zero_page, 0) ]) in
+      Memory.page_count read > Memory.page_count a
+      && Memory.equal_contents a read && Memory.equal_contents read a
+      && Memory.equal_contents a written && Memory.equal_contents written a)
+
+(* Property: one flipped byte anywhere is caught, from either side,
+   including a page's last byte and a byte on a page only one side
+   holds. *)
+let prop_flip_caught =
+  QCheck.Test.make ~name:"one flipped byte is caught" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(triple print_writes (fun a -> Int64.to_string a) int)
+       QCheck.Gen.(triple writes_gen addr_gen (int_range 1 255)))
+    (fun (w, addr, x) ->
+      let a = memory_of w and b = memory_of w in
+      Memory.write_byte b addr (Memory.read_byte b addr lxor x);
+      (not (Memory.equal_contents a b)) && not (Memory.equal_contents b a))
+
+let test_flip_last_byte () =
+  let a = memory_of [ (0x1000L, 7) ] and b = memory_of [ (0x1000L, 7) ] in
+  Memory.write_byte b 0x1FFFL 1;
+  Alcotest.(check bool) "last byte of a page differs" false
+    (Memory.equal_contents a b);
+  Memory.write_byte a 0x1FFFL 1;
+  Alcotest.(check bool) "then agrees" true (Memory.equal_contents a b)
+
 let suite =
   [
     Alcotest.test_case "zero initial" `Quick test_zero_initial;
@@ -151,4 +231,8 @@ let suite =
     Alcotest.test_case "code-write hooks" `Quick test_code_write_hook;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_isolation;
+    Alcotest.test_case "flipped last byte" `Quick test_flip_last_byte;
+    QCheck_alcotest.to_alcotest prop_equal_digest;
+    QCheck_alcotest.to_alcotest prop_zero_page_absent;
+    QCheck_alcotest.to_alcotest prop_flip_caught;
   ]

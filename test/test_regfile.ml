@@ -71,6 +71,54 @@ let prop_flat_agrees =
       Regfile.write_flat r flat v;
       Int64.equal (Regfile.read r ~cls ~idx) (Regfile.read_flat r flat))
 
+(* Property: [equal] on files with equal contents (all zero) is
+   layout equality: a layout that differs in one class's name, count,
+   width or hardwired zero compares unequal, also when the totals, and
+   so the content bytes, match. *)
+let prop_equal_layout =
+  let mutate (l : Regfile.class_def list) k =
+    List.mapi
+      (fun i (c : Regfile.class_def) ->
+        if i <> k / 4 mod List.length l then c
+        else
+          match k mod 4 with
+          | 0 -> { c with cname = c.cname ^ "x" }
+          | 1 -> { c with count = c.count + 1 }
+          | 2 -> { c with width = (if c.width = 64 then 32 else 64) }
+          | _ ->
+            {
+              c with
+              hardwired_zero = (if c.hardwired_zero = None then Some 0 else None);
+            })
+      l
+  in
+  let layout =
+    QCheck.Gen.(
+      list_size (int_range 1 3)
+        (triple (int_range 1 8) (oneofl [ 32; 64 ]) bool)
+      >|= List.mapi (fun i (count, width, hz) ->
+              {
+                Regfile.cname = Printf.sprintf "C%d" i;
+                count;
+                width;
+                hardwired_zero = (if hz then Some 0 else None);
+              }))
+  in
+  QCheck.Test.make ~name:"equal compares layouts when contents agree" ~count:300
+    QCheck.(pair (make layout) (int_bound 11))
+    (fun (l, k) ->
+      let m = mutate l k in
+      (* the same total in two classes: only the split differs *)
+      let split =
+        match l with
+        | [ c ] when c.count > 1 ->
+          [ { c with count = 1 }; { c with cname = "D"; count = c.count - 1 } ]
+        | _ -> m
+      in
+      Regfile.equal (Regfile.create l) (Regfile.create l)
+      && (not (Regfile.equal (Regfile.create l) (Regfile.create m)))
+      && not (Regfile.equal (Regfile.create split) (Regfile.create l)))
+
 let suite =
   [
     Alcotest.test_case "layout" `Quick test_layout;
@@ -80,4 +128,5 @@ let suite =
     Alcotest.test_case "bad class defs" `Quick test_bad_class_defs;
     Alcotest.test_case "copy/blit/equal" `Quick test_copy_blit_equal;
     QCheck_alcotest.to_alcotest prop_flat_agrees;
+    QCheck_alcotest.to_alcotest prop_equal_layout;
   ]
