@@ -14,10 +14,12 @@
 
     Completions flow through a mutex-guarded queue of task indices; the
     result payload rides in a plain array, published by the queue's
-    mutex ordering. Task exceptions are captured with their backtraces
-    and re-raised on the collector once the batch has fully drained —
-    never mid-batch, so the journal keeps every completed case even
-    when a sibling case dies. *)
+    mutex ordering. A pool of one has no deques in play and no queue:
+    the collector runs task [k] itself when it is ready for completion
+    [k]. Task exceptions are captured with their backtraces and
+    re-raised on the collector once the batch has fully drained — never
+    mid-batch, so the journal keeps every completed case even when a
+    sibling case dies. *)
 
 module Deque = Deque
 
@@ -100,7 +102,8 @@ let create ?jobs:(n = Domain.recommended_domain_count ()) () =
       domains = [||];
     }
   in
-  t.domains <- Array.init n (fun slot -> Domain.spawn (fun () -> worker t slot));
+  if n > 1 then
+    t.domains <- Array.init n (fun slot -> Domain.spawn (fun () -> worker t slot));
   t
 
 let run (type w a) t ~(workers : w array) ~(tasks : (w -> a) array)
@@ -116,41 +119,58 @@ let run (type w a) t ~(workers : w array) ~(tasks : (w -> a) array)
       "per-worker state array must match the fleet size";
   if n > 0 then begin
     let results = Array.make n (Raised (Exit, Printexc.get_callstack 0)) in
-    let thunk k slot =
-      (results.(k) <-
+    let exec k slot =
+      results.(k) <-
         (try Ret (tasks.(k) workers.(slot))
-         with exn -> Raised (exn, Printexc.get_raw_backtrace ())));
-      Mutex.lock t.done_lock;
-      Queue.push k t.done_q;
-      Condition.signal t.done_cond;
-      Mutex.unlock t.done_lock
+         with exn -> Raised (exn, Printexc.get_raw_backtrace ()))
     in
-    (* wait out any stragglers of the previous batch, then hand off *)
     Mutex.lock t.lock;
     if t.stop then begin
       Mutex.unlock t.lock;
       Machine.Sim_error.raisef ~component:"fleet" "fleet is shut down"
     end;
-    while t.parked < t.n_jobs do
-      Condition.wait t.cond t.lock
-    done;
-    for k = n - 1 downto 0 do
-      Deque.push t.deques.(k mod t.n_jobs) (thunk k)
-    done;
-    t.parked <- 0;
-    t.epoch <- t.epoch + 1;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.lock;
+    (* [next i] yields the task index of the [i]-th completion *)
+    let next =
+      if t.n_jobs = 1 then begin
+        Mutex.unlock t.lock;
+        fun k ->
+          exec k 0;
+          k
+      end
+      else begin
+        let thunk k slot =
+          exec k slot;
+          Mutex.lock t.done_lock;
+          Queue.push k t.done_q;
+          Condition.signal t.done_cond;
+          Mutex.unlock t.done_lock
+        in
+        (* wait out any stragglers of the previous batch, then hand off *)
+        while t.parked < t.n_jobs do
+          Condition.wait t.cond t.lock
+        done;
+        for k = n - 1 downto 0 do
+          Deque.push t.deques.(k mod t.n_jobs) (thunk k)
+        done;
+        t.parked <- 0;
+        t.epoch <- t.epoch + 1;
+        Condition.broadcast t.cond;
+        Mutex.unlock t.lock;
+        fun _ ->
+          Mutex.lock t.done_lock;
+          while Queue.is_empty t.done_q do
+            Condition.wait t.done_cond t.done_lock
+          done;
+          let k = Queue.pop t.done_q in
+          Mutex.unlock t.done_lock;
+          k
+      end
+    in
     (* collect: exactly one completion per task *)
     let first_err = ref None in
     let complete_err = ref None in
-    for _ = 1 to n do
-      Mutex.lock t.done_lock;
-      while Queue.is_empty t.done_q do
-        Condition.wait t.done_cond t.done_lock
-      done;
-      let k = Queue.pop t.done_q in
-      Mutex.unlock t.done_lock;
+    for i = 0 to n - 1 do
+      let k = next i in
       match results.(k) with
       | Ret v -> (
         match !complete_err with
@@ -174,6 +194,12 @@ let map t ~workers ~tasks =
   let out = Array.make (Array.length tasks) None in
   run t ~workers ~tasks ~complete:(fun k v -> out.(k) <- Some v);
   Array.map Option.get out
+
+let with_states t ~caller ~fresh ~join f =
+  if t.n_jobs = 1 then f [| caller |]
+  else
+    let states = Array.init t.n_jobs (fun _ -> fresh ()) in
+    Fun.protect ~finally:(fun () -> Array.iter join states) (fun () -> f states)
 
 let shutdown t =
   Mutex.lock t.lock;

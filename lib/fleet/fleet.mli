@@ -12,6 +12,11 @@
     construction — reaching another domain's state is a type error, not
     a data race.
 
+    A pool of one spawns no domain: the collector is its only worker
+    and runs each task itself, in task order, consuming each completion
+    before it starts the next task. Every campaign driver runs this one
+    path, so [--jobs 1] is the same driver with no domain spawned.
+
     Exceptions raised by tasks are captured per task and re-raised on
     the collector after the batch drains (lowest task index first), so
     {!Machine.Sim_error} taxonomy and exit codes propagate unchanged. *)
@@ -21,8 +26,8 @@ module Deque = Deque
 type t
 
 (** [create ~jobs ()] spawns [jobs] worker domains (default
-    {!Domain.recommended_domain_count}), parked until the first batch.
-    [jobs] must be positive. *)
+    {!Domain.recommended_domain_count}), parked until the first batch —
+    none when [jobs] is 1. [jobs] must be positive. *)
 val create : ?jobs:int -> unit -> t
 
 val jobs : t -> int
@@ -30,11 +35,12 @@ val jobs : t -> int
 (** [run t ~workers ~tasks ~complete] executes every [tasks.(k)]
     exactly once on some worker, passing that worker's state, and calls
     [complete k result] on the calling domain as completions arrive
-    (completion order is schedule-dependent; [k] is the task index).
-    [workers] must have length [jobs t]. Returns when every task has
-    completed and every completion has been consumed; if tasks raised,
-    the exception of the lowest-indexed raising task is re-raised here
-    (after all completions of successful tasks were delivered). *)
+    (completion order is schedule-dependent, and task order in a pool
+    of one; [k] is the task index). [workers] must have length
+    [jobs t]. Returns when every task has completed and every
+    completion has been consumed; if tasks raised, the exception of the
+    lowest-indexed raising task is re-raised here (after all
+    completions of successful tasks were delivered). *)
 val run :
   t ->
   workers:'w array ->
@@ -44,6 +50,20 @@ val run :
 
 (** [map t ~workers ~tasks] — {!run} collecting results by task index. *)
 val map : t -> workers:'w array -> tasks:('w -> 'a) array -> 'a array
+
+(** [with_states t ~caller ~fresh ~join f] runs [f] on the per-worker
+    states for {!run}, chosen by one rule. A pool of one runs its tasks
+    on the calling domain, so its worker state is [caller] itself and
+    every update is visible there at once. Each worker of a larger pool
+    gets its own [fresh ()], and [join] folds each one back, in worker
+    order, when [f] returns or raises. *)
+val with_states :
+  t ->
+  caller:'w ->
+  fresh:(unit -> 'w) ->
+  join:('w -> unit) ->
+  ('w array -> 'b) ->
+  'b
 
 (** Stop and join all worker domains. The pool is unusable afterwards. *)
 val shutdown : t -> unit

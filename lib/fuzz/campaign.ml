@@ -49,150 +49,7 @@ let degrade_session ?obs ?stats (cfg : Oracle.config) spec ~buildset tc
   in
   Super.Degrade.run ?deadline ~slice:64 ~budget:cfg.max_instrs session
 
-(* The one-core driver loop, kept verbatim as the [--jobs 1] path: its
-   journal bytes, quarantine names and stats are the reference output a
-   parallel run must reproduce. *)
-let run_seq ~cfg ?obs ?stats ?metrics ~super ~isa ~seed ~budget ~journal
-    ~quarantine ~resume () : report =
-  let spec = Driver.spec_of_isa isa in
-  let cx = Gen.make_ctx ~isa spec in
-  (* one synthesis cache for every oracle execution of the campaign *)
-  let cache = Specsim.Synth.cache spec in
-  let view =
-    if resume then Super.Journal.load ~path:journal
-    else Super.Journal.empty_view ()
-  in
-  let q = Super.Quarantine.create ~dir:quarantine in
-  let w =
-    Super.Journal.open_ ~path:journal
-      ~meta:
-        [
-          ("campaign", Obs.Export.Str "fuzz");
-          ("isa", Obs.Export.Str isa);
-          ("seed", Obs.Export.Str (Printf.sprintf "0x%Lx" seed));
-          ("budget", Obs.Export.Int (Int64.of_int budget));
-        ]
-  in
-  let scfg = { super with Super.Supervisor.seed } in
-  (* the context the metrics series samples: the campaign's own when
-     instrumented, otherwise an empty stand-in (timestamps still flow) *)
-  let mobs = match obs with Some o -> o | None -> Obs.create () in
-  (* a profiler on the campaign context is shared into every oracle
-     candidate boot, accumulating one campaign-wide region table *)
-  let prof = mobs.Obs.prof in
-  let tick_metrics () =
-    match metrics with Some m -> Obs.metrics_tick m mobs | None -> ()
-  in
-  let execs = ref 0 in
-  let programs = ref 0 in
-  let cases = ref 0 and skipped = ref 0 in
-  let clean = ref 0 and quarantined = ref 0 and gave_up = ref 0 in
-  let retries = ref 0 and demotions = ref 0 in
-  let index = ref 0 in
-  let quarantine_case ?digest ?level ~case ~attempts ~detail contents =
-    let path =
-      Super.Quarantine.put q ~name:(case ^ ".repro") ~contents
-    in
-    Option.iter
-      (fun s -> Obs.Registry.incr s.Super.Supervisor.s_quarantined)
-      stats;
-    incr quarantined;
-    Super.Journal.record w
-      (Super.Journal.entry ?digest ?level ~attempts
-         ~outcome:Super.Journal.Quarantined
-         ~detail:(detail ^ " -> " ^ path) case)
-  in
-  (try
-     while !execs < budget do
-       let tc = Gen.generate cx ~seed ~index:!index in
-       incr programs;
-       let tc_index = !index in
-       incr index;
-       List.iter
-         (fun bs ->
-           if !execs < budget then begin
-             incr execs;
-             let case = case_id ~isa ~seed ~index:tc_index ~buildset:bs in
-             if Super.Journal.is_complete view case then incr skipped
-             else begin
-               incr cases;
-               match
-                 Super.Supervisor.run_case ?stats scfg
-                   ~index:(Int64.of_int !execs)
-                   (fun ~deadline:_ ->
-                     Oracle.run_pair spec ?prof ~cache cfg tc ~buildset:bs)
-               with
-               | Super.Supervisor.Done (None, attempts) ->
-                 incr clean;
-                 retries := !retries + attempts - 1;
-                 Super.Journal.record w
-                   (Super.Journal.entry ~attempts ~outcome:Super.Journal.Pass
-                      case)
-               | Super.Supervisor.Done (Some d, attempts) ->
-                 retries := !retries + attempts - 1;
-                 (* shrink, persist, then prove graceful degradation *)
-                 let { Shrink.s_tc; s_tests = _ } =
-                   Shrink.shrink spec cfg ~buildset:bs tc
-                 in
-                 let r =
-                   degrade_session ?obs ?stats cfg spec ~buildset:bs s_tc
-                     ~deadline:None
-                 in
-                 demotions := !demotions + r.Super.Degrade.r_demotions;
-                 quarantine_case ~digest:r.Super.Degrade.r_digest
-                   ~level:r.Super.Degrade.r_final_level ~case ~attempts
-                   ~detail:(Oracle.pp_divergence d)
-                   (Repro.to_string cfg ~buildset:bs s_tc)
-               | Super.Supervisor.Gave_up (f, attempts) -> (
-                 retries := !retries + attempts - 1;
-                 match f.Super.Taxonomy.f_severity with
-                 | Super.Taxonomy.Deterministic ->
-                   (* deterministic crash: no verified divergence to
-                      shrink against, quarantine the testcase as-is *)
-                   quarantine_case ~case ~attempts
-                     ~detail:
-                       (f.Super.Taxonomy.f_kind ^ ": "
-                      ^ f.Super.Taxonomy.f_detail)
-                     (Repro.to_string cfg ~buildset:bs tc)
-                 | _ ->
-                   incr gave_up;
-                   Super.Journal.record w
-                     (Super.Journal.entry ~attempts
-                        ~outcome:Super.Journal.Gave_up
-                        ~detail:f.Super.Taxonomy.f_kind case))
-             end;
-             tick_metrics ()
-           end)
-         cfg.Oracle.buildsets
-     done
-   with exn ->
-     Super.Journal.close w;
-     raise exn);
-  Super.Journal.close w;
-  {
-    p_isa = isa;
-    p_programs = !programs;
-    p_execs = !execs;
-    p_cases = !cases;
-    p_skipped = !skipped;
-    p_clean = !clean;
-    p_quarantined = !quarantined;
-    p_gave_up = !gave_up;
-    p_retries = !retries;
-    p_demotions = !demotions;
-    p_torn = view.Super.Journal.v_torn;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Parallel path (domain fleet)                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Budget slot [k] of the sequential loop is (program [k / nbs],
-   buildset [k mod nbs]) — regenerating the program from
-   [Gen.case_seed (seed, k / nbs)] is pure, so any worker can own any
-   slot and the case set is schedule-independent. *)
-
-(* What a worker ships back for one executed case. Strings and scalars
+(* What a task ships back for one executed case. Strings and scalars
    only: every journal append and quarantine write happens on the
    collector, so the JSONL tail stays torn-safe and artifact naming is
    single-writer. *)
@@ -213,8 +70,24 @@ type case_out =
     }
   | C_gave_up of { cg_attempts : int; cg_kind : string }
 
-let run_fleet ~cfg ?obs ?stats ?metrics ~super fl ~isa ~seed ~budget ~journal
-    ~quarantine ~resume () : report =
+(** [metrics] attaches a periodic-telemetry series: it is ticked after
+    every executed case and once at the end, against the campaign's
+    observability context (registry counters, plus the profiler when
+    one is attached), so long campaigns emit durable wall-clock-interval
+    progress snapshots alongside the journal. Resumed slots do not
+    tick.
+
+    [fleet] spreads the case window over a domain {!Fleet} (default: a
+    pool of one, which runs every case on the calling domain in slot
+    order). Workers run cases against domain-local state and the
+    calling domain journals and quarantines completions, so the
+    quarantined-reproducer set, report and counter totals are the same
+    at every pool size (journal line {e order} follows completion
+    order). Counters reach [obs] and [stats] as each case runs in a pool
+    of one, and when the campaign ends in a larger one. *)
+let run ?(cfg = Oracle.default_config) ?obs ?stats ?metrics
+    ?(super = Super.Supervisor.default) ?(fleet = Fleet.create ~jobs:1 ())
+    ~isa ~seed ~budget ~journal ~quarantine ?(resume = false) () : report =
   (* Force every lazy this campaign touches on the collector, before
      fan-out: concurrent [Lazy.force] is undefined in OCaml 5. *)
   let spec = Driver.spec_of_isa isa in
@@ -235,6 +108,8 @@ let run_fleet ~cfg ?obs ?stats ?metrics ~super fl ~isa ~seed ~budget ~journal
         ]
   in
   let scfg = { super with Super.Supervisor.seed } in
+  (* the context the metrics series samples: the campaign's own when
+     instrumented, otherwise an empty stand-in (timestamps still flow) *)
   let mobs = match obs with Some o -> o | None -> Obs.create () in
   let tick_metrics () =
     match metrics with Some m -> Obs.metrics_tick m mobs | None -> ()
@@ -267,13 +142,9 @@ let run_fleet ~cfg ?obs ?stats ?metrics ~super fl ~isa ~seed ~budget ~journal
          ~detail:(detail ^ " -> " ^ path)
          case)
   in
-  (* each worker owns a synthesis cache, which never crosses domains *)
-  let workers =
-    Array.init (Fleet.jobs fl) (fun _ ->
-        (Super.Supervisor.worker_ctx ?obs ?stats (), Specsim.Synth.cache spec))
-  in
-  let task k ((ws : Super.Supervisor.worker_ctx), cache) : case_out =
-    let tc = Gen.generate cx ~seed ~index:(k / nbs) in
+  let task k ((ws : Super.Supervisor.worker_ctx), (dw : Driver.worker)) :
+      case_out =
+    let tc = Driver.program dw cx ~seed ~index:(k / nbs) in
     let bs = buildsets.(k mod nbs) in
     let prof =
       match ws.Super.Supervisor.wc_obs with
@@ -283,10 +154,12 @@ let run_fleet ~cfg ?obs ?stats ?metrics ~super fl ~isa ~seed ~budget ~journal
     match
       Super.Supervisor.run_case ?stats:ws.Super.Supervisor.wc_stats scfg
         ~index:(Int64.of_int (k + 1))
-        (fun ~deadline:_ -> Oracle.run_pair spec ?prof ~cache cfg tc ~buildset:bs)
+        (fun ~deadline:_ ->
+          Oracle.run_pair spec ?prof ~cache:dw.w_cache cfg tc ~buildset:bs)
     with
     | Super.Supervisor.Done (None, attempts) -> C_pass attempts
     | Super.Supervisor.Done (Some d, attempts) ->
+      (* shrink, persist, then prove graceful degradation *)
       let { Shrink.s_tc; s_tests = _ } =
         Shrink.shrink spec cfg ~buildset:bs tc
       in
@@ -307,6 +180,8 @@ let run_fleet ~cfg ?obs ?stats ?metrics ~super fl ~isa ~seed ~budget ~journal
     | Super.Supervisor.Gave_up (f, attempts) -> (
       match f.Super.Taxonomy.f_severity with
       | Super.Taxonomy.Deterministic ->
+        (* deterministic crash: no verified divergence to shrink
+           against, quarantine the testcase as-is *)
         C_det_crash
           {
             cd_attempts = attempts;
@@ -342,19 +217,16 @@ let run_fleet ~cfg ?obs ?stats ?metrics ~super fl ~isa ~seed ~budget ~journal
            ~outcome:Super.Journal.Gave_up ~detail:o.cg_kind case));
     tick_metrics ()
   in
-  let finish () =
-    Array.iter
-      (fun (ws, _) -> Super.Supervisor.join_worker_ctx ?obs ?stats ~into:mobs ws)
-      workers;
-    Super.Journal.close w
-  in
   (try
-     Fleet.run fl ~workers ~tasks:(Array.map (fun k -> task k) todo) ~complete;
-     tick_metrics ()
+     Super.Supervisor.with_worker_ctxs fleet ?obs ?stats (fun ctxs ->
+         Fleet.run fleet
+           ~workers:(Array.map (fun ws -> (ws, Driver.worker spec)) ctxs)
+           ~tasks:(Array.map task todo) ~complete)
    with exn ->
-     finish ();
+     Super.Journal.close w;
      raise exn);
-  finish ();
+  Super.Journal.close w;
+  tick_metrics ();
   {
     p_isa = isa;
     p_programs = (budget + nbs - 1) / nbs;
@@ -368,29 +240,6 @@ let run_fleet ~cfg ?obs ?stats ?metrics ~super fl ~isa ~seed ~budget ~journal
     p_demotions = !demotions;
     p_torn = view.Super.Journal.v_torn;
   }
-
-(** [metrics] attaches a periodic-telemetry series: after every budget
-    slot the series is ticked against the campaign's observability
-    context (registry counters, plus the profiler when one is attached),
-    so long campaigns emit durable wall-clock-interval progress
-    snapshots alongside the journal.
-
-    [fleet] spreads the case window over a domain {!Fleet}: workers run
-    cases against domain-local state and the calling domain journals and
-    quarantines completions, so the quarantined-reproducer set, report
-    and merged counter totals match the sequential run at the same seed
-    (journal line {e order} follows completion order). With no [fleet]
-    (or a one-domain one) the original sequential loop runs unchanged. *)
-let run ?(cfg = Oracle.default_config) ?obs ?stats ?metrics
-    ?(super = Super.Supervisor.default) ?fleet ~isa ~seed ~budget ~journal
-    ~quarantine ?(resume = false) () : report =
-  match fleet with
-  | Some fl when Fleet.jobs fl > 1 ->
-    run_fleet ~cfg ?obs ?stats ?metrics ~super fl ~isa ~seed ~budget ~journal
-      ~quarantine ~resume ()
-  | _ ->
-    run_seq ~cfg ?obs ?stats ?metrics ~super ~isa ~seed ~budget ~journal
-      ~quarantine ~resume ()
 
 let pp_report ppf (p : report) =
   Format.fprintf ppf

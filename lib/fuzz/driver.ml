@@ -24,35 +24,61 @@ type outcome = {
   o_shrink_tests : int;
 }
 
-(* Fleet search: the budget window is scanned in rounds of a few
-   programs' worth of slots; each slot regenerates its program from
-   [(seed, slot / n_buildsets)] — pure, so any worker can own any slot
-   — and the first divergence in slot order wins. The outcome (and its
-   reported execs/programs accounting) is exactly the sequential
-   hunt's; a round may merely execute a few slots past the hit. *)
-let hunt_fleet ~cfg fl ~isa ~seed ~budget : outcome =
+(* Budget slot [k] is (program [k / n_buildsets], buildset
+   [k mod n_buildsets]). A program is a pure function of
+   [(seed, k / n_buildsets)] ({!Gen.case_seed}), so any worker can own
+   any slot and the case set is schedule-independent. *)
+
+(** A campaign worker's domain-local state: its synthesis cache, and the
+    last program it generated — a worker that runs a program's slots
+    back to back (a pool of one runs them all that way) generates it
+    once. *)
+type worker = {
+  w_cache : Specsim.Synth.cache;
+  mutable w_last : (int * Gen.testcase) option;
+}
+
+let worker spec = { w_cache = Specsim.Synth.cache spec; w_last = None }
+
+(** [program w cx ~seed ~index] — program [index] of the campaign, from
+    [w]'s memo when it was the last one [w] generated. *)
+let program w cx ~seed ~index =
+  match w.w_last with
+  | Some (i, tc) when i = index -> tc
+  | _ ->
+    let tc = Gen.generate cx ~seed ~index in
+    w.w_last <- Some (index, tc);
+    tc
+
+(** [hunt ?cfg ?fleet ~isa ~seed ~budget ()] searches for a divergence,
+    stopping at the first one found (then shrinking it) or when [budget]
+    oracle executions are spent. The budget window is scanned over
+    [fleet] (default: a pool of one, on the calling domain) in rounds of
+    one program's slots per worker, and the first divergence in slot
+    order wins: the outcome and its execs/programs accounting are the
+    same at every pool size, and a round merely executes the rest of its
+    slots after the hit. *)
+let hunt ?(cfg = Oracle.default_config) ?(fleet = Fleet.create ~jobs:1 ())
+    ~isa ~seed ~budget () : outcome =
   let spec = spec_of_isa isa in
   let cx = Gen.make_ctx ~isa spec in
   let buildsets = Array.of_list cfg.Oracle.buildsets in
   let nbs = Array.length buildsets in
-  (* one synthesis cache per worker domain *)
-  let workers =
-    Array.init (Fleet.jobs fl) (fun _ -> Specsim.Synth.cache spec)
-  in
-  let chunk = nbs * max 2 (Fleet.jobs fl) in
+  let workers = Array.init (Fleet.jobs fleet) (fun _ -> worker spec) in
+  let chunk = nbs * Fleet.jobs fleet in
   let found = ref None in
   let base = ref 0 in
   while !found = None && !base < budget do
     let n = min chunk (budget - !base) in
     let results =
-      Fleet.map fl ~workers
+      Fleet.map fleet ~workers
         ~tasks:
           (Array.init n (fun i ->
                let k = !base + i in
-               fun cache ->
-                 let tc = Gen.generate cx ~seed ~index:(k / nbs) in
+               fun w ->
+                 let tc = program w cx ~seed ~index:(k / nbs) in
                  match
-                   Oracle.run_pair spec ~cache cfg tc
+                   Oracle.run_pair spec ~cache:w.w_cache cfg tc
                      ~buildset:buildsets.(k mod nbs)
                  with
                  | Some d -> Some (k, tc, d)
@@ -80,69 +106,12 @@ let hunt_fleet ~cfg fl ~isa ~seed ~budget : outcome =
     let d' =
       match Oracle.run_pair spec cfg s_tc ~buildset:bs with
       | Some d' -> d'
-      | None -> d
+      | None -> d (* cannot happen: shrinking preserves divergence *)
     in
     {
       o_isa = isa;
       o_programs = (k / nbs) + 1;
       o_execs = k + 1;
-      o_found = Some (tc, d);
-      o_shrunk = Some (s_tc, d');
-      o_shrink_tests = s_tests;
-    }
-
-(** [hunt ?cfg ?fleet ~isa ~seed ~budget ()] searches for a divergence,
-    stopping at the first one found (then shrinking it) or when [budget]
-    oracle executions are spent. [fleet] parallelizes the search over a
-    domain pool; the outcome is identical to the sequential scan. *)
-let hunt ?(cfg = Oracle.default_config) ?fleet ~isa ~seed ~budget () : outcome
-    =
-  match fleet with
-  | Some fl when Fleet.jobs fl > 1 -> hunt_fleet ~cfg fl ~isa ~seed ~budget
-  | _ ->
-  let spec = spec_of_isa isa in
-  let cx = Gen.make_ctx ~isa spec in
-  let cache = Specsim.Synth.cache spec in
-  let execs = ref 0 in
-  let programs = ref 0 in
-  let found = ref None in
-  let index = ref 0 in
-  while !found = None && !execs < budget do
-    let tc = Gen.generate cx ~seed ~index:!index in
-    incr programs;
-    incr index;
-    List.iter
-      (fun bs ->
-        if !found = None && !execs < budget then begin
-          incr execs;
-          match Oracle.run_pair spec ~cache cfg tc ~buildset:bs with
-          | Some d -> found := Some (tc, d)
-          | None -> ()
-        end)
-      cfg.Oracle.buildsets
-  done;
-  match !found with
-  | None ->
-    {
-      o_isa = isa;
-      o_programs = !programs;
-      o_execs = !execs;
-      o_found = None;
-      o_shrunk = None;
-      o_shrink_tests = 0;
-    }
-  | Some (tc, d) ->
-    let bs = d.Oracle.d_buildset in
-    let { Shrink.s_tc; s_tests } = Shrink.shrink spec cfg ~buildset:bs tc in
-    let d' =
-      match Oracle.run_pair spec ~cache cfg s_tc ~buildset:bs with
-      | Some d' -> d'
-      | None -> d (* cannot happen: shrinking preserves divergence *)
-    in
-    {
-      o_isa = isa;
-      o_programs = !programs;
-      o_execs = !execs;
       o_found = Some (tc, d);
       o_shrunk = Some (s_tc, d');
       o_shrink_tests = s_tests;

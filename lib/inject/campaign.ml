@@ -276,27 +276,56 @@ let register_obs (reports : report list) (obs : Obs.t) =
   set "inject.rollback_trials" (sum (fun r -> r.r_rollback_trials));
   set "inject.rollback_exact" (sum (fun r -> r.r_rollback_exact))
 
-(** [run ?isas ?kernel ?obs cfg] — one cell per requested ISA. [obs]
-    instruments the checker of every cell and, at the end, exports the
-    aggregate "inject.*" detection counters. *)
+(** [find_kernel name] — the test-suite kernel a campaign runs.
+    @raise Machine.Sim_error.Error (component ["inject"]) when unknown. *)
+let find_kernel name =
+  match
+    List.find_opt
+      (fun (k : Vir.Kernels.sized) -> String.equal k.kname name)
+      Vir.Kernels.test_suite
+  with
+  | Some k -> k
+  | None ->
+    Machine.Sim_error.raisef ~component:"inject"
+      ~context:[ ("kernel", name) ]
+      "unknown campaign kernel"
+
+(** [targets isas] — the workload target of each ISA, with its spec
+    forced here, before any fan-out: concurrent [Lazy.force] is
+    undefined in OCaml 5. *)
+let targets isas =
+  Array.of_list
+    (List.map
+       (fun isa ->
+         let t = Workload.find_target isa in
+         ignore (Lazy.force t.Workload.spec);
+         t)
+       isas)
+
+(** [run ?isas ?kernel ?obs ?fleet cfg] — one cell per requested ISA,
+    in [isas] order. [obs] instruments the checker of every cell and,
+    at the end, exports the aggregate "inject.*" detection counters.
+    [fleet] spreads the cells over a domain pool (default: a pool of
+    one, on the calling domain); a worker on another domain counts into
+    its own {!Obs.mirror}, merged back when the cells finish. *)
 let run ?(isas = [ "alpha"; "arm"; "ppc" ]) ?(kernel = "sort") ?obs
-    (cfg : config) : report list =
-  let k =
-    match
-      List.find_opt
-        (fun (k : Vir.Kernels.sized) -> String.equal k.kname kernel)
-        Vir.Kernels.test_suite
-    with
-    | Some k -> k
-    | None ->
-      Machine.Sim_error.raisef ~component:"inject"
-        ~context:[ ("kernel", kernel) ]
-        "unknown campaign kernel"
-  in
+    ?(fleet = Fleet.create ~jobs:1 ()) (cfg : config) : report list =
+  let k = find_kernel kernel in
+  let targets = targets isas in
   let reports =
-    List.map (fun isa -> run_cell ?obs (Workload.find_target isa) ~kernel:k cfg) isas
+    Fleet.with_states fleet ~caller:obs
+      ~fresh:(fun () -> Option.map Obs.mirror obs)
+      ~join:(fun w ->
+        match (obs, w) with
+        | Some into, Some src -> Obs.merge ~into src
+        | _ -> ())
+      (fun workers ->
+        Fleet.map fleet ~workers
+          ~tasks:
+            (Array.map (fun t wobs -> run_cell ?obs:wobs t ~kernel:k cfg) targets))
+    |> Array.to_list
   in
-  (match obs with Some o -> register_obs reports o | None -> ());
+  Option.iter (register_obs reports) obs;
   reports
 
 (* ------------------------------------------------------------------ *)

@@ -68,6 +68,17 @@ let profile_only ?prof () =
 let snapshot t = Registry.snapshot t.reg
 let events t = match t.ring with None -> [] | Some r -> Ring.to_list r
 
+(** [mirror t] — an empty context instrumented like [t]: full or
+    profile-only as [t] is, with a ring when [t] has one and a fresh
+    profiler of the same region size when [t] has one. A fleet worker
+    on another domain counts into its mirror, and {!merge} folds the
+    mirror back into [t] when the batch ends. *)
+let mirror t =
+  let prof =
+    Option.map (fun p -> Prof.create ~region_bits:(Prof.region_bits p) ()) t.prof
+  in
+  if t.full then create ~trace:(t.ring <> None) ?prof () else profile_only ?prof ()
+
 (** [merge ~into src] folds a worker context into a parent one — the
     join step after a parallel campaign, where every domain ran against
     its own private context. Counters and histograms combine exactly

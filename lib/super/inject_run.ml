@@ -28,22 +28,27 @@ type cell_out =
   | O_done of Inject.Campaign.report * int
   | O_gave_up of Taxonomy.failure * int
 
-(** [metrics] attaches a periodic-telemetry series, ticked once per cell
-    against the campaign's observability context (see
-    {!Fuzz.Campaign.run} for the contract — the caller owns open/close).
+(** [metrics] attaches a periodic-telemetry series, ticked once per
+    executed cell and once at the end against the campaign's
+    observability context (see {!Fuzz.Campaign.run} for the contract —
+    the caller owns open/close).
 
-    [fleet] spreads the per-ISA cells over a domain pool: each cell runs
-    against its worker's domain-local {!Obs} mirror (merged back at
-    join), the collector journals completions, and the returned cell
-    list stays in [isas] order. A one-domain fleet (or none) runs the
-    original sequential loop. *)
+    [fleet] spreads the per-ISA cells over a domain pool (default: a
+    pool of one, on the calling domain). Each cell counts into its
+    worker's context ({!Supervisor.with_worker_ctxs}), the collector
+    journals completions and exports each report's "inject.*" counters,
+    and the returned cell list stays in [isas] order. *)
 let run ?(isas = [ "alpha"; "arm"; "ppc" ]) ?(kernel = "sort") ?obs ?stats
-    ?metrics ?(super = Supervisor.default) ?fleet ~journal ~quarantine
-    ?(resume = false) (cfg : Inject.Campaign.config) : cell list =
+    ?metrics ?(super = Supervisor.default) ?(fleet = Fleet.create ~jobs:1 ())
+    ~journal ~quarantine ?(resume = false) (cfg : Inject.Campaign.config) :
+    cell list =
   let mobs = match obs with Some o -> o | None -> Obs.create () in
   let tick_metrics () =
     match metrics with Some m -> Obs.metrics_tick m mobs | None -> ()
   in
+  let targets = Inject.Campaign.targets isas in
+  let isas = Array.of_list isas in
+  let case_of i = case_id cfg ~isa:isas.(i) ~kernel in
   let view =
     if resume then Journal.load ~path:journal else Journal.empty_view ()
   in
@@ -59,128 +64,78 @@ let run ?(isas = [ "alpha"; "arm"; "ppc" ]) ?(kernel = "sort") ?obs ?stats
         ]
   in
   let scfg = { super with Supervisor.seed = cfg.seed } in
-  let skipped_cell isa case =
-    { c_isa = isa; c_case = case; c_skipped = true; c_report = None; c_failure = None }
-  in
-  (* The collector-side bookkeeping for one finished cell — identical on
-     the sequential and fleet paths, so journal bytes and quarantine
-     artifacts match. *)
-  let settle isa case out =
-    let cell =
-      match out with
-      | O_done (r, attempts) ->
-        Journal.record w
-          (Journal.entry ~attempts ~outcome:Journal.Pass
-             ~detail:
-               (Printf.sprintf "coverage %.3f, demotions %d"
-                  (Inject.Campaign.coverage r)
-                  r.Inject.Campaign.r_demotions)
-             case);
+  let cells =
+    Array.mapi
+      (fun i isa ->
         {
           c_isa = isa;
-          c_case = case;
-          c_skipped = false;
-          c_report = Some r;
-          c_failure = None;
-        }
-      | O_gave_up (f, attempts) ->
-        let outcome, detail =
-          match f.Taxonomy.f_severity with
-          | Taxonomy.Deterministic ->
-            let path =
-              Quarantine.put q ~name:(case ^ ".case")
-                ~contents:
-                  (Printf.sprintf "# %s\n%s" f.Taxonomy.f_detail
-                     (replay_command cfg ~isa ~kernel))
-            in
-            Option.iter
-              (fun s -> Obs.Registry.incr s.Supervisor.s_quarantined)
-              stats;
-            (Journal.Quarantined, f.Taxonomy.f_kind ^ " -> " ^ path)
-          | _ -> (Journal.Gave_up, f.Taxonomy.f_kind)
-        in
-        Journal.record w (Journal.entry ~attempts ~outcome ~detail case);
-        {
-          c_isa = isa;
-          c_case = case;
-          c_skipped = false;
+          c_case = case_of i;
+          c_skipped = true;
           c_report = None;
-          c_failure = Some f;
-        }
-    in
-    tick_metrics ();
-    cell
+          c_failure = None;
+        })
+      isas
   in
-  let run_one ?obs ?stats ~index isa =
+  let todo =
+    List.filter
+      (fun i -> not (Journal.is_complete view (case_of i)))
+      (List.init (Array.length isas) Fun.id)
+    |> Array.of_list
+  in
+  let task i (ws : Supervisor.worker_ctx) =
     match
-      Supervisor.run_case ?stats scfg ~index (fun ~deadline:_ ->
-          match Inject.Campaign.run ~isas:[ isa ] ~kernel ?obs cfg with
-          | [ r ] -> r
-          | rs -> List.hd rs)
+      Supervisor.run_case ?stats:ws.wc_stats scfg ~index:(Int64.of_int i)
+        (fun ~deadline:_ ->
+          Inject.Campaign.run_cell ?obs:ws.wc_obs targets.(i)
+            ~kernel:(Inject.Campaign.find_kernel kernel) cfg)
     with
     | Supervisor.Done (r, attempts) -> O_done (r, attempts)
     | Supervisor.Gave_up (f, attempts) -> O_gave_up (f, attempts)
   in
-  let cells =
-    match fleet with
-    | Some fl when Fleet.jobs fl > 1 ->
-      (* force every ISA's spec on the collector before fan-out:
-         concurrent [Lazy.force] is undefined in OCaml 5 *)
-      List.iter
-        (fun isa ->
-          ignore (Lazy.force (Workload.find_target isa).Workload.spec))
-        isas;
-      let isas = Array.of_list isas in
-      let todo =
-        Array.of_list
-          (List.filter
-             (fun i ->
-               not
-                 (Journal.is_complete view (case_id cfg ~isa:isas.(i) ~kernel)))
-             (List.init (Array.length isas) Fun.id))
+  (* the collector-side bookkeeping for one finished cell *)
+  let settle t out =
+    let i = todo.(t) in
+    let isa = isas.(i) and case = case_of i in
+    (match out with
+    | O_done (r, attempts) ->
+      Option.iter (Inject.Campaign.register_obs [ r ]) obs;
+      Journal.record w
+        (Journal.entry ~attempts ~outcome:Journal.Pass
+           ~detail:
+             (Printf.sprintf "coverage %.3f, demotions %d"
+                (Inject.Campaign.coverage r)
+                r.Inject.Campaign.r_demotions)
+           case);
+      cells.(i) <- { cells.(i) with c_skipped = false; c_report = Some r }
+    | O_gave_up (f, attempts) ->
+      let outcome, detail =
+        match f.Taxonomy.f_severity with
+        | Taxonomy.Deterministic ->
+          let path =
+            Quarantine.put q ~name:(case ^ ".case")
+              ~contents:
+                (Printf.sprintf "# %s\n%s" f.Taxonomy.f_detail
+                   (replay_command cfg ~isa ~kernel))
+          in
+          Option.iter
+            (fun s -> Obs.Registry.incr s.Supervisor.s_quarantined)
+            stats;
+          (Journal.Quarantined, f.Taxonomy.f_kind ^ " -> " ^ path)
+        | _ -> (Journal.Gave_up, f.Taxonomy.f_kind)
       in
-      let out =
-        Array.init (Array.length isas) (fun i ->
-            skipped_cell isas.(i) (case_id cfg ~isa:isas.(i) ~kernel))
-      in
-      let workers =
-        Array.init (Fleet.jobs fl) (fun _ -> Supervisor.worker_ctx ?obs ?stats ())
-      in
-      let finish () =
-        Array.iter (Supervisor.join_worker_ctx ?obs ?stats ~into:mobs) workers
-      in
-      (try
-         Fleet.run fl ~workers
-           ~tasks:
-             (Array.map
-                (fun i (ws : Supervisor.worker_ctx) ->
-                  run_one ?obs:ws.Supervisor.wc_obs
-                    ?stats:ws.Supervisor.wc_stats ~index:(Int64.of_int i)
-                    isas.(i))
-                todo)
-           ~complete:(fun t o ->
-             let i = todo.(t) in
-             out.(i) <- settle isas.(i) (case_id cfg ~isa:isas.(i) ~kernel) o)
-       with exn ->
-         finish ();
-         Journal.close w;
-         raise exn);
-      finish ();
-      Array.to_list out
-    | _ ->
-      List.mapi
-        (fun i isa ->
-          let case = case_id cfg ~isa ~kernel in
-          if Journal.is_complete view case then begin
-            let cell = skipped_cell isa case in
-            tick_metrics ();
-            cell
-          end
-          else settle isa case (run_one ?obs ?stats ~index:(Int64.of_int i) isa))
-        isas
+      Journal.record w (Journal.entry ~attempts ~outcome ~detail case);
+      cells.(i) <- { cells.(i) with c_skipped = false; c_failure = Some f });
+    tick_metrics ()
   in
+  (try
+     Supervisor.with_worker_ctxs fleet ?obs ?stats (fun workers ->
+         Fleet.run fleet ~workers ~tasks:(Array.map task todo) ~complete:settle)
+   with exn ->
+     Journal.close w;
+     raise exn);
   Journal.close w;
-  cells
+  tick_metrics ();
+  Array.to_list cells
 
 let pp_cells ppf (cells : cell list) =
   List.iter

@@ -59,30 +59,20 @@ let of_registry (reg : Obs.Registry.t) : stats =
 
 let unregistered () = of_registry (Obs.Registry.create ())
 
-(** Domain-local worker state for fleet-parallel campaign drivers: an
-    {!Obs} context mirroring the caller's instrumentation and
-    supervision counters registered on that worker's own registry.
-    Tasks receive only their executing worker's context, so a
-    cross-domain counter increment is unrepresentable — the campaign
-    joins workers back with {!join_worker_ctx} when the batch drains. *)
+(** Per-worker campaign instrumentation for a fleet batch: an {!Obs}
+    context and supervision counters. Tasks receive only their
+    executing worker's context, so a cross-domain counter increment is
+    unrepresentable. *)
 type worker_ctx = {
   wc_obs : Obs.t option;
   wc_stats : stats option;
 }
 
-let mirror_obs (o : Obs.t) =
-  let prof =
-    Option.map
-      (fun p -> Obs.Prof.create ~region_bits:(Obs.Prof.region_bits p) ())
-      o.Obs.prof
-  in
-  if o.Obs.full then Obs.create ~trace:(o.Obs.ring <> None) ?prof ()
-  else Obs.profile_only ?prof ()
-
-(** [worker_ctx ?obs ?stats ()] — a worker's private mirror of the
-    campaign instrumentation: present exactly when the caller's is. *)
-let worker_ctx ?obs ?stats () =
-  let wc_obs = Option.map mirror_obs obs in
+(* A worker's private mirror of the campaign instrumentation: present
+   exactly when the caller's is, with the supervision counters
+   registered on the mirror's own registry. *)
+let mirror_ctx ?obs ?stats () =
+  let wc_obs = Option.map Obs.mirror obs in
   let wc_stats =
     match stats with
     | None -> None
@@ -96,18 +86,15 @@ let worker_ctx ?obs ?stats () =
   in
   { wc_obs; wc_stats }
 
-(** [join_worker_ctx ?obs ?stats ~into ws] folds a worker's counters
-    back into the campaign's. With an [obs] context the whole worker
-    registry (super.* included, since worker stats register there)
-    merges in one {!Obs.merge} into [into]; with only [stats], the
-    supervision counters transfer field-by-field. Either way the totals
-    are exactly what one domain would have counted. *)
-let join_worker_ctx ?obs ?stats ~into (ws : worker_ctx) =
-  (match (obs, ws.wc_obs) with
-  | Some _, Some wo -> Obs.merge ~into wo
-  | _ -> ());
-  match (obs, stats, ws.wc_stats) with
-  | None, Some (d : stats), Some (s : stats) ->
+(* Fold a mirror back into the campaign's counters. With an [obs]
+   context the whole mirror registry (super.* included, since mirror
+   stats register there) merges in one {!Obs.merge}; with only
+   [stats], the supervision counters transfer field by field. Either
+   way the totals are exactly what one domain would have counted. *)
+let join_ctx ?obs ?stats (ws : worker_ctx) =
+  match (obs, stats, ws.wc_obs, ws.wc_stats) with
+  | Some o, _, Some wo, _ -> Obs.merge ~into:o wo
+  | None, Some (d : stats), _, Some (s : stats) ->
     let tr get = Obs.Registry.add (get d) (Obs.Registry.get (get s)) in
     tr (fun x -> x.s_cases);
     tr (fun x -> x.s_retries);
@@ -118,6 +105,16 @@ let join_worker_ctx ?obs ?stats ~into (ws : worker_ctx) =
     tr (fun x -> x.s_replays);
     tr (fun x -> x.s_slices)
   | _ -> ()
+
+(** [with_worker_ctxs fl ?obs ?stats f] runs [f] on the per-worker
+    contexts of a campaign batch over [fl], by {!Fleet.with_states}'s
+    rule: a pool of one counts straight into the caller's [obs] and
+    [stats], so counters and the metrics series are live; a larger pool
+    counts into per-worker mirrors, joined back when [f] ends. *)
+let with_worker_ctxs fl ?obs ?stats f =
+  Fleet.with_states fl
+    ~caller:{ wc_obs = obs; wc_stats = stats }
+    ~fresh:(mirror_ctx ?obs ?stats) ~join:(join_ctx ?obs ?stats) f
 
 type 'a outcome =
   | Done of 'a * int  (** result, attempts used *)

@@ -125,6 +125,38 @@ let test_kill_stride4 () =
   kill ~isa:"tiny" Specsim.Synth.Stride4 ~budget:64;
   kill ~isa:"riscv" Specsim.Synth.Stride4 ~budget:64
 
+(* The bare hunt has one driver at every pool size: a pool of one scans
+   on the calling domain, a larger pool in parallel rounds, and both
+   report the first divergence in slot order with the same accounting. *)
+let test_hunt_pool_parity () =
+  let cfg =
+    { Fuzz.Oracle.default_config with mutate = Some Specsim.Synth.Stride4 }
+  in
+  let hunt jobs =
+    Fleet.with_pool ~jobs (fun fleet ->
+        Fuzz.Driver.hunt ~cfg ~fleet ~isa:"tiny" ~seed:42L ~budget:50 ())
+  in
+  let o1 = hunt 1 and o4 = hunt 4 in
+  let shrunk (o : Fuzz.Driver.outcome) =
+    match o.o_shrunk with
+    | Some (tc, d) -> (tc.Fuzz.Gen.tc_code, Fuzz.Oracle.pp_divergence d)
+    | None -> Alcotest.fail "stride4 survived the hunt"
+  in
+  List.iter
+    (fun (label, (o : Fuzz.Driver.outcome)) ->
+      Alcotest.(check int) (label ^ ": divergence after 1 execution") 1
+        o.o_execs;
+      Alcotest.(check int) (label ^ ": in the first program") 1 o.o_programs;
+      Alcotest.(check int) (label ^ ": shrunk to 1 instruction") 1
+        (Array.length (fst (shrunk o)));
+      Alcotest.(check int) (label ^ ": in 3 shrink executions") 3
+        o.o_shrink_tests)
+    [ ("jobs 1", o1); ("jobs 4", o4) ];
+  Alcotest.(check (pair (array int64) string)) "same shrunk reproducer"
+    (shrunk o1) (shrunk o4);
+  Alcotest.(check bool) "same found testcase" true
+    (Option.map fst o1.o_found = Option.map fst o4.o_found)
+
 (* ----------------------------------------------------------------- *)
 (* Reproducer files                                                    *)
 (* ----------------------------------------------------------------- *)
@@ -238,4 +270,6 @@ let suite =
       test_repro_rejects_garbage;
     Alcotest.test_case "corpus replays to recorded verdicts" `Quick
       test_corpus_replay;
+    Alcotest.test_case "hunt: same outcome at pool sizes 1 and 4" `Quick
+      test_hunt_pool_parity;
   ]

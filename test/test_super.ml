@@ -422,6 +422,81 @@ let test_campaign_quarantines_defect () =
   Unix.rmdir quarantine;
   Sys.remove journal
 
+(* ----------------------------------------------------------------- *)
+(* Supervised injection campaign: pool sizes and resume                *)
+(* ----------------------------------------------------------------- *)
+
+let journal_lines path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let test_inject_run_pools_and_resume () =
+  let cfg =
+    { Inject.Campaign.default_config with seed = 42L; rate = 1e-3; budget = 20_000 }
+  in
+  (* not alphabetical: the cells must come back in [isas] order *)
+  let isas = [ "riscv"; "alpha"; "ppc" ] in
+  let run ~fleet ~journal ~quarantine ~resume =
+    let obs = Obs.create () in
+    let stats = Super.Supervisor.of_registry obs.Obs.reg in
+    let cells =
+      Super.Inject_run.run ~isas ~obs ~stats ~fleet ~journal ~quarantine
+        ~resume cfg
+    in
+    (cells, Obs.snapshot obs)
+  in
+  let campaign jobs =
+    Fleet.with_pool ~jobs (fun fleet ->
+        let journal = tmp_path (Printf.sprintf "inject-j%d-journal" jobs) in
+        let quarantine = tmp_path (Printf.sprintf "inject-j%d-quarantine" jobs) in
+        if Sys.file_exists journal then Sys.remove journal;
+        let cells, snap = run ~fleet ~journal ~quarantine ~resume:false in
+        let lines = journal_lines journal in
+        (* a rerun with resume skips every journaled cell *)
+        let resumed, _ = run ~fleet ~journal ~quarantine ~resume:true in
+        Alcotest.(check (list bool))
+          (Printf.sprintf "jobs %d: resume skips every cell" jobs)
+          [ true; true; true ]
+          (List.map (fun c -> c.Super.Inject_run.c_skipped) resumed);
+        Alcotest.(check int)
+          (Printf.sprintf "jobs %d: resume journals nothing" jobs)
+          (List.length lines)
+          (List.length (journal_lines journal));
+        Sys.remove journal;
+        let q = Super.Quarantine.create ~dir:quarantine in
+        List.iter (fun f -> Sys.remove (Filename.concat quarantine f))
+          (Super.Quarantine.list q);
+        Unix.rmdir quarantine;
+        (cells, snap, List.sort String.compare lines))
+  in
+  let cells1, snap1, lines1 = campaign 1 in
+  let cells4, snap4, lines4 = campaign 4 in
+  Alcotest.(check (list string)) "cells in isas order" isas
+    (List.map (fun c -> c.Super.Inject_run.c_isa) cells1);
+  Alcotest.(check bool) "every cell ran" true
+    (List.for_all (fun c -> c.Super.Inject_run.c_report <> None) cells1);
+  Alcotest.(check bool) "same cells at pool sizes 1 and 4" true
+    (cells1 = cells4);
+  Alcotest.(check (list string)) "same journal lines" lines1 lines4;
+  (* the inject.* export rides the collector at every pool size *)
+  let injected =
+    List.fold_left
+      (fun a c ->
+        a
+        + Option.fold ~none:0
+            ~some:(fun r -> r.Inject.Campaign.r_injected)
+            c.Super.Inject_run.c_report)
+      0 cells1
+  in
+  List.iter
+    (fun (label, snap) ->
+      Alcotest.(check (option int)) (label ^ ": inject.injected") (Some injected)
+        (Obs.Registry.find_int snap "inject.injected");
+      Alcotest.(check (option int)) (label ^ ": super.cases") (Some 3)
+        (Obs.Registry.find_int snap "super.cases"))
+    [ ("jobs 1", snap1); ("jobs 4", snap4) ]
+
 let suite =
   [
     Alcotest.test_case "failure taxonomy" `Quick test_taxonomy;
@@ -445,4 +520,6 @@ let suite =
       test_campaign_resume_no_case_twice;
     Alcotest.test_case "campaign quarantines a seeded defect" `Quick
       test_campaign_quarantines_defect;
+    Alcotest.test_case "inject campaign: pool sizes agree, resume skips" `Quick
+      test_inject_run_pools_and_resume;
   ]

@@ -284,6 +284,31 @@ for pair in tiny:50 riscv:24; do
   fi
 done
 
+echo "== super: journaled inject campaign must agree across --jobs and resume =="
+injdir=$(mktemp -d)
+trap 'rm -f "$tmp" "$flame" "$metrics"; rm -rf "$fuzzdir" "$superdir" "$fleetdir" "$injdir"' EXIT INT TERM
+for j in 1 2; do
+  dune exec bin/lisim.exe -- inject --isa all --seed 42 --rate 1e-3 \
+    --budget 50000 --jobs "$j" --journal "$injdir/j$j.jsonl" \
+    --quarantine "$injdir/q$j" >"$tmp"
+done
+if [ "$(sort "$injdir/j1.jsonl")" != "$(sort "$injdir/j2.jsonl")" ]; then
+  echo "FAIL: inject journal at --jobs 2 differs from --jobs 1" >&2
+  exit 1
+fi
+if ! dune exec bin/lisim.exe -- inject --isa all --seed 42 --rate 1e-3 \
+    --budget 50000 --journal "$injdir/j1.jsonl" --quarantine "$injdir/q1" \
+    --resume >"$tmp"; then
+  echo "FAIL: resumed inject campaign exited nonzero" >&2
+  cat "$tmp" >&2
+  exit 1
+fi
+if [ "$(grep -c "resumed from journal" "$tmp")" -ne 4 ]; then
+  echo "FAIL: inject --resume did not skip all 4 journaled cells" >&2
+  cat "$tmp" >&2
+  exit 1
+fi
+
 echo "== fleet: --jobs 0 must be rejected with exit 2 =="
 if dune exec bin/lisim.exe -- fuzz --isa tiny --budget 1 --jobs 0 \
     >/dev/null 2>"$tmp"; then
