@@ -1,28 +1,32 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Penry, ISPASS 2011).
+(* Benchmark harness: the experiments of the paper's evaluation (Penry,
+   ISPASS 2011) that the performance ledger does not measure.
 
-     dune exec bench/main.exe              -- everything, paper-vs-measured
+     dune exec bench/main.exe              -- every section
      dune exec bench/main.exe -- --quick   -- smaller budgets
-     dune exec bench/main.exe -- table2    -- a single experiment
-     dune exec bench/main.exe -- --bechamel -- Bechamel micro-benchmarks
+     dune exec bench/main.exe -- table1    -- a single section
 
-   Experiments: table1 table2 table3 dispatch fig1 fig24 ablation sampling
-   inject fuzz overhead supervision workload validate.
-   [--gate-profiler]
-   exits nonzero when the overhead section's profile-only overhead
-   exceeds its budget.
+   Sections: table1 fig1 fig24 inject fleet overhead absint validate; an
+   unknown name exits 2. [--gate-profiler] exits nonzero when the
+   overhead section's profile-only overhead exceeds its budget.
+   [--jobs=N] makes the fleet section measure jobs 1 and N only.
+
+   Table II/III, the translation-cache and footnote-5 ablations,
+   sampling accuracy, fuzz and supervision throughput and the hostile
+   corpus are the ledger's (ledger/README.md): `ledger.exe tables`, the
+   end-to-end metrics of its four workloads and the per-layer metrics
+   of a traced run.
+
    Absolute numbers are host- and substrate-dependent; the reproduction
    targets are the *shapes*: which interface wins, by roughly what factor,
    and where the costs come from. See EXPERIMENTS.md.
 
    Alongside the text tables, a machine-readable BENCH_results.json is
-   written to the working directory: per-interface MIPS and ns/instr
-   (table2), the observability overhead measurements, and a full counter
-   snapshot per interface. *)
+   written to the working directory: fleet scaling, the absint analysis
+   cost and visibility dogfood, the observability overhead measurements,
+   and a full counter snapshot per interface. *)
 
 let quick = ref false
 let only : string list ref = ref []
-let use_bechamel = ref false
 
 (* ------------------------------------------------------------------ *)
 (* Measurement helpers                                                  *)
@@ -51,28 +55,6 @@ let drive (iface : Specsim.Iface.t) budget =
     done;
     executed ()
   end
-
-(* Measured MIPS of one (target, buildset, kernel) after warmup: best of
-   [reps] runs (the machine may be shared; peak throughput is the stable
-   statistic). [chain]/[site_cache] select the block-engine dispatch
-   configuration (defaults on — see the dispatch experiment). *)
-let measure_mips ?chain ?site_cache ?absint (t : Workload.target) ~buildset
-    (k : Vir.Kernels.sized) =
-  let warm = if !quick then 5_000 else 20_000 in
-  let budget = if !quick then 80_000 else 150_000 in
-  let reps = if !quick then 2 else 4 in
-  let best = ref 0. in
-  for _ = 1 to reps do
-    let l = Workload.load ?chain ?site_cache ?absint t ~buildset k.program in
-    ignore (drive l.iface warm);
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let n = drive l.iface budget in
-    let dt = Unix.gettimeofday () -. t0 in
-    let mips = if n = 0 then 0. else float_of_int n /. dt /. 1e6 in
-    if mips > !best then best := mips
-  done;
-  !best
 
 (* Machine-readable results, accumulated per experiment and written as
    one JSON document at the end of the run. *)
@@ -109,33 +91,6 @@ let write_json_results () =
     Printf.printf "wrote BENCH_results.json (%d sections, %d updated)\n"
       (List.length merged) (List.length fresh)
   end
-
-let geomean = function
-  | [] -> 0.
-  | xs ->
-    exp
-      (List.fold_left (fun a x -> a +. log (max x 1e-9)) 0. xs
-      /. float_of_int (List.length xs))
-
-let kernels () =
-  if !quick then
-    [ List.hd Vir.Kernels.bench_suite; List.nth Vir.Kernels.bench_suite 4 ]
-  else Vir.Kernels.bench_suite
-
-(* Calibrated host "simple operation" rate (ops per second), used to
-   express costs in host-op equivalents for Table III. *)
-let host_ops_per_sec =
-  lazy
-    (let n = 100_000_000 in
-     let acc = ref 0 in
-     let t0 = Unix.gettimeofday () in
-     for i = 1 to n do
-       acc := !acc + (i lxor (!acc lsl 1))
-     done;
-     let dt = Unix.gettimeofday () -. t0 in
-     ignore (Sys.opaque_identity !acc);
-     (* the loop body is ~4 machine ops *)
-     float_of_int (4 * n) /. dt)
 
 (* ------------------------------------------------------------------ *)
 (* Table I: instruction-set characteristics                             *)
@@ -175,259 +130,6 @@ let table1 () =
   print_endline
     "(our subsets are smaller than the full ISAs, but the structure matches:\n\
     \ an OS-support file of a few dozen lines and ~6-12 lines per buildset)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Table II: simulation speed per interface                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Paper values where the source table is legible; None = garbled in our
-   copy of the text (see EXPERIMENTS.md). *)
-let paper_table2 : (string * float option array) list =
-  [
-    ("block_min", [| Some 37.8; Some 26.8; Some 19.3 |]);
-    ("block_decode", [| None; None; None |]);
-    ("block_decode_spec", [| None; None; None |]);
-    ("block_all", [| None; None; None |]);
-    ("block_all_spec", [| None; None; None |]);
-    ("one_min", [| None; None; None |]);
-    ("one_decode", [| None; None; None |]);
-    ("one_decode_spec", [| None; None; None |]);
-    ("one_all", [| Some 7.47; Some 6.19; Some 5.61 |]);
-    ("one_all_spec", [| Some 6.92; Some 5.53; Some 5.15 |]);
-    ("step_all", [| Some 2.79; Some 2.54; Some 2.34 |]);
-    ("step_all_spec", [| Some 2.62; Some 2.35; Some 2.20 |]);
-  ]
-
-let table2_results : (string * float array) list ref = ref []
-
-let table2 () =
-  print_endline "=== Table II: simulation speed (MIPS) ===";
-  print_endline
-    "geometric mean over the benchmark kernels; paper values in parentheses\n\
-     where the source is legible";
-  Printf.printf "%-20s" "interface";
-  List.iter
-    (fun (t : Workload.target) -> Printf.printf " %17s" t.tname)
-    Workload.targets;
-  print_newline ();
-  let interfaces = List.map fst paper_table2 in
-  let results =
-    List.map
-      (fun bs ->
-        let row =
-          Array.of_list
-            (List.map
-               (fun t ->
-                 geomean
-                   (List.map (fun k -> measure_mips t ~buildset:bs k) (kernels ())))
-               Workload.targets)
-        in
-        (bs, row))
-      interfaces
-  in
-  table2_results := results;
-  add_json "table2"
-    (Obs.Export.Obj
-       (List.map
-          (fun (bs, row) ->
-            ( bs,
-              Obs.Export.Obj
-                (List.mapi
-                   (fun i (t : Workload.target) ->
-                     let mips = row.(i) in
-                     ( t.tname,
-                       Obs.Export.Obj
-                         [
-                           ("mips", Obs.Export.Float mips);
-                           ( "ns_per_instr",
-                             Obs.Export.Float
-                               (if mips <= 0. then 0. else 1e3 /. mips) );
-                         ] ))
-                   Workload.targets) ))
-          results));
-  List.iter
-    (fun (bs, row) ->
-      let paper = List.assoc bs paper_table2 in
-      Printf.printf "%-20s" bs;
-      Array.iteri
-        (fun i v ->
-          (* the paper's rows stop at ppc; riscv has no reference cell *)
-          let p =
-            match if i < Array.length paper then paper.(i) else None with
-            | Some x -> Printf.sprintf "(%5.2f)" x
-            | None -> "(  -  )"
-          in
-          Printf.printf " %8.2f %s" v p)
-        row;
-      print_newline ())
-    results;
-  (* headline ratio *)
-  let get name i = (List.assoc name results).(i) in
-  print_string "\nlowest/highest-detail speed ratio:";
-  List.iteri
-    (fun i (t : Workload.target) ->
-      Printf.printf "%s %s %.1fx"
-        (if i = 0 then "" else ",")
-        t.tname
-        (get "block_min" i /. get "step_all_spec" i))
-    Workload.targets;
-  print_endline " (paper: up to 14.4x)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Table III: costs of detail (host-op equivalents)                     *)
-(* ------------------------------------------------------------------ *)
-
-let paper_table3 =
-  [
-    ("base cost (One/Min/No)", [| 103.98; 134.95; 143.61 |]);
-    ("incremental: decode information", [| 46.17; 53.77; 63.10 |]);
-    ("incremental: full information", [| 150.51; 268.48; 221.5 |]);
-    ("incremental: block-call", [| -52.28; -49.73; -49.87 |]);
-    ("incremental: multiple calls", [| 237.7; 222.7; 213.1 |]);
-    ("incremental: speculation", [| 14.75; 32.66; 27.32 |]);
-  ]
-
-let table3 () =
-  print_endline
-    "=== Table III: costs of detail (host ops per simulated instruction) ===";
-  if !table2_results = [] then table2 ();
-  let results = !table2_results in
-  let hz = Lazy.force host_ops_per_sec in
-  Printf.printf "host calibration: %.2f Gops/s\n" (hz /. 1e9);
-  let cost bs i =
-    let mips = (List.assoc bs results).(i) in
-    if mips <= 0. then nan else hz /. (mips *. 1e6)
-  in
-  let rows =
-    [
-      ("base cost (One/Min/No)", fun i -> cost "one_min" i);
-      ( "incremental: decode information",
-        fun i -> cost "one_decode" i -. cost "one_min" i );
-      ( "incremental: full information",
-        fun i -> cost "one_all" i -. cost "one_min" i );
-      ("incremental: block-call", fun i -> cost "block_min" i -. cost "one_min" i);
-      ( "incremental: multiple calls",
-        fun i -> cost "step_all" i -. cost "one_all" i );
-      ( "incremental: speculation",
-        fun i ->
-          (cost "one_all_spec" i -. cost "one_all" i
-          +. (cost "one_decode_spec" i -. cost "one_decode" i)
-          +. (cost "block_all_spec" i -. cost "block_all" i))
-          /. 3. );
-    ]
-  in
-  let measured_hdr =
-    String.concat "/"
-      (List.map (fun (t : Workload.target) -> t.tname) Workload.targets)
-  in
-  Printf.printf "%-34s %37s | %s\n" ""
-    ("measured (" ^ measured_hdr ^ ")")
-    "paper (alpha/arm/ppc)";
-  List.iter
-    (fun (name, f) ->
-      let paper = List.assoc name paper_table3 in
-      Printf.printf "%-34s" name;
-      List.iteri
-        (fun i (_ : Workload.target) -> Printf.printf " %8.1f" (f i))
-        Workload.targets;
-      Printf.printf " | %7.2f %7.2f %7.2f\n" paper.(0) paper.(1) paper.(2))
-    rows;
-  print_endline
-    "(signs and ordering are the reproduction target: block-calls pay back,\n\
-    \ extra information and extra calls cost)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Dispatch: the block engine's translation cache, A/B                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Before = chaining and site sharing disabled (every dispatch probes
-   the block hash table, every block compiles its own sites, loads and
-   stores cross the paged-memory abstraction) — the pre-translation-
-   cache engine. After = the defaults. The rates come from a separate
-   counted pass over the same kernels. *)
-let dispatch () =
-  print_endline
-    "=== Dispatch: block-engine translation cache (chaining, site sharing, \
-     per-site TLB) ===";
-  let block_rows =
-    List.filter_map
-      (fun (bs, _) ->
-        if String.length bs >= 5 && String.equal (String.sub bs 0 5) "block"
-        then Some bs
-        else None)
-      paper_table2
-  in
-  let stat_budget = if !quick then 30_000 else 100_000 in
-  let rate a b =
-    if a + b = 0 then 0. else 100. *. float_of_int a /. float_of_int (a + b)
-  in
-  Printf.printf "%-20s %-6s %8s %8s %8s %7s %7s %12s\n" "interface" "isa"
-    "before" "after" "speedup" "chain%" "blkhit%" "site-reuse";
-  let sections =
-    List.map
-      (fun bs ->
-        let per_isa =
-          List.map
-            (fun (t : Workload.target) ->
-              let before =
-                geomean
-                  (List.map
-                     (fun k ->
-                       measure_mips ~chain:false ~site_cache:false t
-                         ~buildset:bs k)
-                     (kernels ()))
-              in
-              let after =
-                geomean
-                  (List.map (fun k -> measure_mips t ~buildset:bs k) (kernels ()))
-              in
-              let bh = ref 0 and bc = ref 0 in
-              let ct = ref 0 and cm = ref 0 in
-              let sh = ref 0 and sc = ref 0 in
-              List.iter
-                (fun (k : Vir.Kernels.sized) ->
-                  let l = Workload.load t ~buildset:bs k.program in
-                  ignore (drive l.iface stat_budget);
-                  let s : Specsim.Iface.stats = l.iface.stats in
-                  bh := !bh + s.block_hits;
-                  bc := !bc + s.blocks_compiled;
-                  ct := !ct + s.chain_taken;
-                  cm := !cm + s.chain_miss;
-                  sh := !sh + s.site_cache_hits;
-                  sc := !sc + s.sites_compiled)
-                (kernels ());
-              let speedup = if before <= 0. then 0. else after /. before in
-              Printf.printf
-                "%-20s %-6s %8.2f %8.2f %7.2fx %6.1f%% %6.1f%% %6d/%-5d\n" bs
-                t.tname before after speedup (rate !ct !cm) (rate !bh !bc) !sh
-                !sc;
-              ( t.tname,
-                Obs.Export.Obj
-                  [
-                    ("mips_before", Obs.Export.Float before);
-                    ("mips_after", Obs.Export.Float after);
-                    ("speedup", Obs.Export.Float speedup);
-                    ("chain_taken", Obs.Export.Int (Int64.of_int !ct));
-                    ("chain_miss", Obs.Export.Int (Int64.of_int !cm));
-                    ("chain_rate_pct", Obs.Export.Float (rate !ct !cm));
-                    ("block_hits", Obs.Export.Int (Int64.of_int !bh));
-                    ("blocks_compiled", Obs.Export.Int (Int64.of_int !bc));
-                    ("block_hit_rate_pct", Obs.Export.Float (rate !bh !bc));
-                    ("site_cache_hits", Obs.Export.Int (Int64.of_int !sh));
-                    ("sites_compiled", Obs.Export.Int (Int64.of_int !sc));
-                    ("site_reuse_rate_pct", Obs.Export.Float (rate !sh !sc));
-                  ] ))
-            Workload.targets
-        in
-        (bs, Obs.Export.Obj per_isa))
-      block_rows
-  in
-  add_json "dispatch" (Obs.Export.Obj sections);
-  print_endline
-    "(before = --no-chain --no-site-cache: hash-probe dispatch, per-block \
-     site\n compilation, abstracted memory; after = chained dispatch through \
-     the\n successor caches, shared (instr,encoding) sites, per-site page \
-     TLBs)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1: the five decoupled organizations, demonstrated             *)
@@ -576,102 +278,6 @@ let fig24 () =
      (the synthesizer derives Fig.4's locals automatically; by hand it is\n\
     \ a per-instruction-step rewrite — the paper's §IV-A tedium)\n\n"
     (m_min /. m_full) (s_min /. s_full)
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: interpreted vs compiled execution (paper footnote 5)       *)
-(* ------------------------------------------------------------------ *)
-
-let ablation () =
-  print_endline
-    "=== Ablation: interpreted vs closure-compiled execution (footnote 5) ===";
-  let t = Workload.alpha in
-  let k = List.nth Vir.Kernels.bench_suite 4 in
-  let budget = if !quick then 60_000 else 200_000 in
-  let speed backend buildset =
-    let l = Workload.load ~backend t ~buildset k.program in
-    ignore (Specsim.Iface.run_n l.iface 20_000);
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let n = Specsim.Iface.run_n l.iface budget in
-    let dt = Unix.gettimeofday () -. t0 in
-    float_of_int n /. dt /. 1e6
-  in
-  let compiled = speed Specsim.Synth.Compiled "one_min" in
-  let interpreted = speed Specsim.Synth.Interpreted "one_min" in
-  Printf.printf
-    "One/Min/No on alpha: compiled %.2f MIPS, interpreted %.2f MIPS (%.2fx)\n"
-    compiled interpreted (compiled /. interpreted);
-  Printf.printf
-    "(paper: 103.98 vs 205.5 host instructions per instruction, 1.98x)\n";
-  (* The paper's future-work question: is specialization still worth it
-     when the interface is highly detailed? *)
-  let c_hi = speed Specsim.Synth.Compiled "one_all" in
-  let i_hi = speed Specsim.Synth.Interpreted "one_all" in
-  let c_blk = speed Specsim.Synth.Compiled "block_all" in
-  let i_blk = speed Specsim.Synth.Interpreted "block_all" in
-  Printf.printf
-    "at high detail (One/All): compiled %.2f vs interpreted %.2f MIPS (%.2fx)\n"
-    c_hi i_hi (c_hi /. i_hi);
-  Printf.printf
-    "at Block/All: compiled %.2f vs interpreted %.2f MIPS (%.2fx)\n" c_blk
-    i_blk (c_blk /. i_blk);
-  Printf.printf
-    "(the paper asks whether translation pays off at high detail — here the\n\
-    \ advantage persists at every level and is largest for block interfaces,\n\
-    \ where specialization also removes per-instruction fetch and decode)\n\n"
-
-(* ------------------------------------------------------------------ *)
-(* Sampling accuracy: how well does the two-interface design estimate   *)
-(* the detailed model's IPC?                                            *)
-(* ------------------------------------------------------------------ *)
-
-let sampling_accuracy () =
-  print_endline
-    "=== Sampling accuracy: detailed-interval IPC estimate vs full run ===";
-  let t = Workload.alpha in
-  let kernel = List.nth Vir.Kernels.bench_suite 3 (* sort *) in
-  (* ground truth: every instruction through the detailed model *)
-  let l = Workload.load t ~buildset:"one_decode" kernel.program in
-  let ff = Timing.Funcfirst.create l.iface in
-  let truth = Timing.Funcfirst.run ff ~budget:max_int in
-  Printf.printf "true IPC (all %Ld instructions detailed): %.4f\n"
-    truth.instructions truth.ipc;
-  List.iter
-    (fun (measure, fastforward) ->
-      let spec = Lazy.force t.spec in
-      let st = Lis.Spec.make_machine spec in
-      let detailed = Specsim.Synth.make ~st spec "one_decode" in
-      let fast = Specsim.Synth.make ~st spec "block_min" in
-      let os = Machine.Os_emu.create () in
-      (match spec.abi with
-      | Some abi -> Machine.Os_emu.install os abi st
-      | None -> ());
-      let words = t.encode ~base:0x1000L kernel.program in
-      List.iteri
-        (fun i w ->
-          Machine.Memory.write st.mem
-            ~addr:(Int64.add 0x1000L (Int64.of_int (4 * i)))
-            ~width:4 w)
-        words;
-      Machine.State.reset st ~pc:0x1000L;
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Timing.Sampling.run
-          ~config:
-            { Timing.Sampling.measure; fastforward;
-              timing_model = Timing.Funcfirst.default_config }
-          ~detailed ~fast ~budget:max_int ()
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      Printf.printf
-        "sampled %5.1f%%: estimated IPC %.4f (error %+.1f%%), wall %.2f MIPS\n"
-        (100. *. r.sampled_fraction) r.estimated_ipc
-        (100. *. (r.estimated_ipc -. truth.ipc) /. truth.ipc)
-        (Int64.to_float r.instructions /. dt /. 1e6))
-    [ (2_000, 8_000); (1_000, 19_000); (500, 49_500) ];
-  print_endline
-    "(the low-detail fast-forward interface buys wall-clock speed at a\n\
-    \ small, quantified estimation error — the paper's sampling use case)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection: detection coverage/latency vs rate, checker cost    *)
@@ -864,12 +470,12 @@ let overhead () =
   add_json "counters"
     (Obs.Export.Obj
        (List.map
-          (fun (bs, _) ->
+          (fun bs ->
             let o = Obs.create () in
             let l = Workload.load ~obs:o t ~buildset:bs k.program in
             ignore (drive l.iface snap_budget);
             (bs, Obs.Export.json_of_snapshot (Obs.snapshot o)))
-          paper_table2));
+          (Lis.Spec.buildset_names (Lazy.force t.spec))));
   (* sanity: the profiler finds the kernel's hot loop *)
   let prof = Obs.Prof.create () in
   let l =
@@ -883,59 +489,6 @@ let overhead () =
       "hot region (one_all, %s): 0x%Lx-0x%Lx with %.1f%% of instructions\n\n"
       k.kname r.Obs.Prof.rg_lo r.Obs.Prof.rg_hi (100. *. r.Obs.Prof.rg_share)
   | [] -> print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Fuzz throughput: cost of the 12-way conformance oracle               *)
-(* ------------------------------------------------------------------ *)
-
-(* One oracle execution = one candidate/reference lockstep run of a
-   generated program with periodic digest comparison. The rate bounds
-   how large a nightly campaign budget is affordable, and the
-   generator-only rate shows the oracle (not generation) dominates. *)
-let fuzz_bench () =
-  print_endline
-    "=== Fuzz throughput: spec-derived generator and 12-way oracle ===";
-  let budget = if !quick then 300 else 1_500 in
-  Printf.printf "%-6s %10s %10s %12s %12s %12s\n" "isa" "programs" "execs"
-    "execs/s" "programs/s" "gen-only/s";
-  let sections =
-    List.map
-      (fun isa ->
-        (* generation alone: the same programs the campaign would test *)
-        let spec = Fuzz.Driver.spec_of_isa isa in
-        let cx = Fuzz.Gen.make_ctx ~isa spec in
-        let gen_n = if !quick then 2_000 else 10_000 in
-        let t0 = Unix.gettimeofday () in
-        for i = 0 to gen_n - 1 do
-          ignore (Fuzz.Gen.generate cx ~seed:42L ~index:i)
-        done;
-        let gen_rate = float_of_int gen_n /. (Unix.gettimeofday () -. t0) in
-        (* full campaign: generate + run the 12-way oracle (seed 42 is a
-           verified-healthy seed, so the budget is spent end to end) *)
-        let t0 = Unix.gettimeofday () in
-        let o = Fuzz.Driver.hunt ~isa ~seed:42L ~budget () in
-        let dt = Unix.gettimeofday () -. t0 in
-        assert (o.Fuzz.Driver.o_found = None);
-        let execs_s = float_of_int o.Fuzz.Driver.o_execs /. dt in
-        let progs_s = float_of_int o.Fuzz.Driver.o_programs /. dt in
-        Printf.printf "%-6s %10d %10d %12.0f %12.1f %12.0f\n" isa
-          o.Fuzz.Driver.o_programs o.Fuzz.Driver.o_execs execs_s progs_s
-          gen_rate;
-        ( isa,
-          Obs.Export.Obj
-            [
-              ("oracle_execs_per_sec", Obs.Export.Float execs_s);
-              ("programs_per_sec", Obs.Export.Float progs_s);
-              ("generator_only_per_sec", Obs.Export.Float gen_rate);
-            ] ))
-      Fuzz.Driver.all_isas
-  in
-  add_json "fuzz" (Obs.Export.Obj sections);
-  print_endline
-    "(an oracle execution runs candidate and reference in lockstep with\n\
-    \ digest checks every 16 instructions; generation is noise by\n\
-    \ comparison, so campaign budgets are oracle-bound — see the nightly\n\
-    \ workflow's 20k-execution budget)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Fleet scaling: oracle execs/s across domain counts                  *)
@@ -1090,129 +643,22 @@ let fleet_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Supervision overhead: the journaled campaign vs the bare oracle loop *)
+(* Abstract interpretation: analysis cost, gating verdicts, visibility  *)
+(* dogfood (4 ISAs x 12 buildsets)                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The supervised campaign wraps every oracle execution in a case — a
-   retry policy, a taxonomy classification, and one flushed journal
-   line. On a healthy seed nothing retries and nothing quarantines, so
-   the measured difference from the bare Driver.hunt loop is the pure
-   supervision tax. Budget: within 2% of plain oracle execs/s. *)
-let supervision () =
-  print_endline
-    "=== Supervision overhead: bare oracle loop vs journaled campaign ===";
-  let budget = if !quick then 300 else 1_500 in
-  let reps = if !quick then 2 else 3 in
-  Printf.printf "%-6s %12s %12s %10s\n" "isa" "plain e/s" "super e/s"
-    "overhead";
-  let sections =
-    List.map
-      (fun isa ->
-        (* best-of-reps on both sides: the oracle dominates, so peak
-           throughput is the stable statistic (as in measure_mips) *)
-        let best f =
-          let b = ref 0. in
-          for _ = 1 to reps do
-            let r = f () in
-            if r > !b then b := r
-          done;
-          !b
-        in
-        let plain =
-          best (fun () ->
-              let t0 = Unix.gettimeofday () in
-              let o = Fuzz.Driver.hunt ~isa ~seed:42L ~budget () in
-              let dt = Unix.gettimeofday () -. t0 in
-              assert (o.Fuzz.Driver.o_found = None);
-              float_of_int o.Fuzz.Driver.o_execs /. dt)
-        in
-        let journal = Filename.temp_file "lisim-bench-journal" ".jsonl" in
-        let quarantine = Filename.temp_file "lisim-bench-quarantine" ".d" in
-        Sys.remove quarantine;
-        let supervised =
-          best (fun () ->
-              if Sys.file_exists journal then Sys.remove journal;
-              let t0 = Unix.gettimeofday () in
-              let p =
-                Fuzz.Campaign.run ~isa ~seed:42L ~budget ~journal ~quarantine
-                  ()
-              in
-              let dt = Unix.gettimeofday () -. t0 in
-              assert (p.Fuzz.Campaign.p_quarantined = 0);
-              float_of_int p.Fuzz.Campaign.p_execs /. dt)
-        in
-        if Sys.file_exists journal then Sys.remove journal;
-        (try Unix.rmdir quarantine with Unix.Unix_error _ -> ());
-        let overhead_pct = 100. *. (plain -. supervised) /. plain in
-        Printf.printf "%-6s %12.0f %12.0f %9.1f%%\n" isa plain supervised
-          overhead_pct;
-        ( isa,
-          Obs.Export.Obj
-            [
-              ("plain_execs_per_sec", Obs.Export.Float plain);
-              ("supervised_execs_per_sec", Obs.Export.Float supervised);
-              ("overhead_pct", Obs.Export.Float overhead_pct);
-            ] ))
-      [ "alpha"; "tiny" ]
-  in
-  add_json "supervision" (Obs.Export.Obj sections);
-  let worst =
-    List.fold_left
-      (fun a (_, j) ->
-        match j with
-        | Obs.Export.Obj kvs -> (
-          match List.assoc "overhead_pct" kvs with
-          | Obs.Export.Float p -> Float.max a p
-          | _ -> a)
-        | _ -> a)
-      0. sections
-  in
-  Printf.printf
-    "worst supervision overhead %.1f%% %s the 2%% budget\n\
-     (per case: one splitmix draw, one exception classification, one \
-     flushed\n\
-    \ journal line — the oracle itself is untouched)\n\n"
-    worst
-    (if worst <= 2.0 then "is within" else "EXCEEDS")
-
-(* ------------------------------------------------------------------ *)
-(* Abstract interpretation: gating effect, analysis cost, visibility    *)
-(* dogfood (3 ISAs x 12 buildsets)                                      *)
-(* ------------------------------------------------------------------ *)
-
+(* The gating's speed effect is the ledger's
+   ablation.no_absint_ns_per_instr. *)
 let absint_bench () =
   print_endline
     "=== Abstract interpretation: synthesis gating and visibility dogfood ===";
-  let k = List.hd (kernels ()) in
-  (* A/B: the same kernel through analyzed and unanalyzed engines *)
-  let speed =
-    List.map
-      (fun buildset ->
-        let on = measure_mips ~absint:true Workload.alpha ~buildset k in
-        let off = measure_mips ~absint:false Workload.alpha ~buildset k in
-        Printf.printf
-          "  alpha/%-9s %-10s  absint on %7.2f MIPS, off %7.2f MIPS (%+.1f%%)\n"
-          buildset k.kname on off
-          (if off > 0. then (on -. off) /. off *. 100. else 0.);
-        ( buildset,
-          Obs.Export.Obj
-            [
-              ("mips_absint_on", Obs.Export.Float on);
-              ("mips_absint_off", Obs.Export.Float off);
-            ] ))
-      [ "one_all"; "block_min" ]
-  in
   (* analysis cost and verdicts per ISA, stable blocks after a run (the
      sort kernel has store-free comparison blocks; a kernel that stores
      in every block would honestly report zero) *)
   let ks =
-    match
-      List.find_opt
-        (fun (k : Vir.Kernels.sized) -> k.kname = "sort")
-        Vir.Kernels.bench_suite
-    with
-    | Some k -> k
-    | None -> k
+    List.find
+      (fun (k : Vir.Kernels.sized) -> k.kname = "sort")
+      Vir.Kernels.bench_suite
   in
   let cost =
     List.map
@@ -1305,114 +751,10 @@ let absint_bench () =
   add_json "absint"
     (Obs.Export.Obj
        [
-         ("speed", Obs.Export.Obj speed);
          ("analysis", Obs.Export.Obj cost);
          ("visibility", Obs.Export.Obj visibility);
        ]);
   print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Hostile workloads: the interface machinery under attack              *)
-(* ------------------------------------------------------------------ *)
-
-(* Where the benchmark kernels reproduce the paper's SPEC-like mixes,
-   these four (lib/workload/hostile.ml) are built to break the block
-   engine's assumptions: a heap-mutating GC chase, a megamorphic
-   threaded-interpreter dispatch, a syscall storm, and self-modifying
-   trampolines. Every (kernel x ISA x interface) cell reports measured
-   MIPS plus the chain and site-cache hit rates from the same run — the
-   point is to see *which* machinery each kernel defeats (the interp's
-   indirect dispatch must drag the chain hit rate under 90%). *)
-let workload_bench () =
-  print_endline
-    "=== Hostile workloads: MIPS and translation-cache hit rates ===";
-  let suite =
-    if !quick then Workload.Hostile.test_suite else Workload.Hostile.bench_suite
-  in
-  let ifaces = [ "block_min"; "one_all"; "step_all" ] in
-  let rate a b =
-    if a + b = 0 then 0. else 100. *. float_of_int a /. float_of_int (a + b)
-  in
-  Printf.printf "%-14s %-6s %-10s %8s %7s %7s %7s %6s\n" "kernel" "isa"
-    "interface" "MIPS" "chain%" "site%" "invals" "exit";
-  (* worst chain hit rate per kernel over block interfaces, for the
-     headline *)
-  let worst_chain : (string * float) list ref = ref [] in
-  let sections =
-    List.map
-      (fun (k : Workload.Hostile.kernel) ->
-        let expected =
-          if k.reference_safe then
-            Some (Workload.reference k.program).Workload.exit_status
-          else k.expected_exit
-        in
-        let per_isa =
-          List.map
-            (fun (t : Workload.target) ->
-              let per_bs =
-                List.map
-                  (fun bs ->
-                    let l = Workload.load t ~buildset:bs k.program in
-                    Gc.full_major ();
-                    let t0 = Unix.gettimeofday () in
-                    let o = Workload.run_to_completion ~budget:200_000_000 l in
-                    let dt = Unix.gettimeofday () -. t0 in
-                    let mips =
-                      if dt <= 0. then 0.
-                      else Int64.to_float o.instructions /. dt /. 1e6
-                    in
-                    let s : Specsim.Iface.stats = l.iface.stats in
-                    let chain = rate s.chain_taken s.chain_miss in
-                    let site = rate s.site_cache_hits s.sites_compiled in
-                    let ok =
-                      match expected with
-                      | Some e -> e = o.exit_status
-                      | None -> true
-                    in
-                    if String.length bs >= 5 && String.sub bs 0 5 = "block"
-                    then
-                      worst_chain :=
-                        (match List.assoc_opt k.hname !worst_chain with
-                        | Some c when c <= chain -> !worst_chain
-                        | _ ->
-                          (k.hname, chain)
-                          :: List.remove_assoc k.hname !worst_chain);
-                    Printf.printf
-                      "%-14s %-6s %-10s %8.2f %6.1f%% %6.1f%% %7d %6s\n"
-                      k.hname t.tname bs mips chain site s.block_invalidations
-                      (if ok then "OK" else "BAD!");
-                    ( bs,
-                      Obs.Export.Obj
-                        [
-                          ("mips", Obs.Export.Float mips);
-                          ("chain_rate_pct", Obs.Export.Float chain);
-                          ("site_reuse_rate_pct", Obs.Export.Float site);
-                          ( "block_invalidations",
-                            Obs.Export.Int (Int64.of_int s.block_invalidations)
-                          );
-                          ( "instructions",
-                            Obs.Export.Int o.instructions );
-                          ("exit_ok", Obs.Export.Bool ok);
-                        ] ))
-                  ifaces
-              in
-              (t.tname, Obs.Export.Obj per_bs))
-            Workload.targets
-        in
-        (k.hname, Obs.Export.Obj per_isa))
-      suite
-  in
-  add_json "workload" (Obs.Export.Obj sections);
-  let collapsed =
-    List.filter (fun (_, c) -> c < 90.) !worst_chain |> List.map fst
-  in
-  Printf.printf
-    "\nchain hit rate under 90%% on a block interface: %s\n\
-     (the megamorphic interpreter dispatch is the designed-in failure;\n\
-    \ the trampoline's invalidation counts are the SMC evidence)\n\n"
-    (match collapsed with
-    | [] -> "NONE — the hostile corpus lost its teeth"
-    | l -> String.concat ", " l)
 
 (* ------------------------------------------------------------------ *)
 (* Validation (paper §V-D)                                              *)
@@ -1437,91 +779,18 @@ let validate () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks (one Test.make per table/figure)           *)
-(* ------------------------------------------------------------------ *)
 
-let bechamel_tests () =
-  let open Bechamel in
-  (* pre-built simulators over a non-terminating loop program *)
-  let forever : Vir.Lang.program =
-    (* a long straight-line body so block mode amortizes its dispatch *)
-    Vir.Lang.Label "top"
-    :: List.concat
-         (List.init 8 (fun _ ->
-              [ Vir.Lang.Addi (8, 8, 1); Vir.Lang.Xor_ (9, 9, 8) ]))
-    @ [ Vir.Lang.Jmp "top" ]
-  in
-  let prebuilt bs =
-    let l = Workload.load Workload.alpha ~buildset:bs forever in
-    ignore (drive l.iface 10_000);
-    l.iface
-  in
-  let one_min = prebuilt "one_min" in
-  let one_all = prebuilt "one_all" in
-  let block_min = prebuilt "block_min" in
-  let t1 =
-    Test.make ~name:"table1/line-count"
-      (Staged.stage (fun () ->
-           ignore (Lis.Count.of_sources Isa_alpha.Alpha.sources)))
-  in
-  let t2 =
-    Test.make ~name:"table2/one_min-1k-instrs"
-      (Staged.stage (fun () -> ignore (Specsim.Iface.run_n one_min 1_000)))
-  in
-  let t2b =
-    Test.make ~name:"table2/block_min-1k-instrs"
-      (Staged.stage (fun () -> ignore (Specsim.Iface.run_n block_min 1_000)))
-  in
-  let t3 =
-    Test.make ~name:"table3/one_all-1k-instrs"
-      (Staged.stage (fun () -> ignore (Specsim.Iface.run_n one_all 1_000)))
-  in
-  let manual_st = Manual.Manual_sim.make_machine () in
-  let () =
-    List.iteri
-      (fun i w ->
-        Machine.Memory.write manual_st.mem
-          ~addr:(Int64.add 0x1000L (Int64.of_int (4 * i)))
-          ~width:4 w)
-      Demo_isa.[ addi ~ra:8 ~imm:1 ~rc:8; br ~off:(-2) ]
-  in
-  let mdi = Manual.Manual_sim.Fig2.create () in
-  let f24 =
-    Test.make ~name:"fig24/manual-1k-instrs"
-      (Staged.stage (fun () ->
-           Machine.State.reset manual_st ~pc:0x1000L;
-           for _ = 1 to 1_000 do
-             Manual.Manual_sim.do_in_one manual_st mdi
-           done))
-  in
-  let ff = Timing.Funcfirst.create one_all in
-  let di = Specsim.Di.create ~info_slots:one_all.slots.di_size in
-  let f1 =
-    Test.make ~name:"fig1/funcfirst-consume"
-      (Staged.stage (fun () -> Timing.Funcfirst.consume ff di))
-  in
-  Test.make_grouped ~name:"lisim" [ t1; t2; t2b; t3; f24; f1 ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg instances (bechamel_tests ()) in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "%-32s %12.1f ns/run\n" name est
-      | _ -> Printf.printf "%-32s (no estimate)\n" name)
-    results
-
-(* ------------------------------------------------------------------ *)
+let sections =
+  [
+    ("table1", table1);
+    ("fig1", fig1);
+    ("fig24", fig24);
+    ("inject", inject);
+    ("fleet", fleet_bench);
+    ("overhead", overhead);
+    ("absint", absint_bench);
+    ("validate", validate);
+  ]
 
 let () =
   Array.iteri
@@ -1529,7 +798,6 @@ let () =
       if i > 0 then
         match a with
         | "--quick" -> quick := true
-        | "--bechamel" -> use_bechamel := true
         | "--gate-profiler" -> gate_profiler := true
         | a
           when String.length a > 7 && String.sub a 0 7 = "--jobs=" ->
@@ -1541,36 +809,27 @@ let () =
             exit 2)
         | name -> only := name :: !only)
     Sys.argv;
-  if !use_bechamel then run_bechamel ()
-  else begin
-    let want name = !only = [] || List.mem name !only in
-    if want "table1" then table1 ();
-    if want "table2" then table2 ();
-    if want "table3" then table3 ();
-    if want "dispatch" then dispatch ();
-    if want "fig1" then fig1 ();
-    if want "fig24" then fig24 ();
-    if want "ablation" then ablation ();
-    if want "sampling" then sampling_accuracy ();
-    if want "inject" then inject ();
-    if want "fuzz" then fuzz_bench ();
-    if want "fleet" then fleet_bench ();
-    if want "overhead" then overhead ();
-    if want "supervision" then supervision ();
-    if want "absint" then absint_bench ();
-    if want "workload" then workload_bench ();
-    if want "validate" then validate ();
-    write_json_results ();
-    if !gate_profiler then begin
-      let budget = Float.max 2.0 !profiler_floor in
-      if !profiler_worst > budget then begin
-        Printf.printf
-          "profiler gate: FAIL — overhead %.1f%% exceeds budget %.1f%%\n"
-          !profiler_worst budget;
-        exit 1
-      end
-      else
-        Printf.printf "profiler gate: OK (%.1f%% <= %.1f%%)\n" !profiler_worst
-          budget
+  (* a name that selects nothing must not pass for a run that measured it *)
+  (match List.filter (fun n -> not (List.mem_assoc n sections)) !only with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "bench: unknown section %s; sections are: %s\n"
+      (String.concat ", " (List.rev unknown))
+      (String.concat " " (List.map fst sections));
+    exit 2);
+  List.iter
+    (fun (name, run) -> if !only = [] || List.mem name !only then run ())
+    sections;
+  write_json_results ();
+  if !gate_profiler then begin
+    let budget = Float.max 2.0 !profiler_floor in
+    if !profiler_worst > budget then begin
+      Printf.printf
+        "profiler gate: FAIL — overhead %.1f%% exceeds budget %.1f%%\n"
+        !profiler_worst budget;
+      exit 1
     end
+    else
+      Printf.printf "profiler gate: OK (%.1f%% <= %.1f%%)\n" !profiler_worst
+        budget
   end

@@ -282,13 +282,3 @@ let test_suite =
       ~expected_exit:(trampoline_exit ~rounds:8)
       "trampoline" (trampoline ~rounds:8);
   ]
-
-let bench_suite =
-  [
-    make ~reference_safe:true "gc_chase" (gc_chase ~n:1024 ~steps:50_000);
-    make ~reference_safe:true "interp" (interp ~prog_len:2048 ~rounds:12);
-    make ~reference_safe:true "syscall_storm" (syscall_storm ~n:4000);
-    make ~reference_safe:false
-      ~expected_exit:(trampoline_exit ~rounds:400)
-      "trampoline" (trampoline ~rounds:400);
-  ]
