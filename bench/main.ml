@@ -495,10 +495,11 @@ let overhead () =
 (* ------------------------------------------------------------------ *)
 
 (* How the parallel campaign driver scales with --jobs. Honest numbers:
-   [host_cores] is recorded alongside, and on a 1-core host every level
-   above 1 is expected to sit at ~1x (the fleet is then purely a
-   correctness construct). The digest check at the end runs the same
-   seeded-defect campaign at jobs 1 and jobs 4 and compares the
+   [host_cores] is recorded alongside, and levels above the core count
+   are expected to run slower than jobs 1: their domains time-slice the
+   cores and every minor GC synchronizes all of them (the fleet is then
+   purely a correctness construct). The digest check at the end runs the
+   same seeded-defect campaign at jobs 1 and jobs 4 and compares the
    quarantined reproducers byte for byte. *)
 let jobs_override : int option ref = ref None
 

@@ -573,8 +573,8 @@ let width_pass (spec : Spec.t) : Diag.t list =
 (** One hidden-but-crossing occurrence: [x_cell] is written by entrypoint
     [x_writer] of instruction [x_instr] and read by the later entrypoint
     [x_reader], but the buildset does not make it visible. This is the
-    paper's dominant interface bug, detected statically
-    ({!Specsim.Liveness} is a thin shim over this function). *)
+    paper's dominant interface bug, detected statically; synthesis
+    ([Specsim.Synth.make]) rejects a buildset that has any. *)
 type crossing = {
   x_instr : string;
   x_cell : int;

@@ -82,7 +82,6 @@ type t = {
 }
 
 let n_entrypoints t = Array.length t.entry_names
-let entry_name t k = t.entry_names.(k)
 
 (** [slot_of t name] is the DI slot of cell [name] if visible in this
     interface. Timing simulators resolve the cells they consume once, at

@@ -137,7 +137,8 @@ type buildset = {
   bs : Lis.Spec.buildset;
   slots : Slots.t;
   crossings : (string * string * string) list;
-      (** hidden cells crossing entrypoints, as {!Liveness.summarize} *)
+      (** hidden cells crossing entrypoints: sorted, deduplicated
+          (cell name, writer, reader) triples *)
   ep_segs : seg list array;
   seg_ir : Semir.Ir.program array array;
       (** optimized IR per instruction, per flat segment *)
@@ -152,7 +153,13 @@ let n_code_segs bp =
     0 bp.ep_segs
 
 let buildset_of (spec : Lis.Spec.t) (bs : Lis.Spec.buildset) ~check_liveness =
-  let crossings = Liveness.summarize (Liveness.check spec bs) in
+  let crossings =
+    List.sort_uniq compare
+      (List.map
+         (fun (x : Analysis.Passes.crossing) ->
+           (Lis.Spec.cell_name spec x.x_cell, x.x_writer, x.x_reader))
+         (Analysis.Passes.crossings spec bs))
+  in
   check_liveness crossings;
   let ep_segs =
     Array.map (fun (_, syms) -> segments_of_entrypoint syms) bs.bs_entrypoints

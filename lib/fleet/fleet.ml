@@ -2,37 +2,34 @@
     about the moving parts.
 
     Batch lifecycle: the collector waits until every worker is parked,
-    loads the deques round-robin (task [k] to deque [k mod jobs],
-    highest index first so owners pop in ascending order), then bumps
-    the epoch and broadcasts. Workers wake, drain — own deque first
-    (LIFO), then steal sweeps over the others (FIFO) — and park again
-    when a full sweep finds nothing: tasks are only injected between
-    epochs, so an empty sweep means the batch has no undispatched work
-    left. Deque ownership is honored by the handoff: the collector
-    touches a deque only while its owner is parked (the epoch mutex
-    orders the two), so each deque has exactly one pusher at any time.
+    publishes the batch — its task runner and its size — under the pool
+    lock, then bumps the epoch and broadcasts. Worker [s] wakes, runs
+    tasks [s], [s + jobs], [s + 2·jobs], … in ascending order, and parks
+    again (at once, if the batch has no task [s]). A batch is a flat
+    array of independent tasks and no task submits another, so there is
+    no nested work to balance, and each worker sees the same tasks on
+    every run (DESIGN §13).
 
     Completions flow through a mutex-guarded queue of task indices; the
     result payload rides in a plain array, published by the queue's
-    mutex ordering. A pool of one has no deques in play and no queue:
-    the collector runs task [k] itself when it is ready for completion
-    [k]. Task exceptions are captured with their backtraces and
-    re-raised on the collector once the batch has fully drained — never
-    mid-batch, so the journal keeps every completed case even when a
-    sibling case dies. *)
-
-module Deque = Deque
+    mutex ordering. A pool of one has no queue: the collector runs task
+    [k] itself when it is ready for completion [k]. Task exceptions are
+    captured with their backtraces and re-raised on the collector once
+    the batch has fully drained — never mid-batch, so the journal keeps
+    every completed case even when a sibling case dies. *)
 
 type 'a outcome = Ret of 'a | Raised of exn * Printexc.raw_backtrace
 
 type t = {
   n_jobs : int;
-  deques : (int -> unit) Deque.t array;  (** thunks take the executing slot *)
   lock : Mutex.t;
   cond : Condition.t;  (** epoch bumps, worker parking, and stop *)
   mutable epoch : int;
   mutable parked : int;  (** workers waiting for the next epoch *)
   mutable stop : bool;
+  mutable batch : int -> int -> unit;
+      (** [batch slot k] runs task [k] on worker [slot]'s state *)
+  mutable size : int;  (** task count of the published batch *)
   done_lock : Mutex.t;
   done_cond : Condition.t;
   done_q : int Queue.t;  (** completed task indices, collector-drained *)
@@ -42,30 +39,6 @@ type t = {
 let jobs t = t.n_jobs
 
 let worker t slot =
-  let mine = t.deques.(slot) in
-  let steal_sweep () =
-    let rec go i =
-      if i >= t.n_jobs then None
-      else
-        let victim = (slot + i) mod t.n_jobs in
-        match Deque.steal t.deques.(victim) with
-        | Some f -> Some f
-        | None -> go (i + 1)
-    in
-    go 1
-  in
-  let rec drain () =
-    match Deque.pop mine with
-    | Some f ->
-      f slot;
-      drain ()
-    | None -> (
-      match steal_sweep () with
-      | Some f ->
-        f slot;
-        drain ()
-      | None -> ())
-  in
   let rec park epoch =
     Mutex.lock t.lock;
     t.parked <- t.parked + 1;
@@ -73,10 +46,14 @@ let worker t slot =
     while (not t.stop) && t.epoch = epoch do
       Condition.wait t.cond t.lock
     done;
-    let e = t.epoch and stop = t.stop in
+    let e = t.epoch and stop = t.stop and batch = t.batch and n = t.size in
     Mutex.unlock t.lock;
     if not stop then begin
-      drain ();
+      let k = ref slot in
+      while !k < n do
+        batch slot !k;
+        k := !k + t.n_jobs
+      done;
       park e
     end
   in
@@ -90,12 +67,13 @@ let create ?jobs:(n = Domain.recommended_domain_count ()) () =
   let t =
     {
       n_jobs = n;
-      deques = Array.init n (fun _ -> Deque.create ());
       lock = Mutex.create ();
       cond = Condition.create ();
       epoch = 0;
       parked = 0;
       stop = false;
+      batch = (fun _ _ -> ());
+      size = 0;
       done_lock = Mutex.create ();
       done_cond = Condition.create ();
       done_q = Queue.create ();
@@ -119,7 +97,7 @@ let run (type w a) t ~(workers : w array) ~(tasks : (w -> a) array)
       "per-worker state array must match the fleet size";
   if n > 0 then begin
     let results = Array.make n (Raised (Exit, Printexc.get_callstack 0)) in
-    let exec k slot =
+    let exec slot k =
       results.(k) <-
         (try Ret (tasks.(k) workers.(slot))
          with exn -> Raised (exn, Printexc.get_raw_backtrace ()))
@@ -134,24 +112,22 @@ let run (type w a) t ~(workers : w array) ~(tasks : (w -> a) array)
       if t.n_jobs = 1 then begin
         Mutex.unlock t.lock;
         fun k ->
-          exec k 0;
+          exec 0 k;
           k
       end
       else begin
-        let thunk k slot =
-          exec k slot;
-          Mutex.lock t.done_lock;
-          Queue.push k t.done_q;
-          Condition.signal t.done_cond;
-          Mutex.unlock t.done_lock
-        in
         (* wait out any stragglers of the previous batch, then hand off *)
         while t.parked < t.n_jobs do
           Condition.wait t.cond t.lock
         done;
-        for k = n - 1 downto 0 do
-          Deque.push t.deques.(k mod t.n_jobs) (thunk k)
-        done;
+        t.batch <-
+          (fun slot k ->
+            exec slot k;
+            Mutex.lock t.done_lock;
+            Queue.push k t.done_q;
+            Condition.signal t.done_cond;
+            Mutex.unlock t.done_lock);
+        t.size <- n;
         t.parked <- 0;
         t.epoch <- t.epoch + 1;
         Condition.broadcast t.cond;

@@ -1,8 +1,10 @@
-(** Domain fleet: a fixed pool of OCaml 5 domains with per-worker
-    work-stealing deques, for batches of independent campaign cases.
+(** Domain fleet: a fixed pool of OCaml 5 domains for batches of
+    independent campaign cases. Task assignment is static: in a pool of
+    [jobs] workers, worker [s] runs tasks [s], [s + jobs], [s + 2·jobs],
+    … of each batch, in ascending order.
 
-    The calling domain is the {e collector}: it distributes a batch,
-    then consumes completions as workers finish — so all effectful
+    The calling domain is the {e collector}: it hands a batch out, then
+    consumes completions as workers finish — so all effectful
     aggregation (journal appends, quarantine writes, report counters)
     happens on one domain and needs no locking, while the pure
     per-case work spreads across the pool. Workers carry caller-typed
@@ -21,8 +23,6 @@
     the collector after the batch drains (lowest task index first), so
     {!Machine.Sim_error} taxonomy and exit codes propagate unchanged. *)
 
-module Deque = Deque
-
 type t
 
 (** [create ~jobs ()] spawns [jobs] worker domains (default
@@ -33,14 +33,15 @@ val create : ?jobs:int -> unit -> t
 val jobs : t -> int
 
 (** [run t ~workers ~tasks ~complete] executes every [tasks.(k)]
-    exactly once on some worker, passing that worker's state, and calls
-    [complete k result] on the calling domain as completions arrive
-    (completion order is schedule-dependent, and task order in a pool
-    of one; [k] is the task index). [workers] must have length
+    exactly once on worker [k mod jobs t], passing it that worker's
+    state, and calls [complete k result] on the calling domain as
+    completions arrive (in task order in a pool of one, in
+    schedule-dependent order otherwise). [workers] must have length
     [jobs t]. Returns when every task has completed and every
-    completion has been consumed; if tasks raised, the exception of the
-    lowest-indexed raising task is re-raised here (after all
-    completions of successful tasks were delivered). *)
+    completion has been consumed. Then, if tasks raised, the exception
+    of the lowest-indexed raising task is re-raised; otherwise, if
+    [complete] raised, its exception is (it is not called again after
+    raising, but every task still runs). *)
 val run :
   t ->
   workers:'w array ->
@@ -65,7 +66,8 @@ val with_states :
   ('w array -> 'b) ->
   'b
 
-(** Stop and join all worker domains. The pool is unusable afterwards. *)
+(** Stop and join all worker domains. The pool is unusable afterwards:
+    a non-empty {!run} raises the [fleet] {!Machine.Sim_error}. *)
 val shutdown : t -> unit
 
 (** [with_pool ?jobs f] — [create], run [f], always [shutdown]. *)

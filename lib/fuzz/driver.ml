@@ -54,7 +54,7 @@ let program w cx ~seed ~index =
     stopping at the first one found (then shrinking it) or when [budget]
     oracle executions are spent. The budget window is scanned over
     [fleet] (default: a pool of one, on the calling domain) in rounds of
-    one program's slots per worker, and the first divergence in slot
+    [Fleet.jobs fleet] programs' slots, and the first divergence in slot
     order wins: the outcome and its execs/programs accounting are the
     same at every pool size, and a round merely executes the rest of its
     slots after the hit. *)

@@ -22,7 +22,6 @@
 type site = Reg_bitflip | Mem_byte | Pc_skew | Fault_sub | Di_slot
 
 let all_sites = [ Reg_bitflip; Mem_byte; Pc_skew; Fault_sub; Di_slot ]
-let architectural_sites = [ Reg_bitflip; Mem_byte; Pc_skew; Fault_sub ]
 
 (** Sites whose corruption is visible in architectural state (and hence
     detectable by a state-comparing checker). *)

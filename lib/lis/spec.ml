@@ -126,9 +126,6 @@ let find_instr t name =
   | None ->
     invalid_arg (Printf.sprintf "no instruction named %s in ISA %s" name t.name)
 
-(** Register-file template for this ISA. *)
-let make_regfile t = Machine.Regfile.create (Array.to_list t.reg_classes)
-
 (** Fresh machine with this ISA's register layout and endianness. *)
 let make_machine t =
   Machine.State.create ~endian:t.endian (Array.to_list t.reg_classes)

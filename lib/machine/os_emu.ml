@@ -64,7 +64,6 @@ let create ?obs ?(input = "") ?(brk0 = 0x400000L) () =
   { out = Buffer.create 256; input; in_pos = 0; brk = brk0; clock = 0L; tally }
 
 let output t = Buffer.contents t.out
-let clear_output t = Buffer.clear t.out
 
 let reg state (cls, idx) = Regfile.read state.State.regs ~cls ~idx
 let set_reg state (cls, idx) v = Regfile.write state.State.regs ~cls ~idx v

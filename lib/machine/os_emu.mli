@@ -39,8 +39,6 @@ val create : ?obs:Obs.t -> ?input:string -> ?brk0:int64 -> unit -> t
     validation compares this across interfaces and ISAs). *)
 val output : t -> string
 
-val clear_output : t -> unit
-
 (** [install t abi state] sets [state.syscall_handler] to dispatch into [t]. *)
 val install : t -> abi -> State.t -> unit
 

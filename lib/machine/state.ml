@@ -40,11 +40,6 @@ type snapshot = { s_regs : Regfile.t; s_pc : int64; s_next_pc : int64 }
 
 let snapshot t = { s_regs = Regfile.copy t.regs; s_pc = t.pc; s_next_pc = t.next_pc }
 
-let restore_snapshot t s =
-  Regfile.blit ~src:s.s_regs ~dst:t.regs;
-  t.pc <- s.s_pc;
-  t.next_pc <- s.s_next_pc
-
 let matches_snapshot t s =
   Regfile.equal t.regs s.s_regs && Int64.equal t.pc s.s_pc
 

@@ -34,7 +34,6 @@ val raise_fault : t -> Fault.t -> unit
 type snapshot
 
 val snapshot : t -> snapshot
-val restore_snapshot : t -> snapshot -> unit
 val matches_snapshot : t -> snapshot -> bool
 
 (** Exit status recorded by an [Exit] fault, if any. *)

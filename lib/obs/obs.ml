@@ -104,5 +104,4 @@ let merge ~into src =
 (** Periodic-metrics conveniences: tick/flush the series with this
     context's registry and profiler. *)
 let metrics_tick m t = Metrics.tick ?prof:t.prof m t.reg
-let metrics_snap m t = Metrics.snap ?prof:t.prof m t.reg
 let metrics_close m t = Metrics.close ?prof:t.prof m t.reg

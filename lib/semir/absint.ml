@@ -489,11 +489,3 @@ let misaligned (m : mem_access) =
   Int64.compare b 1L > 0
   && Int64.compare m.ma_addr.modulus b >= 0
   && not (Int64.equal (Int64.logand m.ma_addr.rem (Int64.sub b 1L)) 0L)
-
-let pp_aval ppf a =
-  (match a.itv with
-  | Some (lo, hi) when Int64.equal lo hi -> Format.fprintf ppf "{%Ld}" lo
-  | Some (lo, hi) -> Format.fprintf ppf "[%Ld,%Ld]" lo hi
-  | None -> Format.pp_print_string ppf "[?]");
-  if Int64.compare a.modulus 1L > 0 then
-    Format.fprintf ppf " ≡%Ld (mod %Ld)" a.rem a.modulus

@@ -17,7 +17,6 @@ val top : aval
 val const : int64 -> aval
 val join : aval -> aval -> aval
 val is_const : aval -> int64 option
-val pp_aval : Format.formatter -> aval -> unit
 
 (** {1 Effect domain} *)
 

@@ -96,9 +96,6 @@ type t = {
 
 let level_name t = t.d_levels.(t.d_idx).lv_name
 
-(** The primary machine (re-synthesized interfaces share it). *)
-let primary_state t = t.d_st
-
 (** The trusted shadow machine; its architectural state is the session's
     verified result (exit status, output, digest). *)
 let shadow_state t = t.d_shadow_st

@@ -185,5 +185,3 @@ let load ~path : view =
     quarantines and give-ups all count: rerunning them cannot change a
     deterministic outcome, and transient give-ups were already retried. *)
 let is_complete (v : view) case = Hashtbl.mem v.v_completed case
-
-let completed_count (v : view) = Hashtbl.length v.v_completed

@@ -57,8 +57,6 @@ let of_registry (reg : Obs.Registry.t) : stats =
     s_slices = Obs.Registry.counter reg "super.slices";
   }
 
-let unregistered () = of_registry (Obs.Registry.create ())
-
 (** Per-worker campaign instrumentation for a fleet batch: an {!Obs}
     context and supervision counters. Tasks receive only their
     executing worker's context, so a cross-domain counter increment is

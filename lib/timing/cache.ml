@@ -17,9 +17,6 @@ let l1i_default =
 let l1d_default =
   { size_bytes = 16 * 1024; ways = 4; line_bytes = 64; hit_latency = 1; miss_penalty = 12 }
 
-let l2_default =
-  { size_bytes = 256 * 1024; ways = 8; line_bytes = 64; hit_latency = 6; miss_penalty = 80 }
-
 type t = {
   config : config;
   sets : int;

@@ -10,11 +10,10 @@ type config = {
   miss_penalty : int;
 }
 
-(** 16 KiB 2-way / 16 KiB 4-way / 256 KiB 8-way, 64-byte lines. *)
+(** 16 KiB 2-way / 16 KiB 4-way, 64-byte lines. *)
 val l1i_default : config
 
 val l1d_default : config
-val l2_default : config
 
 type t
 

@@ -169,20 +169,7 @@ let run_rotating ?input ?(budget = 100_000_000) (t : target) ~buildsets
   let ifaces = Array.of_list ifaces in
   if Array.length ifaces = 0 then
     Machine.Sim_error.raisef ~component:"workload" "run_rotating: no buildsets";
-  let os = Machine.Os_emu.create ?input () in
-  (match spec.abi with
-  | Some abi -> Machine.Os_emu.install os abi st
-  | None ->
-    Machine.Sim_error.raisef ~component:"workload" ~context:[ ("isa", t.tname) ]
-      "ISA has no abi declaration");
-  let words = t.encode ~base:code_base program in
-  List.iteri
-    (fun i w ->
-      Machine.Memory.write st.mem
-        ~addr:(Int64.add code_base (Int64.of_int (4 * i)))
-        ~width:4 w)
-    words;
-  Machine.State.reset st ~pc:code_base;
+  let os = load_image ?input t program st in
   let dis =
     Array.map
       (fun (i : Specsim.Iface.t) ->

@@ -1,5 +1,5 @@
-(* Domain fleet: deque semantics, pool correctness, and the central
-   contract — a parallel campaign is observably identical to the
+(* Domain fleet: pool correctness, static task assignment, and the
+   central contract — a parallel campaign is observably identical to the
    sequential one at the same seed. *)
 
 let tmp_path name =
@@ -16,100 +16,6 @@ let rm_rf path =
       Unix.rmdir path
     end
     else Sys.remove path
-
-(* ----------------------------------------------------------------- *)
-(* Deque: owner LIFO, thief FIFO, growth                               *)
-(* ----------------------------------------------------------------- *)
-
-let test_deque_lifo () =
-  let d = Fleet.Deque.create () in
-  for i = 1 to 5 do
-    Fleet.Deque.push d i
-  done;
-  Alcotest.(check int) "size" 5 (Fleet.Deque.size d);
-  let popped = List.init 5 (fun _ -> Fleet.Deque.pop d) in
-  Alcotest.(check (list (option int)))
-    "owner pops newest first"
-    [ Some 5; Some 4; Some 3; Some 2; Some 1 ]
-    popped;
-  Alcotest.(check (option int)) "empty pops None" None (Fleet.Deque.pop d)
-
-let test_deque_steal_fifo () =
-  let d = Fleet.Deque.create () in
-  for i = 1 to 5 do
-    Fleet.Deque.push d i
-  done;
-  let stolen = List.init 5 (fun _ -> Fleet.Deque.steal d) in
-  Alcotest.(check (list (option int)))
-    "thief takes oldest first"
-    [ Some 1; Some 2; Some 3; Some 4; Some 5 ]
-    stolen;
-  Alcotest.(check (option int)) "empty steals None" None (Fleet.Deque.steal d)
-
-let test_deque_grow () =
-  (* push well past the initial capacity; nothing may be lost *)
-  let d = Fleet.Deque.create () in
-  let n = 1000 in
-  for i = 0 to n - 1 do
-    Fleet.Deque.push d i
-  done;
-  Alcotest.(check int) "size after growth" n (Fleet.Deque.size d);
-  (* drain mixing both ends: pop and steal must together see every
-     element exactly once *)
-  let seen = Array.make n false in
-  let dups = ref 0 in
-  let record = function
-    | None -> ()
-    | Some v ->
-      if seen.(v) then incr dups;
-      seen.(v) <- true
-  in
-  for i = 0 to n - 1 do
-    record (if i mod 2 = 0 then Fleet.Deque.pop d else Fleet.Deque.steal d)
-  done;
-  Alcotest.(check int) "no duplicates" 0 !dups;
-  Alcotest.(check bool) "every element seen" true
-    (Array.for_all Fun.id seen)
-
-let test_deque_concurrent_steal () =
-  (* owner pops while two thief domains steal: each element is claimed
-     exactly once, none is lost *)
-  let d = Fleet.Deque.create () in
-  let n = 5000 in
-  for i = 0 to n - 1 do
-    Fleet.Deque.push d i
-  done;
-  let claims = Array.init n (fun _ -> Atomic.make 0) in
-  let claim = function
-    | None -> false
-    | Some v ->
-      Atomic.incr claims.(v);
-      true
-  in
-  let thief () =
-    let continue = ref true in
-    while !continue do
-      if not (claim (Fleet.Deque.steal d)) then continue := false
-    done
-  in
-  let t1 = Domain.spawn thief and t2 = Domain.spawn thief in
-  let continue = ref true in
-  while !continue do
-    if not (claim (Fleet.Deque.pop d)) then continue := false
-  done;
-  Domain.join t1;
-  Domain.join t2;
-  (* stragglers: thieves may have bailed while the owner still held
-     elements and vice versa — drain what is left *)
-  let continue = ref true in
-  while !continue do
-    if not (claim (Fleet.Deque.pop d)) then continue := false
-  done;
-  Array.iteri
-    (fun i c ->
-      if Atomic.get c <> 1 then
-        Alcotest.failf "element %d claimed %d times" i (Atomic.get c))
-    claims
 
 (* ----------------------------------------------------------------- *)
 (* Pool: map, worker state, exception propagation                      *)
@@ -201,6 +107,97 @@ let test_fleet_exception () =
           Alcotest.(check (array int)) "pool usable after exception"
             [| 0; 1; 2; 3 |] out))
     [ 2; 1 ]
+
+let test_fleet_assignment () =
+  (* static assignment: worker s runs tasks s, s + jobs, s + 2 jobs, ...
+     of every batch, in ascending order, and nothing else *)
+  List.iter
+    (fun jobs ->
+      Fleet.with_pool ~jobs (fun fl ->
+          let ran = Array.init jobs (fun _ -> ref []) in
+          let batches = 20 and n = 203 in
+          for _ = 1 to batches do
+            Fleet.run fl ~workers:ran
+              ~tasks:(Array.init n (fun k r -> r := k :: !r))
+              ~complete:(fun _ () -> ())
+          done;
+          Array.iteri
+            (fun s r ->
+              let mine =
+                List.filter (fun k -> k mod jobs = s) (List.init n Fun.id)
+              in
+              Alcotest.(check (list int))
+                (Printf.sprintf "jobs %d: worker %d's tasks" jobs s)
+                (List.concat (List.init batches (fun _ -> mine)))
+                (List.rev !r))
+            ran))
+    [ 1; 2; 4 ]
+
+(* one batch of 12 tasks whose [complete] always raises, [raising_task]
+   raising too: every task runs, [complete] is called once, and the
+   exception that [run] re-raises after the drain is returned *)
+let complete_raises_batch fl ~jobs ~raising_task =
+  let ran = Atomic.make 0 and calls = ref 0 in
+  let raised =
+    try
+      Fleet.run fl ~workers:(Array.make jobs ())
+        ~tasks:
+          (Array.init 12 (fun k () ->
+               Atomic.incr ran;
+               if Some k = raising_task then
+                 Machine.Sim_error.raisef ~component:"vir" "task %d" k))
+        ~complete:(fun _ () ->
+          incr calls;
+          failwith "complete");
+      None
+    with exn -> Some exn
+  in
+  Alcotest.(check int) "every task runs" 12 (Atomic.get ran);
+  Alcotest.(check int) "complete is not called again" 1 !calls;
+  raised
+
+let test_fleet_complete_raises () =
+  (* a raising [complete] is not called again, every task still runs,
+     and its exception surfaces after the batch drains *)
+  List.iter
+    (fun jobs ->
+      Fleet.with_pool ~jobs (fun fl ->
+          match complete_raises_batch fl ~jobs ~raising_task:None with
+          | Some (Failure m) ->
+            Alcotest.(check string) "callback's exception" "complete" m
+          | _ -> Alcotest.fail "expected the callback's Failure"))
+    [ 1; 4 ]
+
+let test_fleet_task_beats_complete () =
+  (* when a task raised too, the task's exception wins over the
+     callback's *)
+  List.iter
+    (fun jobs ->
+      Fleet.with_pool ~jobs (fun fl ->
+          match complete_raises_batch fl ~jobs ~raising_task:(Some 7) with
+          | Some (Machine.Sim_error.Error e) ->
+            Alcotest.(check string) "the task's exception wins" "task 7"
+              e.Machine.Sim_error.what
+          | _ -> Alcotest.fail "expected the task's Sim_error"))
+    [ 1; 4 ]
+
+let test_fleet_run_after_shutdown () =
+  List.iter
+    (fun jobs ->
+      let fl = Fleet.create ~jobs () in
+      Fleet.shutdown fl;
+      let ran = ref false in
+      match
+        Fleet.run fl ~workers:(Array.make jobs ())
+          ~tasks:[| (fun () -> ran := true) |]
+          ~complete:(fun _ () -> ())
+      with
+      | () -> Alcotest.fail "run after shutdown must be rejected"
+      | exception Machine.Sim_error.Error e ->
+        Alcotest.(check string) "fleet component" "fleet"
+          e.Machine.Sim_error.component;
+        Alcotest.(check bool) "no task ran" false !ran)
+    [ 1; 4 ]
 
 let test_fleet_states () =
   (* a pool of one hands its worker the caller's state and joins
@@ -724,11 +721,6 @@ let test_campaign_parallel_resume () =
 
 let suite =
   [
-    Alcotest.test_case "deque: owner pops LIFO" `Quick test_deque_lifo;
-    Alcotest.test_case "deque: thief steals FIFO" `Quick test_deque_steal_fifo;
-    Alcotest.test_case "deque: grows without loss" `Quick test_deque_grow;
-    Alcotest.test_case "deque: concurrent steal claims exactly once" `Quick
-      test_deque_concurrent_steal;
     Alcotest.test_case "fleet: map by task index, reusable" `Quick
       test_fleet_map;
     Alcotest.test_case "fleet: worker-local state" `Quick
@@ -737,6 +729,14 @@ let suite =
       test_fleet_exception;
     Alcotest.test_case "fleet: non-positive jobs rejected" `Quick
       test_fleet_bad_jobs;
+    Alcotest.test_case "fleet: worker s runs tasks s, s + jobs, ..." `Quick
+      test_fleet_assignment;
+    Alcotest.test_case "fleet: a raising complete drains the batch" `Quick
+      test_fleet_complete_raises;
+    Alcotest.test_case "fleet: a raising task beats a raising complete"
+      `Quick test_fleet_task_beats_complete;
+    Alcotest.test_case "fleet: run after shutdown is rejected" `Quick
+      test_fleet_run_after_shutdown;
     Alcotest.test_case "gen: case_seed golden values" `Quick
       test_case_seed_golden;
     Alcotest.test_case "gen: case generation is schedule-independent" `Quick
