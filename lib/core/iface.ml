@@ -22,7 +22,8 @@ type stats = {
   mutable block_invalidations : int;
       (** [flush_code_cache] calls plus blocks killed by code writes *)
   mutable sites_compiled : int;
-      (** specialized per-site closures built (block mode) *)
+      (** specialized per-site closures this interface needed (every
+          one-entrypoint interface: Block and One) *)
   mutable site_cache_hits : int;
       (** site compilations avoided by the shared [(instr, encoding)]
           translation cache *)
@@ -36,8 +37,10 @@ type stats = {
           that gates the store-free optimizations (0 when disabled, or
           when a synthesis cache already held the verdicts) *)
   mutable fastpath_classes : int;
-      (** instruction classes granted the memory fast path because the
-          analysis proved them store- and syscall-free *)
+      (** instruction classes granted the memory fast path in the
+          generic per-segment items (what Step interfaces and every
+          [step] call run) because the analysis proved them store- and
+          syscall-free *)
   mutable stable_blocks : int;
       (** translated blocks whose mid-run SMC recheck was elided: every
           site is statically store-free, so the block cannot invalidate

@@ -31,11 +31,12 @@ type t = {
 
 let segments = [| "fetch"; "decode"; "ir" |]
 
-(** [create o bs stats ~journal ~fused_closures] registers an interface's
-    counters and histograms, and exports its engine statistics, its
-    journal and its fused-closure accounting as pull gauges. *)
+(** [create o bs stats ~journal ~translates ~fused_closures] registers an
+    interface's counters and histograms, and exports its engine
+    statistics, its journal and its fused-closure accounting as pull
+    gauges. *)
 let create (o : Obs.t) (bs : Lis.Spec.buildset) (stats : Iface.stats)
-    ~journal ~fused_closures =
+    ~journal ~translates ~fused_closures =
   let reg = o.Obs.reg in
   let per_ep suffix f =
     Array.map (fun (nm, _) -> f reg ("synth.ep." ^ nm ^ suffix)) bs.bs_entrypoints
@@ -75,15 +76,16 @@ let create (o : Obs.t) (bs : Lis.Spec.buildset) (stats : Iface.stats)
         ("stable_blocks", fun () -> stats.stable_blocks);
       ]
   else gauge "core.absint_fastpath_classes" (fun () -> stats.fastpath_classes);
-  (* Fused-closure accounting: in per-instruction modes every IR-bearing
-     segment holds one eagerly-compiled closure per instruction; in
-     block mode closures are specialized per site and cached with the
-     block. *)
+  (* Fused-closure accounting: an interface that translates (one
+     entrypoint: Block and One) specializes one closure per site, on the
+     site's first execution; a Step interface holds [fused_closures],
+     one eagerly compiled closure per instruction and IR-bearing
+     segment. *)
   gauge "core.fused_closures_compiled" (fun () ->
-      if bs.bs_block then stats.sites_compiled else fused_closures);
+      if translates then stats.sites_compiled else fused_closures);
   gauge "core.fused_closure_reuse" (fun () ->
       max 0
-        (if bs.bs_block then stats.instrs_executed - stats.sites_compiled
+        (if translates then stats.instrs_executed - stats.sites_compiled
          else t.seg_calls.(1).R.n + t.seg_calls.(2).R.n - fused_closures));
   Option.iter (fun j -> Specul.register_obs j o) journal;
   t

@@ -4,11 +4,12 @@
     alone — the store-free verdicts of the abstract interpreter, the
     decoder, the block engine's chain IR, each buildset's slot layout,
     liveness verdict, segments and per-instruction optimized IR, and the
-    compiled per-instruction code of interfaces that can share it — is
-    computed once per cache and reused by every later instance. A cache
-    is a plain mutable value owned by its caller: one campaign, one
-    worker domain, one supervised session. It is never global and never
-    crosses domains (DESIGN.md, "synthesis plan vs instance"). *)
+    compiled per-instruction code and translated sites of interfaces
+    that can share them — is computed once per cache and reused by every
+    later instance. A cache is a plain mutable value owned by its
+    caller: one campaign, one worker domain, one supervised session. It
+    is never global and never crosses domains (DESIGN.md, "synthesis
+    plan vs instance"). *)
 
 exception Synth_error of string
 
@@ -84,7 +85,8 @@ let optimize_segments (spec : Lis.Spec.t) (bs : Lis.Spec.buildset)
 (* What the block engine specializes sites from: each instruction's full
    chain IR in sequence order (fetch excluded), whether it can end a
    block, and the cells some instruction reads before writing them
-   (cross-instruction carriers, which must survive DCE in block mode). *)
+   (cross-instruction carriers, which must survive DCE in translated
+   sites). *)
 type block_plan = {
   chain_ir : Semir.Ir.program array;
   is_ctrl : bool array;
@@ -200,6 +202,10 @@ type t = {
   mutable store_free : bool array option;  (** absint verdicts per class *)
   mutable block : block_plan option;
   buildsets : (string, buildset) Hashtbl.t;
+  mutable sites :
+    (bool array * (int * int64, Semir.Compile.code) Hashtbl.t) list;
+      (** translated sites of non-speculative [Compiled] instances, per
+          visibility, keyed by [(instr, encoding)] *)
 }
 
 let create (spec : Lis.Spec.t) =
@@ -217,6 +223,7 @@ let create (spec : Lis.Spec.t) =
     store_free = None;
     block = None;
     buildsets = Hashtbl.create 16;
+    sites = [];
   }
 
 (** [store_free t ~absint] is the per-class store-free verdict and the
@@ -290,3 +297,32 @@ let shared_items bp ~absint build =
     let items = build () in
     bp.shared <- (absint, items) :: bp.shared;
     items
+
+(** Most sites one shared table holds. *)
+let max_shared_sites = 4096
+
+(** [site_table t visible] is the table of translated sites shared by
+    the non-speculative [Compiled] instances whose buildsets have
+    visibility [visible]: a site's code depends on the cells it keeps
+    and where they live, both fixed by visibility, so block_min and
+    one_min share. *)
+let site_table t visible =
+  match List.assoc_opt visible t.sites with
+  | Some tbl -> tbl
+  | None ->
+    let tbl = Hashtbl.create 256 in
+    t.sites <- (visible, tbl) :: t.sites;
+    tbl
+
+(** [shared_site tbl key build] is the site stored under [key], built by
+    [build] on first use. A full table is emptied before the next site
+    goes in, the policy QEMU applies to a full translation buffer, so a
+    long campaign's table stays bounded. *)
+let shared_site tbl key build =
+  match Hashtbl.find_opt tbl key with
+  | Some c -> c
+  | None ->
+    if Hashtbl.length tbl >= max_shared_sites then Hashtbl.reset tbl;
+    let c = build () in
+    Hashtbl.add tbl key c;
+    c

@@ -5,8 +5,9 @@
     vs. reused scratch), actions are grouped into the buildset's
     entrypoints and fused, dead information computation is eliminated,
     speculation hooks are compiled in only when asked for, and — for
-    block-semantic buildsets — each basic block is specialized against its
-    concrete instruction encodings and cached (the binary-translation
+    one-entrypoint buildsets — each executed instruction is specialized
+    against its concrete encoding and cached, per basic block for Block
+    interfaces and per pc for One interfaces (the binary-translation
     analog).
 
     What depends only on the specification and the buildset is the
@@ -133,6 +134,55 @@ let dispatch_invariant_violation (st : State.t) ~want ~got =
     "block dispatch invariant violated: cached block does not start at the \
      dispatch pc"
 
+(* The site of an encoding no instruction matches. *)
+let illegal_site : Semir.Compile.code =
+ fun st fr ->
+  State.raise_fault st (Fault.Illegal_instruction (Semir.Frame.enc fr))
+
+(* ------------------------------------------------------------------ *)
+(* Decoded-instruction cache                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* What a translated [run_one] knows of the instruction at [d_pc]: the
+   window fetched there, its decoded class (-1: illegal), its encoding
+   truncated to the class's parcel, its fall-through pc and its site.
+   A hit needs an equal pc and an equal window, and the rest follows
+   from those two, so a write to code, a rollback, a checkpoint restore
+   or an image reload cannot make an entry stale: it just stops
+   matching. The boxes are kept so a hit writes the DI header without
+   allocating; [d_taken] is the last taken target, as in [next_box]. *)
+type decoded = {
+  d_pc : int64;
+  d_win : int64;
+  d_idx : int;
+  d_enc : int64;
+  d_fall : int64;
+  mutable d_taken : int64;
+  d_site : Semir.Compile.code;
+}
+
+(* Direct-mapped on [pc lsr 1]: 256 slots span 512 bytes of code. *)
+let dcache_slots = 256
+
+let dcache_slot pc = (Int64.to_int pc lsr 1) land (dcache_slots - 1)
+
+(* An empty cache: each slot holds an entry whose pc maps to another
+   slot, so it never hits. *)
+let empty_dcache () =
+  let empty pc =
+    {
+      d_pc = pc;
+      d_win = 0L;
+      d_idx = -1;
+      d_enc = 0L;
+      d_fall = 0L;
+      d_taken = 0L;
+      d_site = illegal_site;
+    }
+  in
+  let in_slot0 = empty 0L and in_slot1 = empty 2L in
+  Array.init dcache_slots (fun s -> if s = 0 then in_slot1 else in_slot0)
+
 (* ------------------------------------------------------------------ *)
 (* Synthesis                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -206,9 +256,10 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   (* Static effect analysis: which instruction classes are provably
      store-free (no [Store] on any path, no syscall whose handler could
      write memory)? Such classes can never invalidate translated code,
-     so they get the memory fast path outside block mode and their
-     blocks skip the per-site SMC recheck. The analysis is sound, never
-     required: [absint = false] degrades every verdict to "unsafe". *)
+     so they get the memory fast path in the generic per-segment items
+     and their blocks skip the per-site SMC recheck. The analysis is
+     sound, never required: [absint = false] degrades every verdict to
+     "unsafe". *)
   let class_store_free, absint_ns = Plan.store_free plan ~absint in
   stats.Iface.absint_ns <- absint_ns;
   if not bs.bs_block then
@@ -224,9 +275,12 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   (* --- entrypoint code ------------------------------------------------ *)
   (* Compiled code reads the machine only through its [st] argument, so
      instances on any machine can share it — except where speculation
-     hooks capture this instance's journal. Per-instruction interfaces
-     get their code here, in set-up; block interfaces only on their first
-     [run_one]/[step], which their block loops never make. *)
+     hooks capture this instance's journal. Step interfaces get their
+     generic per-segment items here, in set-up. One-entrypoint
+     interfaces (Block and One) run translated sites instead and build
+     the items only on their first [step], which none of their own loops
+     makes. *)
+  let n_eps = Array.length bs.bs_entrypoints in
   let items () =
     let build () =
       Plan.compile_items bp ~store_free:class_store_free
@@ -236,7 +290,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       Plan.shared_items bp ~absint build
     else build ()
   in
-  let ep_items = ref (if bs.bs_block then [||] else items ()) in
+  let ep_items = ref (if n_eps = 1 then [||] else items ()) in
 
   (* --- execution ------------------------------------------------------ *)
   let exec_item (di : Di.t) = function
@@ -293,6 +347,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     | Some o when o.Obs.full ->
       Some
         (Instrument.create o bs stats ~journal
+           ~translates:(n_eps = 1)
            ~fused_closures:(Plan.n_code_segs bp * n_instrs))
     | Some _ | None -> None
   in
@@ -321,15 +376,16 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     done;
     Obs.Hist.record i.ep_ns.(k) (!last - t0)
   in
-  (* One entrypoint crossing: the hook the plain [run_one] and [step]
-     loops call. The synthesis-time constant [ins] picks its body, so
-     both loops make a direct call and an unobserved crossing pays one
+  (* One entrypoint crossing: the hook [step] and a Step interface's
+     [run_one] call. The synthesis-time constant [ins] picks its body, so
+     both make a direct call and an unobserved crossing pays one
      predicted branch. Loops, not local recursive functions: a per-call
-     closure would be the engine's largest allocation. This is the one
-     per-crossing path that updates counters and the sampler's countdown
-     in place, because a call into another module costs more than the
-     update (see {!Obs.Sample.t}); coarser paths in {!Instrument} call
-     [Obs.Sample.tick] and [Obs.Registry.add]. *)
+     closure would be the engine's largest allocation. This and the
+     translated crossing are the per-crossing paths; they update
+     counters and the sampler's countdown in place, because a call into
+     another module costs more than the update (see {!Obs.Sample.t});
+     coarser paths in {!Instrument} call [Obs.Sample.tick] and
+     [Obs.Registry.add]. *)
   let exec_ep di k (items : Plan.item array) =
     match ins with
     | None ->
@@ -360,6 +416,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   in
 
   let step di k =
+    if Array.length !ep_items = 0 then ep_items := items ();
     load_frame di;
     exec_ep di k !ep_items.(k);
     save_frame di
@@ -373,8 +430,15 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       Specul.auto_trim j ~window:spec_window
   in
 
-  let n_eps = Array.length bs.bs_entrypoints in
-  let run_one (di : Di.t) =
+  let retire (di : Di.t) =
+    st.pc <- di.next_pc;
+    st.instr_count <- Int64.add st.instr_count 1L;
+    stats.instrs_executed <- stats.instrs_executed + 1
+  in
+
+  (* The generic [run_one] of a Step interface: every entrypoint's items
+     in turn. *)
+  let run_one_items (di : Di.t) =
     if not st.halted then begin
       di.pc <- st.pc;
       di.instr_index <- -1;
@@ -388,12 +452,169 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
         incr k
       done;
       save_frame di;
-      if not st.halted then begin
-        st.pc <- di.next_pc;
-        st.instr_count <- Int64.add st.instr_count 1L;
-        stats.instrs_executed <- stats.instrs_executed + 1
-      end
+      if not st.halted then retire di
     end
+  in
+
+  (* --- the translator -------------------------------------------------- *)
+  (* One-entrypoint interfaces execute sites: an instruction's whole
+     chain IR (decode to the end of the sequence) specialized against
+     its concrete encoding. The LIS front end makes a lone entrypoint's
+     actions the whole sequence in order, so a site does exactly what
+     the generic items would. Specialization depends only on the
+     encoding, never on the pc: loops entered at several pcs, duplicated
+     code and rebuilt blocks reuse compiled sites. This instance's view
+     counts its compilations and hits as a fresh synthesis would; behind
+     it, non-speculative [Compiled] instances share the plan's sites per
+     visibility. Both survive [flush_code_cache]: entries keyed by
+     [(instr, encoding)] stay correct whatever memory now holds. *)
+  let translator () =
+    let { Plan.chain_ir; carried; _ } = Plan.block_plan plan in
+    let keep c = bs.bs_visible.(c) || Plan.Iset.mem c carried in
+    let build enc idx () =
+      compile_program ~mem_fast_path:site_cache
+        (Semir.Opt.optimize ~enc ~keep chain_ir.(idx))
+    in
+    let view : (int * int64, Semir.Compile.code) Hashtbl.t =
+      Hashtbl.create 256
+    in
+    let shared =
+      if site_cache && backend = Compiled && journal = None then
+        Some (Plan.site_table plan bs.bs_visible)
+      else None
+    in
+    let compile_site enc idx =
+      let key = (idx, enc) in
+      match if site_cache then Hashtbl.find_opt view key else None with
+      | Some c ->
+        stats.Iface.site_cache_hits <- stats.Iface.site_cache_hits + 1;
+        c
+      | None ->
+        stats.Iface.sites_compiled <- stats.Iface.sites_compiled + 1;
+        let c =
+          match shared with
+          | Some tbl -> Plan.shared_site tbl key (build enc idx)
+          | None -> build enc idx ()
+        in
+        if site_cache then Hashtbl.add view key c;
+        c
+    in
+    compile_site
+  in
+  let translator = if n_eps = 1 then Some (translator ()) else None in
+
+  (* The translated [run_one]: a crossing fetches the window at the pc,
+     looks it up in the decoded-instruction cache (decoding and
+     translating on a miss) and runs the entry's site. Observed, it
+     counts what the generic items would (the crossing, fetch, decode,
+     and ir unless decode found no instruction), and a sampled crossing
+     times fetch as "fetch", the lookup as "decode" and the site as
+     "ir". *)
+  let run_one_translated compile_site =
+    let dcache = empty_dcache () in
+    let fetch pc =
+      Memory.load_into st.mem
+        ~addr:(Int64.to_int pc land max_int)
+        ~width:spec.instr_bytes ~signed:false fs enc_off
+    in
+    let lookup pc =
+      let win = get64 fs enc_off in
+      let slot = dcache_slot pc in
+      let d = Array.unsafe_get dcache slot in
+      if Int64.equal d.d_pc pc && Int64.equal d.d_win win then d
+      else begin
+        let idx = Decoder.decode_slot decoder fs enc_off in
+        (* an illegal window keeps the generic decode's state: the whole
+           window, the fetch's fall-through, and the fault its site
+           raises *)
+        let enc, size, site =
+          if idx < 0 then (win, instr_bytes64, illegal_site)
+          else
+            let enc = Int64.logand win (Array.unsafe_get size_mask idx) in
+            (enc, Array.unsafe_get size64 idx, compile_site enc idx)
+        in
+        let fall = Int64.add pc size in
+        let d =
+          {
+            d_pc = pc;
+            d_win = win;
+            d_idx = idx;
+            d_enc = enc;
+            d_fall = fall;
+            d_taken = fall;
+            d_site = site;
+          }
+        in
+        Array.unsafe_set dcache slot d;
+        d
+      end
+    in
+    let exec_site (di : Di.t) pc d =
+      di.instr_index <- d.d_idx;
+      di.encoding <- d.d_enc;
+      set64 fs pc_off pc;
+      set64 fs enc_off d.d_enc;
+      set64 fs next_pc_off d.d_fall;
+      frame.di <- di.info;
+      d.d_site st frame;
+      let n = get64 fs next_pc_off in
+      di.next_pc <-
+        (if Int64.equal n d.d_fall then d.d_fall
+         else if Int64.equal n d.d_taken then d.d_taken
+         else begin
+           d.d_taken <- n;
+           d.d_taken
+         end);
+      di.fault <- st.fault
+    in
+    let count_segs (i : Instrument.t) d =
+      count (Array.unsafe_get i.seg_calls 0);
+      count (Array.unsafe_get i.seg_calls 1);
+      if d.d_idx >= 0 then count (Array.unsafe_get i.seg_calls 2)
+    in
+    fun (di : Di.t) ->
+      if not st.halted then begin
+        let pc = st.pc in
+        di.pc <- pc;
+        auto_checkpoint di;
+        (match ins with
+        | None ->
+          fetch pc;
+          exec_site di pc (lookup pc)
+        | Some i ->
+          let smp = i.sampler in
+          (* [Obs.Sample.tick], inlined, as in [exec_ep] *)
+          if smp.left > 1 then begin
+            smp.left <- smp.left - 1;
+            fetch pc;
+            let d = lookup pc in
+            exec_site di pc d;
+            count_segs i d
+          end
+          else begin
+            Obs.Sample.rearm smp;
+            let t0 = Obs.Clock.now () in
+            fetch pc;
+            let t1 = Obs.Clock.now () in
+            let d = lookup pc in
+            let t2 = Obs.Clock.now () in
+            exec_site di pc d;
+            let t3 = Obs.Clock.now () in
+            Obs.Hist.record i.seg_ns.(0) (t1 - t0);
+            Obs.Hist.record i.seg_ns.(1) (t2 - t1);
+            if d.d_idx >= 0 then Obs.Hist.record i.seg_ns.(2) (t3 - t2);
+            Obs.Hist.record i.ep_ns.(0) (t3 - t0);
+            count_segs i d
+          end;
+          count i.crossings;
+          count (Array.unsafe_get i.ep_calls 0));
+        if not st.halted then retire di
+      end
+  in
+  let run_one =
+    match translator with
+    | Some compile_site -> run_one_translated compile_site
+    | None -> run_one_items
   in
   let run_one =
     match ins with Some i -> Instrument.run_one i spec st run_one | None -> run_one
@@ -418,49 +639,16 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     end
   in
   (* a one-instruction batch: the ring's first record, counted unless the
-     instruction faulted *)
+     instruction halted (an uncounted instruction, as in the block loop) *)
   let one_result () =
-    Array.unsafe_get !dis_results
-      (if st.halted && st.fault <> None then 0 else 1)
+    Array.unsafe_get !dis_results (if st.halted then 0 else 1)
   in
   (* The translation cache, built for block buildsets only: the block
      loop, the chained fast loop and the flush of the block tables. *)
-  let block_engine () =
-    let { Plan.chain_ir; is_ctrl; carried } = Plan.block_plan plan in
-    let block_keep c = bs.bs_visible.(c) || Plan.Iset.mem c carried in
+  let block_engine compile_site =
+    let { Plan.is_ctrl; _ } = Plan.block_plan plan in
     let max_block = 64 in
     let blocks : (int64, block) Hashtbl.t = Hashtbl.create 1024 in
-    (* Shared translation cache: specialization depends only on the
-       encoding, never on the pc, so loops entered at several pcs,
-       duplicated code and rebuilt blocks reuse compiled sites instead of
-       recompiling. The cache survives [flush_code_cache]: entries keyed
-       by [(instr, encoding)] stay correct whatever memory now holds. *)
-    let site_tbl : (int * int64, Semir.Compile.code) Hashtbl.t =
-      Hashtbl.create 256
-    in
-    let compile_site enc idx =
-      let build () =
-        stats.Iface.sites_compiled <- stats.Iface.sites_compiled + 1;
-        let ir = Semir.Opt.optimize ~enc ~keep:block_keep chain_ir.(idx) in
-        compile_program ~mem_fast_path:site_cache ir
-      in
-      if site_cache then begin
-        let key = (idx, enc) in
-        match Hashtbl.find_opt site_tbl key with
-        | Some c ->
-          stats.Iface.site_cache_hits <- stats.Iface.site_cache_hits + 1;
-          c
-        | None ->
-          let c = build () in
-          Hashtbl.add site_tbl key c;
-          c
-      end
-      else build ()
-    in
-    let illegal_site : Semir.Compile.code =
-     fun st fr ->
-      State.raise_fault st (Fault.Illegal_instruction (Semir.Frame.enc fr))
-    in
     (* Pages holding translated code, mapped to the blocks compiled from
        them; a write to such a page invalidates those blocks (and thereby
        every chain link into them, since dispatch re-checks [b_valid]). *)
@@ -717,7 +905,11 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     in
     (run_block, run_fast_chained, flush)
   in
-  let engine = if bs.bs_block then Some (block_engine ()) else None in
+  let engine =
+    match translator with
+    | Some compile_site when bs.bs_block -> Some (block_engine compile_site)
+    | Some _ | None -> None
+  in
   (* Non-block buildsets still offer [run_block] as a one-instruction
      batch so consumers can be written against one call style. *)
   let run_block =
@@ -730,11 +922,6 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
         one_result ()
   in
 
-  let retire (di : Di.t) =
-    st.pc <- di.next_pc;
-    st.instr_count <- Int64.add st.instr_count 1L;
-    stats.instrs_executed <- stats.instrs_executed + 1
-  in
   let redirect pc = st.pc <- pc in
   let no_spec (_ : unit) =
     Sim_error.raisef ~component:"interface"
@@ -823,18 +1010,6 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
         run_fast_chained ~note:(fun pc0 k -> Obs.Prof.note p ~pc:pc0 ~instrs:k)
       | Some i, _ -> Instrument.run_fast i ?prof run_fast_chained)
     | _ -> run_fast_generic
-  in
-  (* Block interfaces compile their per-instruction code on first use. *)
-  let run_one, step =
-    if not bs.bs_block then (run_one, step)
-    else
-      let ensure () = if Array.length !ep_items = 0 then ep_items := items () in
-      ( (fun di ->
-          ensure ();
-          run_one di),
-        fun di k ->
-          ensure ();
-          step di k )
   in
   {
     Iface.spec;

@@ -36,7 +36,8 @@ val spec_window : int
     store-free verdicts, the decoder, the block engine's chain IR, and
     per buildset the slot layout, liveness verdict, segments and
     optimized IR — plus the compiled per-instruction code that later
-    non-speculative [Compiled] interfaces of the same buildset share.
+    non-speculative [Compiled] interfaces of the same buildset share,
+    and the translated sites those of the same visibility share.
     A cache belongs to its caller (a campaign, a fleet worker, a
     supervised session) and to the one domain that uses it; the library
     holds none globally. *)
@@ -63,10 +64,19 @@ val cache : Lis.Spec.t -> cache
     holding translated code are tracked so writes to them invalidate the
     affected blocks and chain links — self-modifying code observes its
     own stores. Disabling both flags reproduces the pre-cache engine for
-    A/B comparison. Their per-instruction code, which only [run_one] and
-    [step] use, is compiled on the first such call. [mutate] deliberately
-    re-breaks the engine (one {!mutation} bug class) — for fuzzer
-    validation only, never for real simulation.
+    A/B comparison.
+
+    Every one-entrypoint interface (Block and One) runs [run_one] on the
+    same translated sites, through a small pc-indexed cache of decoded
+    instructions that a hit trusts only for the instruction bytes it was
+    decoded from, so it needs no invalidation. Non-speculative [Compiled]
+    interfaces share their sites through [cache], per visibility, in a
+    table emptied in full when it fills. Step interfaces compile their
+    generic per-segment code in set-up; one-entrypoint interfaces only on
+    their first [step].
+
+    [mutate] deliberately re-breaks the engine (one {!mutation} bug
+    class) — for fuzzer validation only, never for real simulation.
 
     [absint] (default on) runs {!Analysis.Absint} at synthesis time and
     gates two optimizations on its store-free verdicts: instruction

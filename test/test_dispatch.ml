@@ -271,6 +271,101 @@ let test_self_store_equivalence () =
         42 block.Workload.exit_status)
     Workload.targets
 
+(* ----------------------------------------------------------------- *)
+(* Decoded-instruction cache coherence                                 *)
+(* ----------------------------------------------------------------- *)
+
+(* One-entrypoint interfaces run [run_one] through a pc-indexed cache of
+   decoded instructions, whose entries a hit trusts only for the window
+   they were decoded from: nothing invalidates them. block_min is driven
+   through [run_one] here, never through its block loop. *)
+let dcache_buildsets = [ "one_min"; "one_all_spec"; "block_min" ]
+
+let kernel name =
+  List.find
+    (fun (k : Vir.Kernels.sized) -> k.kname = name)
+    Vir.Kernels.test_suite
+
+(* Run to the halt through [run_one]; the outcome, and the register
+   digest as a string for the checks. *)
+let run_one_outcome (iface : Specsim.Iface.t) os =
+  let st = iface.st in
+  let di = Specsim.Di.create ~info_slots:iface.slots.di_size in
+  let budget = ref 10_000_000 in
+  while (not st.halted) && !budget > 0 do
+    iface.run_one di;
+    decr budget
+  done;
+  let exit_status =
+    match Machine.State.exit_status st with
+    | Some s -> s land 0xff
+    | None -> Alcotest.failf "%s did not exit" iface.bs.bs_name
+  in
+  ( {
+      Workload.exit_status;
+      output = Machine.Os_emu.output os;
+      instructions = st.instr_count;
+    },
+    Printf.sprintf "%Lx" (Inject.Watchdog.regs_digest st.regs) )
+
+let outcome_string (o : Workload.outcome) =
+  Printf.sprintf "exit=%d instructions=%Ld output=%S" o.exit_status
+    o.instructions o.output
+
+(* Kernel B loaded over kernel A at the same base, on the same interface,
+   after [Memory.clear]: the cache still holds A's entries at B's pcs,
+   and must run B exactly as a fresh interface does. *)
+let test_dcache_reload (t : Workload.target) () =
+  let spec = Lazy.force t.spec in
+  let ka = kernel "vec_sum" and kb = kernel "sort" in
+  List.iter
+    (fun bs ->
+      let fresh = Workload.load t ~buildset:bs kb.program in
+      let want, want_regs = run_one_outcome fresh.iface fresh.os in
+      let l = Workload.load t ~buildset:bs ka.program in
+      ignore (run_one_outcome l.iface l.os);
+      let st = l.iface.st in
+      Machine.Memory.clear st.mem;
+      Machine.Regfile.blit ~src:(Lis.Spec.make_machine spec).regs ~dst:st.regs;
+      let os = Workload.load_image t kb.program st in
+      let got, got_regs = run_one_outcome l.iface os in
+      Alcotest.(check string)
+        (bs ^ ": sort over vec_sum = fresh sort")
+        (outcome_string want) (outcome_string got);
+      Alcotest.(check string) (bs ^ ": register digest") want_regs got_regs)
+    dcache_buildsets
+
+(* A loop body of 600 straight-line instructions, more code than the
+   cache's slots span, so every iteration evicts the last one's
+   entries. *)
+let long_loop_program : Vir.Lang.program =
+  let open Vir.Lang in
+  let body =
+    List.init 600 (fun i ->
+        match i mod 4 with
+        | 0 -> Addi (4, 4, (i mod 97) + 1)
+        | 1 -> Xor_ (5, 5, 4)
+        | 2 -> Shli (6, 5, i mod 7)
+        | _ -> Add (4, 4, 6))
+  in
+  [ Li (4, 0l); Li (5, 0l); Li (7, 3l); Li (8, 0l); Label "loop" ]
+  @ body
+  @ [ Addi (7, 7, -1); Bcond (Ne, 7, 8, "loop") ]
+  @ Vir.Kernels.epilogue
+
+let test_dcache_long_loop (t : Workload.target) () =
+  let reference = Workload.reference long_loop_program in
+  let step = Workload.run t ~buildset:"step_all" long_loop_program in
+  Alcotest.(check bool) "step_all agrees with the reference" true
+    (Workload.agrees reference step);
+  List.iter
+    (fun bs ->
+      let l = Workload.load t ~buildset:bs long_loop_program in
+      let got, _ = run_one_outcome l.iface l.os in
+      Alcotest.(check string) (bs ^ " = step_all") (outcome_string step)
+        (outcome_string got))
+    dcache_buildsets
+
 let suite =
   [
     Alcotest.test_case "chain + site cache A/B" `Quick
@@ -287,3 +382,14 @@ let suite =
     Alcotest.test_case "self-store equivalence (all ISAs)" `Quick
       test_self_store_equivalence;
   ]
+  @ List.concat_map
+      (fun (t : Workload.target) ->
+        [
+          Alcotest.test_case
+            ("decoded cache: reload at the same base: " ^ t.tname)
+            `Quick (test_dcache_reload t);
+          Alcotest.test_case
+            ("decoded cache: loop longer than the table: " ^ t.tname)
+            `Quick (test_dcache_long_loop t);
+        ])
+      Workload.targets

@@ -5,8 +5,8 @@
     covers the three ways a shared plan could leak state: two live
     instances sharing compiled code (and its per-site page caches) on
     different machines, a speculative rollback (journal hooks stay per
-    instance), and [run_one] on a block interface (per-instruction code
-    built on first use). *)
+    instance), and [run_one] on a block interface (translated sites
+    shared with its block loop and with the plan). *)
 
 let kernel name =
   List.find

@@ -197,6 +197,35 @@ let test_block_cache () =
   Alcotest.(check bool) "cache hits dominate" true
     (iface.stats.block_hits > iface.stats.blocks_compiled)
 
+(* [run_block] counts retired instructions only. Alpha's all-zero word
+   is [call_pal 0], which halts without a fault and retires nothing, so
+   [addl_lit r1,1,r1; 0] retires one instruction in every call style
+   [run_block] batches it in. *)
+let test_run_block_counts_retired () =
+  let spec = Lazy.force Isa_alpha.Alpha.spec in
+  List.iter
+    (fun bs ->
+      let iface = Specsim.Synth.make spec bs in
+      let st = iface.st in
+      List.iteri
+        (fun i w ->
+          Machine.Memory.write st.mem
+            ~addr:(Int64.add 0x1000L (Int64.of_int (4 * i)))
+            ~width:4 w)
+        [ Isa_alpha.Alpha_asm.addl_lit ~ra:1 ~lit:1 ~rc:1; 0L ];
+      Machine.State.reset st ~pc:0x1000L;
+      let counted = ref 0 and calls = ref 0 in
+      while (not st.halted) && !calls < 10 do
+        let _, n = iface.run_block () in
+        counted := !counted + n;
+        incr calls
+      done;
+      Alcotest.(check bool) (bs ^ ": halted without a fault") true
+        (st.halted && st.fault = None);
+      Alcotest.(check int64) (bs ^ ": retired") 1L st.instr_count;
+      Alcotest.(check int) (bs ^ ": run_block counts") 1 !counted)
+    [ "block_min"; "one_min"; "one_all_spec"; "step_all" ]
+
 let suite =
   let bs_cases =
     List.concat_map
@@ -220,4 +249,6 @@ let suite =
       Alcotest.test_case "rollback" `Quick test_rollback;
       Alcotest.test_case "liveness rejection" `Quick test_liveness_rejection;
       Alcotest.test_case "block cache" `Quick test_block_cache;
+      Alcotest.test_case "run_block counts only retired instructions" `Quick
+        test_run_block_counts_retired;
     ]

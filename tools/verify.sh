@@ -4,8 +4,9 @@
 # a watchdog check that a non-terminating kernel halts cleanly, an
 # instrumented-run check that the observability counters are live, a
 # profiler check (hot-region table, speedscope flame export, JSONL
-# metrics series, --trace-cap validation), and a dispatch-stats check
-# that block chaining and site sharing engage.
+# metrics series, --trace-cap validation), a dispatch-stats check
+# that block chaining and site sharing engage, and a check that the
+# translated run_one paths agree with the generic step_all on each ISA.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -165,6 +166,25 @@ for counter in chain_taken chain_miss site_cache_hits; do
     cat "$tmp" >&2
     exit 1
   fi
+done
+
+echo "== translated One: one_min, one_all_spec, block_min must agree with step_all =="
+# step_all runs the generic per-segment items; the others run translated
+# sites (one_min and one_all_spec through the decoded-instruction cache)
+for isa in alpha arm ppc riscv; do
+  want=""
+  for bs in step_all one_min one_all_spec block_min; do
+    dune exec bin/lisim.exe -- run --isa "$isa" -k sort -b "$bs" >"$tmp"
+    got="$(grep -o "exit=.*" "$tmp" | head -1) $(grep -o "^[0-9]* instructions" "$tmp" | head -1)"
+    if [ -z "$want" ]; then
+      want=$got
+    elif [ "$got" != "$want" ]; then
+      echo "FAIL: $isa $bs disagrees with step_all" >&2
+      echo "  step_all: $want" >&2
+      echo "  $bs: $got" >&2
+      exit 1
+    fi
+  done
 done
 
 echo "== absint: store-free gating must engage, and --no-absint disable it =="
