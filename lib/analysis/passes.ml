@@ -583,6 +583,9 @@ type crossing = {
 }
 
 let crossings (spec : Spec.t) (bs : Spec.buildset) : crossing list =
+  (* a crossing pairs an entrypoint with a later one: a lone entrypoint
+     has none, so skip building its read and write sets *)
+  if Array.length bs.bs_entrypoints < 2 then [] else
   let module Iset = Set.Make (Int) in
   let violations = ref [] in
   Array.iter

@@ -2,14 +2,16 @@
 
     Everything synthesis derives from the specification and a buildset
     alone — the store-free verdicts of the abstract interpreter, the
-    decoder, the block engine's chain IR, each buildset's slot layout,
-    liveness verdict, segments and per-instruction optimized IR, and the
-    compiled per-instruction code and translated sites of interfaces
-    that can share them — is computed once per cache and reused by every
-    later instance. A cache is a plain mutable value owned by its
-    caller: one campaign, one worker domain, one supervised session. It
-    is never global and never crosses domains (DESIGN.md, "synthesis
-    plan vs instance"). *)
+    decoder, the block engine's chain IR, each buildset's slot layout
+    and segments, each shape's liveness verdict and per-instruction
+    optimized IR, and the compiled per-instruction code and translated
+    sites of interfaces that can share them — is computed once per cache
+    and reused by every later instance. Each part is built when the
+    first interface that runs it is made, so a One or Block interface
+    never pays for the per-segment IR that only generic items read. A
+    cache is a plain mutable value owned by its caller: one campaign,
+    one worker domain, one supervised session. It is never global and
+    never crosses domains (DESIGN.md, "synthesis plan vs instance"). *)
 
 exception Synth_error of string
 
@@ -135,15 +137,23 @@ let block_plan_of (spec : Lis.Spec.t) =
 (* Per-buildset plan                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type buildset = {
-  bs : Lis.Spec.buildset;
-  slots : Slots.t;
+(* What depends on a buildset's entrypoints (names and action lists) and
+   visibility alone, and not on speculation: step_all and step_all_spec
+   share one, and so do block_min and one_min. *)
+type shape = {
   crossings : (string * string * string) list;
       (** hidden cells crossing entrypoints: sorted, deduplicated
           (cell name, writer, reader) triples *)
+  mutable seg_ir : Semir.Ir.program array array option;
+      (** optimized IR per instruction, per flat segment: built with the
+          first generic items (see {!compile_items}) *)
+}
+
+type buildset = {
+  bs : Lis.Spec.buildset;
+  slots : Slots.t;
+  shape : shape;
   ep_segs : seg list array;
-  seg_ir : Semir.Ir.program array array;
-      (** optimized IR per instruction, per flat segment *)
   mutable shared : (bool * item array array) list;
       (** compiled items of non-speculative [Compiled] instances, keyed
           by the [absint] flag (it decides the memory fast paths) *)
@@ -154,19 +164,15 @@ let n_code_segs bp =
     (List.fold_left (fun n s -> match s with Seg_fetch -> n | _ -> n + 1))
     0 bp.ep_segs
 
-let buildset_of (spec : Lis.Spec.t) (bs : Lis.Spec.buildset) ~check_liveness =
-  let crossings =
-    List.sort_uniq compare
-      (List.map
-         (fun (x : Analysis.Passes.crossing) ->
-           (Lis.Spec.cell_name spec x.x_cell, x.x_writer, x.x_reader))
-         (Analysis.Passes.crossings spec bs))
-  in
-  check_liveness crossings;
+let flat_segs ep_segs = Array.of_list (List.concat (Array.to_list ep_segs))
+
+let buildset_of (spec : Lis.Spec.t) (bs : Lis.Spec.buildset) shape
+    ~check_liveness =
+  check_liveness shape.crossings;
   let ep_segs =
     Array.map (fun (_, syms) -> segments_of_entrypoint syms) bs.bs_entrypoints
   in
-  let flat = Array.of_list (List.concat (Array.to_list ep_segs)) in
+  let flat = flat_segs ep_segs in
   (* Sanity: per-instruction dispatch needs decode before any IR. *)
   ignore
     (Array.fold_left
@@ -181,14 +187,7 @@ let buildset_of (spec : Lis.Spec.t) (bs : Lis.Spec.buildset) ~check_liveness =
   if bs.bs_block && Array.length ep_segs <> 1 then
     synth_error "buildset %s/%s: 'semantic block' requires a single entrypoint"
       spec.name bs.bs_name;
-  {
-    bs;
-    slots = Slots.make spec bs;
-    crossings;
-    ep_segs;
-    seg_ir = optimize_segments spec bs flat;
-    shared = [];
-  }
+  { bs; slots = Slots.make spec bs; shape; ep_segs; shared = [] }
 
 (* ------------------------------------------------------------------ *)
 (* The cache                                                           *)
@@ -202,6 +201,9 @@ type t = {
   mutable store_free : bool array option;  (** absint verdicts per class *)
   mutable block : block_plan option;
   buildsets : (string, buildset) Hashtbl.t;
+  mutable shapes :
+    (((string * Lis.Spec.action_sym list) array * bool array) * shape) list;
+      (** keyed by [(bs_entrypoints, bs_visible)] *)
   mutable sites :
     (bool array * (int * int64, Semir.Compile.code) Hashtbl.t) list;
       (** translated sites of non-speculative [Compiled] instances, per
@@ -223,6 +225,7 @@ let create (spec : Lis.Spec.t) =
     store_free = None;
     block = None;
     buildsets = Hashtbl.create 16;
+    shapes = [];
     sites = [];
   }
 
@@ -248,27 +251,55 @@ let block_plan t =
     t.block <- Some b;
     b
 
+(* The shape of [bs], found or added. *)
+let shape t (bs : Lis.Spec.buildset) =
+  let key = (bs.bs_entrypoints, bs.bs_visible) in
+  match List.assoc_opt key t.shapes with
+  | Some sh -> sh
+  | None ->
+    let crossings =
+      List.sort_uniq compare
+        (List.map
+           (fun (x : Analysis.Passes.crossing) ->
+             (Lis.Spec.cell_name t.spec x.x_cell, x.x_writer, x.x_reader))
+           (Analysis.Passes.crossings t.spec bs))
+    in
+    let sh = { crossings; seg_ir = None } in
+    t.shapes <- (key, sh) :: t.shapes;
+    sh
+
 (** [buildset t name ~check_liveness] is the plan of buildset [name].
     [check_liveness] sees the hidden crossings on every call, first, so it
     raises in the same order an uncached synthesis would. A buildset
-    whose plan is malformed raises {!Synth_error} and is not cached. *)
+    whose plan is malformed raises {!Synth_error} and is not cached; its
+    shape is, so the next call raises without re-running the pass. *)
 let buildset t name ~check_liveness =
   match Hashtbl.find_opt t.buildsets name with
   | Some bp ->
-    check_liveness bp.crossings;
+    check_liveness bp.shape.crossings;
     bp
   | None ->
-    let bp =
-      buildset_of t.spec (Lis.Spec.find_buildset t.spec name) ~check_liveness
-    in
+    let bs = Lis.Spec.find_buildset t.spec name in
+    let bp = buildset_of t.spec bs (shape t bs) ~check_liveness in
     Hashtbl.add t.buildsets name bp;
     bp
 
-(** [compile_items bp ~compile ~store_free] compiles every entrypoint's
+(* The shape's per-segment IR, built on first use. *)
+let seg_ir t bp =
+  match bp.shape.seg_ir with
+  | Some ir -> ir
+  | None ->
+    let ir = optimize_segments t.spec bp.bs (flat_segs bp.ep_segs) in
+    bp.shape.seg_ir <- Some ir;
+    ir
+
+(** [compile_items t bp ~compile ~store_free] compiles every entrypoint's
     per-instruction code; class [i]'s code gets the memory fast path when
-    [store_free.(i)]. *)
-let compile_items bp ~compile ~store_free : item array array =
-  let n_instrs = Array.length bp.seg_ir in
+    [store_free.(i)]. The first call for a shape also optimizes its
+    per-segment IR. *)
+let compile_items t bp ~compile ~store_free : item array array =
+  let seg_ir = seg_ir t bp in
+  let n_instrs = Array.length seg_ir in
   let k = ref (-1) in
   Array.map
     (fun segs ->
@@ -279,7 +310,7 @@ let compile_items bp ~compile ~store_free : item array array =
              let k = !k in
              let codes () =
                Array.init n_instrs (fun ii ->
-                   compile ~mem_fast_path:store_free.(ii) bp.seg_ir.(ii).(k))
+                   compile ~mem_fast_path:store_free.(ii) seg_ir.(ii).(k))
              in
              match seg with
              | Seg_fetch -> I_fetch

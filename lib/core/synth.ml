@@ -278,12 +278,12 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
      hooks capture this instance's journal. Step interfaces get their
      generic per-segment items here, in set-up. One-entrypoint
      interfaces (Block and One) run translated sites instead and build
-     the items only on their first [step], which none of their own loops
-     makes. *)
+     the items, and the plan's per-segment IR with them, only on their
+     first [step], which none of their own loops makes. *)
   let n_eps = Array.length bs.bs_entrypoints in
   let items () =
     let build () =
-      Plan.compile_items bp ~store_free:class_store_free
+      Plan.compile_items plan bp ~store_free:class_store_free
         ~compile:(fun ~mem_fast_path ir -> compile_program ~mem_fast_path ir)
     in
     if backend = Compiled && journal = None then

@@ -194,6 +194,40 @@ let test_observed_run t () =
     [ "one_all"; "step_all" ]
 
 (* ------------------------------------------------------------------ *)
+(* Synthesis                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words of the first [make] of [bs] through a cache that already
+   planned block_min and step_all, as a fuzz campaign's cache has after
+   its first oracle execution. *)
+let cold_make_words (t : Workload.target) bs =
+  let spec = Lazy.force t.spec in
+  let cache = Specsim.Synth.cache spec in
+  List.iter
+    (fun b -> ignore (Specsim.Synth.make ~cache spec b))
+    [ "block_min"; "step_all" ];
+  let w0 = Gc.minor_words () in
+  ignore (Specsim.Synth.make ~cache spec bs);
+  Gc.minor_words () -. w0
+
+(* A One or Block interface runs translated sites, so its first [make]
+   neither runs the liveness pass (one entrypoint has no crossing) nor
+   builds the per-segment IR. step_all_spec compiles its own items,
+   because the journal's hooks live in them, but takes step_all's IR. *)
+let test_cold_make (t : Workload.target) step_all_spec_bound () =
+  List.iter
+    (fun bs ->
+      let w = cold_make_words t bs in
+      if w >= 10_000. then
+        Alcotest.failf "%s %s: first make allocates %.0f minor words" t.tname
+          bs w)
+    [ "one_min"; "one_all"; "block_decode"; "one_all_spec" ];
+  let w = cold_make_words t "step_all_spec" in
+  if w > step_all_spec_bound then
+    Alcotest.failf "%s step_all_spec: first make allocates %.0f minor words"
+      t.tname w
+
+(* ------------------------------------------------------------------ *)
 (* The timing layer                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -363,6 +397,12 @@ let suite =
         (test_observed_run Workload.alpha);
       Alcotest.test_case "observed runs: riscv" `Quick
         (test_observed_run Workload.riscv);
+      Alcotest.test_case "cold make: alpha" `Quick
+        (test_cold_make Workload.alpha 95_000.);
+      Alcotest.test_case "cold make: arm" `Quick
+        (test_cold_make Workload.arm 195_000.);
+      Alcotest.test_case "cold make: riscv" `Quick
+        (test_cold_make Workload.riscv 35_000.);
       Alcotest.test_case "timing calls" `Quick test_timing_calls;
       Alcotest.test_case "timing runs: alpha" `Quick
         (test_timing_runs Workload.alpha);

@@ -366,6 +366,55 @@ let test_dcache_long_loop (t : Workload.target) () =
         (outcome_string got))
     dcache_buildsets
 
+(* One-entrypoint interfaces run translated sites from [run_one], and
+   build their generic items, with the plan's per-segment IR, on a first
+   [step]. A copy driven by [step di 0] + [retire] must match a twin
+   driven by [run_one] after every instruction, in the DI record's
+   information bytes and header, and at the halt in the whole
+   architectural state. *)
+let step_buildsets =
+  [ "one_min"; "one_all"; "one_all_spec"; "block_decode"; "block_all" ]
+
+let test_one_entrypoint_step (t : Workload.target) () =
+  let k = kernel "sort" in
+  List.iter
+    (fun bs ->
+      let a = (Workload.load t ~buildset:bs k.program).iface
+      and b = (Workload.load t ~buildset:bs k.program).iface in
+      let da = Specsim.Di.create ~info_slots:a.slots.di_size
+      and db = Specsim.Di.create ~info_slots:b.slots.di_size in
+      let n = ref 0 in
+      while (not (a.st.halted && b.st.halted)) && !n < 1_000_000 do
+        da.pc <- a.st.pc;
+        da.instr_index <- -1;
+        da.fault <- None;
+        a.step da 0;
+        if not a.st.halted then a.retire da;
+        b.run_one db;
+        let agree =
+          Bool.equal a.st.halted b.st.halted
+          && Bytes.equal da.info db.info
+          && da.instr_index = db.instr_index
+          && Int64.equal da.encoding db.encoding
+          && Int64.equal da.next_pc db.next_pc
+        in
+        if not agree then
+          Alcotest.failf
+            "%s %s: step and run_one differ at instruction %d (pc 0x%Lx): \
+             index %d/%d, encoding 0x%Lx/0x%Lx, next pc 0x%Lx/0x%Lx"
+            t.tname bs !n da.pc da.instr_index db.instr_index da.encoding
+            db.encoding da.next_pc db.next_pc;
+        incr n
+      done;
+      Alcotest.(check bool) (bs ^ ": halted") true a.st.halted;
+      Alcotest.(check int64) (bs ^ ": retired") b.st.instr_count
+        a.st.instr_count;
+      Alcotest.(check bool) (bs ^ ": registers") true
+        (Machine.Regfile.equal a.st.regs b.st.regs);
+      Alcotest.(check bool) (bs ^ ": memory") true
+        (Machine.Memory.equal_contents a.st.mem b.st.mem))
+    step_buildsets
+
 let suite =
   [
     Alcotest.test_case "chain + site cache A/B" `Quick
@@ -391,5 +440,8 @@ let suite =
           Alcotest.test_case
             ("decoded cache: loop longer than the table: " ^ t.tname)
             `Quick (test_dcache_long_loop t);
+          Alcotest.test_case
+            ("one-entrypoint step = run_one: " ^ t.tname)
+            `Quick (test_one_entrypoint_step t);
         ])
       Workload.targets

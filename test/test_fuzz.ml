@@ -251,6 +251,59 @@ let test_corpus_replay () =
           v1)
     files
 
+(* The first verdict of every diverging reproducer, word for word. The
+   oracle decides by content and computes digests only to name a
+   divergence, so the text, digests included, must not drift.
+   skip-invalidate-arm is the corpus's only register divergence. *)
+let pinned_verdicts =
+  [
+    ( "skip-invalidate-alpha.repro",
+      "block_min: fault after 8 instruction(s): candidate fault -, reference \
+       illegal instruction (encoding 0x20)" );
+    ( "skip-invalidate-arm.repro",
+      "block_min: regs after 64 instruction(s): register digest \
+       0xba4ea42799fdf786, reference 0x3cdc97f46b147fd0" );
+    ( "skip-invalidate-riscv.repro",
+      "block_min: fault after 1 instruction(s): candidate fault illegal \
+       instruction (encoding 0x0), reference illegal instruction (encoding \
+       0x1002)" );
+    ( "stale-chain-ppc.repro",
+      "block_min: fault after 8 instruction(s): candidate fault illegal \
+       instruction (encoding 0x0), reference illegal instruction (encoding \
+       0x1020)" );
+    ( "stale-chain-riscv.repro",
+      "block_min: fault after 1 instruction(s): candidate fault illegal \
+       instruction (encoding 0x0), reference illegal instruction (encoding \
+       0x1002)" );
+    ( "stride4-riscv.repro",
+      "block_min: pc after 2 instruction(s): fetch pc 0x1008, reference 0x1006"
+    );
+    ( "stride4-tiny.repro",
+      "block_min: pc after 64 instruction(s): fetch pc 0x1100, reference 0x1080"
+    );
+  ]
+
+let test_corpus_verdicts_pinned () =
+  let diverging =
+    Sys.readdir corpus_dir |> Array.to_list
+    |> List.filter (fun f ->
+           Filename.check_suffix f ".repro"
+           && (Fuzz.Repro.load ~path:(Filename.concat corpus_dir f))
+                .Fuzz.Repro.r_buildset
+              <> None)
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "every diverging reproducer is pinned"
+    diverging (List.map fst pinned_verdicts);
+  List.iter
+    (fun (f, want) ->
+      let r = Fuzz.Repro.load ~path:(Filename.concat corpus_dir f) in
+      match Fuzz.Driver.replay r with
+      | (_, Some d) :: _ ->
+        Alcotest.(check string) f want (Fuzz.Oracle.pp_divergence d)
+      | _ -> Alcotest.failf "%s: first verdict is clean" f)
+    pinned_verdicts
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_generated_words_decode;
@@ -272,4 +325,6 @@ let suite =
       test_corpus_replay;
     Alcotest.test_case "hunt: same outcome at pool sizes 1 and 4" `Quick
       test_hunt_pool_parity;
+    Alcotest.test_case "corpus verdicts read as pinned" `Quick
+      test_corpus_verdicts_pinned;
   ]

@@ -5,9 +5,9 @@ let spec () = Lazy.force Demo_isa.spec
 
 (** Run [program] to completion under buildset [bs]; returns (exit status,
     os output, instructions retired). *)
-let run_program ?(backend = Specsim.Synth.Compiled) ?(input = "") bs program =
-  let spec = spec () in
-  let iface = Specsim.Synth.make ~backend spec bs in
+let run_program ?(backend = Specsim.Synth.Compiled) ?cache ?(spec = spec ())
+    ?(input = "") bs program =
+  let iface = Specsim.Synth.make ~backend ?cache spec bs in
   let st = iface.st in
   let os = Machine.Os_emu.create ~input () in
   (match spec.abi with
@@ -183,6 +183,40 @@ buildset step_min_bad {
   (* ...but the same buildset synthesizes with the escape hatch *)
   ignore (Specsim.Synth.make ~allow_hidden_crossing:true spec "step_min_bad")
 
+(** A plan shares the liveness verdict and the per-segment IR between
+    buildsets of one shape: the same entrypoints and the same
+    visibility. step_all's entrypoints at Min visibility hide cells that
+    cross them, so through a cache that planned step_all first that
+    buildset must still be rejected, on every [make]; step_all_spec,
+    which differs from step_all only in speculation, shares its shape. *)
+let test_liveness_shared_shape () =
+  let step_min =
+    Specsim.Detail.to_lis
+      { semantic = Step; informational = Min; speculation = false }
+  in
+  let spec =
+    Lis.Sema.load
+      (Demo_isa.sources
+      @ [
+          {
+            Lis.Ast.src_role = Lis.Ast.Buildset_file;
+            src_name = "step_min.lis";
+            src_text = step_min;
+          };
+        ])
+  in
+  let cache = Specsim.Synth.cache spec in
+  ignore (Specsim.Synth.make ~cache spec "step_all");
+  for attempt = 1 to 2 do
+    match Specsim.Synth.make ~cache spec "step_min" with
+    | exception Specsim.Synth.Synth_error _ -> ()
+    | _ -> Alcotest.failf "make %d of step_min: expected Synth_error" attempt
+  done;
+  let status, _, _ =
+    run_program ~cache ~spec "step_all_spec" Demo_isa.sum_program
+  in
+  Alcotest.(check (option int)) "step_all_spec exit status" (Some 55) status
+
 (** The block cache actually caches. *)
 let test_block_cache () =
   let spec = spec () in
@@ -248,6 +282,8 @@ let suite =
       Alcotest.test_case "all shows everything" `Quick test_all_shows_everything;
       Alcotest.test_case "rollback" `Quick test_rollback;
       Alcotest.test_case "liveness rejection" `Quick test_liveness_rejection;
+      Alcotest.test_case "liveness through a shared shape" `Quick
+        test_liveness_shared_shape;
       Alcotest.test_case "block cache" `Quick test_block_cache;
       Alcotest.test_case "run_block counts only retired instructions" `Quick
         test_run_block_counts_retired;

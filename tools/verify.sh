@@ -209,8 +209,9 @@ if grep -E "core\.block_cache\.stable_blocks +[1-9]" "$tmp" >/dev/null; then
 fi
 
 echo "== fuzz: bounded healthy campaign must stay quiet (seed 42) =="
-# per-ISA budgets sized to ~1-2s each at measured oracle throughput
-for pair in alpha:600 arm:200 ppc:600 riscv:600 tiny:300; do
+# per-ISA budgets sized to 0.2-0.7 s each at oracle throughput measured
+# on a 2-core VM
+for pair in alpha:942 arm:316 ppc:840 riscv:774 tiny:390; do
   isa=${pair%:*}
   budget=${pair#*:}
   dune exec bin/lisim.exe -- fuzz --isa "$isa" --seed 42 --budget "$budget"
