@@ -653,9 +653,10 @@ let fleet_bench () =
 let absint_bench () =
   print_endline
     "=== Abstract interpretation: synthesis gating and visibility dogfood ===";
-  (* analysis cost and verdicts per ISA, stable blocks after a run (the
-     sort kernel has store-free comparison blocks; a kernel that stores
-     in every block would honestly report zero) *)
+  (* the synthesizer's store-free scan cost and the analysis's verdicts
+     per ISA, stable blocks after a run (the sort kernel has store-free
+     comparison blocks; a kernel that stores in every block would
+     honestly report zero) *)
   let ks =
     List.find
       (fun (k : Vir.Kernels.sized) -> k.kname = "sort")
@@ -674,8 +675,8 @@ let absint_bench () =
             0 sums
         in
         Printf.printf
-          "  %-6s analysis %7d ns for %3d classes (%3d store-free), %d \
-           stable blocks\n"
+          "  %-6s store-free scan %7d ns for %3d classes (%3d store-free), \
+           %d stable blocks\n"
           t.tname s.Specsim.Iface.absint_ns (Array.length sums) free
           s.Specsim.Iface.stable_blocks;
         ( t.tname,

@@ -33,9 +33,9 @@ type stats = {
       (** chained dispatches that fell back to the block hash table *)
   mutable instrs_executed : int;  (** via this interface's calls *)
   mutable absint_ns : int;
-      (** time this synthesis spent in the abstract-interpretation pass
-          that gates the store-free optimizations (0 when disabled, or
-          when a synthesis cache already held the verdicts) *)
+      (** time this synthesis spent computing the store-free verdicts
+          that gate the fast paths (0 when disabled, or when a
+          synthesis cache already held the verdicts) *)
   mutable fastpath_classes : int;
       (** instruction classes granted the memory fast path in the
           generic per-segment items (what Step interfaces and every

@@ -1,11 +1,11 @@
 (** Synthesis plans: the machine-independent half of {!Synth.make}.
 
     Everything synthesis derives from the specification and a buildset
-    alone — the store-free verdicts of the abstract interpreter, the
-    decoder, the block engine's chain IR, each buildset's slot layout
-    and segments, each shape's liveness verdict and per-instruction
-    optimized IR, and the compiled per-instruction code and translated
-    sites of interfaces that can share them — is computed once per cache
+    alone — the per-class store-free verdicts, the decoder, the block
+    engine's chain IR, each buildset's slot layout and segments, each
+    shape's liveness verdict and per-instruction optimized IR, and the
+    compiled per-instruction code and translated sites of interfaces
+    that can share them — is computed once per cache
     and reused by every later instance. Each part is built when the
     first interface that runs it is made, so a One or Block interface
     never pays for the per-segment IR that only generic items read. A
@@ -198,7 +198,7 @@ type t = {
   decoder : Decoder.t;
   size64 : int64 array;  (** per class: encoded width in bytes *)
   size_mask : int64 array;  (** per class: mask of the encoded parcel *)
-  mutable store_free : bool array option;  (** absint verdicts per class *)
+  mutable store_free : bool array option;  (** verdicts per class *)
   mutable block : block_plan option;
   buildsets : (string, buildset) Hashtbl.t;
   mutable shapes :
@@ -231,7 +231,11 @@ let create (spec : Lis.Spec.t) =
 
 (** [store_free t ~absint] is the per-class store-free verdict and the
     analysis time this call spent (0 when the cache already held it).
-    With [absint = false] every verdict is "unsafe". *)
+    With [absint = false] every verdict is "unsafe". A class is
+    store-free when none of its programs holds a [Store] or a [Syscall]
+    ({!Classify}'s [is_store] and [is_syscall]). Sema admits no action
+    outside the sequence, so this is {!Analysis.Absint.store_free}'s
+    verdict, found without running the abstract interpreter. *)
 let store_free t ~absint =
   if not absint then (Array.make (Array.length t.spec.instrs) false, 0)
   else
@@ -239,7 +243,11 @@ let store_free t ~absint =
     | Some v -> (v, 0)
     | None ->
       let t0 = Obs.Clock.now_ns () in
-      let v = Array.map Analysis.Absint.store_free (Analysis.Absint.summarize t.spec) in
+      let v =
+        Array.map
+          (fun (k : Classify.kind) -> not (k.is_store || k.is_syscall))
+          (Classify.of_spec t.spec)
+      in
       t.store_free <- Some v;
       (v, Obs.Clock.elapsed_ns t0)
 

@@ -32,7 +32,7 @@ val mutation_of_string : string -> mutation option
 val spec_window : int
 
 (** A synthesis cache: the {!Plan} of one specification, filled on use.
-    It holds what synthesis derives without a machine — the absint
+    It holds what synthesis derives without a machine — the
     store-free verdicts, the decoder, the block engine's chain IR, and
     per buildset the slot layout, liveness verdict, segments and
     optimized IR — plus the compiled per-instruction code that later
@@ -78,15 +78,17 @@ val cache : Lis.Spec.t -> cache
     [mutate] deliberately re-breaks the engine (one {!mutation} bug
     class) — for fuzzer validation only, never for real simulation.
 
-    [absint] (default on) runs {!Analysis.Absint} at synthesis time and
-    gates two optimizations on its store-free verdicts: instruction
-    classes proved store- and syscall-free get the memory fast path
-    outside block mode, and translated blocks made only of such classes
-    skip the per-site SMC recheck (they cannot invalidate themselves
-    mid-run; invalidation between runs is still honored). The analysis
-    is advisory — [absint:false] degrades every verdict to "unsafe" and
-    reproduces the unanalyzed engine. Stats [absint_ns] (analysis time
-    this synthesis spent: 0 when [cache] already held the verdicts),
+    [absint] (default on) computes per-class store-free verdicts at
+    synthesis time (a scan for stores and syscalls, which gives
+    {!Analysis.Absint.store_free}'s verdicts) and gates two
+    optimizations on them: instruction classes proved store- and
+    syscall-free get the memory fast path outside block mode, and
+    translated blocks made only of such classes skip the per-site SMC
+    recheck (they cannot invalidate themselves mid-run; invalidation
+    between runs is still honored). The analysis is advisory —
+    [absint:false] degrades every verdict to "unsafe" and reproduces
+    the unanalyzed engine. Stats [absint_ns] (time this
+    synthesis spent on the verdicts: 0 when [cache] already held them),
     [fastpath_classes], [stable_blocks].
 
     [obs], when given, compiles instrumentation into the interface's

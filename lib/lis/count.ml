@@ -49,11 +49,10 @@ let count_buildsets text =
      declaration keyword in LIS. *)
   let count = ref 0 in
   (try
-     let toks = Lexer.tokenize ~file:"<count>" text in
-     Array.iter
-       (fun (t : Lexer.lexed) ->
-         match t.tok with Ident "buildset" -> incr count | _ -> ())
-       toks
+     let toks = Lexer.lex ~file:"<count>" text in
+     for i = 0 to Lexer.length toks - 1 do
+       match Lexer.tok toks i with Ident "buildset" -> incr count | _ -> ()
+     done
    with Loc.Error _ -> ());
   !count
 

@@ -2,210 +2,280 @@
 
     Supports [//] line comments and [/* ... */] block comments, decimal and
     hexadecimal integer literals, string literals with the usual escapes,
-    and C-style operators. Produces the full token array up front so the
-    parser can look ahead freely. *)
+    and C-style operators. Lexes the whole file up front, so the parser
+    can look ahead freely, into a compact stream: the tokens in one
+    array, their start and stop byte offsets in two [int] arrays, and the
+    byte offset of every line start, recorded in the same pass. A token's
+    {!Loc.span} is built only when asked for.
 
-type lexed = { tok : Token.t; span : Loc.span }
+    Set-up allocation rule: never build an array longer than 256 words
+    from a young value. [Array.make] (and [Array.of_list]) of such an
+    array runs a minor collection first when its initial value is young,
+    which would promote every token of the file. The arrays here start
+    from an immediate value and are filled in place. *)
 
-type state = {
+(* The lexer's state; once the source is consumed, the stream. *)
+type t = {
   src : string;
+  len : int;
   file : string;
   mutable pos : int;
-  mutable line : int;
-  mutable bol : int;  (** offset of the beginning of the current line *)
+  mutable toks : Token.t array;
+  mutable starts : int array;  (** byte offset of each token's first byte *)
+  mutable stops : int array;  (** byte offset just past each token *)
+  mutable n : int;  (** tokens so far; the arrays may be longer *)
+  mutable lines : int array;  (** byte offset of each line's first byte *)
+  mutable n_lines : int;
 }
 
-let make_pos st : Loc.pos =
-  { file = st.file; line = st.line; col = st.pos - st.bol + 1 }
+let length s = s.n
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let tok s i =
+  if i < 0 || i >= s.n then invalid_arg "Lexer.tok";
+  Array.unsafe_get s.toks i
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+(* The line and column of byte offset [off]: the last line that starts
+   at or before it. *)
+let pos_of ~file (lines : int array) n_lines off : Loc.pos =
+  let lo = ref 0 and hi = ref (n_lines - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) lsr 1 in
+    if Array.unsafe_get lines mid <= off then lo := mid else hi := mid - 1
+  done;
+  { file; line = !lo + 1; col = off - Array.unsafe_get lines !lo + 1 }
 
-let advance st =
-  (match peek st with
-  | Some '\n' ->
-    st.line <- st.line + 1;
-    st.bol <- st.pos + 1
-  | _ -> ());
-  st.pos <- st.pos + 1
+let span s i : Loc.span =
+  if i < 0 || i >= s.n then invalid_arg "Lexer.span";
+  {
+    start = pos_of ~file:s.file s.lines s.n_lines (Array.unsafe_get s.starts i);
+    stop = pos_of ~file:s.file s.lines s.n_lines (Array.unsafe_get s.stops i);
+  }
+
+let grow a n fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 n;
+  b
+
+(* Step over the newline at [st.pos], recording the line it starts. *)
+let newline st =
+  st.pos <- st.pos + 1;
+  if st.n_lines = Array.length st.lines then st.lines <- grow st.lines st.n_lines 0;
+  Array.unsafe_set st.lines st.n_lines st.pos;
+  st.n_lines <- st.n_lines + 1
 
 let error st fmt =
-  let p = make_pos st in
+  let p = pos_of ~file:st.file st.lines st.n_lines st.pos in
   Loc.error { start = p; stop = p } fmt
+
+(* The byte at [i], which the caller has checked is inside the source. *)
+let at st i = String.unsafe_get st.src i
+
+(* Whether the byte after the current one is [c]. *)
+let next_is st c = st.pos + 1 < st.len && at st (st.pos + 1) = c
 
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
+let is_ident_char c = is_ident_start c || is_digit c
 
 let is_hex_digit c =
   is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
 let rec skip_ws_and_comments st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-    advance st;
-    skip_ws_and_comments st
-  | Some '/' when peek2 st = Some '/' ->
-    while peek st <> None && peek st <> Some '\n' do
-      advance st
-    done;
-    skip_ws_and_comments st
-  | Some '/' when peek2 st = Some '*' ->
-    advance st;
-    advance st;
-    let rec close () =
-      match peek st with
-      | None -> error st "unterminated block comment"
-      | Some '*' when peek2 st = Some '/' ->
-        advance st;
-        advance st
-      | Some _ ->
-        advance st;
-        close ()
-    in
-    close ();
-    skip_ws_and_comments st
-  | _ -> ()
+  if st.pos < st.len then
+    match at st st.pos with
+    | ' ' | '\t' | '\r' ->
+      st.pos <- st.pos + 1;
+      skip_ws_and_comments st
+    | '\n' ->
+      newline st;
+      skip_ws_and_comments st
+    | '/' when next_is st '/' ->
+      while st.pos < st.len && at st st.pos <> '\n' do
+        st.pos <- st.pos + 1
+      done;
+      skip_ws_and_comments st
+    | '/' when next_is st '*' ->
+      st.pos <- st.pos + 2;
+      let rec close () =
+        if st.pos >= st.len then error st "unterminated block comment"
+        else
+          match at st st.pos with
+          | '*' when next_is st '/' -> st.pos <- st.pos + 2
+          | '\n' ->
+            newline st;
+            close ()
+          | _ ->
+            st.pos <- st.pos + 1;
+            close ()
+      in
+      close ();
+      skip_ws_and_comments st
+    | _ -> ()
 
 let lex_ident st =
   let start = st.pos in
-  while match peek st with Some c when is_ident_char c -> true | _ -> false do
-    advance st
+  while st.pos < st.len && is_ident_char (at st st.pos) do
+    st.pos <- st.pos + 1
   done;
   String.sub st.src start (st.pos - start)
 
+let digit_value c =
+  if is_digit c then Char.code c - Char.code '0'
+  else (Char.code c lor 0x20) - Char.code 'a' + 10
+
+(* One pass over the digits, underscores skipped: the value accumulates
+   in an [Int64] read as unsigned, so 0xFFFFFFFFFFFFFFFF and
+   18446744073709551615 are accepted, and a literal past 2^64 - 1 is
+   reported once all of it is consumed. *)
 let lex_number st =
   let start = st.pos in
-  let hex =
-    peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X')
-  in
+  let hex = at st st.pos = '0' && (next_is st 'x' || next_is st 'X') in
   if hex then begin
-    advance st;
-    advance st;
-    if not (match peek st with Some c -> is_hex_digit c | None -> false) then
-      error st "expected hexadecimal digits after 0x";
-    while
-      match peek st with
-      | Some c when is_hex_digit c || c = '_' -> true
-      | _ -> false
-    do
-      advance st
-    done
-  end
-  else
-    while
-      match peek st with Some c when is_digit c || c = '_' -> true | _ -> false
-    do
-      advance st
-    done;
-  let text = String.sub st.src start (st.pos - start) in
-  let text = String.concat "" (String.split_on_char '_' text) in
-  (* Use unsigned parsing so 0xFFFFFFFFFFFFFFFF is accepted. *)
-  match Int64.of_string_opt (if hex then text else "0u" ^ text) with
-  | Some v -> v
-  | None -> (
-    match Int64.of_string_opt text with
-    | Some v -> v
-    | None -> error st "invalid integer literal %s" text)
+    st.pos <- st.pos + 2;
+    if not (st.pos < st.len && is_hex_digit (at st st.pos)) then
+      error st "expected hexadecimal digits after 0x"
+  end;
+  (* [v * base + d] fits exactly when [v], read unsigned (a negative [v]
+     is past it), is below [limit], or equal to it with [d <= rem]:
+     2^64 - 1 = limit * base + rem. *)
+  let ok = if hex then is_hex_digit else is_digit in
+  let base = if hex then 16L else 10L in
+  let limit = if hex then 0x0FFF_FFFF_FFFF_FFFFL else 1844674407370955161L in
+  let rem = if hex then 15 else 5 in
+  let v = ref 0L and overflow = ref false and stop = ref false in
+  while (not !stop) && st.pos < st.len do
+    let c = at st st.pos in
+    if ok c then begin
+      let d = digit_value c in
+      if !v < 0L || !v > limit || (!v = limit && d > rem) then overflow := true;
+      v := Int64.add (Int64.mul !v base) (Int64.of_int d);
+      st.pos <- st.pos + 1
+    end
+    else if c = '_' then st.pos <- st.pos + 1
+    else stop := true
+  done;
+  if !overflow then begin
+    let text = String.sub st.src start (st.pos - start) in
+    error st "invalid integer literal %s"
+      (String.concat "" (String.split_on_char '_' text))
+  end;
+  !v
 
 let lex_string st =
-  advance st;
+  st.pos <- st.pos + 1;
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek st with
-    | None -> error st "unterminated string literal"
-    | Some '"' -> advance st
-    | Some '\\' -> (
-      advance st;
-      match peek st with
-      | Some 'n' ->
+    if st.pos >= st.len then error st "unterminated string literal"
+    else
+      match at st st.pos with
+      | '"' -> st.pos <- st.pos + 1
+      | '\\' ->
+        st.pos <- st.pos + 1;
+        if st.pos >= st.len then error st "unterminated string literal";
+        (match at st st.pos with
+        | 'n' -> Buffer.add_char buf '\n'
+        | 't' -> Buffer.add_char buf '\t'
+        | ('"' | '\\') as c -> Buffer.add_char buf c
+        | c -> error st "unknown escape \\%c" c);
+        st.pos <- st.pos + 1;
+        go ()
+      | '\n' ->
         Buffer.add_char buf '\n';
-        advance st;
+        newline st;
         go ()
-      | Some 't' ->
-        Buffer.add_char buf '\t';
-        advance st;
-        go ()
-      | Some (('"' | '\\') as c) ->
+      | c ->
         Buffer.add_char buf c;
-        advance st;
+        st.pos <- st.pos + 1;
         go ()
-      | Some c -> error st "unknown escape \\%c" c
-      | None -> error st "unterminated string literal")
-    | Some c ->
-      Buffer.add_char buf c;
-      advance st;
-      go ()
   in
   go ();
   Buffer.contents buf
 
-let next_token st : lexed =
-  skip_ws_and_comments st;
-  let start = make_pos st in
-  let simple (tok : Token.t) =
-    advance st;
-    tok
-  in
-  let two (tok : Token.t) =
-    advance st;
-    advance st;
-    tok
-  in
-  let tok : Token.t =
-    match peek st with
-    | None -> Eof
-    | Some c when is_ident_start c -> Ident (lex_ident st)
-    | Some c when is_digit c -> Int (lex_number st)
-    | Some '"' -> String (lex_string st)
-    | Some '(' -> simple Lparen
-    | Some ')' -> simple Rparen
-    | Some '{' -> simple Lbrace
-    | Some '}' -> simple Rbrace
-    | Some '[' -> simple Lbracket
-    | Some ']' -> simple Rbracket
-    | Some ',' -> simple Comma
-    | Some ';' -> simple Semi
-    | Some ':' -> simple Colon
-    | Some '.' -> simple Dot
-    | Some '?' -> simple Question
-    | Some '+' -> simple Plus
-    | Some '-' -> simple Minus
-    | Some '*' -> simple Star
-    | Some '/' -> simple Slash
-    | Some '%' -> simple Percent
-    | Some '^' -> simple Caret
-    | Some '~' -> simple Tilde
-    | Some '&' -> if peek2 st = Some '&' then two AmpAmp else simple Amp
-    | Some '|' -> if peek2 st = Some '|' then two BarBar else simple Bar
-    | Some '=' -> if peek2 st = Some '=' then two EqEq else simple Assign
-    | Some '!' -> if peek2 st = Some '=' then two NotEq else simple Bang
-    | Some '<' ->
-      if peek2 st = Some '<' then two Shl
-      else if peek2 st = Some '=' then two Le
-      else simple Lt
-    | Some '>' ->
-      if peek2 st = Some '>' then two Shr
-      else if peek2 st = Some '=' then two Ge
-      else simple Gt
-    | Some c -> error st "unexpected character %C" c
-  in
-  let stop = make_pos st in
-  { tok; span = { start; stop } }
+let simple st (tok : Token.t) =
+  st.pos <- st.pos + 1;
+  tok
 
-(** [tokenize ~file src] lexes the whole source. The returned array always
-    ends with an [Eof] token. @raise Loc.Error on lexical errors. *)
-let tokenize ~file src : lexed array =
-  let st = { src; file; pos = 0; line = 1; bol = 0 } in
-  let toks = ref [] in
+let two st (tok : Token.t) =
+  st.pos <- st.pos + 2;
+  tok
+
+(* Lex one token at [st.pos], after whitespace and comments. *)
+let next_token st : Token.t =
+  if st.pos >= st.len then Eof
+  else
+    match at st st.pos with
+    | c when is_ident_start c -> Ident (lex_ident st)
+    | c when is_digit c -> Int (lex_number st)
+    | '"' -> String (lex_string st)
+    | '(' -> simple st Lparen
+    | ')' -> simple st Rparen
+    | '{' -> simple st Lbrace
+    | '}' -> simple st Rbrace
+    | '[' -> simple st Lbracket
+    | ']' -> simple st Rbracket
+    | ',' -> simple st Comma
+    | ';' -> simple st Semi
+    | ':' -> simple st Colon
+    | '.' -> simple st Dot
+    | '?' -> simple st Question
+    | '+' -> simple st Plus
+    | '-' -> simple st Minus
+    | '*' -> simple st Star
+    | '/' -> simple st Slash
+    | '%' -> simple st Percent
+    | '^' -> simple st Caret
+    | '~' -> simple st Tilde
+    | '&' -> if next_is st '&' then two st AmpAmp else simple st Amp
+    | '|' -> if next_is st '|' then two st BarBar else simple st Bar
+    | '=' -> if next_is st '=' then two st EqEq else simple st Assign
+    | '!' -> if next_is st '=' then two st NotEq else simple st Bang
+    | '<' ->
+      if next_is st '<' then two st Shl
+      else if next_is st '=' then two st Le
+      else simple st Lt
+    | '>' ->
+      if next_is st '>' then two st Shr
+      else if next_is st '=' then two st Ge
+      else simple st Gt
+    | c -> error st "unexpected character %C" c
+
+(** [lex ~file src] lexes the whole source. The stream always ends with
+    an [Eof] token. @raise Loc.Error on lexical errors. *)
+let lex ~file src : t =
+  let len = String.length src in
+  (* The shipped descriptions average 3.8-4.8 bytes per token and more
+     than 30 per line; a longer stream grows by doubling. *)
+  let cap = (len / 3) + 16 in
+  let st =
+    {
+      src;
+      len;
+      file;
+      pos = 0;
+      toks = Array.make cap Token.Eof;
+      starts = Array.make cap 0;
+      stops = Array.make cap 0;
+      n = 0;
+      lines = Array.make ((len / 30) + 16) 0;
+      n_lines = 1;
+    }
+  in
   let rec go () =
-    let t = next_token st in
-    toks := t :: !toks;
-    if t.tok <> Eof then go ()
+    skip_ws_and_comments st;
+    let start = st.pos in
+    let tok = next_token st in
+    if st.n = Array.length st.toks then begin
+      st.toks <- grow st.toks st.n Token.Eof;
+      st.starts <- grow st.starts st.n 0;
+      st.stops <- grow st.stops st.n 0
+    end;
+    Array.unsafe_set st.toks st.n tok;
+    Array.unsafe_set st.starts st.n start;
+    Array.unsafe_set st.stops st.n st.pos;
+    st.n <- st.n + 1;
+    match tok with Eof -> () | _ -> go ()
   in
   go ();
-  Array.of_list (List.rev !toks)
+  st

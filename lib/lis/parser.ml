@@ -3,13 +3,25 @@
     The grammar is LL(2); expressions use precedence climbing. All errors
     are reported through {!Loc.Error} with the offending span. *)
 
-type st = { toks : Lexer.lexed array; mutable i : int }
+type st = {
+  toks : Lexer.t;
+  mutable i : int;
+  mutable span_i : int;  (** the token whose span [span] is *)
+  mutable span : Loc.span;
+}
 
-let cur st = st.toks.(st.i)
-let cur_tok st = (cur st).tok
-let cur_span st = (cur st).span
+let cur_tok st = Lexer.tok st.toks st.i
 
-let advance st = if st.i < Array.length st.toks - 1 then st.i <- st.i + 1
+(* Every precedence level asks for the span of the token an expression
+   starts at, so the current token's span is built once. *)
+let cur_span st =
+  if st.span_i <> st.i then begin
+    st.span <- Lexer.span st.toks st.i;
+    st.span_i <- st.i
+  end;
+  st.span
+
+let advance st = if st.i < Lexer.length st.toks - 1 then st.i <- st.i + 1
 
 let err st fmt = Loc.error (cur_span st) fmt
 
@@ -56,9 +68,10 @@ let int_lit st =
   | t -> err st "expected integer literal, found '%s'" (Token.to_string t)
 
 let int_lit_small st =
+  let span = cur_span st in
   let v = int_lit st in
   if Int64.compare v 0L < 0 || Int64.compare v 0x3FFFFFFFL > 0 then
-    err st "integer out of range"
+    Loc.error span "integer out of range"
   else Int64.to_int v
 
 let string_lit st =
@@ -236,7 +249,7 @@ and primary st : Ast.expr =
     let idx = expr st in
     expect st Rbracket;
     mk (E_reg (cls.id, idx))
-  | Ident name when st.toks.(st.i + 1).tok = Token.Lparen ->
+  | Ident name when Lexer.tok st.toks (st.i + 1) = Token.Lparen ->
     advance st;
     advance st;
     let args =
@@ -378,7 +391,7 @@ let isa_decl st span : Ast.decl =
           (match e.id with
           | "little" -> Machine.Memory.Little
           | "big" -> Machine.Memory.Big
-          | other -> err st "unknown endianness '%s'" other)
+          | other -> Loc.error e.span "unknown endianness '%s'" other)
       | "wordsize" -> wordsize := int_lit_small st
       | "instrsize" -> instr_bytes := int_lit_small st
       | "decodekey" ->
@@ -621,7 +634,7 @@ let decl st : Ast.decl =
 (** [parse ~file src] parses one LIS source file.
     @raise Loc.Error on syntax errors. *)
 let parse ~file src : Ast.t =
-  let st = { toks = Lexer.tokenize ~file src; i = 0 } in
+  let st = { toks = Lexer.lex ~file src; i = 0; span_i = -1; span = Loc.dummy } in
   let rec go acc =
     if cur_tok st = Eof then List.rev acc else go (decl st :: acc)
   in

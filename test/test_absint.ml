@@ -318,6 +318,87 @@ let test_absint_on_off_equivalence () =
   Alcotest.(check bool) "block_min: stable blocks found" true
     (stats.Specsim.Iface.stable_blocks > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Store-free verdicts without the interpreter                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [Test_semir.gen_program] emits no syscall, halt or fault; add some,
+   at the top level and inside branches. *)
+let rec with_control (p : Semir.Ir.program) =
+  let open QCheck.Gen in
+  match p with
+  | [] -> return []
+  | s :: rest ->
+    let* s =
+      match s with
+      | If (c, t, f) ->
+        map2 (fun t f -> Semir.Ir.If (c, t, f)) (with_control t) (with_control f)
+      | s -> return s
+    in
+    let* rest = with_control rest in
+    let+ extra =
+      frequency
+        [
+          (3, return []);
+          ( 1,
+            map
+              (fun c -> [ c ])
+              (oneofl
+                 Semir.Ir.
+                   [
+                     Syscall;
+                     Halt;
+                     Fault_illegal;
+                     Fault_arith "x";
+                     Fault_unaligned (Const 1L);
+                   ]) );
+        ]
+    in
+    extra @ (s :: rest)
+
+(* The plan's verdict scan, {!Specsim.Classify}, against the flags the
+   abstract interpreter computes, on random programs with nested [If]s:
+   each program is the only action body of an otherwise empty class. *)
+let prop_scan_matches_absint =
+  QCheck.Test.make ~name:"classify store/syscall = absint stores || syscall"
+    ~count:500
+    (QCheck.make
+       ~print:(Format.asprintf "%a" (Semir.Ir.pp_program ?cell_name:None))
+       QCheck.Gen.(Test_semir.gen_program ~wild:true >>= with_control))
+    (fun p ->
+      let e = (A.analyze_program ~n_cells:Test_semir.n_cells p).A.effects in
+      let base = (Lazy.force Demo_isa.spec).instrs.(0) in
+      let k =
+        Specsim.Classify.of_instr
+          { base with i_decode = []; i_read = p; i_writeback = []; i_user = [] }
+      in
+      (k.is_store || k.is_syscall) = (e.A.stores || e.A.syscall))
+
+(* Every class of every shipped description: the plan's verdict is the
+   one the summaries give. *)
+let test_plan_verdicts () =
+  List.iter
+    (fun (name, spec) ->
+      let spec = Lazy.force spec in
+      let expected =
+        Array.map Analysis.Absint.store_free (Analysis.Absint.summarize spec)
+      in
+      let got, _ = Specsim.Plan.store_free (Specsim.Plan.create spec) ~absint:true in
+      Array.iteri
+        (fun i (instr : Lis.Spec.instr) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s store-free" name instr.i_name)
+            expected.(i) got.(i))
+        spec.instrs)
+    [
+      ("alpha", Isa_alpha.Alpha.spec);
+      ("arm", Isa_arm.Arm.spec);
+      ("ppc", Isa_ppc.Ppc.spec);
+      ("riscv", Isa_riscv.Riscv.spec);
+      ("tiny16", Fuzz.Tiny.spec);
+      ("demo", Demo_isa.spec);
+    ]
+
 let suite =
   [
     Alcotest.test_case "aval basics" `Quick test_aval_basics;
@@ -342,4 +423,7 @@ let suite =
       test_synth_fastpath_gating;
     Alcotest.test_case "absint on/off equivalence" `Quick
       test_absint_on_off_equivalence;
+    QCheck_alcotest.to_alcotest prop_scan_matches_absint;
+    Alcotest.test_case "plan verdicts = absint verdicts" `Quick
+      test_plan_verdicts;
   ]

@@ -378,6 +378,57 @@ let test_timing_runs t () =
           t.Workload.tname name w engine)
     organizations
 
+(* ------------------------------------------------------------------ *)
+(* Cold set-up                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Each description, with bounds in minor words on loading it and on
+   the first [make] of block_min through a fresh cache. *)
+let descriptions =
+  [
+    ("alpha", Isa_alpha.Alpha.sources, 218_000., 108_000.);
+    ("arm", Isa_arm.Arm.sources, 278_000., 206_000.);
+    ("ppc", Isa_ppc.Ppc.sources, 223_000., 76_000.);
+    ("riscv", Isa_riscv.Riscv.sources, 125_000., 40_000.);
+  ]
+
+let words_of f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. w0, r)
+
+(* A token is an array slot and two offsets, outside the minor heap
+   once a file has a few hundred tokens; what remains is an
+   identifier's or a literal's payload. *)
+let test_lex_words (isa, sources, _, _) () =
+  let words, tokens =
+    List.fold_left
+      (fun (words, tokens) (s : Lis.Ast.source) ->
+        let w, toks =
+          words_of (fun () -> Lis.Lexer.lex ~file:s.src_name s.src_text)
+        in
+        (words +. w, tokens + Lis.Lexer.length toks))
+      (0., 0) sources
+  in
+  let per_token = words /. float_of_int tokens in
+  if per_token > 6. then
+    Alcotest.failf "%s: lexing allocates %.1f minor words per token" isa
+      per_token
+
+(* Loading a description from source, and the first interface made
+   through a fresh cache, as every cold ledger cell does. *)
+let test_cold_setup (isa, sources, load_bound, make_bound) () =
+  let w, spec = words_of (fun () -> Lis.Sema.load sources) in
+  if w > load_bound then
+    Alcotest.failf "%s: Sema.load allocates %.0f minor words" isa w;
+  let w, _ =
+    words_of (fun () ->
+        Specsim.Synth.make ~cache:(Specsim.Synth.cache spec) spec "block_min")
+  in
+  if w > make_bound then
+    Alcotest.failf "%s: first make of block_min allocates %.0f minor words" isa
+      w
+
 let suite =
   List.map
     (fun ((name, _) as s) -> Alcotest.test_case name `Quick (test_shape s))
@@ -409,3 +460,11 @@ let suite =
       Alcotest.test_case "timing runs: riscv" `Quick
         (test_timing_runs Workload.riscv);
     ]
+  @ List.map
+      (fun ((isa, _, _, _) as d) ->
+        Alcotest.test_case ("lexing: " ^ isa) `Quick (test_lex_words d))
+      descriptions
+  @ List.map
+      (fun ((isa, _, _, _) as d) ->
+        Alcotest.test_case ("cold set-up: " ^ isa) `Quick (test_cold_setup d))
+      descriptions

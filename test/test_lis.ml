@@ -225,6 +225,131 @@ let expr_cases =
     ("next_pc", 4L);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Exact front-end positions                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Every lexer error path, a parse error after a string literal that
+   spans lines, one at end of file, and two errors that name a token
+   the parser has already consumed: the full message, position
+   included. *)
+let position_cases =
+  [
+    ( "unterminated block comment across lines",
+      "c.lis",
+      "field a : u64;\n/* oops\n  still open\n",
+      "c.lis:4:1: unterminated block comment" );
+    ( "unterminated string",
+      "s.lis",
+      "isa \"abc\n  def",
+      "s.lis:2:6: unterminated string literal" );
+    ("unknown escape", "e.lis", "isa \"ab\\qc\" {}", "e.lis:1:9: unknown escape \\q");
+    ( "0x without digits",
+      "h.lis",
+      "regclass G 0x;",
+      "h.lis:1:14: expected hexadecimal digits after 0x" );
+    ( "invalid integer literal",
+      "i.lis",
+      "regclass G\n  99999999999999999999999 width 64;",
+      "i.lis:2:26: invalid integer literal 99999999999999999999999" );
+    ( "unexpected character",
+      "u.lis",
+      "field a : u64;\n  field b @ u64;",
+      "u.lis:2:11: unexpected character '@'" );
+    ( "token after a multi-line string",
+      "m.lis",
+      "isa \"multi\nline\n  name\" 5 {}",
+      "m.lis:3:9: expected '{' but found '5'" );
+    ( "end of file after a newline",
+      "f.lis",
+      "isa \"x\" {\n  endian little;\n",
+      "f.lis:3:1: expected identifier, found '<eof>'" );
+    ( "integer out of range",
+      "x.lis",
+      "regclass GPR 32 width 99999999999 zero 31;",
+      "x.lis:1:23: integer out of range" );
+    ( "unknown endianness",
+      "x.lis",
+      "isa \"x\" {\n  endian sideways;\n}",
+      "x.lis:2:10: unknown endianness 'sideways'" );
+  ]
+
+(* One-byte tokens on one-token lines: more tokens and lines than the
+   stream's initial arrays hold. *)
+let test_dense_stream () =
+  let n = 600 in
+  let src = String.concat "" (List.init n (fun _ -> "(\n")) in
+  let s = Lis.Lexer.lex ~file:"d.lis" src in
+  Alcotest.(check int) "tokens" (n + 1) (Lis.Lexer.length s);
+  let pos i =
+    let sp = Lis.Lexer.span s i in
+    (sp.start.line, sp.start.col, sp.stop.line, sp.stop.col)
+  in
+  Alcotest.(check (list (pair int int)))
+    "first and last '(' and Eof"
+    [ (1, 1); (1, 2); (n, 1); (n, 2); (n + 1, 1); (n + 1, 1) ]
+    (List.concat_map
+       (fun i ->
+         let l0, c0, l1, c1 = pos i in
+         [ (l0, c0); (l1, c1) ])
+       [ 0; n - 1; n ]);
+  Alcotest.(check bool) "Eof last" true (Lis.Lexer.tok s n = Lis.Token.Eof)
+
+(* Integer literals against the stdlib's reading of the same text:
+   unsigned up to 2^64 - 1 in both bases, underscores ignored, and
+   "invalid integer literal" past that. *)
+let prop_int_literal =
+  let open QCheck.Gen in
+  let dec = List.init 10 (fun i -> Char.chr (48 + i)) in
+  let hex = dec @ [ 'a'; 'f'; 'A'; 'F' ] in
+  let body chars =
+    let* first = oneofl chars in
+    let* n = int_range 0 24 in
+    let+ rest = list_repeat n (frequency [ (9, oneofl chars); (1, return '_') ]) in
+    String.of_seq (List.to_seq (first :: rest))
+  in
+  let zeros = oneofl [ ""; "0"; "0000000" ] in
+  let gen =
+    frequency
+      [
+        (3, map2 ( ^ ) zeros (body dec));
+        (3, map2 (fun z b -> "0x" ^ z ^ b) zeros (body hex));
+        ( 1,
+          oneofl
+            [
+              "18446744073709551615"; "18446744073709551616";
+              "18446744073709551620"; "0018446744073709551615";
+              "1_8446744073709551615"; "9223372036854775808";
+              "0xFFFFFFFFFFFFFFFF"; "0x10000000000000000";
+              "0x0_FFFF_FFFF_FFFF_FFFF"; "0XfFfF_"; "4611686018427387904";
+            ] );
+      ]
+  in
+  QCheck.Test.make ~name:"integer literals = Int64.of_string" ~count:2000
+    (QCheck.make ~print:Fun.id gen) (fun text ->
+      let plain = String.concat "" (String.split_on_char '_' text) in
+      let hex = String.length plain > 1 && (plain.[1] = 'x' || plain.[1] = 'X') in
+      let expected =
+        match Int64.of_string_opt (if hex then plain else "0u" ^ plain) with
+        | Some v -> Ok v
+        | None -> Error ("invalid integer literal " ^ plain)
+      in
+      let got =
+        match Lis.Lexer.lex ~file:"n.lis" text with
+        | s -> (
+          match Lis.Lexer.tok s 0 with
+          | Int v when Lis.Lexer.length s = 2 -> Ok v
+          | t -> Error ("lexed " ^ Lis.Token.to_string t))
+        | exception Lis.Loc.Error (_, msg) -> Error msg
+      in
+      got = expected)
+
+let test_position (_, file, src, expected) () =
+  match Lis.Parser.parse ~file src with
+  | exception Lis.Loc.Error (span, msg) ->
+    Alcotest.(check string) "error" expected (Lis.Loc.error_to_string (span, msg))
+  | _ -> Alcotest.fail "expected a front-end error"
+
 let suite =
   [
     Alcotest.test_case "demo spec shape" `Quick test_demo_shape;
@@ -246,3 +371,11 @@ let suite =
         Alcotest.test_case (Printf.sprintf "expr: %s" text) `Quick
           (check_expr text expected))
       expr_cases
+  @ List.map
+      (fun ((name, _, _, _) as c) ->
+        Alcotest.test_case ("position: " ^ name) `Quick (test_position c))
+      position_cases
+  @ [
+      Alcotest.test_case "dense token stream" `Quick test_dense_stream;
+      QCheck_alcotest.to_alcotest prop_int_literal;
+    ]

@@ -66,6 +66,22 @@ if ! cmp -s "$tmp" "$json2"; then
 fi
 rm -f "$json2"
 
+# The goldens pin every diagnostic, span and count. A change meant to
+# alter them regenerates both files from the repository root:
+#   dune exec bin/lisim.exe -- check examples > test/golden/check_examples.txt
+#   dune exec bin/lisim.exe -- check --json examples > test/golden/check_examples.json
+echo "== lislint: text and --json diagnostics must match test/golden =="
+dune exec bin/lisim.exe -- check examples >"$tmp" || true
+if ! diff -u test/golden/check_examples.txt "$tmp"; then
+  echo "FAIL: lisim check examples differs from test/golden/check_examples.txt" >&2
+  exit 1
+fi
+dune exec bin/lisim.exe -- check --json examples >"$tmp" || true
+if ! diff -u test/golden/check_examples.json "$tmp"; then
+  echo "FAIL: lisim check --json examples differs from test/golden/check_examples.json" >&2
+  exit 1
+fi
+
 echo "== smoke injection campaign (seed 42, all ISAs) =="
 dune exec bin/lisim.exe -- inject --isa all --seed 42 --rate 1e-3 \
   --sites reg,mem,pc,fault --min-coverage 95
