@@ -59,7 +59,10 @@ type t = {
           and advances the fetch pc *)
   run_block : unit -> Di.t array * int;
       (** execute a basic block at the current fetch pc; returns the DI
-          records (engine-owned, valid until the next call) and the count *)
+          records (engine-owned, valid until the next call) and the
+          count. A block dispatched more than once returns records of
+          its own, the same ones on every dispatch, so their header
+          fields are rewritten only where a value changed. *)
   step : Di.t -> int -> unit;
       (** [step di k] runs entrypoint [k] for [di]; the caller owns fetch
           redirection and retirement *)

@@ -13,9 +13,11 @@
     shipped simulators.
 
     The layout is tuned for the per-instruction fast path (this is the
-    entire cost of a speculative interface, paper Table III's last row):
-    checkpoint marks are packed into immediate ints so a checkpoint is a
-    couple of unboxed stores plus a capacity check. *)
+    entire cost of a speculative interface, paper Table III's last row): a
+    checkpoint packs its log marks into an immediate int and keeps its pc
+    and retired count in unboxed 8-byte slots, so it is three stores that
+    pass no write barrier, plus a capacity check. Only [rollback], on its
+    cold path, boxes them again. *)
 
 type t = {
   mutable reg_flat : int array;
@@ -25,11 +27,11 @@ type t = {
   mutable mem_old : Bytes.t;  (** 8-byte slot per entry *)
   mutable mem_width : int array;
   mutable mem_n : int;
-  (* per checkpoint: packed (reg_n << 31) | mem_n, plus pc and retired
-     count at checkpoint time (shared boxes, never fresh ones) *)
+  (* per checkpoint: packed (reg_n << 31) | mem_n, plus the pc and the
+     retired count to restore, one 8-byte slot each *)
   mutable ck_meta : int array;
-  mutable ck_pc : int64 array;
-  mutable ck_count : int64 array;
+  mutable ck_pc : Bytes.t;
+  mutable ck_count : Bytes.t;
   mutable ck_n : int;
   mutable committed : int;  (** internal indices below this are committed *)
   mutable base : int;
@@ -55,8 +57,8 @@ let create () =
     mem_width = Array.make 256 0;
     mem_n = 0;
     ck_meta = Array.make 256 0;
-    ck_pc = Array.make 256 0L;
-    ck_count = Array.make 256 0L;
+    ck_pc = Bytes.create (8 * 256);
+    ck_count = Bytes.create (8 * 256);
     ck_n = 0;
     committed = 0;
     base = 0;
@@ -83,8 +85,8 @@ let[@inline never] grow_mem t =
 let[@inline never] grow_ck t =
   let cap = 2 * Array.length t.ck_meta in
   t.ck_meta <- Array.append t.ck_meta (Array.make (cap / 2) 0);
-  t.ck_pc <- Array.append t.ck_pc (Array.make (cap / 2) 0L);
-  t.ck_count <- Array.append t.ck_count (Array.make (cap / 2) 0L)
+  t.ck_pc <- Bytes.extend t.ck_pc 0 (8 * (cap / 2));
+  t.ck_count <- Bytes.extend t.ck_count 0 (8 * (cap / 2))
 
 (* Both loggers copy the old value slot to slot: no [int64] is boxed. *)
 let record_reg t (st : Machine.State.t) flat =
@@ -109,15 +111,21 @@ let hooks t : Semir.Hooks.t =
     on_store = (fun st addr width -> record_store t st addr width);
   }
 
-(** [checkpoint t st] opens a new speculative region and returns its token. *)
-let checkpoint t (st : Machine.State.t) : int =
+(** [mark t st pc k] opens a new speculative region whose rollback
+    restores pc [pc] and retired count [st.instr_count + k], and returns
+    its token. The block engine marks each site this way, before it
+    advances [st] past the block. *)
+let mark t (st : Machine.State.t) pc k : int =
   let n = t.ck_n in
   if n >= Array.length t.ck_meta then grow_ck t;
   Array.unsafe_set t.ck_meta n (pack ~reg_n:t.reg_n ~mem_n:t.mem_n);
-  Array.unsafe_set t.ck_pc n st.pc;
-  Array.unsafe_set t.ck_count n st.instr_count;
+  set64 t.ck_pc (8 * n) pc;
+  set64 t.ck_count (8 * n) (Int64.add st.instr_count (Int64.of_int k));
   t.ck_n <- n + 1;
   t.base + n
+
+(** [checkpoint t st] opens a new speculative region and returns its token. *)
+let checkpoint t (st : Machine.State.t) : int = mark t st st.pc 0
 
 (** [rollback t st token] undoes every architectural effect recorded since
     [checkpoint] returned [token], restoring pc and instruction count.
@@ -141,9 +149,10 @@ let rollback t (st : Machine.State.t) token =
       ~width:t.mem_width.(i) t.mem_old (8 * i)
   done;
   t.mem_n <- mem_mark;
-  st.pc <- t.ck_pc.(token);
-  st.next_pc <- t.ck_pc.(token);
-  st.instr_count <- t.ck_count.(token);
+  let pc = get64 t.ck_pc (8 * token) in
+  st.pc <- pc;
+  st.next_pc <- st.pc;
+  st.instr_count <- get64 t.ck_count (8 * token);
   (* Rolling back also cancels any fault raised speculatively. *)
   st.fault <- None;
   st.halted <- false;
@@ -176,8 +185,8 @@ let compact t =
     let live_ck = t.ck_n - ck0 in
     let reg0 = if live_ck > 0 then meta_reg t.ck_meta.(ck0) else t.reg_n in
     let mem0 = if live_ck > 0 then meta_mem t.ck_meta.(ck0) else t.mem_n in
-    Array.blit t.ck_pc ck0 t.ck_pc 0 live_ck;
-    Array.blit t.ck_count ck0 t.ck_count 0 live_ck;
+    Bytes.blit t.ck_pc (8 * ck0) t.ck_pc 0 (8 * live_ck);
+    Bytes.blit t.ck_count (8 * ck0) t.ck_count 0 (8 * live_ck);
     for i = 0 to live_ck - 1 do
       let m = t.ck_meta.(ck0 + i) in
       t.ck_meta.(i) <- pack ~reg_n:(meta_reg m - reg0) ~mem_n:(meta_mem m - mem0)

@@ -24,6 +24,14 @@ val hooks : t -> Semir.Hooks.t
 (** [checkpoint t st] opens a speculative region, returning its token. *)
 val checkpoint : t -> Machine.State.t -> int
 
+(** [mark t st pc k] opens a speculative region whose rollback restores
+    pc [pc] and retired count [st.instr_count + k], returning its token:
+    the block engine's per-site checkpoint, taken before [st] is advanced
+    past the block ([checkpoint t st] is [mark t st st.pc 0]). The pc and
+    count go to unboxed slots, so a mark allocates nothing and passes no
+    write barrier. *)
+val mark : t -> Machine.State.t -> int64 -> int -> int
+
 (** [rollback t st token] undoes every architectural effect recorded since
     [checkpoint] returned [token], restoring pc, instruction count and any
     speculatively-raised fault.

@@ -88,7 +88,22 @@ type block = {
   mutable b_s1 : block;
   mutable b_s2_pc : int64;
   mutable b_s2 : block;
+  mutable b_recs : records;
 }
+
+(* DI records that [run_block] writes: one per site, each with its own
+   frame (the engine's header and scratch bytes, the record's info
+   bytes), and the [(records, count)] results returned so far, kept so a
+   later call returns one without allocating. *)
+and owned = {
+  o_dis : Di.t array;
+  o_frames : Semir.Frame.t array;
+  o_results : (Di.t array * int) array;  (** [no_result] until first used *)
+}
+
+(* A block's records: none before its first [run_block] dispatch, the
+   engine's ring for that one ([Warm]), its own from the second on. *)
+and records = Cold | Warm | Owned of owned
 
 (* Sentinel predecessor/successor: never valid, so it can neither be
    dispatched through nor receive successor installs. *)
@@ -105,7 +120,22 @@ let rec dummy_block =
     b_s1 = dummy_block;
     b_s2_pc = -1L;
     b_s2 = dummy_block;
+    b_recs = Cold;
   }
+
+let no_result : Di.t array * int = ([||], -1)
+
+(* [result o k] is [(o.o_dis, k)], built on its first use: a block's own
+   records nearly always return their full count, so the shorter results
+   (a halt, a block stopped by its own store) are seldom built. *)
+let result o k =
+  let r = Array.unsafe_get o.o_results k in
+  if r != no_result then r
+  else begin
+    let r = (o.o_dis, k) in
+    Array.unsafe_set o.o_results k r;
+    r
+  end
 
 (* The boxed form of a site's next pc [n]: the fall-through box, or a
    successor-cache key of block [b] when the branch went where it went
@@ -222,10 +252,12 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   let frame =
     Semir.Frame.create ~di_slots:slots.di_size ~scratch_slots:slots.scratch_size
   in
-  (* The engine moves the frame header through its unboxed slots. An
-     [int64] field of a DI record or of [st] is written only when its
-     value changes, and then with an existing box where one is at hand
-     (a block's pc arrays, its successor cache). *)
+  (* The engine moves the frame header through its unboxed slots. A
+     pointer field of a long-lived record (a DI header field, [frame.di])
+     costs a write barrier per store, so where the stored value seldom
+     changes the engine compares first and stores only a physically
+     different value, and an [int64] it stores is an existing box where
+     one is at hand (a block's pc arrays, its successor cache). *)
   let fs = frame.s in
   let n_instrs = Array.length spec.instrs in
   let decoder = plan.Plan.decoder in
@@ -326,14 +358,15 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     set64 fs pc_off di.pc;
     set64 fs enc_off di.encoding;
     set64 fs next_pc_off di.next_pc;
-    frame.di <- di.info
+    if frame.di != di.info then frame.di <- di.info
   in
   let save_frame (di : Di.t) =
     let e = get64 fs enc_off in
     if not (Int64.equal e di.encoding) then di.encoding <- e;
     let n = get64 fs next_pc_off in
     if not (Int64.equal n di.next_pc) then di.next_pc <- n;
-    di.fault <- st.fault
+    let f = st.fault in
+    if di.fault != f then di.fault <- f
   in
 
   (* --- observability --------------------------------------------------- *)
@@ -422,11 +455,14 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     save_frame di
   in
 
-  let auto_checkpoint (di : Di.t) =
+  (* [di]'s checkpoint restores pc [pc] and [k] instructions past
+     [st.instr_count]: a block's sites run before [st] moves past the
+     block. *)
+  let auto_checkpoint (di : Di.t) pc k =
     match journal with
     | None -> ()
     | Some j ->
-      di.ckpt <- Specul.checkpoint j st;
+      di.ckpt <- Specul.mark j st pc k;
       Specul.auto_trim j ~window:spec_window
   in
 
@@ -442,8 +478,8 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     if not st.halted then begin
       di.pc <- st.pc;
       di.instr_index <- -1;
-      di.fault <- None;
-      auto_checkpoint di;
+      if di.fault != None then di.fault <- None;
+      auto_checkpoint di di.pc 0;
       load_frame di;
       let items = !ep_items in
       let k = ref 0 in
@@ -555,7 +591,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       set64 fs pc_off pc;
       set64 fs enc_off d.d_enc;
       set64 fs next_pc_off d.d_fall;
-      frame.di <- di.info;
+      if frame.di != di.info then frame.di <- di.info;
       d.d_site st frame;
       let n = get64 fs next_pc_off in
       di.next_pc <-
@@ -565,7 +601,8 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
            d.d_taken <- n;
            d.d_taken
          end);
-      di.fault <- st.fault
+      let f = st.fault in
+      if di.fault != f then di.fault <- f
     in
     let count_segs (i : Instrument.t) d =
       count (Array.unsafe_get i.seg_calls 0);
@@ -576,7 +613,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       if not st.halted then begin
         let pc = st.pc in
         di.pc <- pc;
-        auto_checkpoint di;
+        auto_checkpoint di pc 0;
         (match ins with
         | None ->
           fetch pc;
@@ -621,28 +658,32 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   in
 
   (* --- block mode ------------------------------------------------------ *)
-  (* Engine-owned DI ring returned by [run_block], with every possible
-     [(ring, count)] result built in advance so a call returns one
-     without allocating. *)
-  let dis = ref (Array.init 4 (fun _ -> Di.create ~info_slots:slots.di_size)) in
-  let results d = Array.init (Array.length d + 1) (fun n -> (d, n)) in
-  let dis_results = ref (results !dis) in
-  let ensure_dis n =
-    if Array.length !dis < n then begin
-      let bigger =
-        Array.init (max n (2 * Array.length !dis)) (fun i ->
-            if i < Array.length !dis then !dis.(i)
-            else Di.create ~info_slots:slots.di_size)
-      in
-      dis := bigger;
-      dis_results := results bigger
-    end
+  (* Each record gets its own frame, so a site never repoints [frame.di].
+     The ring serves a block's first dispatch and a non-block buildset's
+     one-instruction batch. *)
+  let owned dis =
+    {
+      o_dis = dis;
+      o_frames =
+        Array.map (fun (d : Di.t) -> { Semir.Frame.s = fs; di = d.info }) dis;
+      o_results = Array.make (Array.length dis + 1) no_result;
+    }
+  in
+  let ring =
+    ref (owned (Array.init 4 (fun _ -> Di.create ~info_slots:slots.di_size)))
+  in
+  let ensure_ring n =
+    let dis = !ring.o_dis in
+    if Array.length dis < n then
+      ring :=
+        owned
+          (Array.init (max n (2 * Array.length dis)) (fun i ->
+               if i < Array.length dis then dis.(i)
+               else Di.create ~info_slots:slots.di_size))
   in
   (* a one-instruction batch: the ring's first record, counted unless the
      instruction halted (an uncounted instruction, as in the block loop) *)
-  let one_result () =
-    Array.unsafe_get !dis_results (if st.halted then 0 else 1)
-  in
+  let one_result () = result !ring (if st.halted then 0 else 1) in
   (* The translation cache, built for block buildsets only: the block
      loop, the chained fast loop and the flush of the block tables. *)
   let block_engine compile_site =
@@ -728,6 +769,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
           b_s1 = dummy_block;
           b_s2_pc = -1L;
           b_s2 = dummy_block;
+          b_recs = Cold;
         }
       in
       (* Register the code pages this block was translated from. *)
@@ -791,8 +833,40 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
         b
       end
     in
+    (* A block's first [run_block] dispatch runs on the ring, whose
+       records hold another block's header on every call. The second
+       gives the block records of its own with the header written from
+       its arrays (the fall-through as next pc), so a hot block's sites
+       store a header field only when a next pc or a fault changes. A
+       block that runs once costs no records, and invalidation drops the
+       records with the block. *)
+    let records b =
+      match b.b_recs with
+      | Owned o -> o
+      | Warm ->
+        let o =
+          owned
+            (Array.init (Array.length b.b_codes) (fun k ->
+                 let d = Di.create ~info_slots:slots.di_size in
+                 d.pc <- b.b_pcs.(k);
+                 d.encoding <- b.b_encs.(k);
+                 d.instr_index <- b.b_idxs.(k);
+                 d.next_pc <- b.b_pcs.(k + 1);
+                 d))
+        in
+        b.b_recs <- Owned o;
+        o
+      | Cold ->
+        b.b_recs <- Warm;
+        ensure_ring (Array.length b.b_codes);
+        !ring
+    in
+    (* One site loop for both kinds of record: each header field is
+       compared before it is stored, and the next pc is chosen among the
+       existing boxes and stored inside each branch. Bound to a variable,
+       the chosen box would be unboxed and boxed again on every site. *)
     let run_block () =
-      if st.halted then Array.unsafe_get !dis_results 0
+      if st.halted then result !ring 0
       else begin
         let pc0 = st.pc in
         let b = lookup_from !last_block pc0 in
@@ -804,8 +878,8 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
         and idxs = b.b_idxs
         and pcs = b.b_pcs in
         let len = Array.length codes in
-        ensure_dis len;
-        let dis = !dis in
+        let recs = records b in
+        let dis = recs.o_dis and frames = recs.o_frames in
         let executed = ref 0 in
         let k = ref 0 in
         (* [b_valid] re-checked per site: a store that hits this block's
@@ -818,19 +892,30 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
         do
           let di = Array.unsafe_get dis !k in
           let pc = Array.unsafe_get pcs !k in
+          let enc = Array.unsafe_get encs !k in
           let fall = Array.unsafe_get pcs (!k + 1) in
-          di.pc <- pc;
-          di.encoding <- Array.unsafe_get encs !k;
+          if di.pc != pc then di.pc <- pc;
+          if di.encoding != enc then di.encoding <- enc;
           di.instr_index <- Array.unsafe_get idxs !k;
-          di.fault <- None;
-          auto_checkpoint di;
+          if di.fault != None then di.fault <- None;
+          auto_checkpoint di pc !executed;
           set64 fs pc_off pc;
-          set64 fs enc_off di.encoding;
+          set64 fs enc_off enc;
           set64 fs next_pc_off fall;
-          frame.di <- di.info;
-          (Array.unsafe_get codes !k) st frame;
-          di.next_pc <- next_box b (get64 fs next_pc_off) fall;
-          di.fault <- st.fault;
+          (Array.unsafe_get codes !k) st (Array.unsafe_get frames !k);
+          let n = get64 fs next_pc_off in
+          if Int64.equal n fall then begin
+            if di.next_pc != fall then di.next_pc <- fall
+          end
+          else if Int64.equal n b.b_s1_pc then begin
+            if di.next_pc != b.b_s1_pc then di.next_pc <- b.b_s1_pc
+          end
+          else if Int64.equal n b.b_s2_pc then begin
+            if di.next_pc != b.b_s2_pc then di.next_pc <- b.b_s2_pc
+          end
+          else di.next_pc <- n;
+          let f = st.fault in
+          if di.fault != f then di.fault <- f;
           if not st.halted then incr executed;
           incr k
         done;
@@ -842,7 +927,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
           st.instr_count <- Int64.add st.instr_count (Int64.of_int !executed);
           stats.instrs_executed <- stats.instrs_executed + !executed
         end;
-        Array.unsafe_get !dis_results !executed
+        result recs !executed
       end
     in
     (* The translation-cache hot path: block-to-block dispatch through the
@@ -918,7 +1003,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     | Some (run_block, _, _), Some i -> Instrument.run_block i run_block
     | None, _ ->
       fun () ->
-        run_one !dis.(0);
+        run_one !ring.o_dis.(0);
         one_result ()
   in
 

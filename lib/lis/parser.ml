@@ -92,8 +92,8 @@ let ident_list st =
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let width_of_name st name : Semir.Ir.width * bool =
-  match name with
+let width_of_name (w : Ast.ident) : Semir.Ir.width * bool =
+  match w.id with
   | "u8" -> (Semir.Ir.W1, false)
   | "u16" -> (Semir.Ir.W2, false)
   | "u32" -> (Semir.Ir.W4, false)
@@ -102,7 +102,9 @@ let width_of_name st name : Semir.Ir.width * bool =
   | "s16" -> (Semir.Ir.W2, true)
   | "s32" -> (Semir.Ir.W4, true)
   | "s64" -> (Semir.Ir.W8, true)
-  | _ -> err st "unknown access width '%s' (expected u8..u64 or s8..s64)" name
+  | name ->
+    Loc.error w.span "unknown access width '%s' (expected u8..u64 or s8..s64)"
+      name
 
 let rec expr st : Ast.expr = ternary st
 
@@ -236,7 +238,7 @@ and primary st : Ast.expr =
     advance st;
     expect st Dot;
     let w = ident st in
-    let width, signed = width_of_name st w.id in
+    let width, signed = width_of_name w in
     expect st Lparen;
     let addr = expr st in
     expect st Rparen;
@@ -312,7 +314,7 @@ let rec stmt st : Ast.stmt =
         let m = string_lit st in
         expect st Rparen;
         Ast.S_fault_arith m
-      | other -> err st "unknown fault kind '%s'" other
+      | other -> Loc.error kind.span "unknown fault kind '%s'" other
     in
     expect st Semi;
     mk s
@@ -328,7 +330,7 @@ let rec stmt st : Ast.stmt =
     advance st;
     expect st Dot;
     let w = ident st in
-    let width, _ = width_of_name st w.id in
+    let width, _ = width_of_name w in
     expect st Lparen;
     let addr = expr st in
     expect st Comma;
@@ -397,7 +399,7 @@ let isa_decl st span : Ast.decl =
       | "decodekey" ->
         decode_lo := int_lit_small st;
         decode_len := int_lit_small st
-      | other -> err st "unknown isa property '%s'" other);
+      | other -> Loc.error k.span "unknown isa property '%s'" other);
       expect st Semi;
       go ()
     end
@@ -546,7 +548,8 @@ let buildset_decl st : Ast.decl =
            match v.id with
            | "on" -> true
            | "off" -> false
-           | other -> err st "expected 'on' or 'off', found '%s'" other);
+           | other ->
+             Loc.error v.span "expected 'on' or 'off', found '%s'" other);
         expect st Semi
       | "semantic" ->
         keyword st "block";
@@ -561,7 +564,7 @@ let buildset_decl st : Ast.decl =
            | "decode" -> Ast.V_decode
            | "show" -> Ast.V_show (ident_list st)
            | "hide" -> Ast.V_hide (ident_list st)
-           | other -> err st "unknown visibility '%s'" other);
+           | other -> Loc.error v.span "unknown visibility '%s'" other);
         expect st Semi
       | "entrypoint" ->
         let ep_name = ident st in
@@ -569,7 +572,7 @@ let buildset_decl st : Ast.decl =
         let actions = ident_list st in
         expect st Semi;
         entrypoints := { Ast.ep_name; ep_actions = actions } :: !entrypoints
-      | other -> err st "unknown buildset item '%s'" other);
+      | other -> Loc.error k.span "unknown buildset item '%s'" other);
       go ()
     end
   in
@@ -601,7 +604,7 @@ let abi_decl st : Ast.decl =
       | "ret" -> ret := Some (cls, idx)
       | s when String.length s > 3 && String.sub s 0 3 = "arg" ->
         args := (s, (cls, idx)) :: !args
-      | other -> err st "unknown abi item '%s'" other);
+      | other -> Loc.error k.span "unknown abi item '%s'" other);
       go ()
     end
   in

@@ -415,6 +415,71 @@ let test_one_entrypoint_step (t : Workload.target) () =
         (Machine.Memory.equal_contents a.st.mem b.st.mem))
     step_buildsets
 
+(* [run_block] returns the ring's records on a block's first dispatch
+   and the block's own after that; either way each record must hold what
+   [run_one] reports for the same instruction. A One twin runs beside the
+   Block interface, one instruction per record. Its record starts from
+   the Block record's information bytes, so a slot that neither writes
+   compares equal and every slot [run_one] writes must match. The kernel
+   runs twice, reloaded at the same base in between: the rewrite
+   invalidates the blocks, and the rebuilt ones pass through the ring
+   again. *)
+let block_one_pairs =
+  [
+    ("block_decode", "one_decode");
+    ("block_all", "one_all");
+    ("block_all_spec", "one_all_spec");
+  ]
+
+let test_block_dis_equal_one (t : Workload.target) () =
+  let k = kernel "sort" in
+  List.iter
+    (fun (bb, bo) ->
+      let a = (Workload.load t ~buildset:bb k.program).iface
+      and b = (Workload.load t ~buildset:bo k.program).iface in
+      let db = Specsim.Di.create ~info_slots:b.slots.di_size in
+      let n = ref 0 in
+      let same (da : Specsim.Di.t) =
+        Bytes.blit da.info 0 db.info 0 (Bytes.length db.info);
+        b.run_one db;
+        let agree =
+          Int64.equal da.pc db.pc
+          && Int64.equal da.encoding db.encoding
+          && Int64.equal da.next_pc db.next_pc
+          && da.instr_index = db.instr_index
+          && da.fault = db.fault
+          && Bytes.equal da.info db.info
+        in
+        if not agree then
+          Alcotest.failf
+            "%s %s: record %d differs from %s's (pc 0x%Lx/0x%Lx, encoding \
+             0x%Lx/0x%Lx, next pc 0x%Lx/0x%Lx, index %d/%d, info %s)"
+            t.tname bb !n bo da.pc db.pc da.encoding db.encoding da.next_pc
+            db.next_pc da.instr_index db.instr_index
+            (if Bytes.equal da.info db.info then "equal" else "differs");
+        incr n
+      in
+      for round = 1 to 2 do
+        if round = 2 then begin
+          ignore (Workload.load_image t k.program a.st);
+          ignore (Workload.load_image t k.program b.st)
+        end;
+        while not a.st.halted do
+          let dis, m = a.run_block () in
+          for i = 0 to m - 1 do
+            same dis.(i)
+          done;
+          (* the halting instruction's record follows the counted ones *)
+          if a.st.halted then same dis.(m)
+        done;
+        Alcotest.(check bool) (bb ^ ": One twin halted") true b.st.halted;
+        Alcotest.(check int64) (bb ^ ": retired") b.st.instr_count
+          a.st.instr_count
+      done;
+      Alcotest.(check bool) (bb ^ ": blocks rebuilt") true
+        (a.stats.blocks_compiled > 0 && a.stats.block_invalidations > 0))
+    block_one_pairs
+
 let suite =
   [
     Alcotest.test_case "chain + site cache A/B" `Quick
@@ -444,4 +509,9 @@ let suite =
             ("one-entrypoint step = run_one: " ^ t.tname)
             `Quick (test_one_entrypoint_step t);
         ])
+      Workload.targets
+  @ List.map
+      (fun (t : Workload.target) ->
+        Alcotest.test_case ("run_block DIs = run_one DIs: " ^ t.tname) `Quick
+          (test_block_dis_equal_one t))
       Workload.targets

@@ -272,6 +272,36 @@ let position_cases =
       "x.lis",
       "isa \"x\" {\n  endian sideways;\n}",
       "x.lis:2:10: unknown endianness 'sideways'" );
+    ( "unknown isa property",
+      "p.lis",
+      "isa \"x\" {\n  bogus 1;",
+      "p.lis:2:3: unknown isa property 'bogus'" );
+    ( "unknown fault kind",
+      "k.lis",
+      "instr BAD match 0x5C000000 mask 0xFC000000 {\n\
+      \  action evaluate { fault bogus; }\n}",
+      "k.lis:2:27: unknown fault kind 'bogus'" );
+    ( "unknown access width",
+      "w.lis",
+      "instr BAD match 0x5C000000 mask 0xFC000000 {\n\
+      \  action evaluate { store.u7(0, 1); }\n}",
+      "w.lis:2:27: unknown access width 'u7' (expected u8..u64 or s8..s64)" );
+    ( "expected 'on' or 'off'",
+      "o.lis",
+      "buildset b {\n  speculation maybe;\n}",
+      "o.lis:2:15: expected 'on' or 'off', found 'maybe'" );
+    ( "unknown visibility",
+      "v.lis",
+      "buildset b {\n  visibility some;\n}",
+      "v.lis:2:14: unknown visibility 'some'" );
+    ( "unknown buildset item",
+      "b.lis",
+      "buildset b {\n  colour red;\n}",
+      "b.lis:2:3: unknown buildset item 'colour'" );
+    ( "unknown abi item",
+      "a.lis",
+      "abi {\n  nr = GPR[0];\n  bogus = GPR[1];\n}",
+      "a.lis:3:3: unknown abi item 'bogus'" );
   ]
 
 (* One-byte tokens on one-token lines: more tokens and lines than the

@@ -151,6 +151,79 @@ let prop_matches_snapshots =
         Specsim.Specul.rollback j st t;
         Regfile.equal st.regs regs && mem_dump () = mem)
 
+(* A block interface takes a checkpoint per site, before [run_block]
+   moves [st] past the block, and rolling back to site [j]'s must leave
+   the machine as [j] instructions from the block's entry do: registers,
+   memory, pc and retired count. A step_all twin runs in lockstep, one
+   instruction per site. For each [j] the block is rolled back to site
+   [j], compared with the twin, rolled back to its entry and run again,
+   so the first run is on the engine's ring and the later ones on the
+   block's own records. Blocks with a syscall are skipped: the journal
+   does not cover the OS emulator's buffers. *)
+let test_mid_block_rollback (t : Workload.target) () =
+  let kinds = Specsim.Classify.of_spec (Lazy.force t.spec) in
+  let program = Vir.Kernels.sort ~n:20 in
+  List.iter
+    (fun bs ->
+      let a = (Workload.load t ~buildset:bs program).iface
+      and twin = (Workload.load t ~buildset:"step_all" program).iface in
+      let di = Specsim.Di.create ~info_slots:twin.slots.di_size in
+      let step () =
+        di.pc <- twin.st.pc;
+        di.instr_index <- -1;
+        di.fault <- None;
+        for k = 0 to Specsim.Iface.n_entrypoints twin - 1 do
+          if not twin.st.halted then twin.step di k
+        done;
+        if not twin.st.halted then twin.retire di
+      in
+      let same () =
+        Int64.equal a.st.pc twin.st.pc
+        && Int64.equal a.st.instr_count twin.st.instr_count
+        && Regfile.equal a.st.regs twin.st.regs
+        && Memory.equal_contents a.st.mem twin.st.mem
+      in
+      let checked = ref 0 in
+      while not a.st.halted do
+        let dis, n = a.run_block () in
+        let syscall = ref a.st.halted in
+        for i = 0 to n - 1 do
+          if kinds.(dis.(i).instr_index).is_syscall then syscall := true
+        done;
+        if not !syscall then begin
+          let dis = ref dis in
+          for j = 1 to n - 1 do
+            step ();
+            Specsim.Iface.rollback_di a !dis.(j);
+            if not (same ()) then
+              Alcotest.failf
+                "%s %s: rollback to site %d of the block at 0x%Lx gives pc \
+                 0x%Lx and count %Ld, where %d steps give pc 0x%Lx and \
+                 count %Ld"
+                t.tname bs j !dis.(0).pc a.st.pc a.st.instr_count j
+                twin.st.pc twin.st.instr_count;
+            incr checked;
+            Specsim.Iface.rollback_di a !dis.(0);
+            dis := fst (a.run_block ())
+          done
+        end;
+        while Int64.compare twin.st.instr_count a.st.instr_count < 0
+              || (a.st.halted && not twin.st.halted)
+        do
+          step ()
+        done;
+        (* a block that halts leaves the fetch pc at its entry *)
+        if not (a.st.halted || same ()) then
+          Alcotest.failf "%s %s: step_all twin diverged at pc 0x%Lx" t.tname
+            bs a.st.pc
+      done;
+      Alcotest.(check bool) (bs ^ ": rollbacks checked") true (!checked > 0);
+      Alcotest.(check int64) (bs ^ ": retired") twin.st.instr_count
+        a.st.instr_count;
+      Alcotest.(check bool) (bs ^ ": registers at the halt") true
+        (Regfile.equal a.st.regs twin.st.regs))
+    [ "block_decode_spec"; "block_all_spec" ]
+
 let suite =
   [
     Alcotest.test_case "basic rollback" `Quick test_basic_rollback;
@@ -161,3 +234,9 @@ let suite =
     Alcotest.test_case "rollback clears fault" `Quick test_rollback_clears_fault;
     QCheck_alcotest.to_alcotest prop_matches_snapshots;
   ]
+  @ List.map
+      (fun (t : Workload.target) ->
+        Alcotest.test_case
+          ("speculation: mid-block rollback = stepped prefix: " ^ t.tname)
+          `Quick (test_mid_block_rollback t))
+      Workload.targets

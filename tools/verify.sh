@@ -5,8 +5,9 @@
 # instrumented-run check that the observability counters are live, a
 # profiler check (hot-region table, speedscope flame export, JSONL
 # metrics series, --trace-cap validation), a dispatch-stats check
-# that block chaining and site sharing engage, and a check that the
-# translated run_one paths agree with the generic step_all on each ISA.
+# that block chaining and site sharing engage, a check that the
+# translated run_one paths agree with the generic step_all on each ISA,
+# and rotating-interface validation on each ISA.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -198,6 +199,20 @@ for isa in alpha arm ppc riscv; do
       echo "FAIL: $isa $bs disagrees with step_all" >&2
       echo "  step_all: $want" >&2
       echo "  $bs: $got" >&2
+      exit 1
+    fi
+  done
+done
+
+echo "== validate: rotating interfaces must agree with the reference =="
+# all 12 interfaces take turns on one machine, so block interfaces run
+# blocks both on a first dispatch and on later ones
+for isa in alpha arm ppc riscv; do
+  for k in sort hash_loop; do
+    dune exec bin/lisim.exe -- validate --isa "$isa" -k "$k" >"$tmp" 2>&1 || true
+    if ! grep -q "^OK:" "$tmp"; then
+      echo "FAIL: rotating validation of $k on $isa" >&2
+      cat "$tmp" >&2
       exit 1
     fi
   done
