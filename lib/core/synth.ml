@@ -919,11 +919,13 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
           if not st.halted then incr executed;
           incr k
         done;
+        (* a halt leaves the pc at the halting site, as run_one and step
+           do; otherwise the last executed site's next_pc is the
+           continuation *)
+        if st.halted then st.pc <- Array.unsafe_get pcs (!k - 1)
+        else if !executed > 0 then
+          st.pc <- (Array.unsafe_get dis (!k - 1)).next_pc;
         if !executed > 0 then begin
-          (* the last executed site's next_pc is the continuation; on a
-             halt the fetch pc stays put (rollback restores it anyway) *)
-          if not st.halted then
-            st.pc <- (Array.unsafe_get dis (!k - 1)).next_pc;
           st.instr_count <- Int64.add st.instr_count (Int64.of_int !executed);
           stats.instrs_executed <- stats.instrs_executed + !executed
         end;
@@ -963,12 +965,12 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
             if !k >= len || not (b.b_valid || b.b_stable) then go := false
           end
         done;
+        (* a halting site is site [k], and the pc stays at it;
+           otherwise [pcs.(k)] is the last executed site's fall-through *)
+        if st.halted then st.pc <- Array.unsafe_get pcs !k
+        else if !k > 0 then
+          st.pc <- next_box b (get64 fs next_pc_off) (Array.unsafe_get pcs !k);
         if !k > 0 then begin
-          if not st.halted then begin
-            (* [pcs.(k)] is the last executed site's fall-through *)
-            st.pc <-
-              next_box b (get64 fs next_pc_off) (Array.unsafe_get pcs !k)
-          end;
           st.instr_count <- Int64.add st.instr_count (Int64.of_int !k);
           stats.Iface.instrs_executed <- stats.Iface.instrs_executed + !k;
           executed := !executed + !k;

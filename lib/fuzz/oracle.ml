@@ -296,9 +296,11 @@ let run_pair (spec : Lis.Spec.t) ?prof ?cache (cfg : config)
   in
   loop ();
   (* end of budget with both still running: full final comparison,
-     including the canonical whole-state digest. Skipped on halt: a
-     halted machine's fetch pc is unspecified (a block engine leaves it
-     at the block entry), and {!Machine.Checkpoint.digest} includes it. *)
+     including the canonical whole-state digest. A halt had its full
+     comparison in the loop, memory included, but without the fetch pc
+     that {!Machine.Checkpoint.digest} covers: every interface leaves
+     the pc at the halting instruction, yet the halt comparison leaves
+     it out so that the verdicts pinned on the corpus stay as they are. *)
   if !div = None && not cst.halted then begin
     compare_sync ~mem:true;
     if !div = None then begin

@@ -11,13 +11,14 @@ type stats = {
 val zero : stats
 
 (** [code_lines text] counts lines that contain code after stripping
-    [//] and [/* */] comments. *)
+    [//] and [/* */] comments (in one allocation-free pass; comment
+    delimiters inside string literals count as comments). *)
 val code_lines : string -> int
 
-(** [count_buildsets text] counts [buildset] declarations (token-level). *)
-val count_buildsets : string -> int
-
-val of_sources : Ast.source list -> stats
+(** [of_parsed files] is the statistics of the files, each given with
+    the declarations its parse produced: [buildset_count] counts the
+    [buildset] declarations of the buildset files. *)
+val of_parsed : (Ast.source * Ast.t) list -> stats
 
 (** The paper's "lines per experimental buildset" statistic. *)
 val lines_per_buildset : stats -> float

@@ -4,9 +4,12 @@
     hexadecimal integer literals, string literals with the usual escapes,
     and C-style operators. Lexes the whole file up front, so the parser
     can look ahead freely, into a compact stream: the tokens in one
-    array, their start and stop byte offsets in two [int] arrays, and the
-    byte offset of every line start, recorded in the same pass. A token's
-    {!Loc.span} is built only when asked for.
+    array, their start and stop byte offsets and the line each starts on
+    in three [int] arrays, and the byte offset of every line start, all
+    recorded in the same pass. A token's {!Loc.span} is built only when
+    asked for, and needs no search: only a token that ends past the next
+    line start (a string literal that spans lines) looks its stop line
+    up.
 
     Set-up allocation rule: never build an array longer than 256 words
     from a young value. [Array.make] (and [Array.of_list]) of such an
@@ -23,6 +26,7 @@ type t = {
   mutable toks : Token.t array;
   mutable starts : int array;  (** byte offset of each token's first byte *)
   mutable stops : int array;  (** byte offset just past each token *)
+  mutable tlines : int array;  (** index in [lines] of each token's first line *)
   mutable n : int;  (** tokens so far; the arrays may be longer *)
   mutable lines : int array;  (** byte offset of each line's first byte *)
   mutable n_lines : int;
@@ -46,9 +50,16 @@ let pos_of ~file (lines : int array) n_lines off : Loc.pos =
 
 let span s i : Loc.span =
   if i < 0 || i >= s.n then invalid_arg "Lexer.span";
+  let line = Array.unsafe_get s.tlines i in
+  let first = Array.unsafe_get s.lines line in
+  let start = Array.unsafe_get s.starts i and stop = Array.unsafe_get s.stops i in
+  let file = s.file in
   {
-    start = pos_of ~file:s.file s.lines s.n_lines (Array.unsafe_get s.starts i);
-    stop = pos_of ~file:s.file s.lines s.n_lines (Array.unsafe_get s.stops i);
+    start = { file; line = line + 1; col = start - first + 1 };
+    stop =
+      (if line + 1 < s.n_lines && stop >= Array.unsafe_get s.lines (line + 1)
+       then pos_of ~file s.lines s.n_lines stop
+       else { file; line = line + 1; col = stop - first + 1 });
   }
 
 let grow a n fill =
@@ -114,12 +125,16 @@ let rec skip_ws_and_comments st =
       skip_ws_and_comments st
     | _ -> ()
 
+(* The identifier at [st.pos], whose first byte [next_token] matched. *)
 let lex_ident st =
   let start = st.pos in
-  while st.pos < st.len && is_ident_char (at st st.pos) do
-    st.pos <- st.pos + 1
+  let src = st.src and len = st.len in
+  let p = ref (start + 1) in
+  while !p < len && is_ident_char (String.unsafe_get src !p) do
+    incr p
   done;
-  String.sub st.src start (st.pos - start)
+  st.pos <- !p;
+  String.sub src start (!p - start)
 
 let digit_value c =
   if is_digit c then Char.code c - Char.code '0'
@@ -206,8 +221,8 @@ let next_token st : Token.t =
   if st.pos >= st.len then Eof
   else
     match at st st.pos with
-    | c when is_ident_start c -> Ident (lex_ident st)
-    | c when is_digit c -> Int (lex_number st)
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' -> Ident (lex_ident st)
+    | '0' .. '9' -> Int (lex_number st)
     | '"' -> String (lex_string st)
     | '(' -> simple st Lparen
     | ')' -> simple st Rparen
@@ -257,6 +272,7 @@ let lex ~file src : t =
       toks = Array.make cap Token.Eof;
       starts = Array.make cap 0;
       stops = Array.make cap 0;
+      tlines = Array.make cap 0;
       n = 0;
       lines = Array.make ((len / 30) + 16) 0;
       n_lines = 1;
@@ -265,15 +281,20 @@ let lex ~file src : t =
   let rec go () =
     skip_ws_and_comments st;
     let start = st.pos in
+    (* A line start is recorded once the newline before it is passed,
+       so the token starts on the last line recorded so far. *)
+    let line = st.n_lines - 1 in
     let tok = next_token st in
     if st.n = Array.length st.toks then begin
       st.toks <- grow st.toks st.n Token.Eof;
       st.starts <- grow st.starts st.n 0;
-      st.stops <- grow st.stops st.n 0
+      st.stops <- grow st.stops st.n 0;
+      st.tlines <- grow st.tlines st.n 0
     end;
     Array.unsafe_set st.toks st.n tok;
     Array.unsafe_set st.starts st.n start;
     Array.unsafe_set st.stops st.n st.pos;
+    Array.unsafe_set st.tlines st.n line;
     st.n <- st.n + 1;
     match tok with Eof -> () | _ -> go ()
   in

@@ -106,11 +106,50 @@ let width_of_name (w : Ast.ident) : Semir.Ir.width * bool =
     Loc.error w.span "unknown access width '%s' (expected u8..u64 or s8..s64)"
       name
 
+(* The binary operators, one precedence level each, loosest first; 0 is
+   not a binary operator. All are left-associative. *)
+let binary_prec (t : Token.t) =
+  match t with
+  | BarBar -> 1
+  | AmpAmp -> 2
+  | Bar -> 3
+  | Caret -> 4
+  | Amp -> 5
+  | EqEq | NotEq -> 6
+  | Lt | Le | Gt | Ge -> 7
+  | Shl | Shr -> 8
+  | Plus | Minus -> 9
+  | Star | Slash | Percent -> 10
+  | _ -> 0
+
+let binary_node (t : Token.t) a b : Ast.expr_desc =
+  match t with
+  | BarBar -> E_log_or (a, b)
+  | AmpAmp -> E_log_and (a, b)
+  | Bar -> E_bin (Or, a, b)
+  | Caret -> E_bin (Xor, a, b)
+  | Amp -> E_bin (And, a, b)
+  | EqEq -> E_bin (Eq, a, b)
+  | NotEq -> E_bin (Ne, a, b)
+  | Lt -> E_bin (Lts, a, b)
+  | Le -> E_bin (Les, a, b)
+  (* a > b  ==  b < a *)
+  | Gt -> E_bin (Lts, b, a)
+  | Ge -> E_bin (Les, b, a)
+  | Shl -> E_bin (Shl, a, b)
+  | Shr -> E_bin (Lshr, a, b)
+  | Plus -> E_bin (Add, a, b)
+  | Minus -> E_bin (Sub, a, b)
+  | Star -> E_bin (Mul, a, b)
+  | Slash -> E_bin (Divs, a, b)
+  | Percent -> E_bin (Rems, a, b)
+  | _ -> assert false
+
 let rec expr st : Ast.expr = ternary st
 
 and ternary st =
   let start = cur_span st in
-  let c = logical_or st in
+  let c = binary st 1 in
   if accept st Question then begin
     let a = expr st in
     expect st Colon;
@@ -119,82 +158,21 @@ and ternary st =
   end
   else c
 
-and logical_or st =
+(* Precedence climbing: the operators of level [min_prec] or tighter,
+   each node spanning from its left operand's start. *)
+and binary st min_prec =
   let start = cur_span st in
-  let rec go acc =
-    if accept st BarBar then
-      let rhs = logical_and st in
-      go { Ast.e = E_log_or (acc, rhs); espan = start }
-    else acc
-  in
-  go (logical_and st)
+  climb st min_prec start (unary st)
 
-and logical_and st =
-  let start = cur_span st in
-  let rec go acc =
-    if accept st AmpAmp then
-      let rhs = bit_or st in
-      go { Ast.e = E_log_and (acc, rhs); espan = start }
-    else acc
-  in
-  go (bit_or st)
-
-and binlevel st next (table : (Token.t * Semir.Ir.binop) list) =
-  let start = cur_span st in
-  let rec go acc =
-    match List.assoc_opt (cur_tok st) table with
-    | Some op ->
-      advance st;
-      let rhs = next st in
-      go { Ast.e = E_bin (op, acc, rhs); espan = start }
-    | None -> acc
-  in
-  go (next st)
-
-and bit_or st = binlevel st bit_xor [ (Token.Bar, Semir.Ir.Or) ]
-and bit_xor st = binlevel st bit_and [ (Token.Caret, Semir.Ir.Xor) ]
-and bit_and st = binlevel st equality [ (Token.Amp, Semir.Ir.And) ]
-
-and equality st =
-  binlevel st relational [ (Token.EqEq, Semir.Ir.Eq); (Token.NotEq, Semir.Ir.Ne) ]
-
-and relational st =
-  let start = cur_span st in
-  let rec go acc =
-    match cur_tok st with
-    | Lt ->
-      advance st;
-      go { Ast.e = E_bin (Semir.Ir.Lts, acc, shift st); espan = start }
-    | Le ->
-      advance st;
-      go { Ast.e = E_bin (Semir.Ir.Les, acc, shift st); espan = start }
-    | Gt ->
-      advance st;
-      (* a > b  ==  b < a *)
-      let rhs = shift st in
-      go { Ast.e = E_bin (Semir.Ir.Lts, rhs, acc); espan = start }
-    | Ge ->
-      advance st;
-      let rhs = shift st in
-      go { Ast.e = E_bin (Semir.Ir.Les, rhs, acc); espan = start }
-    | _ -> acc
-  in
-  go (shift st)
-
-and shift st =
-  binlevel st additive [ (Token.Shl, Semir.Ir.Shl); (Token.Shr, Semir.Ir.Lshr) ]
-
-and additive st =
-  binlevel st multiplicative
-    [ (Token.Plus, Semir.Ir.Add); (Token.Minus, Semir.Ir.Sub) ]
-
-and multiplicative st =
-  binlevel st unary
-    [
-      (Token.Star, Semir.Ir.Mul);
-      (Token.Slash, Semir.Ir.Divs);
-      (Token.Percent, Semir.Ir.Rems);
-    ]
+and climb st min_prec start lhs =
+  let t = cur_tok st in
+  let prec = binary_prec t in
+  if prec < min_prec then lhs
+  else begin
+    advance st;
+    let rhs = binary st (prec + 1) in
+    climb st min_prec start { e = binary_node t lhs rhs; espan = start }
+  end
 
 and unary st =
   let start = cur_span st in

@@ -231,40 +231,47 @@ let rec xlate_stmt ctx (s : Ast.stmt) : Semir.Ir.stmt =
     then the instruction's own. Identical re-declarations are deduplicated;
     conflicting ones are errors. *)
 let merge_operands (decls : Ast.operand_decl list) : Ast.operand_decl list =
-  let seen : (string, Ast.operand_decl) Hashtbl.t = Hashtbl.create 8 in
-  List.filter
-    (fun (o : Ast.operand_decl) ->
-      match Hashtbl.find_opt seen o.o_name.id with
-      | None ->
-        Hashtbl.add seen o.o_name.id o;
-        true
+  List.fold_left
+    (fun kept (o : Ast.operand_decl) ->
+      let same_name (p : Ast.operand_decl) = String.equal p.o_name.id o.o_name.id in
+      match List.find_opt same_name kept with
+      | None -> o :: kept
       | Some prev ->
         if
           String.equal prev.o_class.id o.o_class.id
           && prev.o_lo = o.o_lo && prev.o_len = o.o_len
           && prev.o_read = o.o_read && prev.o_write = o.o_write
-        then false
+        then kept
         else
           err o.o_name.span
             "operand '%s' redeclared with different class/bits/access"
             o.o_name.id)
-    decls
+    [] decls
+  |> List.rev
 
 (** Merge action bodies by name: class bodies first, instruction's own
-    appended (an instruction refines its class's action). *)
-let merge_actions (defs : Ast.action_def list) : (string * Ast.stmt list) list =
+    appended (an instruction refines its class's action). Each body comes
+    with its translation [t]; a merged action lists them in order. *)
+let merge_actions (defs : (Ast.action_def * 'a) list) : (string * 'a list) list =
   List.fold_left
-    (fun acc (d : Ast.action_def) ->
+    (fun acc ((d : Ast.action_def), t) ->
       let name = d.a_name.id in
       if List.mem name builtin_action_names then
         err d.a_name.span
           "'%s' is a builtin action and cannot be defined by instructions" name;
       match List.assoc_opt name acc with
-      | Some body ->
-        (name, body @ d.a_body) :: List.remove_assoc name acc
-      | None -> (name, d.a_body) :: acc)
+      | Some ts -> (name, ts @ [ t ]) :: List.remove_assoc name acc
+      | None -> (name, [ t ]) :: acc)
     [] defs
   |> List.rev
+
+(* One action body, translated and validated. The errors are kept, so
+   a body that several instructions share is translated once and each
+   of them reports what translating it would have raised. *)
+type segment =
+  | Translated of Semir.Ir.program
+  | Failed of Loc.span * string  (** a translation error *)
+  | Invalid of string  (** a validation message *)
 
 (* ------------------------------------------------------------------ *)
 (* Main entry                                                          *)
@@ -384,10 +391,15 @@ let analyze_all ?(line_stats = Count.zero) (decls : Ast.t) :
   let broken : (string, unit) Hashtbl.t = Hashtbl.create 4 in
   let operand_cells : (string, int * int) Hashtbl.t = Hashtbl.create 32 in
   (* name -> (val_cell, id_cell) *)
-  List.iter
-    (fun (i : Ast.instr_decl) ->
+  (* by position in [env.instrs]; kept for the assembly phase, which
+     runs only on instructions whose operands resolved *)
+  let merged_operands = Array.make (List.length env.instrs) [] in
+  List.iteri
+    (fun index (i : Ast.instr_decl) ->
       match
         guard (fun () ->
+            let decls = instr_operand_decls i in
+            merged_operands.(index) <- decls;
             List.iter
               (fun (o : Ast.operand_decl) ->
                 if not (Hashtbl.mem operand_cells o.o_name.id) then begin
@@ -400,7 +412,7 @@ let analyze_all ?(line_stats = Count.zero) (decls : Ast.t) :
                   in
                   Hashtbl.add operand_cells o.o_name.id (v, id)
                 end)
-              (instr_operand_decls i))
+              decls)
       with
       | Some () -> ()
       | None -> Hashtbl.replace broken i.i_name.id ())
@@ -410,12 +422,39 @@ let analyze_all ?(line_stats = Count.zero) (decls : Ast.t) :
   let n_cells = cells.next in
   let n_classes = Array.length reg_classes in
 
-  let xlate_body span name body =
-    let p = List.map (xlate_stmt ctx) body in
-    (try Semir.Ir.validate ~n_cells ~n_classes p
-     with Semir.Ir.Invalid m -> err span "in action '%s': %s" name m);
-    p
+  let segment body =
+    match List.map (xlate_stmt ctx) body with
+    | exception Loc.Error (span, msg) -> Failed (span, msg)
+    | p -> (
+      match Semir.Ir.validate ~n_cells ~n_classes p with
+      | () -> Translated p
+      | exception Semir.Ir.Invalid m -> Invalid m)
   in
+  (* The program of an action merged from [segs], failing as translating
+     and then validating their concatenation would: the first
+     translation error, else the first validation error. *)
+  let action_program span name segs =
+    List.iter
+      (function Failed (s, m) -> raise (Loc.Error (s, m)) | _ -> ())
+      segs;
+    List.iter
+      (function Invalid m -> err span "in action '%s': %s" name m | _ -> ())
+      segs;
+    match segs with
+    | [ Translated p ] -> p
+    | _ ->
+      List.concat_map (function Translated p -> p | _ -> assert false) segs
+  in
+  (* Each class's action bodies are translated once, and every
+     instruction that inherits them shares the result. *)
+  let class_actions : (string, (Ast.action_def * segment) list) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let translated (d : Ast.action_def) = (d, segment d.a_body) in
+  Hashtbl.iter
+    (fun name (body : Ast.instr_like) ->
+      Hashtbl.replace class_actions name (List.map translated body.d_actions))
+    env.classes;
 
   (* Instructions *)
   let instr_tbl = Hashtbl.create 64 in
@@ -463,7 +502,7 @@ let analyze_all ?(line_stats = Count.zero) (decls : Ast.t) :
                         i.i_name.id i.i_mask s;
                     s
                 in
-                let operand_decls = instr_operand_decls i in
+                let operand_decls = merged_operands.(index) in
                 let operands =
                   Array.of_list
                     (List.map
@@ -524,20 +563,21 @@ let analyze_all ?(line_stats = Count.zero) (decls : Ast.t) :
                 in
                 (* User actions: class actions first, own actions merged in *)
                 let action_defs =
+                  (* its classes resolved with its operands *)
                   List.concat_map
-                    (fun c -> (class_body c.id c).d_actions)
+                    (fun (c : Ast.ident) -> Hashtbl.find class_actions c.id)
                     i.i_classes
-                  @ i.i_body.d_actions
+                  @ List.map translated i.i_body.d_actions
                 in
                 let user =
                   List.map
-                    (fun (name, body) ->
+                    (fun (name, segs) ->
                       if not (List.mem name user_action_names) then
                         err i.i_name.span
                           "instruction '%s' defines action '%s' which is not \
                            in the sequence"
                           i.i_name.id name;
-                      (name, xlate_body i.i_name.span name body))
+                      (name, action_program i.i_name.span name segs))
                     (merge_actions action_defs)
                 in
                 {
@@ -588,7 +628,9 @@ let analyze_all ?(line_stats = Count.zero) (decls : Ast.t) :
              let name = o.ov_action.id in
              if not (List.mem name user_action_names) then
                err o.ov_action.span "action '%s' is not in the sequence" name;
-             let body = xlate_body o.ov_action.span name o.ov_body in
+             let body =
+               action_program o.ov_action.span name [ segment o.ov_body ]
+             in
              if not !skipped then begin
                let i = instrs.(idx) in
                instrs.(idx) <-
@@ -729,15 +771,25 @@ let analyze ?line_stats (decls : Ast.t) : Spec.t =
   | Error ((span, msg) :: _) -> raise (Loc.Error (span, msg))
   | Error [] -> assert false
 
+(* Each file is parsed once; its declarations also give the buildset
+   count of the line statistics. *)
+let parse_counted (sources : Ast.source list) : Ast.t * Count.stats =
+  let files =
+    List.map
+      (fun (s : Ast.source) -> (s, Parser.parse ~file:s.src_name s.src_text))
+      sources
+  in
+  (List.concat_map snd files, Count.of_parsed files)
+
 (** [load_all sources] parses and analyzes description files, reporting
     every resolution error (parse errors still abort at the first). *)
 let load_all (sources : Ast.source list) :
     (Spec.t, (Loc.span * string) list) result =
-  match Parser.parse_sources sources with
+  match parse_counted sources with
   | exception Loc.Error (span, msg) -> Error [ (span, msg) ]
-  | decls -> analyze_all ~line_stats:(Count.of_sources sources) decls
+  | decls, line_stats -> analyze_all ~line_stats decls
 
 (** [load sources] parses and analyzes a list of description files. *)
 let load (sources : Ast.source list) : Spec.t =
-  let decls = Parser.parse_sources sources in
-  analyze ~line_stats:(Count.of_sources sources) decls
+  let decls, line_stats = parse_counted sources in
+  analyze ~line_stats decls

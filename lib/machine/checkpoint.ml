@@ -10,13 +10,6 @@
 
 let magic = "LISIMCK1"
 
-let add_i64 b (v : int64) =
-  let tmp = Bytes.create 8 in
-  Bytes.set_int64_le tmp 0 v;
-  Buffer.add_bytes b tmp
-
-let add_int b v = add_i64 b (Int64.of_int v)
-
 type reader = { data : string; mutable pos : int }
 
 exception Corrupt of string
@@ -29,54 +22,91 @@ let read_i64 r =
 
 let read_int r = Int64.to_int (read_i64 r)
 
+(* The byte length of [save st]'s result: the magic, the endianness
+   byte and the class count; per class its length-prefixed name, its
+   count, width and hardwired zero, and its registers; the pc, next pc,
+   instruction count and halt flag; the fault's tag and payload; the
+   page count, and each page with its index. *)
+let saved_size (st : State.t) =
+  let n = ref (String.length magic + 1 + 8) in
+  for c = 0 to Regfile.class_count st.regs - 1 do
+    let def = Regfile.class_def st.regs c in
+    n := !n + 8 + String.length def.cname + 24 + (8 * def.count)
+  done;
+  n := !n + 32 + 8;
+  (match st.fault with
+  | None -> ()
+  | Some (Fault.Illegal_instruction _ | Fault.Unaligned_access _ | Fault.Exit _)
+    ->
+    n := !n + 8
+  | Some (Fault.Arith m) -> n := !n + 8 + String.length m);
+  !n + 8 + (Memory.page_count st.mem * (8 + Memory.page_size))
+
+(* Writers into [save]'s result: each stores at byte [pos] and returns
+   the offset just past what it stored. *)
+let put_i64 b pos v =
+  Bytes.set_int64_le b pos v;
+  pos + 8
+
+let put_int b pos v =
+  Bytes.set_int64_le b pos (Int64.of_int v);
+  pos + 8
+
+let put_string b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
 (** [save st] serializes the machine's architectural state. The syscall
     handler and any attached OS-emulator state are not captured (an OS
-    emulator has its own buffers; re-install it after restore). *)
+    emulator has its own buffers; re-install it after restore). The
+    bytes are written in one pass into a result of exact size. *)
 let save (st : State.t) : string =
-  let b = Buffer.create 65536 in
-  Buffer.add_string b magic;
-  Buffer.add_char b (match Memory.endian st.mem with Little -> 'L' | Big -> 'B');
+  let b = Bytes.create (saved_size st) in
+  let pos = ref (put_string b 0 magic) in
+  Bytes.set b !pos (match Memory.endian st.mem with Little -> 'L' | Big -> 'B');
+  incr pos;
   (* register classes: layout fingerprint + contents *)
   let n_classes = Regfile.class_count st.regs in
-  add_int b n_classes;
+  pos := put_int b !pos n_classes;
   for c = 0 to n_classes - 1 do
     let def = Regfile.class_def st.regs c in
-    add_int b (String.length def.cname);
-    Buffer.add_string b def.cname;
-    add_int b def.count;
-    add_int b def.width;
-    add_int b (match def.hardwired_zero with Some z -> z | None -> -1);
+    pos := put_int b !pos (String.length def.cname);
+    pos := put_string b !pos def.cname;
+    pos := put_int b !pos def.count;
+    pos := put_int b !pos def.width;
+    pos := put_int b !pos (match def.hardwired_zero with Some z -> z | None -> -1);
+    (* a register's value is its native-endian slot (Regfile.t) *)
+    let slot = 8 * Regfile.base st.regs c in
     for i = 0 to def.count - 1 do
-      add_i64 b (Regfile.read st.regs ~cls:c ~idx:i)
-    done
+      Bytes.set_int64_le b (!pos + (8 * i))
+        (Bytes.get_int64_ne st.regs.v (slot + (8 * i)))
+    done;
+    pos := !pos + (8 * def.count)
   done;
   (* control state *)
-  add_i64 b st.pc;
-  add_i64 b st.next_pc;
-  add_i64 b st.instr_count;
-  add_int b (if st.halted then 1 else 0);
+  pos := put_i64 b !pos st.pc;
+  pos := put_i64 b !pos st.next_pc;
+  pos := put_i64 b !pos st.instr_count;
+  pos := put_int b !pos (if st.halted then 1 else 0);
   (match st.fault with
-  | None -> add_int b 0
+  | None -> pos := put_int b !pos 0
   | Some (Fault.Illegal_instruction e) ->
-    add_int b 1;
-    add_i64 b e
-  | Some (Fault.Unaligned_access a) ->
-    add_int b 2;
-    add_i64 b a
+    pos := put_i64 b (put_int b !pos 1) e
+  | Some (Fault.Unaligned_access a) -> pos := put_i64 b (put_int b !pos 2) a
   | Some (Fault.Arith m) ->
-    add_int b 3;
-    add_int b (String.length m);
-    Buffer.add_string b m
-  | Some (Fault.Exit c) ->
-    add_int b 4;
-    add_int b c);
+    pos := put_int b !pos 3;
+    pos := put_int b !pos (String.length m);
+    pos := put_string b !pos m
+  | Some (Fault.Exit c) -> pos := put_int b (put_int b !pos 4) c);
   (* memory pages *)
-  let n_pages = Memory.page_count st.mem in
-  add_int b n_pages;
-  Memory.fold_pages st.mem ~init:() ~f:(fun () idx page ->
-      add_int b idx;
-      Buffer.add_bytes b page);
-  Buffer.contents b
+  pos := put_int b !pos (Memory.page_count st.mem);
+  let stop =
+    Memory.fold_pages st.mem ~init:!pos ~f:(fun pos idx page ->
+        Bytes.blit page 0 b (put_int b pos idx) Memory.page_size;
+        pos + 8 + Memory.page_size)
+  in
+  assert (stop = Bytes.length b);
+  Bytes.unsafe_to_string b
 
 (* splitmix64 finalizer, same step as {!Memory.digest} uses. *)
 let mix64 z =

@@ -138,8 +138,7 @@ let states_agree (p : State.t) (s : State.t) =
   && Int64.equal p.instr_count s.instr_count
   && Regfile.equal p.regs s.regs
   && Memory.equal_contents p.mem s.mem
-  (* the block engine leaves the pc at the block entry on halt *)
-  && (p.halted || Int64.equal p.pc s.pc)
+  && Int64.equal p.pc s.pc
 
 (** Bring the shadow up to the primary's retirement count. The block
     engine overshoots slice requests to block boundaries; the shadow

@@ -386,10 +386,10 @@ let test_timing_runs t () =
    the first [make] of block_min through a fresh cache. *)
 let descriptions =
   [
-    ("alpha", Isa_alpha.Alpha.sources, 218_000., 108_000.);
-    ("arm", Isa_arm.Arm.sources, 278_000., 206_000.);
-    ("ppc", Isa_ppc.Ppc.sources, 223_000., 76_000.);
-    ("riscv", Isa_riscv.Riscv.sources, 125_000., 40_000.);
+    ("alpha", Isa_alpha.Alpha.sources, 125_000., 108_000.);
+    ("arm", Isa_arm.Arm.sources, 125_000., 206_000.);
+    ("ppc", Isa_ppc.Ppc.sources, 100_000., 76_000.);
+    ("riscv", Isa_riscv.Riscv.sources, 60_000., 40_000.);
   ]
 
 let words_of f =
@@ -414,6 +414,34 @@ let test_lex_words (isa, sources, _, _) () =
   if per_token > 6. then
     Alcotest.failf "%s: lexing allocates %.1f minor words per token" isa
       per_token
+
+(* Parsing builds the tree, and lexing's words count here too: no
+   closure per precedence level, and a span without a search. *)
+let test_parse_words (isa, sources, _, _) () =
+  let tokens =
+    List.fold_left
+      (fun n (s : Lis.Ast.source) ->
+        n + Lis.Lexer.length (Lis.Lexer.lex ~file:s.src_name s.src_text))
+      0 sources
+  in
+  let words, _ = words_of (fun () -> Lis.Parser.parse_sources sources) in
+  let per_token = words /. float_of_int tokens in
+  if per_token > 15. then
+    Alcotest.failf "%s: parsing allocates %.1f minor words per token" isa
+      per_token
+
+(* Table I's line count is one pass over each file's bytes. *)
+let test_code_lines_words () =
+  List.iter
+    (fun (isa, sources, _, _) ->
+      List.iter
+        (fun (s : Lis.Ast.source) ->
+          let w, _ = words_of (fun () -> Lis.Count.code_lines s.src_text) in
+          if w > 0. then
+            Alcotest.failf "%s: counting %s's code lines allocates %.0f words"
+              isa s.src_name w)
+        sources)
+    descriptions
 
 (* Loading a description from source, and the first interface made
    through a fresh cache, as every cold ledger cell does. *)
@@ -468,3 +496,11 @@ let suite =
       (fun ((isa, _, _, _) as d) ->
         Alcotest.test_case ("cold set-up: " ^ isa) `Quick (test_cold_setup d))
       descriptions
+  @ List.map
+      (fun ((isa, _, _, _) as d) ->
+        Alcotest.test_case ("parse: " ^ isa) `Quick (test_parse_words d))
+      descriptions
+  @ [
+      Alcotest.test_case "line statistics allocate nothing" `Quick
+        test_code_lines_words;
+    ]

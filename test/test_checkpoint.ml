@@ -146,6 +146,64 @@ let test_layout_mismatch_rejected () =
   | exception Machine.Checkpoint.Corrupt _ -> ()
   | () -> Alcotest.fail "garbage accepted"
 
+(* A fixed two-page machine with every register class shape, in each
+   fault state the format distinguishes. *)
+let pinned_machine fault =
+  let st =
+    Machine.State.create ~endian:Machine.Memory.Big
+      [
+        { Machine.Regfile.cname = "G"; count = 8; width = 32; hardwired_zero = Some 0 };
+        { Machine.Regfile.cname = "X"; count = 2; width = 64; hardwired_zero = None };
+      ]
+  in
+  for i = 1 to 7 do
+    Machine.Regfile.write st.regs ~cls:0 ~idx:i (Int64.of_int (0x1111 * i))
+  done;
+  Machine.Regfile.write st.regs ~cls:1 ~idx:1 0x123456789ABCDEFL;
+  Machine.Memory.write st.mem ~addr:0x4242L ~width:8 0x0102030405060708L;
+  Machine.Memory.write st.mem ~addr:0x100000L ~width:4 88L;
+  st.pc <- 0x8000L;
+  st.next_pc <- 0x8004L;
+  st.instr_count <- 999L;
+  Option.iter (Machine.State.raise_fault st) fault;
+  st
+
+(* MD5s of [save], recorded before [save] was rewritten: the byte
+   format must not move. *)
+let pinned_saves =
+  [
+    ("no fault", None, "adc5a85c2bf580d7500dc360553f1dd4");
+    ( "illegal",
+      Some (Machine.Fault.Illegal_instruction 0xFFFF_FFFFL),
+      "65192b80077a83566fc077f97d1d78e5" );
+    ( "unaligned",
+      Some (Machine.Fault.Unaligned_access 0x4243L),
+      "2ed212a16e343e6862b914703e42c8b0" );
+    ( "arith",
+      Some (Machine.Fault.Arith "checkpointed mid-fault"),
+      "b31315e7ea4a7c408dc1029313d5e55c" );
+    ("exit", Some (Machine.Fault.Exit 3), "9e4404c1d164617d3cb15e2151948196");
+  ]
+
+let test_pinned_save () =
+  List.iter
+    (fun (name, fault, md5) ->
+      let data = Machine.Checkpoint.save (pinned_machine fault) in
+      Alcotest.(check string) name md5 (Digest.to_hex (Digest.string data)))
+    pinned_saves
+
+(* [save] allocates its result and a few words besides: no staging
+   buffer, no per-register temporary, no final copy. *)
+let test_save_allocation () =
+  let st = pinned_machine (Some (Machine.Fault.Arith "checkpointed mid-fault")) in
+  ignore (Machine.Checkpoint.save st);
+  let b0 = Gc.allocated_bytes () in
+  let data = Machine.Checkpoint.save st in
+  let extra = Gc.allocated_bytes () -. b0 -. float_of_int (String.length data) in
+  if extra > 256. then
+    Alcotest.failf "save allocates %.0f bytes besides its %d-byte result" extra
+      (String.length data)
+
 let suite =
   [
     Alcotest.test_case "resume equivalence" `Quick test_resume_equivalence;
@@ -153,4 +211,7 @@ let suite =
     Alcotest.test_case "restore after injected corruption" `Quick
       test_restore_after_corruption;
     Alcotest.test_case "mismatch rejected" `Quick test_layout_mismatch_rejected;
+    Alcotest.test_case "save bytes pinned" `Quick test_pinned_save;
+    Alcotest.test_case "save allocates its result only" `Quick
+      test_save_allocation;
   ]

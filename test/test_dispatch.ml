@@ -480,6 +480,39 @@ let test_block_dis_equal_one (t : Workload.target) () =
         (a.stats.blocks_compiled > 0 && a.stats.block_invalidations > 0))
     block_one_pairs
 
+(* A halting instruction retires nothing, and every interface leaves
+   the fetch pc at it: a Block interface through [run_block] and through
+   [run_n] (chained for block_min, the generic loop for the journaled
+   block_decode_spec) stops where a One twin does. *)
+let test_halted_block_pc (t : Workload.target) () =
+  let k = kernel "sort" in
+  let load bs = (Workload.load t ~buildset:bs k.program).iface in
+  let twin = load "one_all" in
+  let di = Specsim.Di.create ~info_slots:twin.slots.di_size in
+  while not twin.st.halted do
+    twin.run_one di
+  done;
+  let check what (i : Specsim.Iface.t) =
+    Alcotest.(check bool) (what ^ ": halted") true i.st.halted;
+    Alcotest.(check int64) (what ^ ": retired") twin.st.instr_count
+      i.st.instr_count;
+    Alcotest.(check string)
+      (what ^ ": pc")
+      (Printf.sprintf "0x%Lx" twin.st.pc)
+      (Printf.sprintf "0x%Lx" i.st.pc)
+  in
+  List.iter
+    (fun bs ->
+      let a = load bs in
+      while not a.st.halted do
+        ignore (a.run_block ())
+      done;
+      check (bs ^ " run_block") a;
+      let b = load bs in
+      ignore (Specsim.Iface.run_n b 50_000_000);
+      check (bs ^ " run_n") b)
+    [ "block_min"; "block_decode_spec" ]
+
 let suite =
   [
     Alcotest.test_case "chain + site cache A/B" `Quick
@@ -514,4 +547,11 @@ let suite =
       (fun (t : Workload.target) ->
         Alcotest.test_case ("run_block DIs = run_one DIs: " ^ t.tname) `Quick
           (test_block_dis_equal_one t))
+      Workload.targets
+  @ List.map
+      (fun (t : Workload.target) ->
+        Alcotest.test_case
+          ("a halted block leaves the pc at the halting instruction: "
+         ^ t.tname)
+          `Quick (test_halted_block_pc t))
       Workload.targets

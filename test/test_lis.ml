@@ -325,6 +325,28 @@ let test_dense_stream () =
        [ 0; n - 1; n ]);
   Alcotest.(check bool) "Eof last" true (Lis.Lexer.tok s n = Lis.Token.Eof)
 
+(* A token's span on one line, and the one token whose stop is on a
+   later line than its start: a string literal that spans lines. *)
+let test_multiline_span () =
+  let s = Lis.Lexer.lex ~file:"m.lis" "isa \"multi\nline\n  name\" 5\n{}" in
+  let pos i =
+    let sp = Lis.Lexer.span s i in
+    (sp.start.line, sp.start.col, sp.stop.line, sp.stop.col)
+  in
+  Alcotest.(check (list (pair (pair int int) (pair int int))))
+    "isa, the string, 5, {, }, Eof"
+    [
+      ((1, 1), (1, 4));
+      ((1, 5), (3, 8));
+      ((3, 9), (3, 10));
+      ((4, 1), (4, 2));
+      ((4, 2), (4, 3));
+      ((4, 3), (4, 3));
+    ]
+    (List.init (Lis.Lexer.length s) (fun i ->
+         let l0, c0, l1, c1 = pos i in
+         ((l0, c0), (l1, c1))))
+
 (* Integer literals against the stdlib's reading of the same text:
    unsigned up to 2^64 - 1 in both bases, underscores ignored, and
    "invalid integer literal" past that. *)
@@ -374,6 +396,357 @@ let prop_int_literal =
       in
       got = expected)
 
+(* ------------------------------------------------------------------ *)
+(* Operator precedence and associativity                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Surface expressions, before [>] and [>=] swap their operands. *)
+type sexpr =
+  | Lit of int
+  | Var of string
+  | Bin of string * sexpr * sexpr
+  | Un of string * sexpr
+  | Ite of sexpr * sexpr * sexpr
+  | Call of string * sexpr list
+
+(* The reference precedence table, loosest first; the ternary sits
+   below level 1 and the unary operators above the last level. All
+   binary operators are left-associative. *)
+let levels =
+  [|
+    [ "||" ];
+    [ "&&" ];
+    [ "|" ];
+    [ "^" ];
+    [ "&" ];
+    [ "=="; "!=" ];
+    [ "<"; "<="; ">"; ">=" ];
+    [ "<<"; ">>" ];
+    [ "+"; "-" ];
+    [ "*"; "/"; "%" ];
+  |]
+
+let binary_ops = List.concat (Array.to_list levels)
+let unary_level = Array.length levels + 1
+
+let level op =
+  let rec find i = if List.mem op levels.(i) then i + 1 else find (i + 1) in
+  find 0
+
+(* [e] printed where an expression of level [ctx] or tighter is
+   expected, with the fewest parentheses the table allows. *)
+let rec print ctx e =
+  let paren l text = if l < ctx then "(" ^ text ^ ")" else text in
+  match e with
+  | Lit n -> string_of_int n
+  | Var v -> v
+  | Call (f, args) -> f ^ "(" ^ String.concat ", " (List.map (print 0) args) ^ ")"
+  | Un (op, a) -> paren unary_level (op ^ print unary_level a)
+  | Bin (op, a, b) ->
+    let l = level op in
+    paren l (print l a ^ " " ^ op ^ " " ^ print (l + 1) b)
+  | Ite (c, a, b) -> paren 0 (print 1 c ^ " ? " ^ print 0 a ^ " : " ^ print 0 b)
+
+(* The tree the parser must build for [e], spans left out. *)
+let rec tree e : Lis.Ast.expr =
+  let open Lis.Ast in
+  let bin op a b = E_bin (op, tree a, tree b) in
+  let e : expr_desc =
+    match e with
+    | Lit n -> E_int (Int64.of_int n)
+    | Var v -> E_var v
+    | Call (f, args) -> E_call (f, List.map tree args)
+    | Un ("-", a) -> E_un (Neg, tree a)
+    | Un ("~", a) -> E_un (Not, tree a)
+    | Un (_, a) -> E_un (Bool_not, tree a)
+    | Ite (c, a, b) -> E_ite (tree c, tree a, tree b)
+    | Bin ("||", a, b) -> E_log_or (tree a, tree b)
+    | Bin ("&&", a, b) -> E_log_and (tree a, tree b)
+    | Bin ("|", a, b) -> bin Or a b
+    | Bin ("^", a, b) -> bin Xor a b
+    | Bin ("&", a, b) -> bin And a b
+    | Bin ("==", a, b) -> bin Eq a b
+    | Bin ("!=", a, b) -> bin Ne a b
+    | Bin ("<", a, b) -> bin Lts a b
+    | Bin ("<=", a, b) -> bin Les a b
+    | Bin (">", a, b) -> bin Lts b a
+    | Bin (">=", a, b) -> bin Les b a
+    | Bin ("<<", a, b) -> bin Shl a b
+    | Bin (">>", a, b) -> bin Lshr a b
+    | Bin ("+", a, b) -> bin Add a b
+    | Bin ("-", a, b) -> bin Sub a b
+    | Bin ("*", a, b) -> bin Mul a b
+    | Bin ("/", a, b) -> bin Divs a b
+    | Bin (_, a, b) -> bin Rems a b
+  in
+  { e; espan = Lis.Loc.dummy }
+
+let rec strip (x : Lis.Ast.expr) : Lis.Ast.expr =
+  let open Lis.Ast in
+  let e : expr_desc =
+    match x.e with
+    | (E_int _ | E_var _ | E_pc | E_next_pc) as d -> d
+    | E_bits { lo; len; signed } -> E_bits { lo = strip lo; len = strip len; signed }
+    | E_bin (op, a, b) -> E_bin (op, strip a, strip b)
+    | E_log_and (a, b) -> E_log_and (strip a, strip b)
+    | E_log_or (a, b) -> E_log_or (strip a, strip b)
+    | E_un (op, a) -> E_un (op, strip a)
+    | E_call (f, args) -> E_call (f, List.map strip args)
+    | E_ite (c, a, b) -> E_ite (strip c, strip a, strip b)
+    | E_load l -> E_load { l with addr = strip l.addr }
+    | E_reg (c, i) -> E_reg (c, strip i)
+  in
+  { e; espan = Lis.Loc.dummy }
+
+(* [text] parsed as the right-hand side of an assignment. *)
+let parse_expr text =
+  let src =
+    Printf.sprintf
+      "instr T match 0 mask 0 {\n  action evaluate { out = %s; }\n}" text
+  in
+  match Lis.Parser.parse ~file:"e.lis" src with
+  | [ D_instr { i_body = { d_actions = [ { a_body = [ body ]; _ } ]; _ }; _ } ]
+    -> (
+    match body.s with
+    | S_set (_, e) -> strip e
+    | _ -> Alcotest.failf "%s: not an assignment" text)
+  | _ -> Alcotest.failf "%s: not one statement" text
+
+let gen_sexpr =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        map (fun n -> Lit n) (int_bound 99);
+        map (fun v -> Var v) (oneofl [ "a"; "b"; "c" ]);
+      ]
+  in
+  sized_size (int_bound 24)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               ( 8,
+                 map3
+                   (fun op a b -> Bin (op, a, b))
+                   (oneofl binary_ops) (self (n / 2)) (self (n / 2)) );
+               ( 2,
+                 map2
+                   (fun op a -> Un (op, a))
+                   (oneofl [ "-"; "~"; "!" ])
+                   (self (n - 1)) );
+               ( 1,
+                 map3
+                   (fun c a b -> Ite (c, a, b))
+                   (self (n / 3)) (self (n / 3)) (self (n / 3)) );
+               ( 1,
+                 map2
+                   (fun f args -> Call (f, args))
+                   (oneofl [ "f"; "sext" ])
+                   (list_size (int_bound 2) (self (n / 3))) );
+             ])
+
+let prop_precedence =
+  QCheck.Test.make ~name:"fewest parentheses parse back to the same tree"
+    ~count:1000
+    (QCheck.make ~print:(print 0) gen_sexpr)
+    (fun e -> parse_expr (print 0 e) = tree e)
+
+(* One case per pair of adjacent levels: the tighter operator binds
+   first on either side of the looser one. *)
+let adjacent_cases =
+  let a = Var "a" and b = Var "b" and c = Var "c" in
+  [
+    ( "?: below ||",
+      [
+        ("a || b ? a : b", Ite (Bin ("||", a, b), a, b));
+        ("a ? b : c || a", Ite (a, b, Bin ("||", c, a)));
+      ] );
+    ( "|| below &&",
+      [
+        ("a || b && c", Bin ("||", a, Bin ("&&", b, c)));
+        ("a && b || c", Bin ("||", Bin ("&&", a, b), c));
+      ] );
+    ( "&& below |",
+      [
+        ("a && b | c", Bin ("&&", a, Bin ("|", b, c)));
+        ("a | b && c", Bin ("&&", Bin ("|", a, b), c));
+      ] );
+    ( "| below ^",
+      [
+        ("a | b ^ c", Bin ("|", a, Bin ("^", b, c)));
+        ("a ^ b | c", Bin ("|", Bin ("^", a, b), c));
+      ] );
+    ( "^ below &",
+      [
+        ("a ^ b & c", Bin ("^", a, Bin ("&", b, c)));
+        ("a & b ^ c", Bin ("^", Bin ("&", a, b), c));
+      ] );
+    ( "& below ==",
+      [
+        ("a & b == c", Bin ("&", a, Bin ("==", b, c)));
+        ("a != b & c", Bin ("&", Bin ("!=", a, b), c));
+      ] );
+    ( "== below <",
+      [
+        ("a == b < c", Bin ("==", a, Bin ("<", b, c)));
+        ("a >= b != c", Bin ("!=", Bin (">=", a, b), c));
+      ] );
+    ( "< below <<",
+      [
+        ("a > b << c", Bin (">", a, Bin ("<<", b, c)));
+        ("a >> b <= c", Bin ("<=", Bin (">>", a, b), c));
+      ] );
+    ( "<< below +",
+      [
+        ("a << b + c", Bin ("<<", a, Bin ("+", b, c)));
+        ("a - b >> c", Bin (">>", Bin ("-", a, b), c));
+      ] );
+    ( "+ below *",
+      [
+        ("a + b * c", Bin ("+", a, Bin ("*", b, c)));
+        ("a % b - c", Bin ("-", Bin ("%", a, b), c));
+      ] );
+    ( "* below unary",
+      [
+        ("-a * b", Bin ("*", Un ("-", a), b));
+        ("a / ~b", Bin ("/", a, Un ("~", b)));
+      ] );
+    ( "left-associative",
+      [
+        ("a - b - c", Bin ("-", Bin ("-", a, b), c));
+        ("a < b > c", Bin (">", Bin ("<", a, b), c));
+      ] );
+  ]
+
+let check_adjacent (_, cases) () =
+  List.iter
+    (fun (text, e) ->
+      if parse_expr text <> tree e then
+        Alcotest.failf "%s: parsed as another tree than %s" text (print 0 e))
+    cases
+
+(* The split-based count the one-pass [code_lines] replaced. *)
+let code_lines_by_split text =
+  let n = ref 0 in
+  let in_block = ref false in
+  String.split_on_char '\n' text
+  |> List.iter (fun line ->
+         let has_code = ref false in
+         let i = ref 0 in
+         let len = String.length line in
+         while !i < len do
+           if !in_block then
+             if !i + 1 < len && line.[!i] = '*' && line.[!i + 1] = '/' then begin
+               in_block := false;
+               i := !i + 2
+             end
+             else incr i
+           else if !i + 1 < len && line.[!i] = '/' && line.[!i + 1] = '/' then
+             i := len
+           else if !i + 1 < len && line.[!i] = '/' && line.[!i + 1] = '*' then begin
+             in_block := true;
+             i := !i + 2
+           end
+           else begin
+             if not (line.[!i] = ' ' || line.[!i] = '\t' || line.[!i] = '\r')
+             then has_code := true;
+             incr i
+           end
+         done;
+         if !has_code then incr n);
+  !n
+
+let prop_code_lines =
+  let open QCheck.Gen in
+  let piece =
+    oneofl
+      [
+        "//"; "/*"; "*/"; "/"; "*"; "\""; "\"/*\""; "\"//\""; "\n"; "\n"; "\r";
+        "\r\n"; " "; "\t"; "x"; "field a : u64;";
+      ]
+  in
+  QCheck.Test.make ~name:"one-pass code_lines = split-based count" ~count:2000
+    (QCheck.make ~print:String.escaped
+       (map (String.concat "") (list_size (int_bound 40) piece)))
+    (fun text -> Lis.Count.code_lines text = code_lines_by_split text)
+
+(* ------------------------------------------------------------------ *)
+(* Pinned front-end output                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5 of a value marshalled without sharing: a value that shares a
+   substructure digests like one that copies it. *)
+let digest v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
+let tiny16_sources : Lis.Ast.source list =
+  [
+    {
+      src_role = Lis.Ast.Isa_description;
+      src_name = "tiny16.lis";
+      src_text = Fuzz.Tiny.isa_text;
+    };
+    {
+      src_role = Lis.Ast.Buildset_file;
+      src_name = "tiny16_buildsets.lis";
+      src_text = Specsim.Detail.canonical_buildset_file ();
+    };
+  ]
+
+(* The AST and the resolved spec of every shipped description, each
+   digest recorded before the front end's set-up work was restructured:
+   trees, spans and specs must not move. *)
+let pinned_descriptions =
+  [
+    ( "alpha",
+      Isa_alpha.Alpha.sources,
+      "500cbeaefa246cd30fc8423ca839fd77",
+      "b1edd8deda611c5e4b90617b1d87967f" );
+    ( "arm",
+      Isa_arm.Arm.sources,
+      "3ea32600f5d8453ded5feaf78fc26c06",
+      "ccca4e5c76e4234cfc88f7f391716e1d" );
+    ( "ppc",
+      Isa_ppc.Ppc.sources,
+      "5563466469566a1d2092333cd2332f8b",
+      "4ff126cd09dfe601fd099782211bfed7" );
+    ( "riscv",
+      Isa_riscv.Riscv.sources,
+      "dcdc9c77617643603c2b34ec4186347f",
+      "8117b33c7b1b71d8188c4e7eb7c45db6" );
+    ( "tiny16",
+      tiny16_sources,
+      "353138eaa8ca0864182d8165418dab96",
+      "06b1e392ef3c9c3402d607ef54b5ae1d" );
+    ( "demo",
+      Demo_isa.sources,
+      "e811f651874b1b0a3704e9283960d0b3",
+      "db661e156cb34d7a4a827db40e553e04" );
+  ]
+
+let test_pinned_description (_, sources, ast, spec) () =
+  Alcotest.(check string) "AST" ast (digest (Lis.Parser.parse_sources sources));
+  Alcotest.(check string) "spec" spec (digest (Lis.Sema.load sources))
+
+(* The seeded bad descriptions under examples/, parsed file by file. *)
+let pinned_examples =
+  [
+    ("lint_badspec.lis", "6b1b7c6dfca24e7db55bdeb42033e255");
+    ("lint_badspec_buildsets.lis", "0fcd0d4234ee289c5c03932ed042c07f");
+  ]
+
+let examples_dir =
+  if Sys.file_exists "examples" then "examples" else Filename.concat ".." "examples"
+
+let test_pinned_example (file, ast) () =
+  let text =
+    In_channel.with_open_bin (Filename.concat examples_dir file) In_channel.input_all
+  in
+  Alcotest.(check string) "AST" ast (digest (Lis.Parser.parse ~file text))
+
 let test_position (_, file, src, expected) () =
   match Lis.Parser.parse ~file src with
   | exception Lis.Loc.Error (span, msg) ->
@@ -407,5 +780,25 @@ let suite =
       position_cases
   @ [
       Alcotest.test_case "dense token stream" `Quick test_dense_stream;
+      Alcotest.test_case "span of a string across lines" `Quick
+        test_multiline_span;
       QCheck_alcotest.to_alcotest prop_int_literal;
     ]
+  @ List.map
+      (fun ((name, _) as c) ->
+        Alcotest.test_case ("precedence: " ^ name) `Quick (check_adjacent c))
+      adjacent_cases
+  @ [
+      QCheck_alcotest.to_alcotest prop_precedence;
+      QCheck_alcotest.to_alcotest prop_code_lines;
+    ]
+  @ List.map
+      (fun ((name, _, _, _) as c) ->
+        Alcotest.test_case ("pinned front end: " ^ name) `Quick
+          (test_pinned_description c))
+      pinned_descriptions
+  @ List.map
+      (fun ((file, _) as c) ->
+        Alcotest.test_case ("pinned front end: " ^ file) `Quick
+          (test_pinned_example c))
+      pinned_examples
