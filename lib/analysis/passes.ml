@@ -583,9 +583,12 @@ type crossing = {
 }
 
 let crossings (spec : Spec.t) (bs : Spec.buildset) : crossing list =
-  (* a crossing pairs an entrypoint with a later one: a lone entrypoint
-     has none, so skip building its read and write sets *)
-  if Array.length bs.bs_entrypoints < 2 then [] else
+  (* a crossing pairs an entrypoint with a later one through a hidden
+     cell: a lone entrypoint, or a buildset that hides no cell, has none,
+     so skip building its read and write sets *)
+  if Array.length bs.bs_entrypoints < 2 || Array.for_all Fun.id bs.bs_visible
+  then []
+  else
   let module Iset = Set.Make (Int) in
   let violations = ref [] in
   Array.iter

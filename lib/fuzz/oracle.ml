@@ -251,7 +251,12 @@ let run_pair (spec : Lis.Spec.t) ?prof ?cache (cfg : config)
         (Printf.sprintf "entrypoint crossings %d, expected %d"
            c.Obs.Registry.n !expected)
     | _ -> ());
-    if !div = None && mem then compare_mem ()
+    if !div = None && mem then compare_mem ();
+    (* every interface leaves the pc at the halting instruction; checked
+       last, so a verdict that an earlier check gives stays first *)
+    if !div = None && not (Int64.equal cst.pc rst.pc) then
+      diverge "pc"
+        (Printf.sprintf "halt pc 0x%Lx, reference 0x%Lx" cst.pc rst.pc)
   in
   let rec loop () =
     if !div <> None then ()
@@ -297,10 +302,8 @@ let run_pair (spec : Lis.Spec.t) ?prof ?cache (cfg : config)
   loop ();
   (* end of budget with both still running: full final comparison,
      including the canonical whole-state digest. A halt had its full
-     comparison in the loop, memory included, but without the fetch pc
-     that {!Machine.Checkpoint.digest} covers: every interface leaves
-     the pc at the halting instruction, yet the halt comparison leaves
-     it out so that the verdicts pinned on the corpus stay as they are. *)
+     comparison in the loop, memory and the pc at the halting
+     instruction included. *)
   if !div = None && not cst.halted then begin
     compare_sync ~mem:true;
     if !div = None then begin

@@ -1,6 +1,6 @@
 (** IR-level optimizations used by the synthesizer.
 
-    Three passes matter for the paper's results:
+    Three transformations matter for the paper's results:
 
     - {!specialize_enc}: once an instruction is decoded, its encoding is a
       known constant; bitfield extractions fold away. This is the heart of
@@ -10,7 +10,13 @@
     - {!dce}: backward dead-code elimination. A [Set_cell] whose target is
       hidden by the buildset and never read downstream is removed — the
       paper's "computation of information which is not actually needed
-      semantically ... becomes dead code which can be optimized away". *)
+      semantically ... becomes dead code which can be optimized away".
+
+    {!optimize}, which the synthesizer runs on every translated site and
+    every per-segment program, does all of this in one forward and one
+    backward pass over cell bit sets. The four separate passes above stay
+    as its reference: [optimize] is tested to return exactly their
+    composition. *)
 
 (* ------------------------------------------------------------------ *)
 (* Constant folding                                                    *)
@@ -212,7 +218,249 @@ let rec dce_block ~keep (live : Iset.t) (stmts : Ir.stmt list) :
 let dce ~keep (p : Ir.program) : Ir.program =
   fst (dce_block ~keep Iset.empty p)
 
-(** The synthesizer's standard pipeline for a fused action sequence. *)
+(* ------------------------------------------------------------------ *)
+(* The one-pass pipeline                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Cell sets: one bit per cell, 63 to a word, sized by the largest cell
+   the program mentions (cell ids are non-negative, see {!Ir.validate})
+   and updated in place. *)
+module Bits = struct
+  type t = int array
+
+  let create n_cells : t = Array.make ((n_cells + 62) / 63) 0
+  let mem (b : t) c = b.(c / 63) land (1 lsl (c mod 63)) <> 0
+
+  let add (b : t) c =
+    let i = c / 63 in
+    b.(i) <- b.(i) lor (1 lsl (c mod 63))
+
+  let remove (b : t) c =
+    let i = c / 63 in
+    b.(i) <- b.(i) land lnot (1 lsl (c mod 63))
+
+  let copy : t -> t = Array.copy
+  let blit ~(src : t) ~(dst : t) = Array.blit src 0 dst 0 (Array.length src)
+
+  let union_into ~(src : t) ~(dst : t) =
+    for i = 0 to Array.length src - 1 do
+      dst.(i) <- dst.(i) lor src.(i)
+    done
+end
+
+let rec max_cell_expr m (e : Ir.expr) =
+  match e with
+  | Cell c -> if c > m then c else m
+  | Const _ | Enc _ | Pc | Next_pc -> m
+  | Bin (_, a, b) -> max_cell_expr (max_cell_expr m a) b
+  | Un (_, a) | Load { addr = a; _ } | Reg_read { index = a; _ } ->
+    max_cell_expr m a
+  | Ite (c, a, b) -> max_cell_expr (max_cell_expr (max_cell_expr m c) a) b
+
+let rec max_cell m (p : Ir.stmt list) =
+  match p with
+  | [] -> m
+  | s :: rest ->
+    let m =
+      match s with
+      | Set_cell (c, e) -> max_cell_expr (if c > m then c else m) e
+      | Store { addr = a; value = b; _ } | Reg_write { index = a; value = b; _ }
+        ->
+        max_cell_expr (max_cell_expr m a) b
+      | Set_next_pc e | Fault_unaligned e -> max_cell_expr m e
+      | If (c, t, f) -> max_cell (max_cell (max_cell_expr m c) t) f
+      | Fault_illegal | Fault_arith _ | Syscall | Halt -> m
+    in
+    max_cell m rest
+
+(* [s' :: rest'], or [p = s :: rest] itself when nothing changed. *)
+let cons p s rest s' rest' = if s' == s && rest' == rest then p else s' :: rest'
+
+(* The forward pass's environment: [known] holds the cells whose value
+   is a known constant, and each one's newest binding in [binds] is that
+   constant's [Const] node. A cell that stops being known only loses its
+   bit, so its stale bindings stay behind, shadowed. *)
+type binds = Unbound | Bind of Ir.cell * Ir.expr * binds
+
+type env = { enc : int64 option; known : Bits.t; mutable binds : binds }
+
+let rec bound c = function
+  | Bind (c', v, rest) -> if c = c' then v else bound c rest
+  | Unbound -> assert false
+
+(* [fold_expr] of [e] with its encoding fields substituted and, under
+   [prop], its known cells replaced by their constants: folding a
+   propagated, already folded expression again gives what folding it once
+   gives, so this is what the separate passes compute. Unchanged subtrees
+   come back as they are. *)
+let rec fwd_expr env ~prop (e : Ir.expr) : Ir.expr =
+  match e with
+  | Const _ | Pc | Next_pc -> e
+  | Enc { lo; len; signed } -> (
+    match env.enc with
+    | Some enc -> Const (Value.enc_bits enc ~lo ~len ~signed)
+    | None -> e)
+  | Cell c -> if prop && Bits.mem env.known c then bound c env.binds else e
+  | Bin (op, a0, b0) -> (
+    let a = fwd_expr env ~prop a0 and b = fwd_expr env ~prop b0 in
+    (* [fold_expr]'s rules, in its order *)
+    match (op, a, b) with
+    | _, Const x, Const y -> Const ((Value.binop op) x y)
+    | Add, Const 0L, _ -> b
+    | (Add | Sub | Or | Xor | Shl | Lshr | Ashr), _, Const 0L -> a
+    | (And | Mul), _, Const 0L -> b
+    | (And | Mul), Const 0L, _ -> a
+    | Mul, _, Const 1L -> a
+    | Mul, Const 1L, _ -> b
+    | _ -> if a == a0 && b == b0 then e else Bin (op, a, b))
+  | Un (op, a0) -> (
+    match fwd_expr env ~prop a0 with
+    | Const x -> Const ((Value.unop op) x)
+    | a -> if a == a0 then e else Un (op, a))
+  | Ite (c0, a0, b0) -> (
+    (* an arm that folding drops is not rebuilt *)
+    match fwd_expr env ~prop c0 with
+    | Const 0L -> fwd_expr env ~prop b0
+    | Const _ -> fwd_expr env ~prop a0
+    | c ->
+      let a = fwd_expr env ~prop a0 and b = fwd_expr env ~prop b0 in
+      if c == c0 && a == a0 && b == b0 then e else Ite (c, a, b))
+  | Load l ->
+    let addr = fwd_expr env ~prop l.addr in
+    if addr == l.addr then e else Load { l with addr }
+  | Reg_read r ->
+    let index = fwd_expr env ~prop r.index in
+    if index == r.index then e else Reg_read { r with index }
+
+let rec forget_writes known (p : Ir.stmt list) =
+  match p with
+  | [] -> ()
+  | Set_cell (c, _) :: rest ->
+    Bits.remove known c;
+    forget_writes known rest
+  | If (_, t, f) :: rest ->
+    forget_writes known t;
+    forget_writes known f;
+    forget_writes known rest
+  | _ :: rest -> forget_writes known rest
+
+(* Substitution, folding and propagation, statement by statement, over
+   [p] and then each list of [after] in turn (where pruned [If]s splice
+   their surviving branch in front of what follows them). *)
+let rec forward env (p : Ir.stmt list) (after : Ir.stmt list list) :
+    Ir.stmt list =
+  match p with
+  | [] -> ( match after with [] -> [] | next :: after -> forward env next after)
+  | (If (c0, t0, f0) as s) :: rest -> (
+    (* pruned as [fold] prunes: on the condition before propagation *)
+    match fwd_expr env ~prop:false c0 with
+    | Const 0L -> forward env f0 (rest :: after)
+    | Const _ -> forward env t0 (rest :: after)
+    | c ->
+      let c = fwd_expr env ~prop:true c in
+      (* both branches start from the environment before the [If]; a
+         cell either writes is unknown after it *)
+      let known = Bits.copy env.known and binds = env.binds in
+      let t = forward env t0 [] in
+      Bits.blit ~src:known ~dst:env.known;
+      env.binds <- binds;
+      let f = forward env f0 [] in
+      Bits.blit ~src:known ~dst:env.known;
+      env.binds <- binds;
+      forget_writes env.known t;
+      forget_writes env.known f;
+      let rest' = forward env rest after in
+      match (t, f) with
+      | [], [] -> rest'
+      | _ ->
+        cons p s rest
+          (if c == c0 && t == t0 && f == f0 then s else Ir.If (c, t, f))
+          rest')
+  | s :: rest ->
+    let s' = fwd_stmt env s in
+    cons p s rest s' (forward env rest after)
+
+and fwd_stmt env (s : Ir.stmt) : Ir.stmt =
+  match s with
+  | Set_cell (c, e0) ->
+    let e = fwd_expr env ~prop:true e0 in
+    (match e with
+    | Const _ ->
+      Bits.add env.known c;
+      env.binds <- Bind (c, e, env.binds)
+    | _ -> Bits.remove env.known c);
+    if e == e0 then s else Set_cell (c, e)
+  | Store { width; addr = a0; value = v0 } ->
+    let addr = fwd_expr env ~prop:true a0
+    and value = fwd_expr env ~prop:true v0 in
+    if addr == a0 && value == v0 then s else Store { width; addr; value }
+  | Set_next_pc e0 ->
+    let e = fwd_expr env ~prop:true e0 in
+    if e == e0 then s else Set_next_pc e
+  | Reg_write { cls; index = i0; value = v0 } ->
+    let index = fwd_expr env ~prop:true i0
+    and value = fwd_expr env ~prop:true v0 in
+    if index == i0 && value == v0 then s else Reg_write { cls; index; value }
+  | Fault_unaligned e0 ->
+    let e = fwd_expr env ~prop:true e0 in
+    if e == e0 then s else Fault_unaligned e
+  | If _ | Fault_illegal | Fault_arith _ | Syscall | Halt -> s
+
+let rec add_reads live (e : Ir.expr) =
+  match e with
+  | Cell c -> Bits.add live c
+  | Const _ | Enc _ | Pc | Next_pc -> ()
+  | Bin (_, a, b) ->
+    add_reads live a;
+    add_reads live b
+  | Un (_, a) | Load { addr = a; _ } | Reg_read { index = a; _ } ->
+    add_reads live a
+  | Ite (c, a, b) ->
+    add_reads live c;
+    add_reads live a;
+    add_reads live b
+
+(* {!dce} over a cell bit set: [live] holds the cells read after [p] and
+   is left holding those read after what comes before it. *)
+let rec backward ~keep live (p : Ir.stmt list) : Ir.stmt list =
+  match p with
+  | [] -> []
+  | s :: rest -> (
+    let rest' = backward ~keep live rest in
+    match s with
+    | Set_cell (c, e) ->
+      if keep c || Bits.mem live c then begin
+        Bits.remove live c;
+        add_reads live e;
+        cons p s rest s rest'
+      end
+      else rest'
+    | If (c, t0, f0) -> (
+      let live_t = Bits.copy live in
+      let t = backward ~keep live_t t0 in
+      let f = backward ~keep live f0 in
+      Bits.union_into ~src:live_t ~dst:live;
+      add_reads live c;
+      match (t, f) with
+      | [], [] -> rest'
+      | _ ->
+        cons p s rest
+          (if t == t0 && f == f0 then s else Ir.If (c, t, f))
+          rest')
+    | Store { addr = a; value = b; _ } | Reg_write { index = a; value = b; _ }
+      ->
+      add_reads live a;
+      add_reads live b;
+      cons p s rest s rest'
+    | Set_next_pc e | Fault_unaligned e ->
+      add_reads live e;
+      cons p s rest s rest'
+    | Fault_illegal | Fault_arith _ | Syscall | Halt -> cons p s rest s rest')
+
+(** The synthesizer's standard pipeline for a fused action sequence:
+    [dce ~keep (const_prop (specialize_enc ~enc p))], or with [fold] in
+    place of [specialize_enc] when there is no [enc], in two passes. *)
 let optimize ?enc ~keep (p : Ir.program) : Ir.program =
-  let p = match enc with Some e -> List.map (subst_enc_stmt e) p | None -> p in
-  p |> fold |> const_prop |> dce ~keep
+  let n_cells = 1 + max_cell (-1) p in
+  let p = forward { enc; known = Bits.create n_cells; binds = Unbound } p [] in
+  backward ~keep (Bits.create n_cells) p

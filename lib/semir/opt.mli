@@ -8,7 +8,10 @@
     - {!dce}: backward dead-code elimination — assignments to cells that
       are neither interface-visible nor read later are removed (the
       paper's "computation of information which is not actually needed
-      semantically ... becomes dead code"). *)
+      semantically ... becomes dead code").
+
+    {!optimize} does all of this in one forward and one backward pass;
+    the four passes are its reference. *)
 
 val fold_expr : Ir.expr -> Ir.expr
 
@@ -28,5 +31,7 @@ val const_prop : Ir.program -> Ir.program
 val dce : keep:(Ir.cell -> bool) -> Ir.program -> Ir.program
 
 (** [optimize ?enc ~keep p] is the synthesizer's standard pipeline:
-    optional encoding specialization, folding, constant propagation, DCE. *)
+    exactly [dce ~keep (const_prop (specialize_enc ~enc p))], or
+    [dce ~keep (const_prop (fold p))] without [enc], computed in two
+    passes that return unchanged subtrees as they are. *)
 val optimize : ?enc:int64 -> keep:(Ir.cell -> bool) -> Ir.program -> Ir.program

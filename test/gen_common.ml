@@ -146,3 +146,56 @@ let vir_of_choices (choices : int list) ~iters : Vir.Lang.program =
     ]
 
 let outcome_pair (o : Workload.outcome) = (o.exit_status, o.output)
+
+(* ----------------------------------------------------------------- *)
+(* Translated sites of program images                                  *)
+(* ----------------------------------------------------------------- *)
+
+(** [image_sites plan t programs] is every distinct (instruction,
+    encoding) pair in the images of [programs] on [t], sorted: what a
+    translating interface specializes its sites from. Each image is
+    walked from the code base as the block engine walks it, decoding
+    the fetch window and truncating it to the class's encoded width. *)
+let image_sites (plan : Specsim.Plan.t) (t : Workload.target)
+    (programs : Vir.Lang.program list) =
+  let spec = plan.spec in
+  let sites = Hashtbl.create 256 in
+  List.iter
+    (fun program ->
+      let st = Lis.Spec.make_machine spec in
+      ignore (Workload.load_image t program st);
+      let words = List.length (t.encode ~base:Workload.code_base program) in
+      let stop = Int64.add Workload.code_base (Int64.of_int (4 * words)) in
+      let pc = ref Workload.code_base in
+      while Int64.compare !pc stop < 0 do
+        let win =
+          Machine.Memory.read st.mem ~addr:!pc ~width:spec.instr_bytes
+        in
+        let idx = Specsim.Decoder.decode plan.decoder win in
+        if idx < 0 then pc := Int64.add !pc (Int64.of_int spec.instr_bytes)
+        else begin
+          Hashtbl.replace sites (idx, Int64.logand win plan.size_mask.(idx)) ();
+          pc := Int64.add !pc plan.size64.(idx)
+        end
+      done)
+    programs;
+  List.sort compare (Hashtbl.fold (fun site () acc -> site :: acc) sites [])
+
+(** The four passes {!Semir.Opt.optimize} must reproduce exactly. *)
+let reference_optimize ?enc ~keep p =
+  let p =
+    match enc with
+    | Some enc -> Semir.Opt.specialize_enc ~enc p
+    | None -> Semir.Opt.fold p
+  in
+  Semir.Opt.dce ~keep (Semir.Opt.const_prop p)
+
+let paper_kernels =
+  List.map (fun (k : Vir.Kernels.sized) -> k.program) Vir.Kernels.test_suite
+
+(** The keep set a translating interface of buildset [name] optimizes
+    its sites with: visible cells and cross-instruction carriers. *)
+let site_keep (plan : Specsim.Plan.t) name =
+  let bs = Lis.Spec.find_buildset plan.spec name in
+  let carried = (Specsim.Plan.block_plan plan).carried in
+  fun c -> bs.bs_visible.(c) || Specsim.Plan.Iset.mem c carried

@@ -504,3 +504,47 @@ let suite =
       Alcotest.test_case "line statistics allocate nothing" `Quick
         test_code_lines_words;
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Translation                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words {!Semir.Opt.optimize} allocates per site, over the paper
+   kernels' sites with block_min's keep set: a site should cost about
+   its output tree. The four-pass optimizer (encoding substitution,
+   folding, propagation and DCE over [Set]/[Map] cell sets) read
+   417 / 1770 / 536 / 406 words per site on alpha / arm / ppc / riscv;
+   each bound is 60% of that. *)
+let site_bounds =
+  [
+    (Workload.alpha, 250.);
+    (Workload.arm, 1062.);
+    (Workload.ppc, 322.);
+    (Workload.riscv, 244.);
+  ]
+
+let test_site_words ((t : Workload.target), bound) () =
+  let plan = Specsim.Plan.create (Lazy.force t.spec) in
+  let { Specsim.Plan.chain_ir; _ } = Specsim.Plan.block_plan plan in
+  let sites = Gen_common.image_sites plan t Gen_common.paper_kernels in
+  let keep = Gen_common.site_keep plan "block_min" in
+  let w, () =
+    words_of (fun () ->
+        List.iter
+          (fun (idx, enc) ->
+            let ir = chain_ir.(idx) in
+            ignore (Sys.opaque_identity (Semir.Opt.optimize ~enc ~keep ir)))
+          sites)
+  in
+  let per_site = w /. float_of_int (List.length sites) in
+  if per_site > bound then
+    Alcotest.failf "%s: translating a site allocates %.1f minor words" t.tname
+      per_site
+
+let suite =
+  suite
+  @ List.map
+      (fun (((t : Workload.target), _) as b) ->
+        Alcotest.test_case ("translate a site: " ^ t.tname) `Quick
+          (test_site_words b))
+      site_bounds

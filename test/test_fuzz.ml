@@ -304,6 +304,36 @@ let test_corpus_verdicts_pinned () =
       | _ -> Alcotest.failf "%s: first verdict is clean" f)
     pinned_verdicts
 
+(* Under Stride4 a block walks its sites 4 bytes apart, so on tiny16's
+   2-byte instructions three ADDIs then SYS halt at 0x100c instead of
+   0x1006, with the same registers and instruction count: only the pc
+   at the halt tells the block interfaces from the reference. *)
+let test_halt_pc_compared () =
+  let spec = spec_of "tiny" in
+  let addi = Fuzz.Tiny.addi ~ra:1 ~imm:1 ~rc:1 in
+  let tc =
+    {
+      Fuzz.Gen.tc_isa = "tiny";
+      tc_seed = 0L;
+      tc_regs = [||];
+      tc_mem = [||];
+      tc_code = [| addi; addi; addi; Fuzz.Tiny.sys |];
+    }
+  in
+  let cfg =
+    { Fuzz.Oracle.default_config with mutate = Some Specsim.Synth.Stride4 }
+  in
+  let cache = Specsim.Synth.cache spec in
+  List.iter
+    (fun bs ->
+      let want = if List.mem bs block_only then Some "pc" else None in
+      Alcotest.(check (option string))
+        (bs ^ ": verdict") want
+        (Option.map
+           (fun (d : Fuzz.Oracle.divergence) -> d.d_kind)
+           (Fuzz.Oracle.run_pair spec ~cache cfg tc ~buildset:bs)))
+    cfg.buildsets
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_generated_words_decode;
@@ -327,4 +357,6 @@ let suite =
       test_hunt_pool_parity;
     Alcotest.test_case "corpus verdicts read as pinned" `Quick
       test_corpus_verdicts_pinned;
+    Alcotest.test_case "oracle compares the pc at a halt" `Quick
+      test_halt_pc_compared;
   ]

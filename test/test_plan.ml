@@ -105,6 +105,134 @@ let test_isa (t : Workload.target) () =
         (summary b))
     buildsets
 
+(* ------------------------------------------------------------------ *)
+(* The optimizer on real sites                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The keep sets of the three non-speculative Block buildsets (the
+   speculative ones share block_decode's and block_all's visibility). *)
+let translating = [ "block_min"; "block_decode"; "block_all" ]
+
+(* A segment's IR before optimization, as {!Specsim.Plan.optimize_segments}
+   gathers it. *)
+let raw_seg_ir (i : Lis.Spec.instr) (seg : Specsim.Plan.seg) =
+  match seg with
+  | Seg_fetch -> []
+  | Seg_decode -> i.i_decode
+  | Seg_ir syms -> List.concat_map (Specsim.Plan.sym_ir i) syms
+
+(* Every site of the paper and hostile kernels' images under each
+   translating keep set, and every instruction's per-segment IR under
+   every canonical buildset, step_all's included. *)
+let test_one_pass (t : Workload.target) () =
+  let spec = Lazy.force t.spec in
+  let plan = Specsim.Plan.create spec in
+  let { Specsim.Plan.chain_ir; _ } = Specsim.Plan.block_plan plan in
+  let sites =
+    Gen_common.image_sites plan t
+      (Gen_common.paper_kernels
+      @ List.map
+          (fun (k : Workload.Hostile.kernel) -> k.program)
+          Workload.Hostile.test_suite)
+  in
+  List.iter
+    (fun name ->
+      let keep = Gen_common.site_keep plan name in
+      List.iter
+        (fun (idx, enc) ->
+          let ir = chain_ir.(idx) in
+          if
+            Semir.Opt.optimize ~enc ~keep ir
+            <> Gen_common.reference_optimize ~enc ~keep ir
+          then
+            Alcotest.failf "%s %s: site %s 0x%Lx differs from the reference"
+              t.tname name spec.instrs.(idx).i_name enc)
+        sites)
+    translating;
+  List.iter
+    (fun name ->
+      let bs = Lis.Spec.find_buildset spec name in
+      let flat =
+        Specsim.Plan.flat_segs
+          (Array.map
+             (fun (_, syms) -> Specsim.Plan.segments_of_entrypoint syms)
+             bs.bs_entrypoints)
+      in
+      let got = Specsim.Plan.optimize_segments spec bs flat in
+      Array.iteri
+        (fun ii (instr : Lis.Spec.instr) ->
+          let irs = Array.map (raw_seg_ir instr) flat in
+          let n = Array.length irs in
+          let downstream = Array.make (n + 1) Specsim.Plan.Iset.empty in
+          for k = n - 1 downto 0 do
+            downstream.(k) <-
+              Specsim.Plan.Iset.union downstream.(k + 1)
+                (Specsim.Plan.reads_of irs.(k))
+          done;
+          Array.iteri
+            (fun k ir ->
+              let keep c =
+                bs.bs_visible.(c) || Specsim.Plan.Iset.mem c downstream.(k + 1)
+              in
+              if got.(ii).(k) <> Gen_common.reference_optimize ~keep ir then
+                Alcotest.failf "%s %s: %s segment %d differs from the reference"
+                  t.tname name instr.i_name k)
+            irs)
+        spec.instrs)
+    buildsets
+
+(* MD5 of the optimized sites of the paper kernels' images, per
+   translating keep set, marshalled without sharing so that only the
+   trees' structure counts; recorded with the four-pass optimizer. A
+   change to the optimizer or its reference passes that alters any site
+   fails here. *)
+let pinned_sites =
+  [
+    ( "alpha",
+      [
+        ("block_min", "351188d6f01b990d72835b4f32279026");
+        ("block_decode", "74aa182bb8e0006f11712378bc12733b");
+        ("block_all", "bf3048858ee0d376c33d31aedc5b130f");
+      ] );
+    ( "arm",
+      [
+        ("block_min", "34afc2aeca0db5a554e3ba3251b80bfe");
+        ("block_decode", "abdbd6cbdee2059d9c050866b3c0f64a");
+        ("block_all", "b038726f28811ba3988c9d284748b692");
+      ] );
+    ( "ppc",
+      [
+        ("block_min", "5610e577a76fef66cfe73909ae08f43d");
+        ("block_decode", "16d59e4e191b8a730a40755c7312a1cb");
+        ("block_all", "2943e1e339faa6e30f8fec5255c3a1b9");
+      ] );
+    ( "riscv",
+      [
+        ("block_min", "4ac9e0a1bc8387d5f7a1c878a8f6731d");
+        ("block_decode", "850233dcc5cf18d20cbd31aaeef04f4c");
+        ("block_all", "d60694732b33b3edeed9cd840fc5601b");
+      ] );
+  ]
+
+let test_pinned_sites (t : Workload.target) () =
+  let plan = Specsim.Plan.create (Lazy.force t.spec) in
+  let { Specsim.Plan.chain_ir; _ } = Specsim.Plan.block_plan plan in
+  let sites = Gen_common.image_sites plan t Gen_common.paper_kernels in
+  List.iter
+    (fun (name, want) ->
+      let keep = Gen_common.site_keep plan name in
+      let out =
+        List.map
+          (fun (idx, enc) -> Semir.Opt.optimize ~enc ~keep chain_ir.(idx))
+          sites
+      in
+      Alcotest.(check string)
+        (t.tname ^ " " ^ name)
+        want
+        (Digest.to_hex
+           (Digest.string (Marshal.to_string out [ Marshal.No_sharing ]))))
+    (List.assoc t.tname pinned_sites)
+
 let suite =
   List.map
     (fun (t : Workload.target) ->
@@ -112,3 +240,13 @@ let suite =
         ("shared cache = fresh synthesis: " ^ t.tname)
         `Quick (test_isa t))
     Workload.targets
+  @ List.map
+      (fun (t : Workload.target) ->
+        Alcotest.test_case ("one pass = reference: " ^ t.tname) `Quick
+          (test_one_pass t))
+      Workload.targets
+  @ List.map
+      (fun (t : Workload.target) ->
+        Alcotest.test_case ("pinned translated sites: " ^ t.tname) `Quick
+          (test_pinned_sites t))
+      Workload.targets

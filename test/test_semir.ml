@@ -322,6 +322,58 @@ let prop_full_pipeline =
       let opt = Opt.optimize ~enc:(Frame.enc fr) ~keep:(fun _ -> false) p in
       observe_arch (run Compiled p seed) = observe_arch (run Compiled opt seed))
 
+(* Cell [c] renamed [41 * c], so a program's cells span two words of
+   the optimizer's bit sets. *)
+let rec spread_expr (e : Ir.expr) : Ir.expr =
+  match e with
+  | Cell c -> Cell (41 * c)
+  | Const _ | Enc _ | Pc | Next_pc -> e
+  | Bin (op, a, b) -> Bin (op, spread_expr a, spread_expr b)
+  | Un (op, a) -> Un (op, spread_expr a)
+  | Ite (c, a, b) -> Ite (spread_expr c, spread_expr a, spread_expr b)
+  | Load l -> Load { l with addr = spread_expr l.addr }
+  | Reg_read r -> Reg_read { r with index = spread_expr r.index }
+
+let rec spread_stmt (s : Ir.stmt) : Ir.stmt =
+  match s with
+  | Set_cell (c, e) -> Set_cell (41 * c, spread_expr e)
+  | Store { width; addr; value } ->
+    Store { width; addr = spread_expr addr; value = spread_expr value }
+  | Set_next_pc e -> Set_next_pc (spread_expr e)
+  | Reg_write { cls; index; value } ->
+    Reg_write { cls; index = spread_expr index; value = spread_expr value }
+  | If (c, t, f) ->
+    If (spread_expr c, List.map spread_stmt t, List.map spread_stmt f)
+  | Fault_unaligned e -> Fault_unaligned (spread_expr e)
+  | Fault_illegal | Fault_arith _ | Syscall | Halt -> s
+
+(* Wild programs with nested [If]s, a random keep set (bit [c]: cell [c]
+   is kept), with and without an encoding, cells dense or spread. *)
+let arb_opt_case =
+  QCheck.make
+    ~print:(fun (p, keep, enc, spread) ->
+      Printf.sprintf "%s\nkeep 0x%x, enc %s, spread %b"
+        (Format.asprintf "%a" (Ir.pp_program ?cell_name:None) p)
+        keep
+        (match enc with Some e -> Printf.sprintf "0x%Lx" e | None -> "none")
+        spread)
+    QCheck.Gen.(
+      quad (gen_program ~wild:true) (int_bound 15)
+        (opt (map Int64.of_int int))
+        bool)
+
+let prop_one_pass =
+  QCheck.Test.make ~name:"opt: one pass = reference" ~count:10_000
+    arb_opt_case
+    (fun (p, mask, enc, spread) ->
+      let p, keep =
+        if spread then
+          ( List.map spread_stmt p,
+            fun c -> c mod 41 = 0 && mask land (1 lsl (c / 41)) <> 0 )
+        else (p, fun c -> mask land (1 lsl c) <> 0)
+      in
+      Opt.optimize ?enc ~keep p = Gen_common.reference_optimize ?enc ~keep p)
+
 (* ------------------------------------------------------------------ *)
 (* Unit tests for scalar semantics                                     *)
 (* ------------------------------------------------------------------ *)
@@ -422,4 +474,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dce_preserves_arch;
     QCheck_alcotest.to_alcotest prop_specialize_enc;
     QCheck_alcotest.to_alcotest prop_full_pipeline;
+    QCheck_alcotest.to_alcotest prop_one_pass;
   ]
