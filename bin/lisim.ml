@@ -10,8 +10,8 @@
     - [lisim stats] runs the full instrumented profile and prints the
       counter/histogram table.
     - [lisim profile] runs a kernel through a profile-only interface and
-      prints regions ranked by decaying hotness; [--flame-out] exports a
-      speedscope flame view of the region transition graph.
+      prints regions ranked by exact instruction counts; [--flame-out]
+      exports a speedscope flame view of the region transition graph.
     - [lisim trace] prints the interface-visible information per
       instruction (text, JSONL or Chrome trace format).
     - [lisim validate] runs the rotating-interface validation (§V-D).
@@ -760,28 +760,15 @@ let profile_cmd =
       & info [ "regions" ] ~docv:"BYTES"
           ~doc:"Region granularity in bytes (a power of two).")
   in
-  let half_life =
-    Arg.(
-      value
-      & opt int Obs.Prof.default_half_life
-      & info [ "half-life" ] ~docv:"N"
-          ~doc:"Hotness half-life in retired instructions: a region's \
-                decaying-window score halves every N instructions it does \
-                not execute.")
-  in
-  let run isa buildset kernel budget top flame_out regions half_life =
+  let run isa buildset kernel budget top flame_out regions =
     let t = Workload.find_target isa in
     let k = find_kernel kernel in
     if regions <= 0 || regions land (regions - 1) <> 0 then
       Machine.Sim_error.raisef ~component:"cli"
         ~context:[ ("regions", string_of_int regions) ]
         "--regions must be a positive power of two";
-    if half_life <= 0 then
-      Machine.Sim_error.raisef ~component:"cli"
-        ~context:[ ("half-life", string_of_int half_life) ]
-        "--half-life must be positive";
     let rec log2 v = if v <= 1 then 0 else 1 + log2 (v lsr 1) in
-    let prof = Obs.Prof.create ~region_bits:(log2 regions) ~half_life () in
+    let prof = Obs.Prof.create ~region_bits:(log2 regions) () in
     let o = Obs.profile_only ~prof () in
     (* profile-only context: the interface keeps its chained fast path,
        paying one cached-region attribution per block/retirement *)
@@ -815,12 +802,13 @@ let profile_cmd =
        ~doc:
          "Profile a kernel's hot regions: run it through a profile-only \
           interface (hot-region attribution compiled in, everything else \
-          the seed closures) and print regions ranked by decaying hotness \
-          — the signal adaptive tiering consumes. --flame-out exports a \
-          speedscope flame view of the region transition graph.")
+          the seed closures) and print regions ranked by the instructions \
+          they retired, with each one's share and sampled host time. \
+          --flame-out exports a speedscope flame view of the region \
+          transition graph.")
     Term.(
       const run $ isa_arg $ buildset_arg $ kernel_arg $ budget $ top
-      $ flame_out $ regions $ half_life)
+      $ flame_out $ regions)
 
 (* ---------------- export ------------------------------------------ *)
 

@@ -81,9 +81,6 @@ type t = {
           interface — chained block-to-block dispatch when available —
           and returns the number actually executed (less than [n] only on
           halt/fault). Produces no DI records. *)
-  prof : Obs.Prof.t option;
-      (** the hot-region profiler this interface attributes to, when one
-          was compiled in at synthesis ([Obs.t.prof]) *)
   stats : stats;
 }
 

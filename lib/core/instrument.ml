@@ -3,9 +3,10 @@
     {!Synth.make} builds one of these for a full observation context
     ([Obs.create]): the counters, histograms, sampler and gauges of one
     interface. Its plain loops count each entrypoint crossing in place;
-    this module wraps the coarser calls — [run_one] for the trace ring,
-    [run_block], and the per-block [note] of the chained [run_fast] loop.
-    Unobserved and profile-only interfaces never see it.
+    this module wraps the coarser calls — [run_one] for the trace ring
+    and [run_block] — and counts the chained [run_fast] loop's blocks
+    from its per-block hook. Unobserved and profile-only interfaces
+    never see it.
 
     Counters are exact: every crossing, engine segment (fetch / decode /
     ir) and executed block site is counted. Latency is sampled: about
@@ -27,6 +28,8 @@ type t = {
   block_ns : Obs.Hist.t;
   sampler : Obs.Sample.t;
   ring : Obs.Ring.t option;
+  mutable chain_timed : bool;  (** the chained loop's next block is sampled *)
+  mutable chain_t0 : int;  (** when it began, read if timed or traced *)
 }
 
 let segments = [| "fetch"; "decode"; "ir" |]
@@ -54,6 +57,8 @@ let create (o : Obs.t) (bs : Lis.Spec.buildset) (stats : Iface.stats)
       block_ns = R.histogram reg "synth.block.ns";
       sampler = Obs.Sample.create ();
       ring = o.Obs.ring;
+      chain_timed = false;
+      chain_t0 = 0;
     }
   in
   let gauge name f = R.probe reg name (fun () -> R.Int (f ())) in
@@ -136,21 +141,17 @@ let run_block t run_block () =
   block t ~timed ~t0 (if n > 0 then dis.(0).Di.pc else 0L) n;
   r
 
-(** [run_fast t ?prof run_fast_chained] — the chained loop with a
-    per-block [note] that counts the block's crossings, feeds the
-    profiler, and times the block the sampler picked. The clock is read
-    when the previous block's [note] (or the call) ends and again when
-    the picked block's [note] begins, so a sample covers the block's
-    dispatch and its sites. *)
-let run_fast t ?prof run_fast_chained =
-  let timed = ref false and mark = ref 0 in
-  let arm () = if !timed || traced t then mark := Obs.Clock.now () in
-  let note pc0 k =
-    (match prof with Some p -> Obs.Prof.note p ~pc:pc0 ~instrs:k | None -> ());
-    block t ~timed:!timed ~t0:!mark pc0 k;
-    timed := Obs.Sample.tick t.sampler;
-    arm ()
-  in
-  fun n ->
-    arm ();
-    run_fast_chained ~note n
+(** [chain_start t] — the chained [run_fast] loop is entered: read the
+    clock if its next block is sampled or traced. *)
+let chain_start t =
+  if t.chain_timed || traced t then t.chain_t0 <- Obs.Clock.now ()
+
+(** [chain_block t pc0 k] — the chained loop's per-block hook: count the
+    block's crossings, time the block the sampler picked, and start the
+    next one. The clock is read when the previous block's hook (or the
+    loop's entry) ends and again when this one begins, so a sample
+    covers the block's dispatch and its sites. *)
+let chain_block t pc0 k =
+  block t ~timed:t.chain_timed ~t0:t.chain_t0 pc0 k;
+  t.chain_timed <- Obs.Sample.tick t.sampler;
+  chain_start t

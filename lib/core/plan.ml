@@ -62,13 +62,18 @@ let reads_of (p : Semir.Ir.program) = Iset.of_list (Semir.Ir.program_reads p)
 
 (* Per-instruction optimized IR per flat segment, with cross-segment
    liveness driving DCE: a cell assignment survives only if the cell is
-   interface-visible or read by a later segment. *)
+   interface-visible or read by a later segment. A buildset that hides
+   no cell keeps every assignment, so it builds no read sets. *)
 let optimize_segments (spec : Lis.Spec.t) (bs : Lis.Spec.buildset)
     (flat : seg array) : Semir.Ir.program array array =
   let n_segs = Array.length flat in
+  let all_visible = Array.for_all Fun.id bs.bs_visible in
   Array.map
     (fun instr ->
       let irs = Array.map (seg_ir instr) flat in
+      if all_visible then
+        Array.map (Semir.Opt.optimize ~keep:(fun _ -> true)) irs
+      else
       let downstream = Array.make (n_segs + 1) Iset.empty in
       for k = n_segs - 1 downto 0 do
         downstream.(k) <- Iset.union downstream.(k + 1) (reads_of irs.(k))

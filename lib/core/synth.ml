@@ -373,8 +373,9 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   (* Selected here, at synthesis time — the compiled-in hook pattern.
      Unobserved and profile-only interfaces run the plain crossing: no
      counting. A full context runs the counted crossing, timed on a
-     jittered 1-in-[Obs.Sample.every] sample, and gets {!Instrument}'s
-     wrappers on [run_one], [run_block] and the chained loop. *)
+     jittered 1-in-[Obs.Sample.every] sample, gets {!Instrument}'s
+     wrappers on [run_one] and [run_block], and its per-block hook in
+     the chained loop. *)
   let ins =
     match obs with
     | Some o when o.Obs.full ->
@@ -384,6 +385,14 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
            ~fused_closures:(Plan.n_code_segs bp * n_instrs))
     | Some _ | None -> None
   in
+  (* The hot-region profiler, in full and profile-only contexts alike.
+     It is fed where the engine already retires, and the constant [prof]
+     picks the body there as [ins] does in [exec_ep]: each instruction
+     at its pc in [retire], which every [run_one] and a stepped flow
+     reach, and each block at its entry pc where [run_block] and the
+     chained loop count it. A halting instruction is never retired, so
+     never attributed. *)
+  let prof = match obs with Some o -> o.Obs.prof | None -> None in
   (* [Obs.Registry.incr], inlined (see [exec_ep]) *)
   let count (c : Obs.Registry.counter) = c.n <- c.n + 1 in
   let segment = function
@@ -469,7 +478,8 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   let retire (di : Di.t) =
     st.pc <- di.next_pc;
     st.instr_count <- Int64.add st.instr_count 1L;
-    stats.instrs_executed <- stats.instrs_executed + 1
+    stats.instrs_executed <- stats.instrs_executed + 1;
+    match prof with None -> () | Some p -> Obs.Prof.note p ~pc:di.pc ~instrs:1
   in
 
   (* The generic [run_one] of a Step interface: every entrypoint's items
@@ -927,23 +937,25 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
           st.pc <- (Array.unsafe_get dis (!k - 1)).next_pc;
         if !executed > 0 then begin
           st.instr_count <- Int64.add st.instr_count (Int64.of_int !executed);
-          stats.instrs_executed <- stats.instrs_executed + !executed
+          stats.instrs_executed <- stats.instrs_executed + !executed;
+          match prof with
+          | None -> ()
+          | Some p -> Obs.Prof.note p ~pc:pc0 ~instrs:!executed
         end;
         result recs !executed
       end
     in
     (* The translation-cache hot path: block-to-block dispatch through the
        successor caches, no DI materialization, no per-instruction
-       bookkeeping. [note] is the profiler hook, called once per executed
-       block with the block's entry pc and executed-site count. It is
-       bound statically at synthesis time — the unprofiled instance
-       passes a constant no-op, so the only residual cost is one closure
-       call per block (~amortized to noise by block length), and chained
-       dispatch survives profiling. *)
+       bookkeeping. Once per executed block, the synthesis-time constants
+       [prof] and [ins] choose whether the profiler and the instruments
+       see it, so chained dispatch survives both, and an unobserved
+       interface pays two predicted branches per block and no call. *)
     let fast_di = Semir.Frame.info_bytes slots.di_size in
-    let run_fast_chained ~note n =
+    let run_fast_chained n =
       let executed = ref 0 in
       frame.di <- fast_di;
+      (match ins with Some i -> Instrument.chain_start i | None -> ());
       while !executed < n && not st.halted do
         let pc0 = st.pc in
         let b = lookup_from !last_block pc0 in
@@ -974,7 +986,10 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
           st.instr_count <- Int64.add st.instr_count (Int64.of_int !k);
           stats.Iface.instrs_executed <- stats.Iface.instrs_executed + !k;
           executed := !executed + !k;
-          note pc0 !k
+          (match prof with
+          | None -> ()
+          | Some p -> Obs.Prof.note p ~pc:pc0 ~instrs:!k);
+          match ins with None -> () | Some i -> Instrument.chain_block i pc0 !k
         end
       done;
       !executed
@@ -1029,41 +1044,6 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     Option.iter (fun (_, _, flush) -> flush ()) engine
   in
 
-  (* --- hot-region profiling -------------------------------------------- *)
-  (* Same compiled-in rule as the instruments above, layered outside them
-     so it works in both full and profile-only contexts. Attribution uses
-     the retired-instruction delta, so halted entries and uncounted
-     halting instructions attribute exactly what [instr_count] records.
-     Block interfaces attribute whole blocks at their entry pc — the
-     translation cache's block extents are the aggregation unit. Stepped
-     flows attribute at [retire], where the timing simulator commits. *)
-  let prof = match obs with Some o -> o.Obs.prof | None -> None in
-  let run_one, run_block, retire =
-    match prof with
-    | None -> (run_one, run_block, retire)
-    | Some p ->
-      let note_delta before pc =
-        let d = Int64.to_int (Int64.sub st.instr_count before) in
-        if d > 0 then Obs.Prof.note p ~pc ~instrs:d
-      in
-      let run_one_p (di : Di.t) =
-        let before = st.instr_count in
-        run_one di;
-        note_delta before di.pc
-      in
-      let run_block_p () =
-        let before = st.instr_count in
-        let (dis, n) as r = run_block () in
-        if n > 0 then note_delta before dis.(0).Di.pc;
-        r
-      in
-      let retire_p (di : Di.t) =
-        retire di;
-        Obs.Prof.note p ~pc:di.pc ~instrs:1
-      in
-      (run_one_p, run_block_p, retire_p)
-  in
-
   (* --- fast dispatch --------------------------------------------------- *)
   (* The generic loop reproduces the historical [run_n] exactly (and is
      what journaled, per-instruction and unchained interfaces get); the
@@ -1086,16 +1066,10 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     end;
     executed ()
   in
-  (* Chained dispatch survives profiling and full observation: both hook
-     its per-block [note]. *)
   let run_fast =
     match engine with
-    | Some (_, run_fast_chained, _) when chain && Option.is_none journal -> (
-      match (ins, prof) with
-      | None, None -> run_fast_chained ~note:(fun _ _ -> ())
-      | None, Some p ->
-        run_fast_chained ~note:(fun pc0 k -> Obs.Prof.note p ~pc:pc0 ~instrs:k)
-      | Some i, _ -> Instrument.run_fast i ?prof run_fast_chained)
+    | Some (_, run_fast_chained, _) when chain && Option.is_none journal ->
+      run_fast_chained
     | _ -> run_fast_generic
   in
   {
@@ -1115,6 +1089,5 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     commit_ckpt;
     flush_code_cache;
     run_fast;
-    prof;
     stats;
   }

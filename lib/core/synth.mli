@@ -101,12 +101,17 @@ val cache : Lis.Spec.t -> cache
     the rate published as "synth.latency_sample_every"; block-cache and
     fused-closure statistics are exported as "core.*" gauges; and — when
     the context carries a trace ring — one event is recorded per
-    instruction (or per block). Chained dispatch is kept. A
-    profile-only context ({!Obs.profile_only}) compiles in the profiler's
-    attribution alone. Without [obs] the interface is the uninstrumented
-    one, same compiled-in pattern as {!Semir.Hooks}: its entrypoint
-    crossings pay one predicted branch on the synthesis-time choice and
-    nothing else.
+    instruction (or per block). Chained dispatch is kept. When the
+    context carries a profiler ([Obs.t.prof], in a full or a
+    profile-only context, {!Obs.profile_only}), the engine attributes to
+    it where it retires: each instruction at its pc in [retire], which
+    every [run_one] and a stepped flow reach, and each block at its entry
+    pc at the exit of [run_block] and at the chained loop's per-block
+    point. A halting instruction is not attributed. Without [obs] the
+    interface is the uninstrumented one, same compiled-in pattern as
+    {!Semir.Hooks}: its entrypoint crossings and attribution points pay
+    one predicted branch on the synthesis-time choice and nothing
+    else.
     @raise Synth_error when the buildset hides a cell that crosses
     entrypoint boundaries (override with [allow_hidden_crossing] to
     observe the paper's runtime manifestation of the bug).

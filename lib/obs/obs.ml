@@ -18,8 +18,10 @@
       "timing.*", "inject.*", "os.*", "super.*");
     - [ring]: an optional fixed-capacity event {!Ring} for trace export
       ({!Export.jsonl_of_events} / {!Export.chrome_of_events});
-    - [prof]: an optional hot-region execution {!Prof}iler, attributed
-      by the synthesized interfaces at retirement/block boundaries;
+    - [prof]: an optional hot-region execution {!Prof}iler. Synthesized
+      interfaces attribute to it where their engine retires: in
+      [retire], at the exit of a block engine's [run_block] and at the
+      chained loop's per-block point;
     - [full]: whether the counter/histogram/ring instrumentation is
       compiled in. {!profile_only} contexts set it
       to [false]: synthesis then builds the {e seed} closures plus only

@@ -1,8 +1,10 @@
-(** Hot-region execution profiler: decay-window math against a replayed
-    model, region aggregation against a brute-force per-pc tally,
-    metrics JSONL round-trip, Prometheus text-format lint, speedscope
-    structure, and a qcheck property that a profile-only context is
-    architecturally transparent across every registered ISA. *)
+(** Hot-region execution profiler: ranking by exact instructions, merge
+    against one profiler over the whole stream, region aggregation
+    against a brute-force per-pc tally, metrics JSONL round-trip,
+    Prometheus text-format lint, speedscope structure, a qcheck property
+    that a profile-only context is architecturally transparent across
+    every registered ISA, and exact attribution through every call
+    style. *)
 
 module P = Obs.Prof
 
@@ -14,103 +16,76 @@ let test_create_validation () =
     (fun () -> ignore (P.create ~region_bits:63 ()));
   Alcotest.check_raises "negative region_bits"
     (Invalid_argument "Prof.create: region_bits must be within [0, 62]")
-    (fun () -> ignore (P.create ~region_bits:(-1) ()));
-  Alcotest.check_raises "zero half_life"
-    (Invalid_argument "Prof.create: half_life must be positive") (fun () ->
-      ignore (P.create ~half_life:0 ()));
-  Alcotest.check_raises "zero sample interval"
-    (Invalid_argument "Prof.create: sample_ns_every must be positive")
-    (fun () -> ignore (P.create ~sample_ns_every:0 ()))
+    (fun () -> ignore (P.create ~region_bits:(-1) ()))
 
-(* ---------------- decay-window math ------------------------------- *)
+(* ---------------- ranking and merge ------------------------------ *)
 
-(* Replay the documented model independently: attribution groups into
-   visits (maximal same-region runs); a visit closing first decays the
-   region's window to "now" by [exp (-ln 2 * dt / half_life)] and then
-   credits the whole visit; a report decays every region to "now". The
-   implementation keeps hotness in 2^-16 fixed point, so each decay may
-   truncate by up to one fixed-point unit — the tolerance covers that. *)
-let model_hotness ~region_bits ~half_life notes =
-  let hl = float_of_int half_life in
-  let decay hot dt =
-    if dt > 0 && hot > 0. then
-      hot *. Float.exp (-.Float.log 2. *. float_of_int dt /. hl)
-    else hot
+let test_report_ranks_by_instrs () =
+  let p = P.create () in
+  (* four 64-byte regions: 0x10c0 retires 30, 0x1040 25, and 0x1000 and
+     0x1080 tie at 20 *)
+  List.iter
+    (fun (pc, instrs) -> P.note p ~pc ~instrs)
+    [
+      (0x1000L, 5); (0x1040L, 20); (0x1080L, 5); (0x10c0L, 30);
+      (0x1008L, 15); (0x1088L, 15); (0x107cL, 5);
+    ];
+  Alcotest.(check (list (pair int64 int)))
+    "instructions descending, then address"
+    [ (0x10c0L, 30); (0x1040L, 25); (0x1000L, 20); (0x1080L, 20) ]
+    (List.map (fun (r : P.region) -> (r.rg_lo, r.rg_instrs)) (P.report p));
+  let share =
+    List.fold_left (fun a (r : P.region) -> a +. r.P.rg_share) 0. (P.report p)
   in
-  let tbl = Hashtbl.create 8 in
-  let total = ref 0 in
-  let cur = ref (-1) in
-  let visit = ref 0 in
-  let close () =
-    if !cur >= 0 && !visit > 0 then begin
-      let hot, at =
-        match Hashtbl.find_opt tbl !cur with Some x -> x | None -> (0., 0)
+  Alcotest.(check (float 1e-9)) "shares sum to 1" 1.0 share;
+  Alcotest.(check bool) "a report leaves the profiler as it was" true
+    (P.report p = P.report p)
+
+(* Split one attribution stream in two, profile each half, and merge:
+   the result must be the profiler of the whole stream, except for the
+   one transition edge across the split, which neither half saw. *)
+let test_merge_exact =
+  QCheck.Test.make ~count:200 ~name:"merge = one profiler over both streams"
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 300)
+           (triple (int_range 0 5) (int_range 0 63) (int_range 1 100)))
+        small_nat)
+    (fun (stream, cut) ->
+      let notes =
+        List.map
+          (fun (region, off, instrs) ->
+            (Int64.of_int (0x1000 + (64 * region) + off), instrs))
+          stream
       in
-      Hashtbl.replace tbl !cur
-        (decay hot (!total - at) +. float_of_int !visit, !total);
-      visit := 0
-    end
-  in
-  List.iter
-    (fun (pc, n) ->
-      let id = Int64.to_int pc lsr region_bits in
-      if id <> !cur then begin
-        close ();
-        cur := id
-      end;
-      visit := !visit + n;
-      total := !total + n)
-    notes;
-  close ();
-  Hashtbl.fold
-    (fun id (hot, at) acc -> (id, decay hot (!total - at)) :: acc)
-    tbl []
-
-let test_decay_vs_model () =
-  let region_bits = 6 and half_life = 100 in
-  (* a deterministic pseudo-random attribution sequence over 4 regions,
-     with visit lengths long and short relative to the half-life *)
-  let seed = ref 12345 in
-  let rand m =
-    seed := ((!seed * 1103515245) + 12321) land 0x3FFFFFFF;
-    !seed mod m
-  in
-  let notes =
-    List.init 400 (fun _ ->
-        (Int64.of_int (0x1000 + (rand 4 * 64) + rand 64), 1 + rand 250))
-  in
-  let p = P.create ~region_bits ~half_life () in
-  List.iter (fun (pc, instrs) -> P.note p ~pc ~instrs) notes;
-  let expected = model_hotness ~region_bits ~half_life notes in
-  let got = P.report p in
-  Alcotest.(check int) "region count" (List.length expected) (List.length got);
-  List.iter
-    (fun (r : P.region) ->
-      let e = List.assoc r.P.rg_id expected in
-      (* fixed-point truncation: <= 2^-16 per decay event *)
-      Alcotest.(check (float 0.05))
-        (Printf.sprintf "hotness of region %d" r.P.rg_id)
-        e r.P.rg_hotness)
-    got;
-  (* ranking: hottest first, and shares sum to 1 *)
-  let hots = List.map (fun (r : P.region) -> r.P.rg_hotness) got in
-  Alcotest.(check bool) "sorted by hotness" true
-    (List.sort (fun a b -> Float.compare b a) hots = hots);
-  let share = List.fold_left (fun a (r : P.region) -> a +. r.P.rg_share) 0. got in
-  Alcotest.(check (float 1e-9)) "shares sum to 1" 1.0 share
-
-let test_decay_cools_idle_region () =
-  (* a region that stops executing halves every half_life instructions
-     of *total* execution — simulated work, not wall time *)
-  let p = P.create ~half_life:1_000 () in
-  P.note p ~pc:0x1000L ~instrs:1_000;
-  (* 2 half-lives of work elsewhere *)
-  P.note p ~pc:0x9000L ~instrs:2_000;
-  let r =
-    List.find (fun (r : P.region) -> r.P.rg_lo = 0x1000L) (P.report p)
-  in
-  Alcotest.(check (float 1.0)) "halved twice" 250. r.P.rg_hotness;
-  Alcotest.(check int) "exact instrs untouched by decay" 1_000 r.P.rg_instrs
+      let cut = cut mod (List.length notes + 1) in
+      let feed notes =
+        let p = P.create () in
+        List.iter (fun (pc, instrs) -> P.note p ~pc ~instrs) notes;
+        p
+      in
+      let whole = feed notes in
+      let into = feed (List.filteri (fun i _ -> i < cut) notes) in
+      let src = feed (List.filteri (fun i _ -> i >= cut) notes) in
+      let summed = Hashtbl.create 16 in
+      List.iter
+        (fun (s, d, n) ->
+          Hashtbl.replace summed (s, d)
+            (n + Option.value ~default:0 (Hashtbl.find_opt summed (s, d))))
+        (P.edges into @ P.edges src);
+      P.merge ~into src;
+      let by_pair l = List.sort compare l in
+      let shape p =
+        List.map
+          (fun (r : P.region) ->
+            (r.rg_id, r.rg_lo, r.rg_hi, r.rg_instrs, r.rg_share))
+          (P.report p)
+      in
+      P.total_instrs into = P.total_instrs whole
+      && P.n_regions into = P.n_regions whole
+      && shape into = shape whole
+      && by_pair (List.map (fun (s, d, n) -> ((s, d), n)) (P.edges into))
+         = by_pair (Hashtbl.fold (fun k n acc -> (k, n) :: acc) summed []))
 
 (* ---------------- region aggregation vs brute force --------------- *)
 
@@ -470,12 +445,80 @@ let test_profiler_transparent =
       let (_, instr_count, _, _, _, _, _) = on_ in
       off = on_ && P.total_instrs prof = Int64.to_int instr_count)
 
+(* ---------------- attribution through every call style ---------- *)
+
+(* Every retired instruction is attributed exactly once, whichever call
+   style retired it, in a profile-only and in a full context: stepped
+   through a timing-directed pipeline (which also fetches and decodes
+   wrong-path instructions it never retires), one instruction or one
+   block at a time under a timing-first model, the one-instruction
+   batch of a non-block [run_block], [run_one] on a block interface, and
+   [run_n] through the journaled generic loop and a Step interface. *)
+let test_every_call_style () =
+  let k = List.nth Vir.Kernels.test_suite 3 in
+  let budget = 200_000 in
+  let running (iface : Specsim.Iface.t) =
+    (not iface.st.halted) && Int64.to_int iface.st.instr_count < budget
+  in
+  let drive_run_block (iface : Specsim.Iface.t) =
+    while running iface do
+      ignore (iface.run_block ())
+    done
+  in
+  let drive_run_one (iface : Specsim.Iface.t) =
+    let di = Specsim.Di.create ~info_slots:iface.slots.di_size in
+    while running iface do
+      iface.run_one di
+    done
+  in
+  let directed iface = ignore (Timing.Directed.run iface ~budget) in
+  let funcfirst iface = ignore (Timing.Funcfirst.(run (create iface) ~budget)) in
+  let run_n iface = ignore (Specsim.Iface.run_n iface budget) in
+  let styles =
+    [
+      ("step_all", "Directed.run", directed);
+      ("one_decode", "Funcfirst.run", funcfirst);
+      ("block_decode", "Funcfirst.run", funcfirst);
+      ("one_all", "run_block", drive_run_block);
+      ("block_min", "run_one", drive_run_one);
+      ("block_decode_spec", "run_n", run_n);
+      ("step_all", "run_n", run_n);
+    ]
+  in
+  List.iter
+    (fun (t : Workload.target) ->
+      List.iter
+        (fun (context, obs) ->
+          List.iter
+            (fun (bs, style, drive) ->
+              let prof = P.create () in
+              let l = Workload.load ~obs:(obs prof) t ~buildset:bs k.program in
+              drive l.iface;
+              let what =
+                Printf.sprintf "%s %s %s (%s)" t.tname bs style context
+              in
+              let st = l.iface.st in
+              Alcotest.(check bool) (what ^ ": kernel halted") true st.halted;
+              Alcotest.(check int) (what ^ ": attributed = retired")
+                (Int64.to_int st.instr_count) (P.total_instrs prof);
+              Alcotest.(check int) (what ^ ": report sums to total")
+                (P.total_instrs prof)
+                (List.fold_left
+                   (fun a (r : P.region) -> a + r.P.rg_instrs)
+                   0 (P.report prof)))
+            styles)
+        [
+          ("profile-only", fun prof -> Obs.profile_only ~prof ());
+          ("full", fun prof -> Obs.create ~prof ());
+        ])
+    [ Workload.alpha; Workload.riscv ]
+
 let suite =
   [
     Alcotest.test_case "create validation" `Quick test_create_validation;
-    Alcotest.test_case "decay vs replayed model" `Quick test_decay_vs_model;
-    Alcotest.test_case "decay cools idle region" `Quick
-      test_decay_cools_idle_region;
+    Alcotest.test_case "report ranks by instructions" `Quick
+      test_report_ranks_by_instrs;
+    QCheck_alcotest.to_alcotest test_merge_exact;
     Alcotest.test_case "aggregation vs brute force" `Quick
       test_aggregation_vs_bruteforce;
     Alcotest.test_case "block totals exact" `Quick test_block_totals_exact;
@@ -484,4 +527,6 @@ let suite =
     Alcotest.test_case "prometheus format lint" `Quick test_prom_lint;
     Alcotest.test_case "speedscope structure" `Quick test_speedscope_structure;
     QCheck_alcotest.to_alcotest test_profiler_transparent;
+    Alcotest.test_case "attribution exact through every call style" `Quick
+      test_every_call_style;
   ]

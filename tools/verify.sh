@@ -3,11 +3,11 @@
 # campaign (fixed seed, all three ISAs) that must hit the coverage bar,
 # a watchdog check that a non-terminating kernel halts cleanly, an
 # instrumented-run check that the observability counters are live, a
-# profiler check (hot-region table, speedscope flame export, JSONL
-# metrics series, --trace-cap validation), a dispatch-stats check
-# that block chaining and site sharing engage, a check that the
-# translated run_one paths agree with the generic step_all on each ISA,
-# and rotating-interface validation on each ISA.
+# profiler check (hot-region table ranked by instructions, speedscope
+# flame export, JSONL metrics series, --trace-cap validation), a
+# dispatch-stats check that block chaining and site sharing engage, a
+# check that the translated run_one paths agree with the generic
+# step_all on each ISA, and rotating-interface validation on each ISA.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -114,6 +114,14 @@ dune exec bin/lisim.exe -- profile --kernel hash >"$tmp"
 top_share=$(awk 'NR==3 { sub(/%/, "", $3); print int($3) }' "$tmp")
 if [ -z "$top_share" ] || [ "$top_share" -lt 50 ]; then
   echo "FAIL: profile top region share is ${top_share:-missing}%, expected >50%" >&2
+  cat "$tmp" >&2
+  exit 1
+fi
+# regions are ranked by exact instructions: the data rows' column 2
+# never increases
+if ! awk '/^0x/ { if (n++ && $2 > prev) bad = 1; prev = $2 }
+          END { exit (n == 0 || bad) }' "$tmp"; then
+  echo "FAIL: profile rows are not in non-increasing order of instructions" >&2
   cat "$tmp" >&2
   exit 1
 fi
