@@ -162,6 +162,10 @@ type buildset = {
   mutable shared : (bool * item array array) list;
       (** compiled items of non-speculative [Compiled] instances, keyed
           by the [absint] flag (it decides the memory fast paths) *)
+  mutable hooked : (Semir.Hooks.t * bool * item array array) option;
+      (** the items of the last such instance made with write hooks,
+          keyed by the hooks (physically) and [absint]: one slot, so a
+          cache holds at most one hooked copy per buildset *)
 }
 
 let n_code_segs bp =
@@ -192,7 +196,7 @@ let buildset_of (spec : Lis.Spec.t) (bs : Lis.Spec.buildset) shape
   if bs.bs_block && Array.length ep_segs <> 1 then
     synth_error "buildset %s/%s: 'semantic block' requires a single entrypoint"
       spec.name bs.bs_name;
-  { bs; slots = Slots.make spec bs; shape; ep_segs; shared = [] }
+  { bs; slots = Slots.make spec bs; shape; ep_segs; shared = []; hooked = None }
 
 (* ------------------------------------------------------------------ *)
 (* The cache                                                           *)
@@ -309,8 +313,10 @@ let seg_ir t bp =
 (** [compile_items t bp ~compile ~store_free] compiles every entrypoint's
     per-instruction code; class [i]'s code gets the memory fast path when
     [store_free.(i)]. The first call for a shape also optimizes its
-    per-segment IR. *)
-let compile_items t bp ~compile ~store_free : item array array =
+    per-segment IR. With [on_first_run], each class's code is compiled
+    the first time it runs, in place of a stub. *)
+let compile_items ?(on_first_run = false) t bp ~compile ~store_free :
+    item array array =
   let seg_ir = seg_ir t bp in
   let n_instrs = Array.length seg_ir in
   let k = ref (-1) in
@@ -321,9 +327,22 @@ let compile_items t bp ~compile ~store_free : item array array =
            (fun seg ->
              incr k;
              let k = !k in
+             let code ii =
+               compile ~mem_fast_path:store_free.(ii) seg_ir.(ii).(k)
+             in
              let codes () =
-               Array.init n_instrs (fun ii ->
-                   compile ~mem_fast_path:store_free.(ii) seg_ir.(ii).(k))
+               if not on_first_run then Array.init n_instrs code
+               else begin
+                 let a = Array.make n_instrs (fun _ _ -> ()) in
+                 for ii = 0 to n_instrs - 1 do
+                   a.(ii) <-
+                     (fun st fr ->
+                       let c = code ii in
+                       a.(ii) <- c;
+                       c st fr)
+                 done;
+                 a
+               end
              in
              match seg with
              | Seg_fetch -> I_fetch
@@ -332,15 +351,27 @@ let compile_items t bp ~compile ~store_free : item array array =
            segs))
     bp.ep_segs
 
-(** [shared_items bp ~absint build] is the compiled code stored under
-    [absint], built by [build] on first use. *)
-let shared_items bp ~absint build =
-  match List.assoc_opt absint bp.shared with
-  | Some items -> items
-  | None ->
-    let items = build () in
-    bp.shared <- (absint, items) :: bp.shared;
-    items
+(** [shared_items bp ?hooks ~absint build] is the compiled code stored
+    under [absint], built by [build] on first use. Code built with
+    [hooks] is stored apart, under those hooks: an instance without
+    hooks never gets hooked code, nor one with hooks plain code or
+    another's hooks. *)
+let shared_items bp ?hooks ~absint build =
+  match hooks with
+  | None -> (
+    match List.assoc_opt absint bp.shared with
+    | Some items -> items
+    | None ->
+      let items = build () in
+      bp.shared <- (absint, items) :: bp.shared;
+      items)
+  | Some h -> (
+    match bp.hooked with
+    | Some (h', a, items) when h' == h && a = absint -> items
+    | Some _ | None ->
+      let items = build () in
+      bp.hooked <- Some (h, absint, items);
+      items)
 
 (** Most sites one shared table holds. *)
 let max_shared_sites = 4096

@@ -218,7 +218,7 @@ let empty_dcache () =
 (* ------------------------------------------------------------------ *)
 
 let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
-    ?(site_cache = true) ?(absint = true) ?mutate ?cache ?obs ?st
+    ?(site_cache = true) ?(absint = true) ?mutate ?hooks ?cache ?obs ?st
     (spec : Lis.Spec.t) (bs_name : string) : Iface.t =
   let plan =
     match cache with
@@ -246,7 +246,17 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   let bs = bp.Plan.bs and slots = bp.Plan.slots in
   let st = match st with Some s -> s | None -> Lis.Spec.make_machine spec in
   let journal = if bs.bs_speculation then Some (Specul.create ()) else None in
-  let hooks = Option.map Specul.hooks journal in
+  (* the caller's write hooks, or the journal's *)
+  let recording = Option.is_some hooks in
+  let hooks =
+    match journal with
+    | None -> hooks
+    | Some _ when recording ->
+      invalid_arg
+        (Printf.sprintf "Synth.make: hooks on speculative buildset %s/%s"
+           spec.name bs_name)
+    | Some j -> Some (Specul.hooks j)
+  in
   let layout = st.State.regs in
   let loc = slots.Slots.loc in
   let frame =
@@ -307,19 +317,23 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   (* --- entrypoint code ------------------------------------------------ *)
   (* Compiled code reads the machine only through its [st] argument, so
      instances on any machine can share it — except where speculation
-     hooks capture this instance's journal. Step interfaces get their
-     generic per-segment items here, in set-up. One-entrypoint
+     hooks capture this instance's journal. Code compiled with the
+     caller's hooks is shared only under those hooks. Step interfaces
+     get their generic per-segment items here, in set-up. One-entrypoint
      interfaces (Block and One) run translated sites instead and build
      the items, and the plan's per-segment IR with them, only on their
      first [step], which none of their own loops makes. *)
   let n_eps = Array.length bs.bs_entrypoints in
   let items () =
+    (* Hooked code records a short run that meets few classes, so each
+       class's code is compiled when it first runs. *)
     let build () =
-      Plan.compile_items plan bp ~store_free:class_store_free
+      Plan.compile_items plan bp ~on_first_run:recording
+        ~store_free:class_store_free
         ~compile:(fun ~mem_fast_path ir -> compile_program ~mem_fast_path ir)
     in
     if backend = Compiled && journal = None then
-      Plan.shared_items bp ~absint build
+      Plan.shared_items bp ?hooks ~absint build
     else build ()
   in
   let ep_items = ref (if n_eps = 1 then [||] else items ()) in
@@ -525,8 +539,8 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       Hashtbl.create 256
     in
     let shared =
-      if site_cache && backend = Compiled && journal = None then
-        Some (Plan.site_table plan bs.bs_visible)
+      if site_cache && backend = Compiled && journal = None && not recording
+      then Some (Plan.site_table plan bs.bs_visible)
       else None
     in
     let compile_site enc idx =

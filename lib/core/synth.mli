@@ -78,6 +78,16 @@ val cache : Lis.Spec.t -> cache
     [mutate] deliberately re-breaks the engine (one {!mutation} bug
     class) — for fuzzer validation only, never for real simulation.
 
+    [hooks] are compiled into every architectural write of a
+    non-speculative interface, as a speculative interface's journal is:
+    the fuzz oracle records its reference through them. Code compiled
+    with [hooks] is shared through [cache] only with interfaces made
+    with the same [hooks] (physically), translated sites are not shared
+    at all, and each class's generic code is compiled the first time it
+    runs. So an interface without [hooks] never runs hooked code, and
+    is the one [make] built before they existed; one with [hooks] never
+    runs plain code.
+
     [absint] (default on) computes per-class store-free verdicts at
     synthesis time (a scan for stores and syscalls, which gives
     {!Analysis.Absint.store_free}'s verdicts) and gates two
@@ -116,7 +126,7 @@ val cache : Lis.Spec.t -> cache
     entrypoint boundaries (override with [allow_hidden_crossing] to
     observe the paper's runtime manifestation of the bug).
     @raise Invalid_argument when [cache] was made for another
-    specification. *)
+    specification, or [hooks] are given for a speculative buildset. *)
 val make :
   ?backend:backend ->
   ?allow_hidden_crossing:bool ->
@@ -124,6 +134,7 @@ val make :
   ?site_cache:bool ->
   ?absint:bool ->
   ?mutate:mutation ->
+  ?hooks:Semir.Hooks.t ->
   ?cache:cache ->
   ?obs:Obs.t ->
   ?st:Machine.State.t ->

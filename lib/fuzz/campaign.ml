@@ -155,7 +155,8 @@ let run ?(cfg = Oracle.default_config) ?obs ?stats ?metrics
       Super.Supervisor.run_case ?stats:ws.Super.Supervisor.wc_stats scfg
         ~index:(Int64.of_int (k + 1))
         (fun ~deadline:_ ->
-          Oracle.run_pair spec ?prof ~cache:dw.w_cache cfg tc ~buildset:bs)
+          Oracle.run_pair spec ?prof ~cache:dw.w_cache ~record:dw.w_record cfg
+            tc ~buildset:bs)
     with
     | Super.Supervisor.Done (None, attempts) -> C_pass attempts
     | Super.Supervisor.Done (Some d, attempts) ->

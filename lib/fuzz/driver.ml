@@ -1,8 +1,8 @@
 (** Campaign driver: generate → 12-way oracle → shrink → reproducer.
 
-    The budget is counted in oracle executions (one candidate/reference
-    lockstep run); shrinking does not consume it. Everything downstream
-    of [(isa, seed)] is deterministic. *)
+    The budget is counted in oracle executions (one candidate checked
+    in lockstep against the reference); shrinking does not consume it.
+    Everything downstream of [(isa, seed)] is deterministic. *)
 
 let spec_of_isa = function
   | "tiny" -> Lazy.force Tiny.spec
@@ -29,16 +29,23 @@ type outcome = {
    [(seed, k / n_buildsets)] ({!Gen.case_seed}), so any worker can own
    any slot and the case set is schedule-independent. *)
 
-(** A campaign worker's domain-local state: its synthesis cache, and the
-    last program it generated — a worker that runs a program's slots
-    back to back (a pool of one runs them all that way) generates it
-    once. *)
+(** A campaign worker's domain-local state: its synthesis cache, the
+    last program it generated and the record of that program's
+    reference run — a worker that runs a program's slots back to back
+    (a pool of one runs them all that way) generates the program and
+    runs its reference once. *)
 type worker = {
   w_cache : Specsim.Synth.cache;
+  w_record : Oracle.record;
   mutable w_last : (int * Gen.testcase) option;
 }
 
-let worker spec = { w_cache = Specsim.Synth.cache spec; w_last = None }
+let worker spec =
+  {
+    w_cache = Specsim.Synth.cache spec;
+    w_record = Oracle.record ();
+    w_last = None;
+  }
 
 (** [program w cx ~seed ~index] — program [index] of the campaign, from
     [w]'s memo when it was the last one [w] generated. *)
@@ -78,8 +85,8 @@ let hunt ?(cfg = Oracle.default_config) ?(fleet = Fleet.create ~jobs:1 ())
                fun w ->
                  let tc = program w cx ~seed ~index:(k / nbs) in
                  match
-                   Oracle.run_pair spec ~cache:w.w_cache cfg tc
-                     ~buildset:buildsets.(k mod nbs)
+                   Oracle.run_pair spec ~cache:w.w_cache ~record:w.w_record
+                     cfg tc ~buildset:buildsets.(k mod nbs)
                  with
                  | Some d -> Some (k, tc, d)
                  | None -> None))
@@ -128,7 +135,8 @@ let replay (r : Repro.t) : (string * Oracle.divergence option) list =
       bs :: List.filter (fun b -> not (String.equal b bs)) r.r_cfg.Oracle.buildsets
     | None -> r.r_cfg.Oracle.buildsets
   in
-  let cache = Specsim.Synth.cache spec in
+  let cache = Specsim.Synth.cache spec and record = Oracle.record () in
   List.map
-    (fun bs -> (bs, Oracle.run_pair spec ~cache r.r_cfg r.r_tc ~buildset:bs))
+    (fun bs ->
+      (bs, Oracle.run_pair spec ~cache ~record r.r_cfg r.r_tc ~buildset:bs))
     buildsets

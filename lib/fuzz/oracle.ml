@@ -5,12 +5,20 @@
     The reference is the highest-detail interface ([step_all] — every
     entrypoint exposed, every cell visible, no block engine), so any
     candidate disagreement is attributable to the candidate's
-    synthesis / caching machinery. Sync points are candidate units: a
-    basic block for Block interfaces, one instruction for One / Step
-    interfaces; the reference is advanced by the same number of retired
-    instructions. At each sync point the oracle compares halt state,
-    fault, pc, retired-instruction count, the register files and the Obs
-    crossing count; memories are compared every [mem_interval] retired
+    synthesis / caching machinery. The reference is deterministic, so
+    it runs once per testcase however many candidates are checked: a
+    {!record} logs each unit it retires (the pc, the count, the
+    registers it wrote and the bytes it stored, and the halt and fault
+    of the last one), and each candidate is compared with a {!shadow}
+    machine, loaded with the same image, that replays the record. The
+    record grows only when a shadow asks for a unit it does not hold
+    yet, so the reference never runs further than the furthest
+    candidate needed it. Sync points are candidate units: a basic block
+    for Block interfaces, one instruction for One / Step interfaces;
+    the shadow is advanced by the same number of retired instructions.
+    At each sync point the oracle compares halt state, fault, pc,
+    retired-instruction count, the register files and the Obs crossing
+    count; memories are compared every [mem_interval] retired
     instructions and at halt (they cost a full page walk). Both are
     compared by content; their digests only name a divergence. *)
 
@@ -100,12 +108,14 @@ let load_image (spec : Lis.Spec.t) (tc : Gen.testcase) (st : Machine.State.t) =
   Machine.State.reset st ~pc:Gen.code_base
 
 (** [boot spec tc ...] synthesizes an interface (through [cache] when
-    given) on a fresh machine loaded with the testcase image, pseudo-OS
-    installed, pc at the code base. *)
+    given, with [hooks] compiled in when given) on a fresh machine
+    loaded with the testcase image, pseudo-OS installed, pc at the code
+    base. *)
 let boot (spec : Lis.Spec.t) (tc : Gen.testcase) ~buildset ~chain ~site_cache
-    ?mutate ?cache ?obs () : Specsim.Iface.t =
+    ?mutate ?hooks ?cache ?obs () : Specsim.Iface.t =
   let iface =
-    Specsim.Synth.make ~chain ~site_cache ?mutate ?cache ?obs spec buildset
+    Specsim.Synth.make ~chain ~site_cache ?mutate ?hooks ?cache ?obs spec
+      buildset
   in
   load_image spec tc iface.st;
   iface
@@ -159,18 +169,274 @@ let advance (d : drv) : int * int =
 let fault_str (st : Machine.State.t) =
   match st.fault with None -> "-" | Some f -> Machine.Fault.to_string f
 
+(* ------------------------------------------------------------------ *)
+(* The recorded reference                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A growable array of unboxed 8-byte slots, in chunks that never move:
+   growing adds a chunk and copies nothing, so a long run leaves no
+   outgrown buffers behind. *)
+let chunk_bits = 10
+let chunk_slots = 1 lsl chunk_bits
+
+type buf = {
+  mutable chunks : Bytes.t array;
+  mutable n : int;  (** slots in use *)
+}
+
+let chunk l i = l.chunks.(i lsr chunk_bits)
+let off i = 8 * (i land (chunk_slots - 1))
+let get l i = Bytes.get_int64_ne (chunk l i) (off i)
+let set l i v = Bytes.set_int64_ne (chunk l i) (off i) v
+
+let push l v =
+  if l.n lsr chunk_bits >= Array.length l.chunks then
+    l.chunks <- Array.append l.chunks [| Bytes.create (8 * chunk_slots) |];
+  set l l.n v;
+  l.n <- l.n + 1
+
+(* A unit's entries start with a register's flat index (>= 0) or a
+   store's width negated (-1 to -8); its trailer starts with its retired
+   count [c] as [trailer - c]. *)
+let trailer = -16
+
+(** The reference's run of one testcase, as far as it has gone, as one
+    stream of 8-byte slots, unit after unit (a unit is one call of
+    {!advance} on the reference). A unit is one entry per architectural
+    write it made — a register as its flat index and its value after the
+    unit, a store as its width negated, its native-int address and the
+    bytes there after the unit, as {!Machine.Memory.load_into} leaves
+    them — then a trailer: the retired count after the unit (see
+    [trailer]) and the pc after it. The stream is reused from testcase
+    to testcase, so a record held for a campaign worker allocates only
+    while it grows past its longest run. *)
+type record = {
+  log : buf;
+  hooks : Semir.Hooks.t;
+      (** compiled into the reference: each write appends its entry,
+          whose value the unit's end fills in *)
+  mutable r_of : (Lis.Spec.t * Gen.testcase * string) option;
+      (** the specification, testcase (physically) and reference
+          buildset of the run recorded *)
+  mutable r_ref : drv option;  (** the live reference, once booted *)
+  mutable r_units : int;  (** units recorded *)
+  mutable r_halted : bool;  (** the last unit halted the reference *)
+  mutable r_fault : Machine.Fault.t option;  (** its fault *)
+  mutable r_raised : (exn * Printexc.raw_backtrace) option;
+      (** what the reference raised, booting ([r_ref] is [None]) or in
+          unit [r_units] *)
+  mutable r_regs : Bytes.t;
+      (** the reference's register values before its current syscall *)
+  mutable r_boots : int;  (** reference boots over the record's life *)
+}
+
+(** [record ()] is an empty record: {!run_pair} fills it for the
+    testcase it is given, and starts it again for another one. *)
+let record () =
+  let log = { chunks = [||]; n = 0 } in
+  let hooks =
+    {
+      Semir.Hooks.on_reg_write =
+        (fun _ flat ->
+          push log (Int64.of_int flat);
+          push log 0L);
+      on_store =
+        (fun _ addr width ->
+          push log (Int64.of_int (-width));
+          push log (Int64.of_int addr);
+          push log 0L);
+    }
+  in
+  {
+    log;
+    hooks;
+    r_of = None;
+    r_ref = None;
+    r_units = 0;
+    r_halted = false;
+    r_fault = None;
+    r_raised = None;
+    r_regs = Bytes.empty;
+    r_boots = 0;
+  }
+
+let raise_again (e, bt) = Printexc.raise_with_backtrace e bt
+
+(* [start r spec ~cache cfg tc] makes [r] the record of [tc]'s reference
+   run, booting the reference unless [r] already is. A boot that raised
+   raises again, as booting again would. *)
+let start r (spec : Lis.Spec.t) ~cache (cfg : config) (tc : Gen.testcase) =
+  match r.r_of with
+  | Some (s, t, b) when s == spec && t == tc && String.equal b cfg.reference
+    -> (
+    match (r.r_ref, r.r_raised) with
+    | None, Some x -> raise_again x
+    | _ -> ())
+  | _ -> (
+    r.r_of <- Some (spec, tc, cfg.reference);
+    r.r_ref <- None;
+    r.r_units <- 0;
+    r.log.n <- 0;
+    r.r_halted <- false;
+    r.r_fault <- None;
+    r.r_raised <- None;
+    r.r_boots <- r.r_boots + 1;
+    match
+      boot spec tc ~buildset:cfg.reference ~chain:true ~site_cache:true
+        ~hooks:r.hooks ~cache ()
+    with
+    | iface ->
+      (* The OS writes registers behind the hooks: an entry for each
+         one a syscall changes. *)
+      let st = iface.st in
+      let v = st.regs.Machine.Regfile.v in
+      if Bytes.length r.r_regs <> Bytes.length v then
+        r.r_regs <- Bytes.create (Bytes.length v);
+      let os = st.syscall_handler in
+      st.syscall_handler <-
+        (fun st ->
+          Bytes.blit v 0 r.r_regs 0 (Bytes.length v);
+          os st;
+          for i = 0 to Machine.Regfile.total st.regs - 1 do
+            if
+              not
+                (Int64.equal
+                   (Bytes.get_int64_ne v (8 * i))
+                   (Bytes.get_int64_ne r.r_regs (8 * i)))
+            then begin
+              push r.log (Int64.of_int i);
+              push r.log 0L
+            end
+          done);
+      r.r_ref <- Some (driver iface)
+    | exception e ->
+      let x = (e, Printexc.get_raw_backtrace ()) in
+      r.r_raised <- Some x;
+      raise_again x)
+
+(* [extend r] runs the reference one more unit and logs it: the values
+   of the registers it wrote and the bytes it stored, then its trailer.
+   A unit that raises is not logged, and the exception is kept for
+   every later caller. *)
+let extend r =
+  match (r.r_raised, r.r_ref) with
+  | Some x, _ -> raise_again x
+  | None, None -> invalid_arg "Oracle.extend: no reference"
+  | None, Some d ->
+    let l = r.log in
+    let u = l.n in
+    (try ignore (advance d)
+     with e ->
+       let x = (e, Printexc.get_raw_backtrace ()) in
+       l.n <- u;
+       r.r_raised <- Some x;
+       raise_again x);
+    let st = d.iface.st in
+    let v = st.regs.Machine.Regfile.v in
+    let e = ref u in
+    while !e < l.n do
+      let x = Int64.to_int (get l !e) in
+      if x >= 0 then begin
+        set l (!e + 1) (Bytes.get_int64_ne v (8 * x));
+        e := !e + 2
+      end
+      else begin
+        Machine.Memory.load_into st.mem
+          ~addr:(Int64.to_int (get l (!e + 1)))
+          ~width:(-x) ~signed:false
+          (chunk l (!e + 2))
+          (off (!e + 2));
+        e := !e + 3
+      end
+    done;
+    push l (Int64.of_int (trailer - Int64.to_int st.instr_count));
+    push l st.pc;
+    r.r_units <- r.r_units + 1;
+    if st.halted then begin
+      r.r_halted <- true;
+      r.r_fault <- st.fault
+    end
+
+(** A candidate's view of the reference: a machine loaded with the
+    testcase image that replays [sh_rec] one unit at a time, valid until
+    the record starts another testcase. *)
+type shadow = {
+  sh_st : Machine.State.t;
+  sh_rec : record;
+  mutable sh_unit : int;  (** the next unit to replay *)
+  mutable sh_slot : int;  (** where it starts in the stream *)
+}
+
+(** [shadow spec ~cache cfg r tc] starts [r] on [tc] (booting the
+    reference through [cache] if [r] holds another run) and returns a
+    shadow at the start of the run. *)
+let shadow (spec : Lis.Spec.t) ~cache (cfg : config) r (tc : Gen.testcase) =
+  start r spec ~cache cfg tc;
+  let st = Lis.Spec.make_machine spec in
+  load_image spec tc st;
+  { sh_st = st; sh_rec = r; sh_unit = 0; sh_slot = 0 }
+
+(** [replay sh] is {!advance} for a shadow: it replays the next unit,
+    running the reference first when the record does not hold it yet,
+    and returns [(retired, 0)]. A halted shadow stays put, as a halted
+    interface does; a unit in which the reference raised raises the
+    same exception. *)
+let replay sh : int * int =
+  let st = sh.sh_st in
+  if st.halted then (0, 0)
+  else begin
+    let r = sh.sh_rec in
+    if sh.sh_unit >= r.r_units then extend r;
+    let l = r.log in
+    let v = st.regs.Machine.Regfile.v in
+    let e = ref sh.sh_slot in
+    let x = ref (Int64.to_int (get l !e)) in
+    while !x > trailer do
+      if !x >= 0 then begin
+        Bytes.set_int64_ne v (8 * !x) (get l (!e + 1));
+        e := !e + 2
+      end
+      else begin
+        Machine.Memory.store_from st.mem
+          ~addr:(Int64.to_int (get l (!e + 1)))
+          ~width:(- !x)
+          (chunk l (!e + 2))
+          (off (!e + 2));
+        e := !e + 3
+      end;
+      x := Int64.to_int (get l !e)
+    done;
+    let before = st.instr_count in
+    st.instr_count <- Int64.of_int (trailer - !x);
+    st.pc <- get l (!e + 1);
+    sh.sh_unit <- sh.sh_unit + 1;
+    sh.sh_slot <- !e + 2;
+    if r.r_halted && sh.sh_unit = r.r_units then begin
+      st.halted <- true;
+      st.fault <- r.r_fault
+    end;
+    (Int64.to_int (Int64.sub st.instr_count before), 0)
+  end
+
 (** [run_pair spec cfg tc ~buildset] — lockstep one candidate against the
     reference; [None] means full agreement within the budget. [?prof]
     attaches a shared hot-region profiler to every candidate boot, so a
     whole campaign accumulates into one region table (the flame view of
     the campaign). [cache] is the caller's synthesis cache for [spec]
     (see {!Specsim.Synth.cache}); without one, the candidate and the
-    reference still share a private one. *)
-let run_pair (spec : Lis.Spec.t) ?prof ?cache (cfg : config)
+    reference still share a private one. [record] is the caller's
+    {!record}: passed to every candidate of a testcase, it runs the
+    reference once for all of them (the testcase is compared
+    physically, so keep it unchanged). Without one, the reference is
+    recorded for this candidate alone. Keep one record per synthesis
+    cache: the reference's code is compiled into the cache under the
+    record's hooks. *)
+let run_pair (spec : Lis.Spec.t) ?prof ?cache ?record:r (cfg : config)
     (tc : Gen.testcase) ~buildset : divergence option =
   let cache =
     match cache with Some c -> c | None -> Specsim.Synth.cache spec
   in
+  let r = match r with Some r -> r | None -> record () in
   let obs =
     if cfg.check_crossings then Some (Obs.create ?prof ())
     else Option.map (fun p -> Obs.profile_only ~prof:p ()) prof
@@ -180,11 +446,7 @@ let run_pair (spec : Lis.Spec.t) ?prof ?cache (cfg : config)
       (boot spec tc ~buildset ~chain:cfg.chain ~site_cache:cfg.site_cache
          ?mutate:cfg.mutate ~cache ?obs ())
   in
-  let refd =
-    driver
-      (boot spec tc ~buildset:cfg.reference ~chain:true ~site_cache:true ~cache
-         ())
-  in
+  let refd = shadow spec ~cache cfg r tc in
   (* only a fully-instrumented context counts crossings; a profile-only
      one builds seed closures and its registry would read a false 0 *)
   let crossings =
@@ -195,7 +457,7 @@ let run_pair (spec : Lis.Spec.t) ?prof ?cache (cfg : config)
         obs
     else None
   in
-  let cst = cand.iface.st and rst = refd.iface.st in
+  let cst = cand.iface.st and rst = refd.sh_st in
   let expected = ref 0 in
   let total = ref 0 in
   let stuck = ref 0 in
@@ -278,14 +540,14 @@ let run_pair (spec : Lis.Spec.t) ?prof ?cache (cfg : config)
       (* the reference follows, one instruction per unit *)
       let fed = ref 0 in
       while !div = None && !fed < n && not rst.halted do
-        let m, _ = advance refd in
+        let m, _ = replay refd in
         if m = 0 && not rst.halted then
           diverge "stuck" "reference made no progress"
         else fed := !fed + m
       done;
       (* a halting instruction retires nothing, so when the candidate
          halts the reference needs one extra unit to take the same fault *)
-      if !div = None && cst.halted && not rst.halted then ignore (advance refd);
+      if !div = None && cst.halted && not rst.halted then ignore (replay refd);
       if !div = None then
         compare_sync
           ~mem:
@@ -316,11 +578,12 @@ let run_pair (spec : Lis.Spec.t) ?prof ?cache (cfg : config)
   end;
   !div
 
-(** [run_all spec cfg tc] checks every configured candidate buildset;
-    returns all divergences found (empty = conforming testcase). *)
+(** [run_all spec cfg tc] checks every configured candidate buildset
+    against one run of the reference; returns all divergences found
+    (empty = conforming testcase). *)
 let run_all (spec : Lis.Spec.t) (cfg : config) (tc : Gen.testcase) :
     divergence list =
-  let cache = Specsim.Synth.cache spec in
+  let cache = Specsim.Synth.cache spec and record = record () in
   List.filter_map
-    (fun bs -> run_pair spec ~cache cfg tc ~buildset:bs)
+    (fun bs -> run_pair spec ~cache ~record cfg tc ~buildset:bs)
     cfg.buildsets

@@ -1,9 +1,11 @@
-(** Write-interception hooks for speculation support.
+(** Write-interception hooks.
 
     When a buildset enables speculation, the synthesizer compiles actions
     with hooks that record the old value of every architectural write
     before it happens; the rollback journal ({!Specsim.Specul}) implements
-    them. Hooks are compiled in — a non-speculative buildset pays nothing. *)
+    them. A caller may pass hooks of its own to synthesis: the fuzz
+    oracle logs its reference's writes this way. Hooks are compiled in —
+    an interface without them pays nothing. *)
 
 type t = {
   on_reg_write : Machine.State.t -> int -> unit;

@@ -199,3 +199,224 @@ let site_keep (plan : Specsim.Plan.t) name =
   let bs = Lis.Spec.find_buildset plan.spec name in
   let carried = (Specsim.Plan.block_plan plan).carried in
   fun c -> bs.bs_visible.(c) || Specsim.Plan.Iset.mem c carried
+
+(* ----------------------------------------------------------------- *)
+(* The lockstep oracle                                                 *)
+(* ----------------------------------------------------------------- *)
+
+(** The fuzz oracle before the reference was recorded: [run_pair]
+    booting and running its own step_all reference beside the
+    candidate, kept verbatim (with its [advance], [driver] and
+    [compare_sync]) so the recorded oracle can be checked against it. *)
+module Lockstep = struct
+  open Fuzz
+  open Oracle
+
+  (* One lockstep participant: interface plus its call-style driver. *)
+  type style = Block | One | Step
+
+  type drv = { iface : Specsim.Iface.t; style : style; di : Specsim.Di.t }
+
+  let driver (iface : Specsim.Iface.t) : drv =
+    let style =
+      if iface.bs.bs_block then Block
+      else if Specsim.Iface.n_entrypoints iface = 1 then One
+      else Step
+    in
+    { iface; style; di = Specsim.Di.create ~info_slots:iface.slots.Specsim.Slots.di_size }
+
+  (** [advance d] runs one unit (block / instruction) and returns
+      [(retired, entrypoint_calls)] — the latter is what the compiled-in
+      "synth.entrypoint_calls" counter must have grown by. *)
+  let advance (d : drv) : int * int =
+    let st = d.iface.st in
+    if st.halted then (0, 0)
+    else begin
+      let before = st.instr_count in
+      let eps =
+        match d.style with
+        | Block ->
+          ignore (d.iface.run_block ());
+          Int64.to_int (Int64.sub st.instr_count before)
+        | One ->
+          d.iface.run_one d.di;
+          1
+        | Step ->
+          let di = d.di in
+          di.pc <- st.pc;
+          di.instr_index <- -1;
+          di.fault <- None;
+          let n = Specsim.Iface.n_entrypoints d.iface in
+          let e = ref 0 in
+          while !e < n && not st.halted do
+            d.iface.step di !e;
+            incr e
+          done;
+          if not st.halted then d.iface.retire di;
+          !e
+      in
+      (Int64.to_int (Int64.sub st.instr_count before), eps)
+    end
+
+  let fault_str (st : Machine.State.t) =
+    match st.fault with None -> "-" | Some f -> Machine.Fault.to_string f
+
+  (** [run_pair spec cfg tc ~buildset] — lockstep one candidate against the
+      reference; [None] means full agreement within the budget. [?prof]
+      attaches a shared hot-region profiler to every candidate boot, so a
+      whole campaign accumulates into one region table (the flame view of
+      the campaign). [cache] is the caller's synthesis cache for [spec]
+      (see {!Specsim.Synth.cache}); without one, the candidate and the
+      reference still share a private one. *)
+  let run_pair (spec : Lis.Spec.t) ?prof ?cache (cfg : config)
+      (tc : Gen.testcase) ~buildset : divergence option =
+    let cache =
+      match cache with Some c -> c | None -> Specsim.Synth.cache spec
+    in
+    let obs =
+      if cfg.check_crossings then Some (Obs.create ?prof ())
+      else Option.map (fun p -> Obs.profile_only ~prof:p ()) prof
+    in
+    let cand =
+      driver
+        (boot spec tc ~buildset ~chain:cfg.chain ~site_cache:cfg.site_cache
+           ?mutate:cfg.mutate ~cache ?obs ())
+    in
+    let refd =
+      driver
+        (boot spec tc ~buildset:cfg.reference ~chain:true ~site_cache:true ~cache
+           ())
+    in
+    (* only a fully-instrumented context counts crossings; a profile-only
+       one builds seed closures and its registry would read a false 0 *)
+    let crossings =
+      if cfg.check_crossings then
+        Option.map
+          (fun (o : Obs.t) ->
+            Obs.Registry.counter o.Obs.reg "synth.entrypoint_calls")
+          obs
+      else None
+    in
+    let cst = cand.iface.st and rst = refd.iface.st in
+    let expected = ref 0 in
+    let total = ref 0 in
+    let stuck = ref 0 in
+    let next_mem = ref cfg.mem_interval in
+    let div = ref None in
+    let diverge kind detail =
+      if !div = None then
+        div :=
+          Some
+            {
+              d_buildset = buildset;
+              d_kind = kind;
+              d_retired = cst.instr_count;
+              d_detail = detail;
+            }
+    in
+    let compare_mem () =
+      if not (Machine.Memory.equal_contents cst.mem rst.mem) then
+        (* digests only name the divergence in reports *)
+        let mc = Machine.Memory.digest cst.mem
+        and mr = Machine.Memory.digest rst.mem in
+        diverge "mem"
+          (Printf.sprintf "memory digest 0x%Lx, reference 0x%Lx" mc mr)
+    in
+    let compare_sync ~mem =
+      if cst.halted <> rst.halted then
+        diverge "halt"
+          (Printf.sprintf "candidate %s, reference %s"
+             (if cst.halted then "halted (" ^ fault_str cst ^ ")" else "running")
+             (if rst.halted then "halted (" ^ fault_str rst ^ ")" else "running"))
+      else if cst.halted && not (String.equal (fault_str cst) (fault_str rst))
+      then
+        diverge "fault"
+          (Printf.sprintf "candidate fault %s, reference %s" (fault_str cst)
+             (fault_str rst))
+      else if (not cst.halted) && not (Int64.equal cst.pc rst.pc) then
+        diverge "pc"
+          (Printf.sprintf "fetch pc 0x%Lx, reference 0x%Lx" cst.pc rst.pc);
+      if !div = None && not (Int64.equal cst.instr_count rst.instr_count) then
+        diverge "count"
+          (Printf.sprintf "retired %Ld, reference %Ld" cst.instr_count
+             rst.instr_count);
+      if !div = None && not (Machine.Regfile.equal cst.regs rst.regs) then begin
+        (* digests only name the divergence in reports, as for memory *)
+        let rc = Inject.Watchdog.regs_digest cst.regs
+        and rr = Inject.Watchdog.regs_digest rst.regs in
+        diverge "regs"
+          (Printf.sprintf "register digest 0x%Lx, reference 0x%Lx" rc rr)
+      end;
+      (match crossings with
+      | Some c when !div = None && c.Obs.Registry.n <> !expected ->
+        diverge "crossings"
+          (Printf.sprintf "entrypoint crossings %d, expected %d"
+             c.Obs.Registry.n !expected)
+      | _ -> ());
+      if !div = None && mem then compare_mem ();
+      (* every interface leaves the pc at the halting instruction; checked
+         last, so a verdict that an earlier check gives stays first *)
+      if !div = None && not (Int64.equal cst.pc rst.pc) then
+        diverge "pc"
+          (Printf.sprintf "halt pc 0x%Lx, reference 0x%Lx" cst.pc rst.pc)
+    in
+    let rec loop () =
+      if !div <> None then ()
+      else if cst.halted && rst.halted then ()
+      else if !total >= cfg.max_instrs then ()
+      else begin
+        let n, eps = advance cand in
+        expected := !expected + eps;
+        total := !total + n;
+        if n = 0 && not cst.halted then begin
+          incr stuck;
+          if !stuck > 4 then
+            diverge "stuck"
+              (Printf.sprintf
+                 "no forward progress at pc 0x%Lx (invalid block dispatched?)"
+                 cst.pc)
+        end
+        else stuck := 0;
+        (* the reference follows, one instruction per unit *)
+        let fed = ref 0 in
+        while !div = None && !fed < n && not rst.halted do
+          let m, _ = advance refd in
+          if m = 0 && not rst.halted then
+            diverge "stuck" "reference made no progress"
+          else fed := !fed + m
+        done;
+        (* a halting instruction retires nothing, so when the candidate
+           halts the reference needs one extra unit to take the same fault *)
+        if !div = None && cst.halted && not rst.halted then ignore (advance refd);
+        if !div = None then
+          compare_sync
+            ~mem:
+              (cst.halted
+              ||
+              if !total >= !next_mem then begin
+                next_mem := !total + cfg.mem_interval;
+                true
+              end
+              else false);
+        loop ()
+      end
+    in
+    loop ();
+    (* end of budget with both still running: full final comparison,
+       including the canonical whole-state digest. A halt had its full
+       comparison in the loop, memory and the pc at the halting
+       instruction included. *)
+    if !div = None && not cst.halted then begin
+      compare_sync ~mem:true;
+      if !div = None then begin
+        let dc = Machine.Checkpoint.digest cst
+        and dr = Machine.Checkpoint.digest rst in
+        if not (Int64.equal dc dr) then
+          diverge "state"
+            (Printf.sprintf "state digest 0x%Lx, reference 0x%Lx" dc dr)
+      end
+    end;
+    !div
+end
+
+let lockstep_run_pair = Lockstep.run_pair

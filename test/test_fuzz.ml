@@ -334,6 +334,309 @@ let test_halt_pc_compared () =
            (Fuzz.Oracle.run_pair spec ~cache cfg tc ~buildset:bs)))
     cfg.buildsets
 
+(* ----------------------------------------------------------------- *)
+(* The recorded reference                                              *)
+(* ----------------------------------------------------------------- *)
+
+(* Programs of the campaign seed (gen_common's convention), per ISA. *)
+let seeded_programs isa ~salt n =
+  let spec = spec_of isa in
+  let cx = Fuzz.Gen.make_ctx ~isa spec in
+  let seed = Inject.Prng.derive ~seed:(Gen_common.campaign_seed ()) ~salt in
+  List.init n (fun index -> Fuzz.Gen.generate cx ~seed ~index)
+
+(* The oracle that replays one recorded reference run to every candidate
+   reads the same verdicts, word for word, as the lockstep oracle that
+   ran a reference of its own beside each: healthy and defective
+   engines, budgets that end in the middle of a block, crossing checks
+   on and off. One record serves every candidate and configuration of a
+   program, so it grows in the middle of the checks, as a campaign's
+   does. The corpus's programs are checked too: they are the ones the
+   defective engines diverge on. *)
+let test_recorded_equals_lockstep () =
+  let corpus =
+    Sys.readdir corpus_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".repro")
+    |> List.sort compare
+    |> List.map (fun f ->
+           let r = Fuzz.Repro.load ~path:(Filename.concat corpus_dir f) in
+           r.Fuzz.Repro.r_tc)
+  in
+  let configs =
+    List.concat_map
+      (fun max_instrs ->
+        List.concat_map
+          (fun mutate ->
+            List.map
+              (fun check_crossings ->
+                {
+                  Fuzz.Oracle.default_config with
+                  mutate;
+                  max_instrs;
+                  check_crossings;
+                })
+              [ true; false ])
+          Specsim.Synth.
+            [ None; Some Stale_chain; Some Skip_invalidate; Some Stride4 ])
+      [ 37; 2048 ]
+  in
+  let verdict = Option.map Fuzz.Oracle.pp_divergence in
+  List.iter
+    (fun isa ->
+      let spec = spec_of isa in
+      let cache = Specsim.Synth.cache spec
+      and lockstep_cache = Specsim.Synth.cache spec in
+      List.iteri
+        (fun p tc ->
+          let record = Fuzz.Oracle.record () in
+          List.iter
+            (fun (cfg : Fuzz.Oracle.config) ->
+              List.iter
+                (fun bs ->
+                  Alcotest.(check (option string))
+                    (Printf.sprintf "%s program %d %s %s budget %d%s" isa p bs
+                       (match cfg.mutate with
+                       | Some m -> Specsim.Synth.mutation_to_string m
+                       | None -> "healthy")
+                       cfg.max_instrs
+                       (if cfg.check_crossings then "" else " no crossings"))
+                    (verdict
+                       (Gen_common.lockstep_run_pair spec ~cache:lockstep_cache
+                          cfg tc ~buildset:bs))
+                    (verdict
+                       (Fuzz.Oracle.run_pair spec ~cache ~record cfg tc
+                          ~buildset:bs)))
+                cfg.buildsets)
+            configs)
+        (seeded_programs isa ~salt:27 2
+        @ List.filter (fun (tc : Fuzz.Gen.testcase) -> tc.tc_isa = isa) corpus))
+    isas
+
+(* Field by field, what the oracle compares of the reference. *)
+let check_same_state label (sh : Machine.State.t) (live : Machine.State.t) =
+  let check_bool what = Alcotest.(check bool) (label ^ ": " ^ what) true in
+  check_bool "registers" (Machine.Regfile.equal sh.regs live.regs);
+  check_bool "memory" (Machine.Memory.equal_contents sh.mem live.mem);
+  Alcotest.(check int64)
+    (label ^ ": memory digest")
+    (Machine.Memory.digest live.mem)
+    (Machine.Memory.digest sh.mem);
+  Alcotest.(check int64) (label ^ ": pc") live.pc sh.pc;
+  Alcotest.(check int64) (label ^ ": count") live.instr_count sh.instr_count;
+  Alcotest.(check bool) (label ^ ": halted") live.halted sh.halted;
+  Alcotest.(check string)
+    (label ^ ": fault")
+    (Fuzz.Oracle.fault_str live)
+    (Fuzz.Oracle.fault_str sh);
+  Alcotest.(check int64)
+    (label ^ ": state digest")
+    (Machine.Checkpoint.digest live)
+    (Machine.Checkpoint.digest sh)
+
+(* tiny16 programs that hold between them what a record must carry: a
+   store into the code the program runs next, a store straddling a page,
+   a syscall that returns and one that exits, and a halt on an illegal
+   instruction. *)
+let tiny_programs =
+  let open Fuzz.Tiny in
+  let illegal = 0xE000L in
+  let tc regs code =
+    {
+      Fuzz.Gen.tc_isa = "tiny";
+      tc_seed = 0L;
+      tc_regs = regs;
+      tc_mem = [| (0x4FF8L, 0x1122334455667788L) |];
+      tc_code = code;
+    }
+  in
+  (* the store at 0x1000 writes "R1 = 42; sys" over the two illegal
+     words at 0x1008, which the exit then runs *)
+  let patch =
+    Int64.logor (addi ~ra:7 ~imm:42 ~rc:1) (Int64.shift_left sys 16)
+  in
+  [
+    ( "store into code, syscalls, exit",
+      tc
+        [| (0, 1, 0x1000L); (0, 2, patch) |]
+        [|
+          stw ~ra:1 ~rb:2 ~imm:8;
+          addi ~ra:7 ~imm:5 ~rc:0;
+          sys;
+          addi ~ra:7 ~imm:0 ~rc:0;
+          illegal;
+          illegal;
+        |] );
+    ( "straddling store, illegal instruction",
+      tc
+        [| (0, 3, 0x4FFEL); (0, 2, 0x0BADF00DL) |]
+        [|
+          stw ~ra:3 ~rb:2 ~imm:0;
+          ldw ~ra:3 ~imm:0 ~rc:4;
+          add ~ra:4 ~rb:2 ~rc:5;
+          stw ~ra:3 ~rb:5 ~imm:1;
+          illegal;
+        |] );
+  ]
+
+(* After every unit, the halting one included, a shadow replaying the
+   record holds what a live step_all reference holds after as many
+   units of its own. *)
+let test_shadow_replays_reference () =
+  let cfg = Fuzz.Oracle.default_config in
+  let replay_all label spec tc =
+    let cache = Specsim.Synth.cache spec in
+    let r = Fuzz.Oracle.record () in
+    let sh = Fuzz.Oracle.shadow spec ~cache cfg r tc in
+    let live =
+      Fuzz.Oracle.driver
+        (Fuzz.Oracle.boot spec tc ~buildset:cfg.reference ~chain:true
+           ~site_cache:true ())
+    in
+    let lst = live.iface.st in
+    check_same_state (label ^ " at boot") sh.sh_st lst;
+    let k = ref 0 in
+    while (not lst.halted) && !k < 2 * cfg.max_instrs do
+      let n, _ = Fuzz.Oracle.advance live in
+      let m, _ = Fuzz.Oracle.replay sh in
+      incr k;
+      let at = Printf.sprintf "%s unit %d" label !k in
+      Alcotest.(check int) (at ^ ": retired") n m;
+      check_same_state at sh.sh_st lst
+    done;
+    lst
+  in
+  let faults =
+    List.map
+      (fun (label, tc) ->
+        let st = replay_all ("tiny " ^ label) (spec_of "tiny") tc in
+        Alcotest.(check bool) (label ^ ": halts") true st.halted;
+        Fuzz.Oracle.fault_str st)
+      tiny_programs
+  in
+  Alcotest.(check (list string))
+    "tiny16 programs halt by exit and by an illegal instruction"
+    [ "exit(42)"; "illegal instruction (encoding 0xe000)" ]
+    faults;
+  List.iter
+    (fun isa ->
+      List.iteri
+        (fun p tc ->
+          let label = Printf.sprintf "%s program %d" isa p in
+          ignore (replay_all label (spec_of isa) tc))
+        (seeded_programs isa ~salt:28 3))
+    isas
+
+(* A record boots the reference once for all twelve candidates of a
+   program, and runs it only as far as a candidate asks: a candidate
+   that diverges after k instructions leaves it at most k + 1 units in,
+   where the lockstep oracle's reference would have stopped. *)
+let test_reference_once () =
+  List.iter
+    (fun isa ->
+      let spec = spec_of isa in
+      let cache = Specsim.Synth.cache spec in
+      List.iter
+        (fun tc ->
+          let r = Fuzz.Oracle.record () in
+          List.iter
+            (fun bs ->
+              ignore
+                (Fuzz.Oracle.run_pair spec ~cache ~record:r
+                   Fuzz.Oracle.default_config tc ~buildset:bs))
+            Fuzz.Oracle.default_config.buildsets;
+          Alcotest.(check int) (isa ^ ": one reference boot") 1 r.r_boots;
+          Alcotest.(check bool)
+            (isa ^ ": no further than the budget")
+            true
+            (r.r_units <= Fuzz.Oracle.default_config.max_instrs + 64 + 1))
+        (seeded_programs isa ~salt:29 2))
+    isas;
+  (* stride4 diverges after 2 instructions on tiny16's block interfaces:
+     in a first block "R0 = 5; branch", 4-byte strides put the branch at
+     0x1004 and its target at 0x1006 *)
+  let spec = spec_of "tiny" in
+  let tc =
+    {
+      Fuzz.Gen.tc_isa = "tiny";
+      tc_seed = 0L;
+      tc_regs = [||];
+      tc_mem = [||];
+      tc_code =
+        Fuzz.Tiny.
+          [|
+            addi ~ra:7 ~imm:5 ~rc:0;
+            beqz ~ra:7 ~off:0;
+            sys;
+            addi ~ra:7 ~imm:1 ~rc:0;
+          |];
+    }
+  in
+  let cfg =
+    { Fuzz.Oracle.default_config with mutate = Some Specsim.Synth.Stride4 }
+  in
+  let cache = Specsim.Synth.cache spec in
+  let r = Fuzz.Oracle.record () in
+  (match
+     Fuzz.Oracle.run_pair spec ~cache ~record:r cfg tc ~buildset:"block_min"
+   with
+  | Some d ->
+    Alcotest.(check string) "stride4 diverges on the pc" "pc" d.d_kind;
+    Alcotest.(check bool)
+      (Printf.sprintf "reference %d unit(s) in, divergence after %Ld" r.r_units
+         d.d_retired)
+      true
+      (r.r_units <= Int64.to_int d.d_retired + 1)
+  | None -> Alcotest.fail "stride4 survived block_min");
+  (* A reference that raises raises for every candidate that reaches the
+     unit where it did, and for no other: here its syscall, unit 2,
+     which the block candidates never reach. *)
+  let r = Fuzz.Oracle.record () in
+  (* a shadow starts the record, booting the reference *)
+  ignore (Fuzz.Oracle.shadow spec ~cache cfg r tc);
+  (match r.r_ref with
+  | Some d ->
+    d.iface.st.syscall_handler <- (fun _ -> failwith "reference syscall")
+  | None -> Alcotest.fail "record did not boot its reference");
+  List.iter
+    (fun bs ->
+      let got =
+        match
+          Fuzz.Oracle.run_pair spec ~cache ~record:r cfg tc ~buildset:bs
+        with
+        | Some d -> d.d_kind
+        | None -> "ok"
+        | exception Failure m -> m
+      in
+      Alcotest.(check string)
+        (bs ^ ": verdict")
+        (if List.mem bs block_only then "pc" else "reference syscall")
+        got)
+    cfg.buildsets;
+  Alcotest.(check int) "raising reference booted once" 1 r.r_boots;
+  Alcotest.(check int) "raising reference recorded up to its syscall" 2
+    r.r_units;
+  (* a reference that fails to boot fails the same way for every
+     candidate, booted once *)
+  let cfg =
+    { Fuzz.Oracle.default_config with reference = "no_such_interface" }
+  in
+  let r = Fuzz.Oracle.record () in
+  let errors =
+    List.map
+      (fun bs ->
+        match
+          Fuzz.Oracle.run_pair spec ~cache ~record:r cfg tc ~buildset:bs
+        with
+        | _ -> "no error"
+        | exception e -> Printexc.to_string e)
+      cfg.buildsets
+  in
+  Alcotest.(check int) "failed boot attempted once" 1 r.r_boots;
+  Alcotest.(check int) "every candidate raises" 1
+    (List.length (List.sort_uniq compare errors));
+  Alcotest.(check bool) "it is the boot's error" false
+    (List.mem "no error" errors)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_generated_words_decode;
@@ -359,4 +662,10 @@ let suite =
       test_corpus_verdicts_pinned;
     Alcotest.test_case "oracle compares the pc at a halt" `Quick
       test_halt_pc_compared;
+    Alcotest.test_case "recorded reference = lockstep reference" `Slow
+      test_recorded_equals_lockstep;
+    Alcotest.test_case "shadow replays the reference" `Quick
+      test_shadow_replays_reference;
+    Alcotest.test_case "the reference runs once per program" `Quick
+      test_reference_once;
   ]

@@ -233,6 +233,46 @@ let test_pinned_sites (t : Workload.target) () =
            (Digest.string (Marshal.to_string out [ Marshal.No_sharing ]))))
     (List.assoc t.tname pinned_sites)
 
+(* Write hooks are compiled into code, and a cache shares code: an
+   interface made without hooks must never run hooked code from the
+   cache, nor one made with hooks plain code, whichever came first, for
+   the generic items of a Step interface and the translated sites of a
+   One interface. Hooked and plain runs retire the same state. *)
+let test_hooks_apart (t : Workload.target) () =
+  let spec = Lazy.force t.spec and k = kernel "vec_sum" in
+  let fired = ref 0 in
+  let hooks =
+    {
+      Semir.Hooks.on_reg_write = (fun _ _ -> incr fired);
+      on_store = (fun _ _ _ -> incr fired);
+    }
+  in
+  let cache = Specsim.Synth.cache spec in
+  let run ?hooks bs =
+    let iface = Specsim.Synth.make ~cache ?hooks spec bs in
+    ignore (Workload.load_image t k.program iface.st);
+    ignore (Specsim.Iface.run_n iface budget);
+    Printf.sprintf "retired=%Ld regs=%Lx mem=%Lx" iface.st.instr_count
+      (Inject.Watchdog.regs_digest iface.st.regs)
+      (Machine.Memory.digest iface.st.mem)
+  in
+  List.iter
+    (fun bs ->
+      let plain = run bs in
+      Alcotest.(check int) (bs ^ ": plain code fires no hook") 0 !fired;
+      let hooked = run ~hooks bs in
+      Alcotest.(check bool) (bs ^ ": hooked code fires") true (!fired > 0);
+      Alcotest.(check string) (bs ^ ": same state hooked") plain hooked;
+      let n = !fired in
+      Alcotest.(check string) (bs ^ ": same state plain again") plain (run bs);
+      Alcotest.(check int) (bs ^ ": plain code after hooked fires none") n
+        !fired;
+      fired := 0)
+    [ "step_all"; "one_all"; "block_min" ];
+  match Specsim.Synth.make ~cache ~hooks spec "step_all_spec" with
+  | _ -> Alcotest.fail "hooks accepted on a speculative buildset"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   List.map
     (fun (t : Workload.target) ->
@@ -249,4 +289,9 @@ let suite =
       (fun (t : Workload.target) ->
         Alcotest.test_case ("pinned translated sites: " ^ t.tname) `Quick
           (test_pinned_sites t))
+      Workload.targets
+  @ List.map
+      (fun (t : Workload.target) ->
+        Alcotest.test_case ("hooked and plain code apart: " ^ t.tname) `Quick
+          (test_hooks_apart t))
       Workload.targets
