@@ -58,6 +58,7 @@ let spec_window = 64
 type cache = Plan.t
 
 let cache = Plan.create
+let decoder (c : cache) = c.Plan.decoder
 
 (* ------------------------------------------------------------------ *)
 (* Translation cache                                                   *)

@@ -46,6 +46,11 @@ type cache
 (** [cache spec] is an empty cache for [spec]. *)
 val cache : Lis.Spec.t -> cache
 
+(** [decoder cache] is the decoder of [cache]'s specification, built
+    with the cache: a caller that lays out code can share it rather than
+    build its own. *)
+val decoder : cache -> Decoder.t
+
 (** [make ?backend ?allow_hidden_crossing ?chain ?site_cache ?cache ?obs
     ?st spec buildset] synthesizes the interface. A fresh machine is
     created unless [st] is given (sharing [st] across interfaces is how

@@ -38,13 +38,13 @@ let case_id ~isa ~seed ~index ~buildset =
    session over the same (shrunk) testcase completes by demoting down
    the ladder — the degraded-but-alive path a campaign takes when the
    block engine itself is defective. *)
-let degrade_session ?obs ?stats (cfg : Oracle.config) spec ~buildset tc
-    ~deadline =
+let degrade_session ?obs ?stats (cfg : Oracle.config) spec ~decoder ~buildset
+    tc ~deadline =
   let session =
     Super.Degrade.create ?obs ?stats ?mutate:cfg.Oracle.mutate
       ~chain:cfg.chain ~site_cache:cfg.site_cache ~reference:cfg.reference
       ~spec ~buildset
-      ~load:(Oracle.load_image spec tc)
+      ~load:(Oracle.load_image spec decoder tc)
       ()
   in
   Super.Degrade.run ?deadline ~slice:64 ~budget:cfg.max_instrs session
@@ -166,7 +166,8 @@ let run ?(cfg = Oracle.default_config) ?obs ?stats ?metrics
       in
       let r =
         degrade_session ?obs:ws.Super.Supervisor.wc_obs
-          ?stats:ws.Super.Supervisor.wc_stats cfg spec ~buildset:bs s_tc
+          ?stats:ws.Super.Supervisor.wc_stats cfg spec
+          ~decoder:(Specsim.Synth.decoder dw.w_cache) ~buildset:bs s_tc
           ~deadline:None
       in
       C_diverged

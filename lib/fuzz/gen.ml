@@ -58,13 +58,16 @@ let encoding_with_noise (_spec : Lis.Spec.t) (i : Lis.Spec.instr) noise =
     (Int64.logand noise
        (Int64.logand (Int64.lognot i.i_mask) (instr_width_mask i)))
 
-(** [code_offsets spec code] — cumulative byte offsets of the code
-    slots ([n+1] entries, the last being the image's total size). Each
-    slot occupies its decoded instruction's own width (the fetch window
-    width when undecodable) — exactly the layout {!Oracle.load_image}
-    writes and the variable-stride engine walks. Reduces to
-    [instr_bytes * i] on uniform ISAs. *)
-let code_offsets (spec : Lis.Spec.t) (code : int64 array) : int array =
+(** [code_offsets spec decoder code] — cumulative byte offsets of the
+    code slots ([n+1] entries, the last being the image's total size).
+    Each slot occupies its decoded instruction's own width (the fetch
+    window width when undecodable) — exactly the layout
+    {!Oracle.load_image} writes and the variable-stride engine walks.
+    Reduces to [instr_bytes * i] on uniform ISAs. [decoder] is [spec]'s,
+    one its caller already holds (a synthesis cache's, a generator
+    context's): building one costs far more than laying out a program. *)
+let code_offsets (spec : Lis.Spec.t) decoder (code : int64 array) : int array
+    =
   let n = Array.length code in
   let offs = Array.make (n + 1) 0 in
   if not (mixed_size spec) then
@@ -72,11 +75,10 @@ let code_offsets (spec : Lis.Spec.t) (code : int64 array) : int array =
       offs.(i) <- spec.instr_bytes * i
     done
   else begin
-    let dec = Specsim.Decoder.make spec in
     let off = ref 0 in
     for i = 0 to n - 1 do
       offs.(i) <- !off;
-      let idx = Specsim.Decoder.decode dec code.(i) in
+      let idx = Specsim.Decoder.decode decoder code.(i) in
       let w = if idx < 0 then spec.instr_bytes else spec.instrs.(idx).i_size in
       off := !off + w
     done;
@@ -121,6 +123,7 @@ type ctx = {
   cx_spec : Lis.Spec.t;
   cx_kinds : Specsim.Classify.kind array;
   cx_cats : int array array;  (** instruction indices per {!cat} *)
+  cx_decoder : Specsim.Decoder.t;  (** lays out each program's code *)
 }
 
 let cat_index = function
@@ -150,6 +153,7 @@ let make_ctx ~isa (spec : Lis.Spec.t) : ctx =
     cx_spec = spec;
     cx_kinds = kinds;
     cx_cats = Array.map (fun l -> Array.of_list (List.rev l)) buckets;
+    cx_decoder = Specsim.Decoder.make spec;
   }
 
 (* Draw-plane layout: instruction slot [i] uses index [i]; register
@@ -303,7 +307,7 @@ let generate (cx : ctx) ~seed ~index : testcase =
     Array.init n_code (fun i ->
         gen_word cx ps ~index:(Int64.of_int i) ~n_code)
   in
-  let offsets = code_offsets spec code in
+  let offsets = code_offsets spec cx.cx_decoder code in
   let regs = ref [] in
   Array.iteri
     (fun cls (def : Machine.Regfile.class_def) ->

@@ -84,16 +84,19 @@ let install_pseudo_os (spec : Lis.Spec.t) (st : Machine.State.t) =
           Machine.Regfile.write st.regs ~cls:rc ~idx:ri !h
         end)
 
-(** [load_image spec tc st] loads a testcase image into [st]: data
-    words, code words at {!Gen.code_base}, initial registers, the
-    pseudo-OS, and a reset with the pc at the code base. Shared by
-    {!boot} and by the supervised runtime's degradation sessions, which
-    need to prepare several machines identically. *)
-let load_image (spec : Lis.Spec.t) (tc : Gen.testcase) (st : Machine.State.t) =
+(** [load_image spec decoder tc st] loads a testcase image into [st]:
+    data words, code words at {!Gen.code_base} (laid out with [decoder],
+    [spec]'s: a synthesis cache's {!Specsim.Synth.decoder}), initial
+    registers, the pseudo-OS, and a reset with the pc at the code base.
+    Shared by {!boot}, by a {!record}'s image and by the supervised
+    runtime's degradation sessions, which need to prepare several
+    machines identically. *)
+let load_image (spec : Lis.Spec.t) decoder (tc : Gen.testcase)
+    (st : Machine.State.t) =
   Array.iter
     (fun (addr, w) -> Machine.Memory.write st.mem ~addr ~width:8 w)
     tc.Gen.tc_mem;
-  let offsets = Gen.code_offsets spec tc.Gen.tc_code in
+  let offsets = Gen.code_offsets spec decoder tc.Gen.tc_code in
   Array.iteri
     (fun i w ->
       let width = offsets.(i + 1) - offsets.(i) in
@@ -113,17 +116,27 @@ let load_image (spec : Lis.Spec.t) (tc : Gen.testcase) (st : Machine.State.t) =
     base. *)
 let boot (spec : Lis.Spec.t) (tc : Gen.testcase) ~buildset ~chain ~site_cache
     ?mutate ?hooks ?cache ?obs () : Specsim.Iface.t =
+  let cache =
+    match cache with Some c -> c | None -> Specsim.Synth.cache spec
+  in
   let iface =
-    Specsim.Synth.make ~chain ~site_cache ?mutate ?hooks ?cache ?obs spec
+    Specsim.Synth.make ~chain ~site_cache ?mutate ?hooks ~cache ?obs spec
       buildset
   in
-  load_image spec tc iface.st;
+  load_image spec (Specsim.Synth.decoder cache) tc iface.st;
   iface
 
 (* One lockstep participant: interface plus its call-style driver. *)
 type style = Block | One | Step
 
-type drv = { iface : Specsim.Iface.t; style : style; di : Specsim.Di.t }
+type drv = {
+  iface : Specsim.Iface.t;
+  style : style;
+  di : Specsim.Di.t;
+  mutable calls : int;
+      (** entrypoint calls {!advance} has made: what the compiled-in
+          "synth.entrypoint_calls" counter must read *)
+}
 
 let driver (iface : Specsim.Iface.t) : drv =
   let style =
@@ -131,17 +144,21 @@ let driver (iface : Specsim.Iface.t) : drv =
     else if Specsim.Iface.n_entrypoints iface = 1 then One
     else Step
   in
-  { iface; style; di = Specsim.Di.create ~info_slots:iface.slots.Specsim.Slots.di_size }
+  {
+    iface;
+    style;
+    di = Specsim.Di.create ~info_slots:iface.slots.Specsim.Slots.di_size;
+    calls = 0;
+  }
 
-(** [advance d] runs one unit (block / instruction) and returns
-    [(retired, entrypoint_calls)] — the latter is what the compiled-in
-    "synth.entrypoint_calls" counter must have grown by. *)
-let advance (d : drv) : int * int =
+(** [advance d] runs one unit (block / instruction) and returns the
+    instructions it retired, adding its entrypoint calls to [d.calls]. *)
+let advance (d : drv) : int =
   let st = d.iface.st in
-  if st.halted then (0, 0)
+  if st.halted then 0
   else begin
     let before = st.instr_count in
-    let eps =
+    let calls =
       match d.style with
       | Block ->
         ignore (d.iface.run_block ());
@@ -163,7 +180,8 @@ let advance (d : drv) : int * int =
         if not st.halted then d.iface.retire di;
         !e
     in
-    (Int64.to_int (Int64.sub st.instr_count before), eps)
+    d.calls <- d.calls + calls;
+    Int64.to_int (Int64.sub st.instr_count before)
   end
 
 let fault_str (st : Machine.State.t) =
@@ -186,10 +204,12 @@ type buf = {
 
 let chunk l i = l.chunks.(i lsr chunk_bits)
 let off i = 8 * (i land (chunk_slots - 1))
-let get l i = Bytes.get_int64_ne (chunk l i) (off i)
-let set l i v = Bytes.set_int64_ne (chunk l i) (off i) v
 
-let push l v =
+(* Inlined, so that a slot's [int64] is never boxed. *)
+let[@inline] get l i = Bytes.get_int64_ne (chunk l i) (off i)
+let[@inline] set l i v = Bytes.set_int64_ne (chunk l i) (off i) v
+
+let[@inline] push l v =
   if l.n lsr chunk_bits >= Array.length l.chunks then
     l.chunks <- Array.append l.chunks [| Bytes.create (8 * chunk_slots) |];
   set l l.n v;
@@ -209,7 +229,9 @@ let trailer = -16
     them — then a trailer: the retired count after the unit (see
     [trailer]) and the pc after it. The stream is reused from testcase
     to testcase, so a record held for a campaign worker allocates only
-    while it grows past its longest run. *)
+    while it grows past its longest run. The record also holds the
+    testcase's image, laid out once, and the one shadow machine that
+    replays the stream to each candidate in turn. *)
 type record = {
   log : buf;
   hooks : Semir.Hooks.t;
@@ -228,6 +250,12 @@ type record = {
   mutable r_regs : Bytes.t;
       (** the reference's register values before its current syscall *)
   mutable r_boots : int;  (** reference boots over the record's life *)
+  mutable r_image : Machine.State.t;
+      (** the testcase loaded into a machine of its own, as every
+          candidate's and the reference's machine starts *)
+  mutable r_shadow : Machine.State.t;
+      (** the shadow machine, of the record's specification: reset from
+          [r_image] for each candidate *)
 }
 
 (** [record ()] is an empty record: {!run_pair} fills it for the
@@ -258,13 +286,15 @@ let record () =
     r_raised = None;
     r_regs = Bytes.empty;
     r_boots = 0;
+    r_image = Machine.State.create ~endian:Machine.Memory.Little [];
+    r_shadow = Machine.State.create ~endian:Machine.Memory.Little [];
   }
 
 let raise_again (e, bt) = Printexc.raise_with_backtrace e bt
 
 (* [start r spec ~cache cfg tc] makes [r] the record of [tc]'s reference
-   run, booting the reference unless [r] already is. A boot that raised
-   raises again, as booting again would. *)
+   run, loading [tc]'s image and booting the reference unless [r]
+   already is. A boot that raised raises again, as booting again would. *)
 let start r (spec : Lis.Spec.t) ~cache (cfg : config) (tc : Gen.testcase) =
   match r.r_of with
   | Some (s, t, b) when s == spec && t == tc && String.equal b cfg.reference
@@ -272,7 +302,10 @@ let start r (spec : Lis.Spec.t) ~cache (cfg : config) (tc : Gen.testcase) =
     match (r.r_ref, r.r_raised) with
     | None, Some x -> raise_again x
     | _ -> ())
-  | _ -> (
+  | prev -> (
+    (match prev with
+    | Some (s, _, _) when s == spec -> ()
+    | _ -> r.r_shadow <- Lis.Spec.make_machine spec);
     r.r_of <- Some (spec, tc, cfg.reference);
     r.r_ref <- None;
     r.r_units <- 0;
@@ -282,6 +315,9 @@ let start r (spec : Lis.Spec.t) ~cache (cfg : config) (tc : Gen.testcase) =
     r.r_raised <- None;
     r.r_boots <- r.r_boots + 1;
     match
+      let image = Lis.Spec.make_machine spec in
+      load_image spec (Specsim.Synth.decoder cache) tc image;
+      r.r_image <- image;
       boot spec tc ~buildset:cfg.reference ~chain:true ~site_cache:true
         ~hooks:r.hooks ~cache ()
     with
@@ -357,9 +393,9 @@ let extend r =
       r.r_fault <- st.fault
     end
 
-(** A candidate's view of the reference: a machine loaded with the
-    testcase image that replays [sh_rec] one unit at a time, valid until
-    the record starts another testcase. *)
+(** A candidate's view of the reference: a machine that starts as the
+    testcase image and replays [sh_rec] one unit at a time, valid until
+    the next {!shadow} of the record. *)
 type shadow = {
   sh_st : Machine.State.t;
   sh_rec : record;
@@ -369,21 +405,26 @@ type shadow = {
 
 (** [shadow spec ~cache cfg r tc] starts [r] on [tc] (booting the
     reference through [cache] if [r] holds another run) and returns a
-    shadow at the start of the run. *)
+    shadow at the start of the run: the record's shadow machine, reset
+    to the image — its pages, registers and pseudo-OS, and a reset with
+    the pc at the code base. *)
 let shadow (spec : Lis.Spec.t) ~cache (cfg : config) r (tc : Gen.testcase) =
   start r spec ~cache cfg tc;
-  let st = Lis.Spec.make_machine spec in
-  load_image spec tc st;
+  let st = r.r_shadow and image = r.r_image in
+  Machine.Memory.assign ~src:image.mem ~dst:st.mem;
+  Machine.Regfile.blit ~src:image.regs ~dst:st.regs;
+  st.syscall_handler <- image.syscall_handler;
+  Machine.State.reset st ~pc:Gen.code_base;
   { sh_st = st; sh_rec = r; sh_unit = 0; sh_slot = 0 }
 
 (** [replay sh] is {!advance} for a shadow: it replays the next unit,
     running the reference first when the record does not hold it yet,
-    and returns [(retired, 0)]. A halted shadow stays put, as a halted
-    interface does; a unit in which the reference raised raises the
-    same exception. *)
-let replay sh : int * int =
+    and returns the instructions it retired. A halted shadow stays put,
+    as a halted interface does; a unit in which the reference raised
+    raises the same exception. *)
+let replay sh : int =
   let st = sh.sh_st in
-  if st.halted then (0, 0)
+  if st.halted then 0
   else begin
     let r = sh.sh_rec in
     if sh.sh_unit >= r.r_units then extend r;
@@ -415,7 +456,7 @@ let replay sh : int * int =
       st.halted <- true;
       st.fault <- r.r_fault
     end;
-    (Int64.to_int (Int64.sub st.instr_count before), 0)
+    Int64.to_int (Int64.sub st.instr_count before)
   end
 
 (** [run_pair spec cfg tc ~buildset] — lockstep one candidate against the
@@ -458,13 +499,12 @@ let run_pair (spec : Lis.Spec.t) ?prof ?cache ?record:r (cfg : config)
     else None
   in
   let cst = cand.iface.st and rst = refd.sh_st in
-  let expected = ref 0 in
   let total = ref 0 in
   let stuck = ref 0 in
   let next_mem = ref cfg.mem_interval in
   let div = ref None in
   let diverge kind detail =
-    if !div = None then
+    if Option.is_none !div then
       div :=
         Some
           {
@@ -496,11 +536,13 @@ let run_pair (spec : Lis.Spec.t) ?prof ?cache ?record:r (cfg : config)
     else if (not cst.halted) && not (Int64.equal cst.pc rst.pc) then
       diverge "pc"
         (Printf.sprintf "fetch pc 0x%Lx, reference 0x%Lx" cst.pc rst.pc);
-    if !div = None && not (Int64.equal cst.instr_count rst.instr_count) then
+    if Option.is_none !div && not (Int64.equal cst.instr_count rst.instr_count)
+    then
       diverge "count"
         (Printf.sprintf "retired %Ld, reference %Ld" cst.instr_count
            rst.instr_count);
-    if !div = None && not (Machine.Regfile.equal cst.regs rst.regs) then begin
+    if Option.is_none !div && not (Machine.Regfile.equal cst.regs rst.regs)
+    then begin
       (* digests only name the divergence in reports, as for memory *)
       let rc = Inject.Watchdog.regs_digest cst.regs
       and rr = Inject.Watchdog.regs_digest rst.regs in
@@ -508,25 +550,24 @@ let run_pair (spec : Lis.Spec.t) ?prof ?cache ?record:r (cfg : config)
         (Printf.sprintf "register digest 0x%Lx, reference 0x%Lx" rc rr)
     end;
     (match crossings with
-    | Some c when !div = None && c.Obs.Registry.n <> !expected ->
+    | Some c when Option.is_none !div && c.Obs.Registry.n <> cand.calls ->
       diverge "crossings"
         (Printf.sprintf "entrypoint crossings %d, expected %d"
-           c.Obs.Registry.n !expected)
+           c.Obs.Registry.n cand.calls)
     | _ -> ());
-    if !div = None && mem then compare_mem ();
+    if Option.is_none !div && mem then compare_mem ();
     (* every interface leaves the pc at the halting instruction; checked
        last, so a verdict that an earlier check gives stays first *)
-    if !div = None && not (Int64.equal cst.pc rst.pc) then
+    if Option.is_none !div && not (Int64.equal cst.pc rst.pc) then
       diverge "pc"
         (Printf.sprintf "halt pc 0x%Lx, reference 0x%Lx" cst.pc rst.pc)
   in
   let rec loop () =
-    if !div <> None then ()
+    if Option.is_some !div then ()
     else if cst.halted && rst.halted then ()
     else if !total >= cfg.max_instrs then ()
     else begin
-      let n, eps = advance cand in
-      expected := !expected + eps;
+      let n = advance cand in
       total := !total + n;
       if n = 0 && not cst.halted then begin
         incr stuck;
@@ -539,16 +580,17 @@ let run_pair (spec : Lis.Spec.t) ?prof ?cache ?record:r (cfg : config)
       else stuck := 0;
       (* the reference follows, one instruction per unit *)
       let fed = ref 0 in
-      while !div = None && !fed < n && not rst.halted do
-        let m, _ = replay refd in
+      while Option.is_none !div && !fed < n && not rst.halted do
+        let m = replay refd in
         if m = 0 && not rst.halted then
           diverge "stuck" "reference made no progress"
         else fed := !fed + m
       done;
       (* a halting instruction retires nothing, so when the candidate
          halts the reference needs one extra unit to take the same fault *)
-      if !div = None && cst.halted && not rst.halted then ignore (replay refd);
-      if !div = None then
+      if Option.is_none !div && cst.halted && not rst.halted then
+        ignore (replay refd);
+      if Option.is_none !div then
         compare_sync
           ~mem:
             (cst.halted
@@ -566,9 +608,9 @@ let run_pair (spec : Lis.Spec.t) ?prof ?cache ?record:r (cfg : config)
      including the canonical whole-state digest. A halt had its full
      comparison in the loop, memory and the pc at the halting
      instruction included. *)
-  if !div = None && not cst.halted then begin
+  if Option.is_none !div && not cst.halted then begin
     compare_sync ~mem:true;
-    if !div = None then begin
+    if Option.is_none !div then begin
       let dc = Machine.Checkpoint.digest cst
       and dr = Machine.Checkpoint.digest rst in
       if not (Int64.equal dc dr) then

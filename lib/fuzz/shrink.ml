@@ -23,6 +23,7 @@ let shrink (spec : Lis.Spec.t) (cfg : Oracle.config) ~buildset
     (tc : Gen.testcase) : result =
   let tests = ref 0 in
   let cache = Specsim.Synth.cache spec and record = Oracle.record () in
+  let decoder = Specsim.Synth.decoder cache in
   let still_fails tc' =
     incr tests;
     Option.is_some (Oracle.run_pair spec ~cache ~record cfg tc' ~buildset)
@@ -45,7 +46,7 @@ let shrink (spec : Lis.Spec.t) (cfg : Oracle.config) ~buildset
     in
     if not fixup then { t with Gen.tc_code = code }
     else begin
-      let offsets = Gen.code_offsets spec t.tc_code in
+      let offsets = Gen.code_offsets spec decoder t.tc_code in
       let code_end = Int64.add Gen.code_base (Int64.of_int offsets.(n)) in
       let shift v =
         if Int64.compare v Gen.code_base >= 0 && Int64.compare v code_end < 0
@@ -126,7 +127,6 @@ let shrink (spec : Lis.Spec.t) (cfg : Oracle.config) ~buildset
     !dropped
   in
   (* --- per-word operand minimization ------------------------------ *)
-  let decoder = Specsim.Decoder.make spec in
   let try_set p w' =
     let a = !cur.Gen.tc_code in
     if Int64.equal a.(p) w' then false

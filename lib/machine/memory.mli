@@ -108,10 +108,26 @@ val add_code_write_hook : t -> (int -> unit) -> unit
     keep a copy. To compare two live memories use {!equal_contents}. *)
 val digest : t -> int64
 
-(** [blit_all ~src ~dst] makes [dst]'s contents byte-equal to [src]
-    (clearing [dst] first). The endiannesses must match.
+(** [blit_all ~src ~dst] makes [dst]'s contents byte-equal to [src]:
+    [dst] ends up with [src]'s pages that are not all zero, reusing the
+    buffers it has, and, as after {!clear}, with no code pages. The
+    endiannesses must match.
     @raise Sim_error.Error on an endianness mismatch. *)
 val blit_all : src:t -> dst:t -> unit
+
+(** [assign ~src ~dst] is {!blit_all} that keeps [src]'s all-zero pages
+    too: [dst] ends up holding exactly [src]'s pages and bytes, and
+    allocates none of the pages it already had. The fuzz oracle resets
+    its shadow machine with it.
+    @raise Sim_error.Error on an endianness mismatch. *)
+val assign : src:t -> dst:t -> unit
+
+(** [compare_bytes a b] is [Bytes.compare a b], through [memcmp]: [0]
+    exactly when [a] and [b] hold the same bytes. It allocates nothing;
+    page and register-file compares use it rather than [Bytes.equal],
+    whose primitive is up to five times slower. *)
+external compare_bytes : Bytes.t -> Bytes.t -> int = "caml_bytes_compare"
+  [@@noalloc]
 
 (** [equal_contents a b] is [true] when [a] and [b] hold the same bytes
     at every address: pages are compared directly, an absent page

@@ -128,7 +128,7 @@ let rec equal_classes x y i =
    files, where the byte compare decides and the layout compare is a
    few integer tests. *)
 let equal a b =
-  Bytes.equal a.v b.v
+  Memory.compare_bytes a.v b.v = 0
   && Array.length a.classes = Array.length b.classes
   && equal_classes a.classes b.classes (Array.length a.classes - 1)
 

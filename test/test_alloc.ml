@@ -548,3 +548,72 @@ let suite =
         Alcotest.test_case ("translate a site: " ^ t.tname) `Quick
           (test_site_words b))
       site_bounds
+
+(* ------------------------------------------------------------------ *)
+(* The fuzz oracle                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Laying out a riscv program decodes each code word for its width with
+   the decoder of the caller's synthesis cache: 80-110 minor words,
+   where building a decoder costs about 2750. *)
+let test_load_image_words () =
+  let spec = Fuzz.Driver.spec_of_isa "riscv" in
+  let cx = Fuzz.Gen.make_ctx ~isa:"riscv" spec in
+  let decoder = Specsim.Synth.decoder (Specsim.Synth.cache spec) in
+  for index = 0 to 3 do
+    let tc = Fuzz.Gen.generate cx ~seed:42L ~index in
+    let st = Lis.Spec.make_machine spec in
+    let w, () =
+      words_of (fun () -> Fuzz.Oracle.load_image spec decoder tc st)
+    in
+    if w > 400. then
+      Alcotest.failf "riscv program %d: load_image allocates %.0f minor words"
+        index w
+  done
+
+(* Per replayed unit, lockstep builds no tuple and boxes no record slot:
+   what remains is the int64 pc and count the two machines store and,
+   every 16 instructions, the memory compare. That is 10.75 minor
+   words, where a tuple per unit and a boxed slot per record read made
+   23.75. A tiny16 loop (add, store, branch back) at one_min, one
+   unit per instruction, through one record: the words of a
+   3072-instruction check less those of a 1024-instruction one. *)
+let test_lockstep_words () =
+  let spec = Fuzz.Driver.spec_of_isa "tiny" in
+  let tc =
+    {
+      Fuzz.Gen.tc_isa = "tiny";
+      tc_seed = 0L;
+      tc_regs = [| (0, 2, 0x4000L) |];
+      tc_mem = [||];
+      tc_code =
+        Fuzz.Tiny.
+          [|
+            addi ~ra:1 ~imm:1 ~rc:1; stw ~ra:2 ~rb:1 ~imm:0; beqz ~ra:7 ~off:(-3);
+          |];
+    }
+  in
+  let cache = Specsim.Synth.cache spec and record = Fuzz.Oracle.record () in
+  let check max_instrs () =
+    match
+      Fuzz.Oracle.run_pair spec ~cache ~record
+        { Fuzz.Oracle.default_config with max_instrs }
+        tc ~buildset:"one_min"
+    with
+    | None -> ()
+    | Some d -> Alcotest.failf "%s" (Fuzz.Oracle.pp_divergence d)
+  in
+  check 3072 ();
+  let short, () = words_of (check 1024) in
+  let long, () = words_of (check 3072) in
+  let per_unit = (long -. short) /. 2048. in
+  if per_unit > 12. then
+    Alcotest.failf "lockstep allocates %.2f minor words per replayed unit"
+      per_unit
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "oracle load_image: riscv" `Quick test_load_image_words;
+      Alcotest.test_case "lockstep per replayed unit" `Quick test_lockstep_words;
+    ]

@@ -496,8 +496,8 @@ let test_shadow_replays_reference () =
     check_same_state (label ^ " at boot") sh.sh_st lst;
     let k = ref 0 in
     while (not lst.halted) && !k < 2 * cfg.max_instrs do
-      let n, _ = Fuzz.Oracle.advance live in
-      let m, _ = Fuzz.Oracle.replay sh in
+      let n = Fuzz.Oracle.advance live in
+      let m = Fuzz.Oracle.replay sh in
       incr k;
       let at = Printf.sprintf "%s unit %d" label !k in
       Alcotest.(check int) (at ^ ": retired") n m;
@@ -637,6 +637,40 @@ let test_reference_once () =
   Alcotest.(check bool) "it is the boot's error" false
     (List.mem "no error" errors)
 
+(* A record keeps one shadow machine for all twelve candidates of a
+   program and resets it from the program's image before each one. After
+   every candidate, the reset shadow holds what a machine freshly loaded
+   with the image holds, page for page: the stores a replay made, into
+   code, across a page or onto a page the image lacks, leave no trace. *)
+let test_reused_shadow () =
+  let cfg = Fuzz.Oracle.default_config in
+  let pages (st : Machine.State.t) =
+    Machine.Memory.fold_pages st.mem ~init:[] ~f:(fun acc idx _ -> idx :: acc)
+  in
+  let check label spec tc =
+    let cache = Specsim.Synth.cache spec and r = Fuzz.Oracle.record () in
+    let fresh = Lis.Spec.make_machine spec in
+    Fuzz.Oracle.load_image spec (Specsim.Synth.decoder cache) tc fresh;
+    List.iter
+      (fun bs ->
+        ignore (Fuzz.Oracle.run_pair spec ~cache ~record:r cfg tc ~buildset:bs);
+        let sh = Fuzz.Oracle.shadow spec ~cache cfg r tc in
+        let at = Printf.sprintf "%s, reset after %s" label bs in
+        check_same_state at sh.sh_st fresh;
+        Alcotest.(check (list int)) (at ^ ": pages") (pages fresh)
+          (pages sh.sh_st))
+      cfg.buildsets
+  in
+  List.iter
+    (fun (label, tc) -> check ("tiny " ^ label) (spec_of "tiny") tc)
+    tiny_programs;
+  List.iter
+    (fun isa ->
+      List.iteri
+        (fun p tc -> check (Printf.sprintf "%s program %d" isa p) (spec_of isa) tc)
+        (seeded_programs isa ~salt:28 3))
+    isas
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_generated_words_decode;
@@ -668,4 +702,6 @@ let suite =
       test_shadow_replays_reference;
     Alcotest.test_case "the reference runs once per program" `Quick
       test_reference_once;
+    Alcotest.test_case "a reused shadow leaves no trace" `Quick
+      test_reused_shadow;
   ]

@@ -210,6 +210,100 @@ let prop_flip_caught =
       Memory.write_byte b addr (Memory.read_byte b addr lxor x);
       (not (Memory.equal_contents a b)) && not (Memory.equal_contents b a))
 
+(* The byte-by-byte model of [equal_contents]: over the union of the
+   pages either memory holds, every byte agrees, an absent page reading
+   as zeros. *)
+let model_equal a b =
+  let pages m = Memory.fold_pages m ~init:[] ~f:(fun acc idx p -> (idx, p) :: acc) in
+  let pa = pages a and pb = pages b in
+  let page ps idx =
+    match List.assoc_opt idx ps with
+    | Some p -> p
+    | None -> Bytes.make Memory.page_size '\000'
+  in
+  List.for_all
+    (fun (idx, _) ->
+      let p = page pa idx and q = page pb idx in
+      let rec same k =
+        k = Memory.page_size
+        || (Char.equal (Bytes.get p k) (Bytes.get q k) && same (k + 1))
+      in
+      same 0)
+    (pa @ pb)
+
+(* What the second memory of a pair does beyond repeating the first
+   one's writes (which land on pages 0-7): nothing, touch a page (absent
+   against zero), write a zero onto a page of its own (8 or 9), change
+   byte 0 or byte 4095 of a page (one the first memory holds or not), or
+   write a byte on a page. *)
+type twist =
+  | Same
+  | Touch of int
+  | Zero of int
+  | Edge of int * bool
+  | Own of int * int
+
+let twist_gen =
+  QCheck.Gen.(
+    let page = int_bound 9 in
+    frequency
+      [
+        (1, return Same);
+        (1, map (fun p -> Touch p) page);
+        (1, map (fun p -> Zero p) (int_range 8 9));
+        (3, map2 (fun p last -> Edge (p, last)) page bool);
+        (1, map2 (fun p o -> Own (p, o)) page (int_bound (Memory.page_size - 1)));
+      ])
+
+let print_twist = function
+  | Same -> "same"
+  | Touch p -> Printf.sprintf "touch page %d" p
+  | Zero p -> Printf.sprintf "zero onto page %d" p
+  | Edge (p, last) -> Printf.sprintf "page %d byte %s" p (if last then "4095" else "0")
+  | Own (p, o) -> Printf.sprintf "page %d offset %d" p o
+
+let apply_twist m = function
+  | Same -> ()
+  | Touch p -> ignore (Memory.read_byte m (Int64.of_int (p * Memory.page_size)))
+  | Zero p -> Memory.write_byte m (Int64.of_int ((p * Memory.page_size) + 7)) 0
+  | Edge (p, last) ->
+    let a =
+      Int64.of_int ((p * Memory.page_size) + if last then Memory.page_size - 1 else 0)
+    in
+    Memory.write_byte m a (Memory.read_byte m a lxor 0x80)
+  | Own (p, o) ->
+    Memory.write_byte m (Int64.of_int ((p * Memory.page_size) + o)) 0x5A
+
+(* Property: [equal_contents] agrees with the byte-by-byte model, both
+   ways round, on pairs that differ by one twist. *)
+let prop_equal_model =
+  QCheck.Test.make ~name:"equal_contents agrees with a byte model" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair print_writes print_twist)
+       QCheck.Gen.(pair writes_gen twist_gen))
+    (fun (w, t) ->
+      let a = memory_of w and b = memory_of w in
+      apply_twist b t;
+      let want = model_equal a b in
+      (match t with Same | Touch _ | Zero _ -> want | Edge _ -> not want | Own _ -> true)
+      && Bool.equal (Memory.equal_contents a b) want
+      && Bool.equal (Memory.equal_contents b a) want)
+
+(* Property: [assign] leaves the target holding the source's pages and
+   bytes and nothing else, whatever pages it held before. *)
+let prop_assign =
+  let indices m = Memory.fold_pages m ~init:[] ~f:(fun acc idx _ -> idx :: acc) in
+  QCheck.Test.make ~name:"assign copies pages and bytes" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(triple print_writes print_writes print_twist)
+       QCheck.Gen.(triple writes_gen writes_gen twist_gen))
+    (fun (w, w', t) ->
+      let src = memory_of w and dst = memory_of w' in
+      apply_twist src t;
+      Memory.assign ~src ~dst;
+      indices dst = indices src && model_equal src dst
+      && Memory.equal_contents src dst)
+
 let test_flip_last_byte () =
   let a = memory_of [ (0x1000L, 7) ] and b = memory_of [ (0x1000L, 7) ] in
   Memory.write_byte b 0x1FFFL 1;
@@ -235,4 +329,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_equal_digest;
     QCheck_alcotest.to_alcotest prop_zero_page_absent;
     QCheck_alcotest.to_alcotest prop_flip_caught;
+    QCheck_alcotest.to_alcotest prop_equal_model;
+    QCheck_alcotest.to_alcotest prop_assign;
   ]

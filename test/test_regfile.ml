@@ -119,6 +119,37 @@ let prop_equal_layout =
       && (not (Regfile.equal (Regfile.create l) (Regfile.create m)))
       && not (Regfile.equal (Regfile.create split) (Regfile.create l)))
 
+(* The register-by-register model of [equal] on files of one layout. *)
+let model_equal a b =
+  let rec same i =
+    i = Regfile.total a
+    || (Int64.equal (Regfile.read_flat a i) (Regfile.read_flat b i) && same (i + 1))
+  in
+  same 0
+
+(* Property: [equal] agrees with the model, both ways round, on a file
+   and a copy that differs in at most one bit: of the first register,
+   the last or another, in its lowest or its highest byte (which a
+   narrow class or a hardwired zero discards). *)
+let prop_equal_model =
+  QCheck.Test.make ~name:"equal agrees with a register model" ~count:300
+    QCheck.(
+      triple
+        (list_of_size Gen.(int_bound 12) (pair (int_bound 43) int64))
+        (int_bound 3)
+        (pair (int_bound 43) bool))
+    (fun (writes, where, (flat, high)) ->
+      let a = Regfile.create classes in
+      List.iter (fun (i, v) -> Regfile.write_flat a i v) writes;
+      let b = Regfile.copy a in
+      if where < 3 then begin
+        let i = match where with 0 -> 0 | 1 -> Regfile.total a - 1 | _ -> flat in
+        let bit = Int64.shift_left 1L (if high then 63 else 0) in
+        Regfile.write_flat b i (Int64.logxor (Regfile.read_flat b i) bit)
+      end;
+      let want = model_equal a b in
+      Bool.equal (Regfile.equal a b) want && Bool.equal (Regfile.equal b a) want)
+
 let suite =
   [
     Alcotest.test_case "layout" `Quick test_layout;
@@ -129,4 +160,5 @@ let suite =
     Alcotest.test_case "copy/blit/equal" `Quick test_copy_blit_equal;
     QCheck_alcotest.to_alcotest prop_flat_agrees;
     QCheck_alcotest.to_alcotest prop_equal_layout;
+    QCheck_alcotest.to_alcotest prop_equal_model;
   ]

@@ -216,7 +216,7 @@ let degrade_session ?mutate ~isa ~tc_seed ~tc_index ~buildset () =
   ( spec,
     tc,
     Super.Degrade.create ?mutate ~spec ~buildset
-      ~load:(Fuzz.Oracle.load_image spec tc)
+      ~load:(Fuzz.Oracle.load_image spec cx.cx_decoder tc)
       () )
 
 (* Uninterrupted reference: a plain step_all machine advanced exactly as
@@ -225,7 +225,8 @@ let degrade_session ?mutate ~isa ~tc_seed ~tc_index ~buildset () =
    halting instruction retires nothing. *)
 let reference_digest spec tc ~halted n =
   let iface = Specsim.Synth.make spec "step_all" in
-  Fuzz.Oracle.load_image spec tc iface.Specsim.Iface.st;
+  Fuzz.Oracle.load_image spec (Specsim.Decoder.make spec) tc
+    iface.Specsim.Iface.st;
   let st = iface.Specsim.Iface.st in
   let remaining = ref n in
   while !remaining > 0 && not st.Machine.State.halted do
@@ -291,7 +292,7 @@ let test_degrade_seeded_defect () =
     let session =
       Super.Degrade.create ~mutate:Specsim.Synth.Stride4 ~spec
         ~buildset:"block_min"
-        ~load:(Fuzz.Oracle.load_image spec tc)
+        ~load:(Fuzz.Oracle.load_image spec (Specsim.Decoder.make spec) tc)
         ()
     in
     let r = Super.Degrade.run ~slice:32 ~budget:400 session in

@@ -282,6 +282,29 @@ if ! grep -q "DIVERGES" "$tmp"; then
   exit 1
 fi
 
+echo "== fuzz: memory- and register-detected defects must be killed where pinned =="
+# stride4 shows as a pc divergence; these two defects are caught only by
+# the oracle's memory and register compares. Each kill point (executions
+# to the first divergence, its kind, the shrunk size) is fixed at seed 42.
+expect_kill() {
+  isa=$1 mutation=$2 budget=$3 kind=$4 execs=$5 size=$6
+  if dune exec bin/lisim.exe -- fuzz --isa "$isa" --seed 42 --budget "$budget" \
+      --mutate "$mutation" --out "$fuzzdir/kills" >"$tmp" 2>&1; then
+    echo "FAIL: $isa/$mutation survived $budget oracle executions" >&2
+    cat "$tmp" >&2
+    exit 1
+  fi
+  if ! grep -q "DIVERGENCE after $execs oracle executions" "$tmp" \
+      || ! grep -q "^  [a-z_]*: $kind after" "$tmp" \
+      || ! grep -q "shrunk to $size instruction(s)" "$tmp"; then
+    echo "FAIL: $isa/$mutation: want a $kind divergence after $execs executions, shrunk to $size" >&2
+    cat "$tmp" >&2
+    exit 1
+  fi
+}
+expect_kill alpha skip-invalidate 40 mem 37 8
+expect_kill tiny stale-chain 220 regs 217 1
+
 echo "== super: supervised campaign must quarantine a seeded defect, exit 0 =="
 superdir=$(mktemp -d)
 trap 'rm -f "$tmp" "$flame" "$metrics"; rm -rf "$fuzzdir" "$superdir"' EXIT INT TERM
