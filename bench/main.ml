@@ -654,9 +654,7 @@ let absint_bench () =
   print_endline
     "=== Abstract interpretation: synthesis gating and visibility dogfood ===";
   (* the synthesizer's store-free scan cost and the analysis's verdicts
-     per ISA, stable blocks after a run (the sort kernel has store-free
-     comparison blocks; a kernel that stores in every block would
-     honestly report zero) *)
+     per ISA *)
   let ks =
     List.find
       (fun (k : Vir.Kernels.sized) -> k.kname = "sort")
@@ -675,18 +673,14 @@ let absint_bench () =
             0 sums
         in
         Printf.printf
-          "  %-6s store-free scan %7d ns for %3d classes (%3d store-free), \
-           %d stable blocks\n"
-          t.tname s.Specsim.Iface.absint_ns (Array.length sums) free
-          s.Specsim.Iface.stable_blocks;
+          "  %-6s store-free scan %7d ns for %3d classes (%3d store-free)\n"
+          t.tname s.Specsim.Iface.absint_ns (Array.length sums) free;
         ( t.tname,
           Obs.Export.Obj
             [
               ("absint_ns", Obs.Export.Int (Int64.of_int s.Specsim.Iface.absint_ns));
               ("classes", Obs.Export.Int (Int64.of_int (Array.length sums)));
               ("store_free_classes", Obs.Export.Int (Int64.of_int free));
-              ( "stable_blocks",
-                Obs.Export.Int (Int64.of_int s.Specsim.Iface.stable_blocks) );
             ] ))
       Workload.targets
   in

@@ -34,17 +34,13 @@ type stats = {
   mutable instrs_executed : int;  (** via this interface's calls *)
   mutable absint_ns : int;
       (** time this synthesis spent computing the store-free verdicts
-          that gate the fast paths (0 when disabled, or when a
+          that gate the memory fast path (0 when disabled, or when a
           synthesis cache already held the verdicts) *)
   mutable fastpath_classes : int;
       (** instruction classes granted the memory fast path in the
           generic per-segment items (what Step interfaces and every
           [step] call run) because the analysis proved them store- and
           syscall-free *)
-  mutable stable_blocks : int;
-      (** translated blocks whose mid-run SMC recheck was elided: every
-          site is statically store-free, so the block cannot invalidate
-          itself *)
 }
 
 type t = {

@@ -2,11 +2,11 @@
 
     {!Synth.make} builds one of these for a full observation context
     ([Obs.create]): the counters, histograms, sampler and gauges of one
-    interface. Its plain loops count each entrypoint crossing in place;
-    this module wraps the coarser calls — [run_one] for the trace ring
-    and [run_block] — and counts the chained [run_fast] loop's blocks
-    from its per-block hook. Unobserved and profile-only interfaces
-    never see it.
+    interface. The engine's per-instruction loops count each entrypoint
+    crossing in place; this module wraps [run_one] for the trace ring,
+    and counts the blocks of both block loops ([run_block] and the
+    chained [run_fast]) from its per-block hooks. Unobserved and
+    profile-only interfaces never see it.
 
     Counters are exact: every crossing, engine segment (fetch / decode /
     ir) and executed block site is counted. Latency is sampled: about
@@ -28,8 +28,8 @@ type t = {
   block_ns : Obs.Hist.t;
   sampler : Obs.Sample.t;
   ring : Obs.Ring.t option;
-  mutable chain_timed : bool;  (** the chained loop's next block is sampled *)
-  mutable chain_t0 : int;  (** when it began, read if timed or traced *)
+  mutable block_timed : bool;  (** the next block is sampled *)
+  mutable block_t0 : int;  (** when it began, read if timed or traced *)
 }
 
 let segments = [| "fetch"; "decode"; "ir" |]
@@ -57,8 +57,8 @@ let create (o : Obs.t) (bs : Lis.Spec.buildset) (stats : Iface.stats)
       block_ns = R.histogram reg "synth.block.ns";
       sampler = Obs.Sample.create ();
       ring = o.Obs.ring;
-      chain_timed = false;
-      chain_t0 = 0;
+      block_timed = false;
+      block_t0 = 0;
     }
   in
   let gauge name f = R.probe reg name (fun () -> R.Int (f ())) in
@@ -78,7 +78,6 @@ let create (o : Obs.t) (bs : Lis.Spec.buildset) (stats : Iface.stats)
         ("chain_taken", fun () -> stats.chain_taken);
         ("chain_miss", fun () -> stats.chain_miss);
         ("site_cache_hits", fun () -> stats.site_cache_hits);
-        ("stable_blocks", fun () -> stats.stable_blocks);
       ]
   else gauge "core.absint_fastpath_classes" (fun () -> stats.fastpath_classes);
   (* Fused-closure accounting: an interface that translates (one
@@ -116,42 +115,31 @@ let run_one t (spec : Lis.Spec.t) (st : Machine.State.t) run_one =
           ~args:[ ("pc", Obs.Ring.I di.pc) ]
       end
 
-(* A block of [n] executed sites: [n] crossings of the block entrypoint,
-   and a histogram sample and ring event when it was timed. *)
-let block t ~timed ~t0 pc n =
-  R.add t.crossings n;
-  R.add t.ep_calls.(0) n;
+(** [block_start t] — a block loop is entered: read the clock if its
+    next block is sampled or traced. *)
+let block_start t =
+  if t.block_timed || traced t then t.block_t0 <- Obs.Clock.now ()
+
+(** [block_exit t pc0 k] — the per-block hook of both block loops, for a
+    block at [pc0] that retired [k > 0] sites: count its [k] crossings
+    of the block entrypoint, time it if the sampler picked it, record
+    its ring event, and start the next one. In the chained loop the
+    clock is read when the previous block's hook (or the loop's entry)
+    ends, so a sample covers the block's dispatch and its sites;
+    [run_block] reads it again on entry. *)
+let block_exit t pc0 k =
+  R.add t.crossings k;
+  R.add t.ep_calls.(0) k;
+  let timed = t.block_timed in
   if timed || traced t then begin
-    let dt = Obs.Clock.now () - t0 in
+    let dt = Obs.Clock.now () - t.block_t0 in
     if timed then Obs.Hist.record t.block_ns dt;
     match t.ring with
-    | Some ring when n > 0 ->
-      Obs.Ring.record ring ~ts_ns:(Int64.of_int t0) ~dur_ns:dt ~name:"block"
-        ~cat:"block"
-        ~args:[ ("pc", Obs.Ring.I pc); ("instrs", Obs.Ring.I (Int64.of_int n)) ]
-    | Some _ | None -> ()
-  end
-
-(** [run_block t run_block] — the block engine's [run_block], counted,
-    and timed when sampled. *)
-let run_block t run_block () =
-  let timed = Obs.Sample.tick t.sampler in
-  let t0 = if timed || traced t then Obs.Clock.now () else 0 in
-  let ((dis, n) as r) = run_block () in
-  block t ~timed ~t0 (if n > 0 then dis.(0).Di.pc else 0L) n;
-  r
-
-(** [chain_start t] — the chained [run_fast] loop is entered: read the
-    clock if its next block is sampled or traced. *)
-let chain_start t =
-  if t.chain_timed || traced t then t.chain_t0 <- Obs.Clock.now ()
-
-(** [chain_block t pc0 k] — the chained loop's per-block hook: count the
-    block's crossings, time the block the sampler picked, and start the
-    next one. The clock is read when the previous block's hook (or the
-    loop's entry) ends and again when this one begins, so a sample
-    covers the block's dispatch and its sites. *)
-let chain_block t pc0 k =
-  block t ~timed:t.chain_timed ~t0:t.chain_t0 pc0 k;
-  t.chain_timed <- Obs.Sample.tick t.sampler;
-  chain_start t
+    | Some ring ->
+      Obs.Ring.record ring ~ts_ns:(Int64.of_int t.block_t0) ~dur_ns:dt
+        ~name:"block" ~cat:"block"
+        ~args:[ ("pc", Obs.Ring.I pc0); ("instrs", Obs.Ring.I (Int64.of_int k)) ]
+    | None -> ()
+  end;
+  t.block_timed <- Obs.Sample.tick t.sampler;
+  block_start t

@@ -68,8 +68,9 @@ val decoder : cache -> Decoder.t
     paths ([site_cache], default on; stat [site_cache_hits]), and pages
     holding translated code are tracked so writes to them invalidate the
     affected blocks and chain links — self-modifying code observes its
-    own stores. Disabling both flags reproduces the pre-cache engine for
-    A/B comparison.
+    own stores. Disabling both flags turns both caches off, and the
+    fast-forward loop ([run_fast]) stays DI-free either way, so the A/B
+    isolates the caches.
 
     Every one-entrypoint interface (Block and One) runs [run_one] on the
     same translated sites, through a small pc-indexed cache of decoded
@@ -95,16 +96,13 @@ val decoder : cache -> Decoder.t
 
     [absint] (default on) computes per-class store-free verdicts at
     synthesis time (a scan for stores and syscalls, which gives
-    {!Analysis.Absint.store_free}'s verdicts) and gates two
-    optimizations on them: instruction classes proved store- and
-    syscall-free get the memory fast path outside block mode, and
-    translated blocks made only of such classes skip the per-site SMC
-    recheck (they cannot invalidate themselves mid-run; invalidation
-    between runs is still honored). The analysis is advisory —
-    [absint:false] degrades every verdict to "unsafe" and reproduces
-    the unanalyzed engine. Stats [absint_ns] (time this
-    synthesis spent on the verdicts: 0 when [cache] already held them),
-    [fastpath_classes], [stable_blocks].
+    {!Analysis.Absint.store_free}'s verdicts) and gates one
+    optimization on them: instruction classes proved store- and
+    syscall-free get the memory fast path outside block mode. The
+    analysis is advisory — [absint:false] degrades every verdict to
+    "unsafe" and reproduces the unanalyzed engine. Stats [absint_ns]
+    (time this synthesis spent on the verdicts: 0 when [cache] already
+    held them) and [fastpath_classes].
 
     [obs], when given, compiles instrumentation into the interface's
     call paths (see {!Instrument}): every entrypoint crossing is counted
@@ -121,8 +119,8 @@ val decoder : cache -> Decoder.t
     profile-only context, {!Obs.profile_only}), the engine attributes to
     it where it retires: each instruction at its pc in [retire], which
     every [run_one] and a stepped flow reach, and each block at its entry
-    pc at the exit of [run_block] and at the chained loop's per-block
-    point. A halting instruction is not attributed. Without [obs] the
+    pc in the per-block exit that [run_block] and the chained loop share.
+    A halting instruction is not attributed. Without [obs] the
     interface is the uninstrumented one, same compiled-in pattern as
     {!Semir.Hooks}: its entrypoint crossings and attribution points pay
     one predicted branch on the synthesis-time choice and nothing

@@ -60,10 +60,12 @@ let demo_spec () = Lazy.force Demo_isa.spec
 
 (** Run [program] under buildset [bs]; returns the interface (for stats)
     plus (exit status, instructions retired). [patch] runs after the
-    image is loaded, before execution — used to pre-stage data. *)
-let run_demo ?chain ?site_cache ?(patch = fun _ -> ()) bs program =
+    image is loaded, before execution — used to pre-stage data.
+    [block_loop] drives [run_block] to halt instead of [run_n]. *)
+let run_demo ?chain ?site_cache ?mutate ?(block_loop = false)
+    ?(patch = fun _ -> ()) bs program =
   let spec = demo_spec () in
-  let iface = Specsim.Synth.make ?chain ?site_cache spec bs in
+  let iface = Specsim.Synth.make ?chain ?site_cache ?mutate spec bs in
   let st = iface.st in
   let os = Machine.Os_emu.create () in
   (match spec.abi with
@@ -72,9 +74,17 @@ let run_demo ?chain ?site_cache ?(patch = fun _ -> ()) bs program =
   Demo_isa.load_program st ~base:0x1000L program;
   patch st;
   let budget = 1_000_000 in
-  let executed = Specsim.Iface.run_n iface budget in
-  if executed >= budget && not st.halted then
-    Alcotest.fail "program did not terminate";
+  if block_loop then begin
+    while (not st.halted) && Int64.to_int st.instr_count < budget do
+      ignore (iface.run_block ())
+    done;
+    if not st.halted then Alcotest.fail "program did not terminate"
+  end
+  else begin
+    let executed = Specsim.Iface.run_n iface budget in
+    if executed >= budget && not st.halted then
+      Alcotest.fail "program did not terminate"
+  end;
   (iface, Machine.State.exit_status st, st.instr_count)
 
 (* ----------------------------------------------------------------- *)

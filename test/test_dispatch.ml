@@ -513,6 +513,53 @@ let test_halted_block_pc (t : Workload.target) () =
       check (bs ^ " run_n") b)
     [ "block_min"; "block_decode_spec" ]
 
+(* ----------------------------------------------------------------- *)
+(* One trust rule for both block loops                                 *)
+(* ----------------------------------------------------------------- *)
+
+(* The DI-free loop behind [run_n] and the [run_block] loop dispatch,
+   recheck a block mid-run and invalidate by the same rule, seeded
+   defects included: driven to halt on the same program, they retire
+   the same instructions and count the same engine events. *)
+let engine_stats (s : Specsim.Iface.stats) =
+  Printf.sprintf
+    "compiled=%d hits=%d invalidations=%d sites=%d site_hits=%d chain=%d/%d \
+     instrs=%d"
+    s.blocks_compiled s.block_hits s.block_invalidations s.sites_compiled
+    s.site_cache_hits s.chain_taken s.chain_miss s.instrs_executed
+
+let test_block_loops_agree () =
+  List.iter
+    (fun mutate ->
+      List.iter
+        (fun (pname, program, patch) ->
+          List.iter
+            (fun chain ->
+              let what =
+                Printf.sprintf "%s, %s, chain %b"
+                  (match mutate with
+                  | None -> "none"
+                  | Some m -> Specsim.Synth.mutation_to_string m)
+                  pname chain
+              in
+              let run block_loop =
+                let iface, status, count =
+                  run_demo ~chain ?mutate ~block_loop ~patch "block_min" program
+                in
+                (status, count, engine_stats iface.stats)
+              in
+              let s_n, n_n, stats_n = run false
+              and s_b, n_b, stats_b = run true in
+              Alcotest.(check (option int)) (what ^ ": exit status") s_n s_b;
+              Alcotest.(check int64) (what ^ ": retired") n_n n_b;
+              Alcotest.(check string) (what ^ ": engine stats") stats_n stats_b)
+            [ true; false ])
+        [
+          ("smc", smc_program, smc_patch);
+          ("loop", loop_program, fun _ -> ());
+        ])
+    Specsim.Synth.[ None; Some Stale_chain; Some Skip_invalidate; Some Stride4 ]
+
 let suite =
   [
     Alcotest.test_case "chain + site cache A/B" `Quick
@@ -555,3 +602,7 @@ let suite =
          ^ t.tname)
           `Quick (test_halted_block_pc t))
       Workload.targets
+  @ [
+      Alcotest.test_case "run_n and run_block agree under every mutation"
+        `Quick test_block_loops_agree;
+    ]

@@ -233,16 +233,9 @@ if ! grep -E "core\.absint_fastpath_classes +[1-9]" "$tmp" >/dev/null; then
   cat "$tmp" >&2
   exit 1
 fi
-dune exec bin/lisim.exe -- run --kernel sort -b block_min --stats >"$tmp"
-if ! grep -E "core\.block_cache\.stable_blocks +[1-9]" "$tmp" >/dev/null; then
-  echo "FAIL: block engine marked no blocks stable on the sort kernel" >&2
-  cat "$tmp" >&2
-  exit 1
-fi
-dune exec bin/lisim.exe -- run --kernel sort -b block_min --stats \
-  --no-absint >"$tmp"
-if grep -E "core\.block_cache\.stable_blocks +[1-9]" "$tmp" >/dev/null; then
-  echo "FAIL: stable blocks nonzero with --no-absint" >&2
+dune exec bin/lisim.exe -- run --kernel hash --stats --no-absint >"$tmp"
+if ! grep -E "core\.absint_fastpath_classes +0$" "$tmp" >/dev/null; then
+  echo "FAIL: instruction classes took the absint fast path with --no-absint" >&2
   cat "$tmp" >&2
   exit 1
 fi
