@@ -566,10 +566,10 @@ let run_cmd =
       value & flag
       & info [ "no-absint" ]
           ~doc:
-            "Disable the synthesis-time abstract interpretation: every \
-             store-free verdict degrades to unsafe, so no instruction \
-             class gets the non-block memory fast path and no translated \
-             block skips its per-site SMC recheck (for A/B comparison).")
+            "Disable the store-free verdicts (a synthesis-time scan for \
+             stores and syscalls): every class counts as unsafe, so no \
+             class gets the memory fast path in the generic per-segment \
+             items of non-block interfaces (for A/B comparison).")
   in
   let supervised =
     Arg.(

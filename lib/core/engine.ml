@@ -230,11 +230,11 @@ type t = {
   fs : Bytes.t;  (** [frame.s] *)
   stats : Iface.stats;
   journal : Specul.t option;
-  hooks : Semir.Hooks.t option;  (** the caller's write hooks, or the journal's *)
-  recording : bool;  (** the caller gave write hooks *)
+  hooked : bool;  (** the frames hold the caller's write hooks, or the journal's *)
   ins : Instrument.t option;
   prof : Obs.Prof.t option;
   backend : backend;
+  compile : mem_fast_path:bool -> Semir.Ir.program -> Semir.Compile.code;
   absint : bool;
   chain : bool;
   site_cache : bool;
@@ -252,27 +252,31 @@ type t = {
 (* Code                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let compile_program ?(mem_fast_path = false) e ir =
-  let hooks = e.hooks and loc = e.bp.slots.loc in
-  match e.backend with
-  | Compiled ->
-    Semir.Compile.program ?hooks ~layout:e.st.State.regs ~mem_fast_path ~loc ir
-  | Interpreted -> fun st fr -> Semir.Eval.exec ?hooks ~loc st fr ir
+(* An instance's compiler ([t.compile]). It captures the cell
+   locations, the register layout, the backend and [hooked], never the
+   instance: the lazy stubs of shared items keep it in the plan, and the
+   machine of the instance that built them must not stay reachable from
+   there. *)
+let compiler ~backend ~hooked ~layout loc ~mem_fast_path ir :
+    Semir.Compile.code =
+  match backend with
+  | Compiled -> Semir.Compile.program ~hooked ~layout ~mem_fast_path ~loc ir
+  | Interpreted -> fun st fr -> Semir.Eval.exec ~loc st fr ir
 
 (* Every entrypoint's generic per-segment code. Compiled code reads the
-   machine only through its [st] argument, so instances on any machine
-   can share it, except where speculation hooks capture this instance's
-   journal. Code compiled with the caller's hooks is shared only under
-   those hooks; it records a short run that meets few classes, so each
-   class's code is compiled when it first runs. *)
+   machine only through its [st] argument and the hooks only through its
+   frame, so [Compiled] instances share it through the shape, hooked
+   apart from plain. The caller's hooks record a short run that meets
+   few classes, so items built for them compile each class when it first
+   runs, for every later instance too. *)
 let items e =
   let build () =
-    Plan.compile_items e.plan e.bp ~on_first_run:e.recording
-      ~store_free:e.store_free
-      ~compile:(fun ~mem_fast_path ir -> compile_program ~mem_fast_path e ir)
+    Plan.compile_items e.plan e.bp
+      ~on_first_run:(e.hooked && not e.bp.bs.bs_speculation)
+      ~store_free:e.store_free ~compile:e.compile
   in
-  if e.backend = Compiled && e.journal = None then
-    Plan.shared_items e.bp ?hooks:e.hooks ~absint:e.absint build
+  if e.backend = Compiled then
+    Plan.shared_items e.bp ~hooked:e.hooked ~absint:e.absint build
   else build ()
 
 (* One-entrypoint interfaces execute sites: an instruction's whole
@@ -283,11 +287,11 @@ let items e =
    never on the pc: loops entered at several pcs, duplicated code and
    rebuilt blocks reuse compiled sites. This instance's view counts its
    compilations and hits as a fresh synthesis would; behind it,
-   non-speculative [Compiled] instances share the plan's sites per
-   visibility. Both survive [flush_code_cache]: entries keyed by
+   [Compiled] instances share the plan's sites per [(hooked,
+   visibility)]. Both survive [flush_code_cache]: entries keyed by
    [(instr, encoding)] stay correct whatever memory now holds. *)
 let build_site e s (idx, enc) =
-  compile_program ~mem_fast_path:e.site_cache e
+  e.compile ~mem_fast_path:e.site_cache
     (Semir.Opt.optimize ~enc ~keep:s.keep s.chain_ir.(idx))
 
 (** [compile_site e s enc idx] is the site of class [idx] at encoding
@@ -606,13 +610,14 @@ let[@inline] run_one_translated e s (di : Di.t) =
 (* Block mode                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Each record gets its own frame, so a site never repoints [frame.di].
-   The ring serves a block's first dispatch and a non-block buildset's
-   one-instruction batch. *)
-let owned fs dis =
+(* Each record gets its own frame, the engine's with the record's info
+   bytes, so a site never repoints [frame.di] and every frame carries
+   the instance's hooks. The ring serves a block's first dispatch, a
+   non-block buildset's one-instruction batch and [run_generic]. *)
+let owned (frame : Semir.Frame.t) dis =
   {
     o_dis = dis;
-    o_frames = Array.map (fun (d : Di.t) -> { Semir.Frame.s = fs; di = d.info }) dis;
+    o_frames = Array.map (fun (d : Di.t) -> { frame with di = d.info }) dis;
     o_results = Array.make (Array.length dis + 1) no_result;
   }
 
@@ -620,7 +625,7 @@ let ensure_ring e n =
   let dis = e.ring.o_dis in
   if Array.length dis < n then
     e.ring <-
-      owned e.fs
+      owned e.frame
         (Array.init (max n (2 * Array.length dis)) (fun i ->
              if i < Array.length dis then dis.(i)
              else Di.create ~info_slots:e.bp.slots.di_size))
@@ -790,7 +795,7 @@ let records e b =
   | Owned o -> o
   | Warm ->
     let o =
-      owned e.fs
+      owned e.frame
         (Array.init (Array.length b.b_codes) (fun k ->
              let d = Di.create ~info_slots:e.bp.slots.di_size in
              d.pc <- b.b_pcs.(k);
@@ -911,22 +916,16 @@ let[@inline] run_chained e s tb n =
 
 (* [run_fast]'s generic loop, for journaled block interfaces and every
    per-instruction one: [run_block] or [run_one] until [n] instructions
-   (plus block slack) retired. *)
+   (plus block slack) retired. [run_one] writes the ring's first record,
+   as [run_batch] does, so a call allocates no record of its own. *)
 let run_generic e ~run_block ~run_one n =
   let st = e.st in
   let start = st.instr_count in
-  let executed () = Int64.to_int (Int64.sub st.instr_count start) in
-  if e.bp.bs.bs_block then
-    while executed () < n && not st.halted do
-      ignore (run_block ())
-    done
-  else begin
-    let di = Di.create ~info_slots:e.bp.slots.di_size in
-    while executed () < n && not st.halted do
-      run_one di
-    done
-  end;
-  executed ()
+  let block = e.bp.bs.bs_block and di = e.ring.o_dis.(0) in
+  while Int64.to_int (Int64.sub st.instr_count start) < n && not st.halted do
+    if block then ignore (run_block ()) else run_one di
+  done;
+  Int64.to_int (Int64.sub st.instr_count start)
 
 (* The code-write hook: kill the blocks translated from page [pidx]. *)
 let invalidate e tb pidx =
@@ -963,14 +962,15 @@ let flush_code_cache e =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** [create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~recording
-    ~journal ~obs plan bp st] is the engine of buildset [bp] on machine
-    [st]: its statistics and instruments, the items of a Step interface,
-    the translator's state of a one-entrypoint interface and the block
+(** [create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~journal
+    ~obs plan bp st] is the engine of buildset [bp] on machine [st]: its
+    statistics and instruments, its frames, which carry [hooks] (the
+    caller's or the journal's), the items of a Step interface, the
+    translator's state of a one-entrypoint interface and the block
     tables of a Block interface, whose code-write hook it registers
     unless [mutate] skips it. *)
-let create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~recording
-    ~journal ~obs (plan : Plan.t) (bp : Plan.buildset) (st : State.t) =
+let create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~journal ~obs
+    (plan : Plan.t) (bp : Plan.buildset) (st : State.t) =
   let spec = plan.spec and bs = bp.bs and slots = bp.slots in
   let stats =
     {
@@ -1005,8 +1005,11 @@ let create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~recording
            ~fused_closures:(Plan.n_code_segs bp * Array.length spec.instrs))
     | Some _ | None -> None
   in
+  let hooked = Option.is_some hooks in
   let frame =
-    Semir.Frame.create ~di_slots:slots.di_size ~scratch_slots:slots.scratch_size
+    Semir.Frame.create
+      ~hooks:(Option.value hooks ~default:Semir.Hooks.none)
+      ~di_slots:slots.di_size ~scratch_slots:slots.scratch_size
   in
   let sites =
     if n_eps <> 1 then None
@@ -1018,9 +1021,8 @@ let create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~recording
           keep = (fun c -> bs.bs_visible.(c) || Plan.Iset.mem c carried);
           view = Hashtbl.create 256;
           shared =
-            (if site_cache && backend = Compiled && journal = None
-                && not recording
-             then Some (Plan.site_table plan bs.bs_visible)
+            (if site_cache && backend = Compiled then
+               Some (Plan.site_table plan ~hooked bs.bs_visible)
              else None);
           dcache = empty_dcache ();
         }
@@ -1047,11 +1049,11 @@ let create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~recording
       fs = frame.s;
       stats;
       journal;
-      hooks;
-      recording;
+      hooked;
       ins;
       prof = (match obs with Some o -> o.Obs.prof | None -> None);
       backend;
+      compile = compiler ~backend ~hooked ~layout:st.regs slots.loc;
       absint;
       chain;
       site_cache;
@@ -1061,7 +1063,7 @@ let create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~recording
       instr_bytes64 = Int64.of_int spec.instr_bytes;
       ep_items = [||];
       ring =
-        owned frame.s
+        owned frame
           (Array.init 4 (fun _ -> Di.create ~info_slots:slots.di_size));
       sites;
       tables;

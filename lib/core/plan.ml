@@ -3,15 +3,15 @@
     Everything synthesis derives from the specification and a buildset
     alone — the per-class store-free verdicts, the decoder, the block
     engine's chain IR, each buildset's slot layout and segments, each
-    shape's liveness verdict and per-instruction optimized IR, and the
-    compiled per-instruction code and translated sites of interfaces
-    that can share them — is computed once per cache
-    and reused by every later instance. Each part is built when the
-    first interface that runs it is made, so a One or Block interface
-    never pays for the per-segment IR that only generic items read. A
-    cache is a plain mutable value owned by its caller: one campaign,
-    one worker domain, one supervised session. It is never global and
-    never crosses domains (DESIGN.md, "synthesis plan vs instance"). *)
+    shape's liveness verdict, per-instruction optimized IR and compiled
+    per-instruction code, and the translated sites, hooked or not — is
+    computed once per cache and reused by every later instance. Each
+    part is built when the first interface that runs it is made, so a
+    One or Block interface never pays for the per-segment IR that only
+    generic items read. A cache is a plain mutable value owned by its
+    caller: one campaign, one worker domain, one supervised session. It
+    is never global and never crosses domains (DESIGN.md, "synthesis
+    plan vs instance"). *)
 
 exception Synth_error of string
 
@@ -152,6 +152,9 @@ type shape = {
   mutable seg_ir : Semir.Ir.program array array option;
       (** optimized IR per instruction, per flat segment: built with the
           first generic items (see {!compile_items}) *)
+  mutable items : ((bool * bool) * item array array) list;
+      (** compiled items of [Compiled] instances, keyed by [(hooked,
+          absint)] ([absint] decides the memory fast paths) *)
 }
 
 type buildset = {
@@ -159,13 +162,6 @@ type buildset = {
   slots : Slots.t;
   shape : shape;
   ep_segs : seg list array;
-  mutable shared : (bool * item array array) list;
-      (** compiled items of non-speculative [Compiled] instances, keyed
-          by the [absint] flag (it decides the memory fast paths) *)
-  mutable hooked : (Semir.Hooks.t * bool * item array array) option;
-      (** the items of the last such instance made with write hooks,
-          keyed by the hooks (physically) and [absint]: one slot, so a
-          cache holds at most one hooked copy per buildset *)
 }
 
 let n_code_segs bp =
@@ -196,7 +192,7 @@ let buildset_of (spec : Lis.Spec.t) (bs : Lis.Spec.buildset) shape
   if bs.bs_block && Array.length ep_segs <> 1 then
     synth_error "buildset %s/%s: 'semantic block' requires a single entrypoint"
       spec.name bs.bs_name;
-  { bs; slots = Slots.make spec bs; shape; ep_segs; shared = []; hooked = None }
+  { bs; slots = Slots.make spec bs; shape; ep_segs }
 
 (* ------------------------------------------------------------------ *)
 (* The cache                                                           *)
@@ -214,9 +210,9 @@ type t = {
     (((string * Lis.Spec.action_sym list) array * bool array) * shape) list;
       (** keyed by [(bs_entrypoints, bs_visible)] *)
   mutable sites :
-    (bool array * (int * int64, Semir.Compile.code) Hashtbl.t) list;
-      (** translated sites of non-speculative [Compiled] instances, per
-          visibility, keyed by [(instr, encoding)] *)
+    ((bool * bool array) * (int * int64, Semir.Compile.code) Hashtbl.t) list;
+      (** translated sites of [Compiled] instances, per [(hooked,
+          visibility)], keyed by [(instr, encoding)] *)
 }
 
 let create (spec : Lis.Spec.t) =
@@ -281,7 +277,7 @@ let shape t (bs : Lis.Spec.buildset) =
              (Lis.Spec.cell_name t.spec x.x_cell, x.x_writer, x.x_reader))
            (Analysis.Passes.crossings t.spec bs))
     in
-    let sh = { crossings; seg_ir = None } in
+    let sh = { crossings; seg_ir = None; items = [] } in
     t.shapes <- (key, sh) :: t.shapes;
     sh
 
@@ -351,42 +347,35 @@ let compile_items ?(on_first_run = false) t bp ~compile ~store_free :
            segs))
     bp.ep_segs
 
-(** [shared_items bp ?hooks ~absint build] is the compiled code stored
-    under [absint], built by [build] on first use. Code built with
-    [hooks] is stored apart, under those hooks: an instance without
-    hooks never gets hooked code, nor one with hooks plain code or
-    another's hooks. *)
-let shared_items bp ?hooks ~absint build =
-  match hooks with
-  | None -> (
-    match List.assoc_opt absint bp.shared with
-    | Some items -> items
-    | None ->
-      let items = build () in
-      bp.shared <- (absint, items) :: bp.shared;
-      items)
-  | Some h -> (
-    match bp.hooked with
-    | Some (h', a, items) when h' == h && a = absint -> items
-    | Some _ | None ->
-      let items = build () in
-      bp.hooked <- Some (h, absint, items);
-      items)
+(** [shared_items bp ~hooked ~absint build] is the compiled code of
+    [bp]'s shape stored under [(hooked, absint)], built by [build] on
+    first use: an instance without hooks never gets hooked code, nor one
+    with hooks plain code. *)
+let shared_items bp ~hooked ~absint build =
+  let key = (hooked, absint) in
+  match List.assoc_opt key bp.shape.items with
+  | Some items -> items
+  | None ->
+    let items = build () in
+    bp.shape.items <- (key, items) :: bp.shape.items;
+    items
 
 (** Most sites one shared table holds. *)
 let max_shared_sites = 4096
 
-(** [site_table t visible] is the table of translated sites shared by
-    the non-speculative [Compiled] instances whose buildsets have
-    visibility [visible]: a site's code depends on the cells it keeps
-    and where they live, both fixed by visibility, so block_min and
-    one_min share. *)
-let site_table t visible =
-  match List.assoc_opt visible t.sites with
+(** [site_table t ~hooked visible] is the table of translated sites
+    shared by the [Compiled] instances, hooked or not as [hooked], whose
+    buildsets have visibility [visible]: a site's code depends on the
+    cells it keeps and where they live, both fixed by visibility, so
+    block_min and one_min share, and so do block_decode_spec and
+    one_decode_spec. *)
+let site_table t ~hooked visible =
+  let key = (hooked, visible) in
+  match List.assoc_opt key t.sites with
   | Some tbl -> tbl
   | None ->
     let tbl = Hashtbl.create 256 in
-    t.sites <- (visible, tbl) :: t.sites;
+    t.sites <- (key, tbl) :: t.sites;
     tbl
 
 (** [shared_site tbl key build] is the site stored under [key], built by

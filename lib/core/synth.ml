@@ -74,19 +74,18 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   let st = match st with Some s -> s | None -> Lis.Spec.make_machine spec in
   let journal = if bs.bs_speculation then Some (Specul.create ()) else None in
   (* the caller's write hooks, or the journal's *)
-  let recording = Option.is_some hooks in
   let hooks =
-    match journal with
-    | None -> hooks
-    | Some _ when recording ->
+    match (journal, hooks) with
+    | None, h -> h
+    | Some _, Some _ ->
       invalid_arg
         (Printf.sprintf "Synth.make: hooks on speculative buildset %s/%s"
            spec.name bs_name)
-    | Some j -> Some (Specul.hooks j)
+    | Some j, None -> Some (Specul.hooks j)
   in
   let e =
-    Engine.create ~backend ~chain ~site_cache ~absint ~mutate ~hooks
-      ~recording ~journal ~obs plan bp st
+    Engine.create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~journal
+      ~obs plan bp st
   in
   let no_spec (_ : unit) =
     Machine.Sim_error.raisef ~component:"interface"

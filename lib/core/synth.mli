@@ -36,9 +36,10 @@ val spec_window : int
     store-free verdicts, the decoder, the block engine's chain IR, and
     per buildset the slot layout, liveness verdict, segments and
     optimized IR — plus the compiled per-instruction code that later
-    non-speculative [Compiled] interfaces of the same buildset share,
-    and the translated sites those of the same visibility share.
-    A cache belongs to its caller (a campaign, a fleet worker, a
+    [Compiled] interfaces of the same entrypoints and visibility share,
+    and the translated sites those of the same visibility share, plain
+    code apart from hooked: speculative interfaces share as plain ones
+    do. A cache belongs to its caller (a campaign, a fleet worker, a
     supervised session) and to the one domain that uses it; the library
     holds none globally. *)
 type cache
@@ -75,24 +76,25 @@ val decoder : cache -> Decoder.t
     Every one-entrypoint interface (Block and One) runs [run_one] on the
     same translated sites, through a small pc-indexed cache of decoded
     instructions that a hit trusts only for the instruction bytes it was
-    decoded from, so it needs no invalidation. Non-speculative [Compiled]
-    interfaces share their sites through [cache], per visibility, in a
-    table emptied in full when it fills. Step interfaces compile their
-    generic per-segment code in set-up; one-entrypoint interfaces only on
-    their first [step].
+    decoded from, so it needs no invalidation. [Compiled] interfaces
+    share their sites through [cache], per visibility, hooked apart from
+    plain, in a table emptied in full when it fills. Step interfaces
+    compile their generic per-segment code in set-up; one-entrypoint
+    interfaces only on their first [step].
 
     [mutate] deliberately re-breaks the engine (one {!mutation} bug
     class) — for fuzzer validation only, never for real simulation.
 
-    [hooks] are compiled into every architectural write of a
+    [hooks] are called before every architectural write of a
     non-speculative interface, as a speculative interface's journal is:
-    the fuzz oracle records its reference through them. Code compiled
-    with [hooks] is shared through [cache] only with interfaces made
-    with the same [hooks] (physically), translated sites are not shared
-    at all, and each class's generic code is compiled the first time it
-    runs. So an interface without [hooks] never runs hooked code, and
-    is the one [make] built before they existed; one with [hooks] never
-    runs plain code.
+    the fuzz oracle records its reference through them. Hooks ride in
+    the interface's frames, not in its code, so hooked code is shared
+    through [cache] with every hooked interface, journaled or not, as
+    plain code is with every plain one. Generic code built for [hooks]
+    compiles each class the first time it runs, also for a speculative
+    interface that takes it from [cache]. So an interface without
+    [hooks] never runs hooked code, and is the one [make] built before
+    they existed; one with [hooks] never runs plain code.
 
     [absint] (default on) computes per-class store-free verdicts at
     synthesis time (a scan for stores and syscalls, which gives

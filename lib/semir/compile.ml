@@ -35,11 +35,13 @@ external bswap64 : int64 -> int64 = "%bswap_int64"
    [env_layout]: when the register-file layout is known at synthesis
    time, static register numbers resolve to flat indices with no
    per-access lookup. [env_fast_mem]: give load/store sites a one-entry
-   page cache. Kept explicit (no module-level refs) so concurrent
-   synthesis on separate domains never races on compiler state. *)
+   page cache. [env_hooked]: call the frame's hooks before every write.
+   Kept explicit (no module-level refs) so concurrent synthesis on
+   separate domains never races on compiler state. *)
 type env = {
   env_layout : Machine.Regfile.t option;
   env_fast_mem : bool;
+  env_hooked : bool;
 }
 
 let enc_off = Frame.enc_off
@@ -281,25 +283,24 @@ let load_node env ~signed ~w a b dst ~toff : code =
 
 (* A store of [w] bytes of [v] at [a + b]. The value is staged in the
    temporary at [toff] for {!Memory.store_from} on the slow path. *)
-let store_node env (hooks : Hooks.t option) ~w a b v ~toff : code =
+let store_node env ~w a b v ~toff : code =
   let slow (st : State.t) (fr : Frame.t) ai =
     Memory.store_from st.mem ~addr:ai ~width:w fr.s toff
   in
-  match hooks with
-  | Some h ->
-    (* Journaled stores keep the slow path: the hook must see every
-       store, and speculation dominates the cost anyway. *)
+  if env.env_hooked then
+    (* Hooked stores keep the slow path: the hook must see every store,
+       and speculation dominates the cost anyway. *)
     fun st fr ->
       let ai = address a b st fr in
       set64 fr.s toff (rd v st fr);
-      h.on_store st ai w;
+      fr.hooks.on_store st ai w;
       slow st fr ai
-  | None when not env.env_fast_mem ->
+  else if not env.env_fast_mem then
     fun st fr ->
       let ai = address a b st fr in
       set64 fr.s toff (rd v st fr);
       slow st fr ai
-  | None ->
+  else
     let tl = fresh_tlb () in
     let max_off = Memory.page_size - w in
     let miss (st : State.t) fr ai =
@@ -471,16 +472,14 @@ and effective env loc (e : Ir.expr) ~tmp =
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rec stmt (env : env) (hooks : Hooks.t option) (loc : Frame.location array)
-    (s : Ir.stmt) : code =
+let rec stmt (env : env) (loc : Frame.location array) (s : Ir.stmt) : code =
   match s with
   | Set_cell (c, e) -> expr env loc e ~dst:(cell_dest loc c) ~tmp:0
   | Store { width; addr; value } ->
     let oa, ob, pa, pb, tmp = effective env loc addr ~tmp:0 in
     let ov, pv, tmp = operand env loc value ~tmp in
     let node =
-      store_node env hooks ~w:(Ir.bytes_of_width width) oa ob ov
-        ~toff:(temp_off tmp)
+      store_node env ~w:(Ir.bytes_of_width width) oa ob ov ~toff:(temp_off tmp)
     in
     seq2 pa pb (seq pv node)
   | Set_next_pc e ->
@@ -492,32 +491,27 @@ let rec stmt (env : env) (hooks : Hooks.t option) (loc : Frame.location array)
          computed straight into the register's slot. *)
       let flat = Regaccess.flat l ~cls i in
       let cv = expr env loc value ~dst:(D_reg (8 * flat)) ~tmp:0 in
-      match hooks with
-      | None -> cv
-      | Some h ->
-        fun st fr ->
-          h.on_reg_write st flat;
-          cv st fr)
+      if env.env_hooked then fun st fr ->
+        fr.hooks.on_reg_write st flat;
+        cv st fr
+      else cv)
     | _ ->
       let oi, ov, pi, pv, _ = operands env loc index value ~tmp:0 in
       let base, count = class_shape env cls in
       seq2 pi pv
-        (match hooks with
-        | None ->
-          fun st fr ->
-            let r = st.regs in
-            let o = 8 * resolve r cls base count (Int64.to_int (rd oi st fr)) in
-            set64 r.v o (Int64.logand (rd ov st fr) (get64 r.masks o))
-        | Some h ->
-          fun st fr ->
-            let r = st.regs in
-            let flat = resolve r cls base count (Int64.to_int (rd oi st fr)) in
-            h.on_reg_write st flat;
-            let o = 8 * flat in
-            set64 r.v o (Int64.logand (rd ov st fr) (get64 r.masks o))))
+        (if env.env_hooked then fun st fr ->
+           let r = st.regs in
+           let flat = resolve r cls base count (Int64.to_int (rd oi st fr)) in
+           fr.hooks.on_reg_write st flat;
+           let o = 8 * flat in
+           set64 r.v o (Int64.logand (rd ov st fr) (get64 r.masks o))
+         else fun st fr ->
+           let r = st.regs in
+           let o = 8 * resolve r cls base count (Int64.to_int (rd oi st fr)) in
+           set64 r.v o (Int64.logand (rd ov st fr) (get64 r.masks o))))
   | If (c, t, f) -> (
     let op, ox, oy, px, py, _ = cond env loc c ~tmp:0 in
-    let ct = block env hooks loc t and cf = block env hooks loc f in
+    let ct = block env loc t and cf = block env loc f in
     seq2 px py
       (match f with
       | [] -> fun st fr -> if truth op (rd ox st fr) (rd oy st fr) then ct st fr
@@ -534,31 +528,32 @@ let rec stmt (env : env) (hooks : Hooks.t option) (loc : Frame.location array)
   | Syscall -> fun st _ -> st.syscall_handler st
   | Halt -> fun st _ -> st.halted <- true
 
-(** [block env hooks loc stmts] fuses a statement list into one closure. *)
-and block env hooks (loc : Frame.location array) (stmts : Ir.stmt list) : code
-    =
+(** [block env loc stmts] fuses a statement list into one closure. *)
+and block env (loc : Frame.location array) (stmts : Ir.stmt list) : code =
   match stmts with
   | [] -> nop
-  | [ s ] -> stmt env hooks loc s
+  | [ s ] -> stmt env loc s
   | [ s1; s2 ] ->
-    let c1 = stmt env hooks loc s1 and c2 = stmt env hooks loc s2 in
+    let c1 = stmt env loc s1 and c2 = stmt env loc s2 in
     fun st fr ->
       c1 st fr;
       c2 st fr
   | s1 :: s2 :: rest ->
-    let c1 = stmt env hooks loc s1 and c2 = stmt env hooks loc s2 in
-    let crest = block env hooks loc rest in
+    let c1 = stmt env loc s1 and c2 = stmt env loc s2 in
+    let crest = block env loc rest in
     fun st fr ->
       c1 st fr;
       c2 st fr;
       crest st fr
 
-(** [program ~loc p] compiles a whole action body. [hooks] intercept
-    architectural writes for speculation journaling; [layout], when given,
-    lets static register numbers compile to single slot accesses. The
-    compile environment is a local value, so concurrent [program] calls
-    from different domains are independent. *)
-let program ?hooks ?layout ?(mem_fast_path = false) ~loc (p : Ir.program) :
-    code =
-  let env = { env_layout = layout; env_fast_mem = mem_fast_path } in
-  block env hooks loc p
+(** [program ~loc p] compiles a whole action body. [hooked] code calls
+    the frame's write hooks; [layout], when given, lets static register
+    numbers compile to single slot accesses. The compile environment is
+    a local value, so concurrent [program] calls from different domains
+    are independent. *)
+let program ?(hooked = false) ?layout ?(mem_fast_path = false) ~loc
+    (p : Ir.program) : code =
+  let env =
+    { env_layout = layout; env_fast_mem = mem_fast_path; env_hooked = hooked }
+  in
+  block env loc p

@@ -29,31 +29,28 @@ let rec expr (loc : Frame.location array) (st : State.t) (fr : Frame.t)
   | Reg_read { cls; index } ->
     Regaccess.read st.regs ~cls (expr loc st fr index)
 
-let rec stmt (hooks : Hooks.t option) (loc : Frame.location array)
-    (st : State.t) (fr : Frame.t) (s : Ir.stmt) : unit =
+(* Every write calls the frame's hooks first ({!Hooks.none} in a plain
+   frame). *)
+let rec stmt (loc : Frame.location array) (st : State.t) (fr : Frame.t)
+    (s : Ir.stmt) : unit =
   match s with
   | Set_cell (c, e) -> Frame.write fr loc.(c) (expr loc st fr e)
   | Store { width; addr; value } ->
     let a = expr loc st fr addr in
     let v = expr loc st fr value in
     let w = mem_width width in
-    (match hooks with
-    | Some h -> h.on_store st (Memory.addr_int a) w
-    | None -> ());
+    fr.hooks.on_store st (Memory.addr_int a) w;
     Memory.write st.mem ~addr:a ~width:w v
   | Set_next_pc e -> Frame.set_next_pc fr (expr loc st fr e)
-  | Reg_write { cls; index; value } -> (
+  | Reg_write { cls; index; value } ->
     let i = expr loc st fr index in
     let v = expr loc st fr value in
-    match hooks with
-    | None -> Regaccess.write st.regs ~cls i v
-    | Some h ->
-      let flat = Regaccess.flat st.regs ~cls i in
-      h.on_reg_write st flat;
-      Regfile.write_flat st.regs flat v)
+    let flat = Regaccess.flat st.regs ~cls i in
+    fr.hooks.on_reg_write st flat;
+    Regfile.write_flat st.regs flat v
   | If (c, t, f) ->
-    if Int64.equal (expr loc st fr c) 0L then block hooks loc st fr f
-    else block hooks loc st fr t
+    if Int64.equal (expr loc st fr c) 0L then block loc st fr f
+    else block loc st fr t
   | Fault_illegal ->
     State.raise_fault st (Fault.Illegal_instruction (Frame.enc fr))
   | Fault_unaligned e ->
@@ -62,7 +59,7 @@ let rec stmt (hooks : Hooks.t option) (loc : Frame.location array)
   | Syscall -> st.syscall_handler st
   | Halt -> st.halted <- true
 
-and block hooks loc st fr stmts = List.iter (stmt hooks loc st fr) stmts
+and block loc st fr stmts = List.iter (stmt loc st fr) stmts
 
 (** [exec ~loc st fr p] interprets program [p] against frame [fr]. *)
-let exec ?hooks ~loc st fr (p : Ir.program) = block hooks loc st fr p
+let exec ~loc st fr (p : Ir.program) = block loc st fr p

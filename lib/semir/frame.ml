@@ -12,7 +12,9 @@
     writes it without allocating. [s] holds, at fixed byte offsets, the
     header ({!pc_off}, {!enc_off}, {!next_pc_off}), {!temp_slots}
     expression temporaries for the closure compiler, then the scratch
-    cells. *)
+    cells. [hooks] are the write hooks hooked code calls ({!Hooks}):
+    {!Hooks.none} in a plain frame, a journal's or a recorder's
+    otherwise. *)
 
 (** Storage assignment for one cell, fixed at synthesis time. *)
 type location =
@@ -22,6 +24,7 @@ type location =
 type t = {
   s : Bytes.t;  (** header, temporaries, scratch cells *)
   mutable di : Bytes.t;  (** the current DI record's information slots *)
+  hooks : Hooks.t;  (** called by hooked code before every write *)
 }
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -41,8 +44,9 @@ let di_off i = 8 * i
 (** [info_bytes n] is a zeroed store of [n] (at least one) DI slots. *)
 let info_bytes n = Bytes.make (8 * max n 1) '\000'
 
-let create ~di_slots ~scratch_slots =
-  { s = Bytes.make (scratch_off (max scratch_slots 1)) '\000'; di = info_bytes di_slots }
+let create ~hooks ~di_slots ~scratch_slots =
+  let s = Bytes.make (scratch_off (max scratch_slots 1)) '\000' in
+  { s; di = info_bytes di_slots; hooks }
 
 let pc fr = get64 fr.s pc_off
 let enc fr = get64 fr.s enc_off

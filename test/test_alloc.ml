@@ -83,7 +83,7 @@ let test_shape (name, p) () =
   List.iter
     (fun (i, v) -> Machine.Regfile.write st.regs ~cls:0 ~idx:i v)
     [ (1, 7L); (2, 9L); (5, 0x2000L) ];
-  let fr = Frame.create ~di_slots:2 ~scratch_slots:2 in
+  let fr = Frame.create ~hooks:Hooks.none ~di_slots:2 ~scratch_slots:2 in
   Frame.set_pc fr 0x1000L;
   Frame.set_next_pc fr 0x1004L;
   Frame.set_enc fr 0x2C5F_0123L;
@@ -212,8 +212,9 @@ let cold_make_words (t : Workload.target) bs =
 
 (* A One or Block interface runs translated sites, so its first [make]
    neither runs the liveness pass (one entrypoint has no crossing) nor
-   builds the per-segment IR. step_all_spec compiles its own items,
-   because the journal's hooks live in them, but takes step_all's IR. *)
+   builds the per-segment IR. step_all_spec takes step_all's IR but
+   compiles its shape's hooked items, which no interface has built yet
+   (a later [make] takes them from the cache: [test_warm_make]). *)
 let test_cold_make (t : Workload.target) step_all_spec_bound () =
   List.iter
     (fun bs ->
@@ -617,3 +618,69 @@ let suite =
       Alcotest.test_case "oracle load_image: riscv" `Quick test_load_image_words;
       Alcotest.test_case "lockstep per replayed unit" `Quick test_lockstep_words;
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Fast-forward slices                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [run_fast 1] on a per-instruction interface is one [run_one] on the
+   engine's own record, so over the same 2,000 instructions of sort it
+   allocates what [run_one] does per call. The degradation ladder
+   fast-forwards its shadow in 256-instruction slices, and [sync] one
+   instruction at a time. *)
+let test_run_fast_slices (t : Workload.target) () =
+  List.iter
+    (fun bs ->
+      let copy () = (Workload.load t ~buildset:bs sort.program).iface in
+      let fast = copy () and one = copy () in
+      let di = Specsim.Di.create ~info_slots:one.slots.di_size in
+      let wf = words_per ~n:2000 (fun () -> ignore (fast.run_fast 1)) in
+      let wo = words_per ~n:2000 (fun () -> one.run_one di) in
+      Alcotest.(check int64) (bs ^ ": same instructions") one.st.instr_count
+        fast.st.instr_count;
+      if Float.abs (wf -. wo) > 0.1 then
+        Alcotest.failf
+          "%s %s: run_fast 1 allocates %.2f minor words per call, run_one %.2f"
+          t.tname bs wf wo)
+    [ "step_all"; "one_all"; "one_all_spec" ]
+
+(* ------------------------------------------------------------------ *)
+(* Warm synthesis                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Hooked code reads the write hooks from its frame, so a cache shares
+   journaled code as it shares plain code: a second [make] of a
+   speculative buildset compiles nothing, and step_all_spec takes the
+   hooked items of a step_all made with the caller's hooks, the order in
+   which a campaign boots the oracle's reference and its candidates. *)
+let test_warm_make (t : Workload.target) () =
+  let spec = Lazy.force t.spec in
+  let check what cache bs =
+    let w, _ = words_of (fun () -> Specsim.Synth.make ~cache spec bs) in
+    if w > 5_000. then
+      Alcotest.failf "%s %s: make allocates %.0f minor words" t.tname what w
+  in
+  List.iter
+    (fun bs ->
+      let cache = Specsim.Synth.cache spec in
+      ignore (Specsim.Synth.make ~cache spec bs);
+      check ("second " ^ bs) cache bs)
+    [ "step_all_spec"; "one_all_spec"; "block_decode_spec" ];
+  let cache = Specsim.Synth.cache spec in
+  let hooks =
+    { Hooks.on_reg_write = (fun _ _ -> ()); on_store = (fun _ _ _ -> ()) }
+  in
+  ignore (Specsim.Synth.make ~cache ~hooks spec "step_all");
+  check "step_all_spec after a hooked step_all" cache "step_all_spec"
+
+let suite =
+  suite
+  @ List.map
+      (fun (t : Workload.target) ->
+        Alcotest.test_case ("run_fast slices: " ^ t.tname) `Quick
+          (test_run_fast_slices t))
+      [ Workload.alpha; Workload.riscv ]
+  @ List.map
+      (fun (t : Workload.target) ->
+        Alcotest.test_case ("warm make: " ^ t.tname) `Quick (test_warm_make t))
+      [ Workload.alpha; Workload.arm; Workload.riscv ]

@@ -295,3 +295,31 @@ let suite =
         Alcotest.test_case ("hooked and plain code apart: " ^ t.tname) `Quick
           (test_hooks_apart t))
       Workload.targets
+
+(* Shared items keep the compile function their lazy stubs call, so it
+   captures no instance: once a hooked step_all interface is dropped,
+   its machine is garbage although the cache keeps the items. *)
+let test_stubs_hold_no_machine () =
+  let spec = Lazy.force Workload.alpha.spec in
+  let cache = Specsim.Synth.cache spec in
+  let freed = ref false in
+  let hooks =
+    { Semir.Hooks.on_reg_write = (fun _ _ -> ()); on_store = (fun _ _ _ -> ()) }
+  in
+  let make () =
+    let st = Lis.Spec.make_machine spec in
+    Gc.finalise_last (fun () -> freed := true) st.Machine.State.mem;
+    ignore (Specsim.Synth.make ~cache ~hooks ~st spec "step_all")
+  in
+  make ();
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "the dropped interface's memory is collected" true !freed;
+  ignore (Sys.opaque_identity cache)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "hooked items hold no machine" `Quick
+        test_stubs_hold_no_machine;
+    ]

@@ -184,8 +184,8 @@ let fresh_state ?(big = false) seed =
   done;
   st
 
-let fresh_frame ?(loc = loc_of default_config) seed =
-  let fr = Frame.create ~di_slots:n_cells ~scratch_slots:n_cells in
+let fresh_frame ?(hooks = Hooks.none) ?(loc = loc_of default_config) seed =
+  let fr = Frame.create ~hooks ~di_slots:n_cells ~scratch_slots:n_cells in
   let pc = Int64.of_int (4096 + (seed mod 64 * 4)) in
   Frame.set_pc fr pc;
   Frame.set_next_pc fr (Int64.add pc 4L);
@@ -198,14 +198,14 @@ let fresh_frame ?(loc = loc_of default_config) seed =
 (* Runs [p] [passes] times; a second pass hits the page caches the first
    one filled. (Optimizer properties run one pass: a second would read
    cells that DCE legitimately left unwritten.) *)
-let exec ?hooks ?(passes = 1) mode cfg p st fr =
+let exec ?(hooked = false) ?(passes = 1) mode cfg p st fr =
   let loc = loc_of cfg in
   let once =
     match mode with
-    | Interp -> fun () -> Eval.exec ?hooks ~loc st fr p
+    | Interp -> fun () -> Eval.exec ~loc st fr p
     | Compiled ->
       let layout = if cfg.layout then Some st.Machine.State.regs else None in
-      let code = Compile.program ?hooks ?layout ~mem_fast_path:cfg.fast ~loc p in
+      let code = Compile.program ~hooked ?layout ~mem_fast_path:cfg.fast ~loc p in
       fun () -> code st fr
   in
   for _ = 1 to passes do
@@ -267,11 +267,13 @@ let prop_journal_rolls_back =
     (fun (p, seed, cfg) ->
       let journaled mode =
         let st = fresh_state ~big:cfg.big seed in
-        let fr = fresh_frame ~loc:(loc_of cfg) seed in
         let j = Specsim.Specul.create () in
+        let fr =
+          fresh_frame ~hooks:(Specsim.Specul.hooks j) ~loc:(loc_of cfg) seed
+        in
         let tok = Specsim.Specul.checkpoint j st in
         outcome (fun () ->
-            exec ~hooks:(Specsim.Specul.hooks j) ~passes:2 mode cfg p st fr;
+            exec ~hooked:true ~passes:2 mode cfg p st fr;
             let after = observe_full ~cfg (st, fr) in
             Specsim.Specul.rollback j st tok;
             (after, regs_of st, Machine.Memory.digest st.mem))

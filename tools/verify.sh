@@ -274,6 +274,25 @@ if ! grep -q "DIVERGES" "$tmp"; then
   cat "$tmp" >&2
   exit 1
 fi
+# The defect lives in the block engine: the five block candidates
+# diverge, the journaled ones included (they run the block engine on
+# hooked sites shared through the plan), and the seven one_* and step_*
+# candidates replay clean.
+if ! grep -q ": 5 diverging / 12 checked$" "$tmp" \
+    || ! grep -Eq "^  block_decode_spec +DIVERGES" "$tmp" \
+    || ! grep -Eq "^  block_all_spec +DIVERGES" "$tmp"; then
+  echo "FAIL: replay: want DIVERGES on the five block candidates only" >&2
+  cat "$tmp" >&2
+  exit 1
+fi
+for bs in one_min one_decode one_decode_spec one_all one_all_spec \
+    step_all step_all_spec; do
+  if ! grep -Eq "^  $bs +ok$" "$tmp"; then
+    echo "FAIL: replay: $bs did not replay ok" >&2
+    cat "$tmp" >&2
+    exit 1
+  fi
+done
 
 echo "== fuzz: memory- and register-detected defects must be killed where pinned =="
 # stride4 shows as a pc divergence; these two defects are caught only by
