@@ -21,9 +21,9 @@
    and where the costs come from. See EXPERIMENTS.md.
 
    Alongside the text tables, a machine-readable BENCH_results.json is
-   written to the working directory: fleet scaling, the absint analysis
-   cost and visibility dogfood, the observability overhead measurements,
-   and a full counter snapshot per interface. *)
+   written to the working directory: fleet scaling, the absint
+   visibility dogfood, the observability overhead measurements, and a
+   full counter snapshot per interface. *)
 
 let quick = ref false
 let only : string list ref = ref []
@@ -644,46 +644,11 @@ let fleet_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Abstract interpretation: analysis cost, gating verdicts, visibility  *)
-(* dogfood (4 ISAs x 12 buildsets)                                      *)
+(* Abstract interpretation: visibility dogfood, 4 ISAs x 12 buildsets *)
 (* ------------------------------------------------------------------ *)
 
-(* The gating's speed effect is the ledger's
-   ablation.no_absint_ns_per_instr. *)
 let absint_bench () =
-  print_endline
-    "=== Abstract interpretation: synthesis gating and visibility dogfood ===";
-  (* the synthesizer's store-free scan cost and the analysis's verdicts
-     per ISA *)
-  let ks =
-    List.find
-      (fun (k : Vir.Kernels.sized) -> k.kname = "sort")
-      Vir.Kernels.bench_suite
-  in
-  let cost =
-    List.map
-      (fun (t : Workload.target) ->
-        let l = Workload.load t ~buildset:"block_min" ks.program in
-        ignore (drive l.iface (if !quick then 20_000 else 100_000));
-        let s = l.iface.stats in
-        let sums = Analysis.Absint.summarize (Lazy.force t.spec) in
-        let free =
-          Array.fold_left
-            (fun n su -> if Analysis.Absint.store_free su then n + 1 else n)
-            0 sums
-        in
-        Printf.printf
-          "  %-6s store-free scan %7d ns for %3d classes (%3d store-free)\n"
-          t.tname s.Specsim.Iface.absint_ns (Array.length sums) free;
-        ( t.tname,
-          Obs.Export.Obj
-            [
-              ("absint_ns", Obs.Export.Int (Int64.of_int s.Specsim.Iface.absint_ns));
-              ("classes", Obs.Export.Int (Int64.of_int (Array.length sums)));
-              ("store_free_classes", Obs.Export.Int (Int64.of_int free));
-            ] ))
-      Workload.targets
-  in
+  print_endline "=== Abstract interpretation: visibility dogfood ===";
   (* dogfood: L08x across every shipped buildset, plus how far each
      visible set is from the computed minimum *)
   let visibility =
@@ -745,11 +710,7 @@ let absint_bench () =
       Workload.targets
   in
   add_json "absint"
-    (Obs.Export.Obj
-       [
-         ("analysis", Obs.Export.Obj cost);
-         ("visibility", Obs.Export.Obj visibility);
-       ]);
+    (Obs.Export.Obj [ ("visibility", Obs.Export.Obj visibility) ]);
   print_newline ()
 
 (* ------------------------------------------------------------------ *)

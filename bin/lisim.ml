@@ -557,19 +557,12 @@ let run_cmd =
       value & flag
       & info [ "no-site-cache" ]
           ~doc:
-            "Disable the shared (instruction, encoding) site cache and the \
-             per-site memory fast paths: every block compiles its own sites \
-             (the pre-translation-cache behaviour, for A/B comparison).")
-  in
-  let no_absint =
-    Arg.(
-      value & flag
-      & info [ "no-absint" ]
-          ~doc:
-            "Disable the store-free verdicts (a synthesis-time scan for \
-             stores and syscalls): every class counts as unsafe, so no \
-             class gets the memory fast path in the generic per-segment \
-             items of non-block interfaces (for A/B comparison).")
+            "Disable the shared (instruction, encoding) site cache, the \
+             per-site memory fast paths and the sharing of compiled code \
+             through the synthesis cache: every block compiles its own \
+             sites, and a Step interface compiles its own per-segment code, \
+             without the fast paths (the pre-translation-cache behaviour, \
+             for A/B comparison).")
   in
   let supervised =
     Arg.(
@@ -632,7 +625,7 @@ let run_cmd =
     code
   in
   let run isa buildset kernel max_instructions max_seconds stats trace_out
-      trace_cap format no_chain no_site_cache no_absint supervised mutate
+      trace_cap format no_chain no_site_cache supervised mutate
       metrics_out metrics_interval =
     let t = Workload.find_target isa in
     let k = find_kernel kernel in
@@ -667,8 +660,8 @@ let run_cmd =
          supervising shadow would just corrupt the run)"
     | None -> ());
     let l =
-      Workload.load ~chain:(not no_chain) ~site_cache:(not no_site_cache)
-        ~absint:(not no_absint) ?obs t ~buildset k.program
+      Workload.load ~chain:(not no_chain) ~site_cache:(not no_site_cache) ?obs
+        t ~buildset k.program
     in
     let on_slice =
       match (metrics, obs) with
@@ -725,8 +718,8 @@ let run_cmd =
     Term.(
       const run $ isa_arg $ buildset_arg $ kernel_arg $ max_instrs
       $ max_seconds $ stats_flag $ trace_out $ trace_cap_arg
-      $ format_arg ~default:"chrome" $ no_chain $ no_site_cache $ no_absint
-      $ supervised $ mutate_r $ metrics_out_arg $ metrics_interval_arg)
+      $ format_arg ~default:"chrome" $ no_chain $ no_site_cache $ supervised
+      $ mutate_r $ metrics_out_arg $ metrics_interval_arg)
 
 (* ---------------- profile ----------------------------------------- *)
 
@@ -1226,8 +1219,9 @@ let fuzz_cmd =
     Arg.(
       value & flag
       & info [ "no-site-cache" ]
-          ~doc:"Fuzz candidate block engines with the shared site cache \
-                and memory fast paths disabled.")
+          ~doc:"Fuzz candidate interfaces with the shared site cache, the \
+                per-site memory fast paths and the sharing of compiled code \
+                disabled, Step interfaces included.")
   in
   let mutate =
     Arg.(

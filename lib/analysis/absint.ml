@@ -5,8 +5,9 @@
     One summary per instruction class covers the whole action sequence
     with the abstract state threaded across actions (so a cell set by
     [address] is a known interval inside [memory]). The same summaries
-    feed three consumers: the L07x/L08x/L09x lint passes, the
-    synthesizer's store-free gating, and [--suggest-buildset]. *)
+    feed two consumers: the L07x/L08x/L09x lint passes and
+    [--suggest-buildset]. The synthesizer reads none of them: it gives
+    every class the per-site memory fast path, stores included. *)
 
 module A = Semir.Absint
 module Iset = A.Iset
@@ -50,8 +51,9 @@ let summarize (spec : Spec.t) : summary array =
 (** A class is store-free when no path through its sequence can write
     memory — directly ([Store]) or via the syscall handler, which may
     mutate arbitrary state. Store-free classes can never invalidate a
-    translated block, so they are safe for the memory fast path and for
-    mid-block recheck elision. *)
+    translated block. The verdict no longer feeds the synthesizer, whose
+    memory fast path is safe for stores too; the soundness tests check
+    it against the reference interpreter. *)
 let store_free (s : summary) =
   (not s.s_total.effects.stores) && not s.s_total.effects.syscall
 

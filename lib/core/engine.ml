@@ -233,14 +233,13 @@ type t = {
   hooked : bool;  (** the frames hold the caller's write hooks, or the journal's *)
   ins : Instrument.t option;
   prof : Obs.Prof.t option;
-  backend : backend;
-  compile : mem_fast_path:bool -> Semir.Ir.program -> Semir.Compile.code;
-  absint : bool;
+  compile : Semir.Ir.program -> Semir.Compile.code;
+  shares : bool;
+      (** [Compiled] with [site_cache]: items and sites come from the plan *)
   chain : bool;
   site_cache : bool;
   stale_chain : bool;
   stride4 : bool;
-  store_free : bool array;  (** per class *)
   instr_bytes64 : int64;
   mutable ep_items : Plan.item array array;  (** [[||]] until built *)
   mutable ring : owned;
@@ -253,11 +252,14 @@ type t = {
 (* ------------------------------------------------------------------ *)
 
 (* An instance's compiler ([t.compile]). It captures the cell
-   locations, the register layout, the backend and [hooked], never the
-   instance: the lazy stubs of shared items keep it in the plan, and the
-   machine of the instance that built them must not stay reachable from
-   there. *)
-let compiler ~backend ~hooked ~layout loc ~mem_fast_path ir :
+   locations, the register layout, the backend, [hooked] and
+   [mem_fast_path], never the instance: the lazy stubs of shared items
+   keep it in the plan, and the machine of the instance that built them
+   must not stay reachable from there. Every load and store it compiles
+   gets the per-site TLB when [mem_fast_path]: a store site never caches
+   a code page, and marking a page as code bumps the memory's
+   generation, so code-write hooks still fire. *)
+let compiler ~backend ~hooked ~mem_fast_path ~layout loc ir :
     Semir.Compile.code =
   match backend with
   | Compiled -> Semir.Compile.program ~hooked ~layout ~mem_fast_path ~loc ir
@@ -265,18 +267,17 @@ let compiler ~backend ~hooked ~layout loc ~mem_fast_path ir :
 
 (* Every entrypoint's generic per-segment code. Compiled code reads the
    machine only through its [st] argument and the hooks only through its
-   frame, so [Compiled] instances share it through the shape, hooked
-   apart from plain. The caller's hooks record a short run that meets
-   few classes, so items built for them compile each class when it first
-   runs, for every later instance too. *)
+   frame, so instances that share sites share it through the shape,
+   hooked apart from plain. The caller's hooks record a short run that
+   meets few classes, so items built for them compile each class when it
+   first runs, for every later instance too. *)
 let items e =
   let build () =
     Plan.compile_items e.plan e.bp
       ~on_first_run:(e.hooked && not e.bp.bs.bs_speculation)
-      ~store_free:e.store_free ~compile:e.compile
+      ~compile:e.compile
   in
-  if e.backend = Compiled then
-    Plan.shared_items e.bp ~hooked:e.hooked ~absint:e.absint build
+  if e.shares then Plan.shared_items e.bp ~hooked:e.hooked build
   else build ()
 
 (* One-entrypoint interfaces execute sites: an instruction's whole
@@ -287,12 +288,11 @@ let items e =
    never on the pc: loops entered at several pcs, duplicated code and
    rebuilt blocks reuse compiled sites. This instance's view counts its
    compilations and hits as a fresh synthesis would; behind it,
-   [Compiled] instances share the plan's sites per [(hooked,
+   instances that share code take the plan's sites per [(hooked,
    visibility)]. Both survive [flush_code_cache]: entries keyed by
    [(instr, encoding)] stay correct whatever memory now holds. *)
 let build_site e s (idx, enc) =
-  e.compile ~mem_fast_path:e.site_cache
-    (Semir.Opt.optimize ~enc ~keep:s.keep s.chain_ir.(idx))
+  e.compile (Semir.Opt.optimize ~enc ~keep:s.keep s.chain_ir.(idx))
 
 (** [compile_site e s enc idx] is the site of class [idx] at encoding
     [enc]: the translator's one entry point. *)
@@ -962,14 +962,14 @@ let flush_code_cache e =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** [create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~journal
-    ~obs plan bp st] is the engine of buildset [bp] on machine [st]: its
+(** [create ~backend ~chain ~site_cache ~mutate ~hooks ~journal ~obs
+    plan bp st] is the engine of buildset [bp] on machine [st]: its
     statistics and instruments, its frames, which carry [hooks] (the
     caller's or the journal's), the items of a Step interface, the
     translator's state of a one-entrypoint interface and the block
     tables of a Block interface, whose code-write hook it registers
     unless [mutate] skips it. *)
-let create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~journal ~obs
+let create ~backend ~chain ~site_cache ~mutate ~hooks ~journal ~obs
     (plan : Plan.t) (bp : Plan.buildset) (st : State.t) =
   let spec = plan.spec and bs = bp.bs and slots = bp.slots in
   let stats =
@@ -982,20 +982,8 @@ let create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~journal ~obs
       chain_taken = 0;
       chain_miss = 0;
       instrs_executed = 0;
-      absint_ns = 0;
-      fastpath_classes = 0;
     }
   in
-  (* Static effect analysis: which instruction classes are provably
-     store-free (no [Store] on any path, no syscall whose handler could
-     write memory)? They get the memory fast path in the generic
-     per-segment items. The analysis is sound, never required: [absint =
-     false] degrades every verdict to "unsafe". *)
-  let store_free, absint_ns = Plan.store_free plan ~absint in
-  stats.absint_ns <- absint_ns;
-  if not bs.bs_block then
-    stats.fastpath_classes <-
-      Array.fold_left (fun n s -> if s then n + 1 else n) 0 store_free;
   let n_eps = Array.length bs.bs_entrypoints in
   let ins =
     match obs with
@@ -1006,6 +994,9 @@ let create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~journal ~obs
     | Some _ | None -> None
   in
   let hooked = Option.is_some hooks in
+  (* One predicate for the per-site TLB and for plan sharing, so code
+     with and without the TLB never mixes. *)
+  let shares = site_cache && backend = Compiled in
   let frame =
     Semir.Frame.create
       ~hooks:(Option.value hooks ~default:Semir.Hooks.none)
@@ -1021,8 +1012,7 @@ let create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~journal ~obs
           keep = (fun c -> bs.bs_visible.(c) || Plan.Iset.mem c carried);
           view = Hashtbl.create 256;
           shared =
-            (if site_cache && backend = Compiled then
-               Some (Plan.site_table plan ~hooked bs.bs_visible)
+            (if shares then Some (Plan.site_table plan ~hooked bs.bs_visible)
              else None);
           dcache = empty_dcache ();
         }
@@ -1052,14 +1042,14 @@ let create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~journal ~obs
       hooked;
       ins;
       prof = (match obs with Some o -> o.Obs.prof | None -> None);
-      backend;
-      compile = compiler ~backend ~hooked ~layout:st.regs slots.loc;
-      absint;
+      compile =
+        compiler ~backend ~hooked ~mem_fast_path:shares ~layout:st.regs
+          slots.loc;
+      shares;
       chain;
       site_cache;
       stale_chain = mutate = Some Stale_chain;
       stride4 = mutate = Some Stride4;
-      store_free;
       instr_bytes64 = Int64.of_int spec.instr_bytes;
       ep_items = [||];
       ring =

@@ -32,15 +32,6 @@ type stats = {
   mutable chain_miss : int;
       (** chained dispatches that fell back to the block hash table *)
   mutable instrs_executed : int;  (** via this interface's calls *)
-  mutable absint_ns : int;
-      (** time this synthesis spent computing the store-free verdicts
-          that gate the memory fast path (0 when disabled, or when a
-          synthesis cache already held the verdicts) *)
-  mutable fastpath_classes : int;
-      (** instruction classes granted the memory fast path in the
-          generic per-segment items (what Step interfaces and every
-          [step] call run) because the analysis proved them store- and
-          syscall-free *)
 }
 
 type t = {

@@ -64,7 +64,6 @@ let create (o : Obs.t) (bs : Lis.Spec.buildset) (stats : Iface.stats)
   let gauge name f = R.probe reg name (fun () -> R.Int (f ())) in
   gauge "synth.latency_sample_every" (fun () -> Obs.Sample.every);
   gauge "core.instrs_executed" (fun () -> stats.Iface.instrs_executed);
-  gauge "core.absint_ns" (fun () -> stats.absint_ns);
   (* block-cache gauges exist only where a block cache does, so a block
      pass sharing a registry with a per-instruction primary interface
      contributes them without fighting over names *)
@@ -78,8 +77,7 @@ let create (o : Obs.t) (bs : Lis.Spec.buildset) (stats : Iface.stats)
         ("chain_taken", fun () -> stats.chain_taken);
         ("chain_miss", fun () -> stats.chain_miss);
         ("site_cache_hits", fun () -> stats.site_cache_hits);
-      ]
-  else gauge "core.absint_fastpath_classes" (fun () -> stats.fastpath_classes);
+      ];
   (* Fused-closure accounting: an interface that translates (one
      entrypoint: Block and One) specializes one closure per site, on the
      site's first execution; a Step interface holds [fused_closures],

@@ -1,17 +1,16 @@
 (** Synthesis plans: the machine-independent half of {!Synth.make}.
 
     Everything synthesis derives from the specification and a buildset
-    alone — the per-class store-free verdicts, the decoder, the block
-    engine's chain IR, each buildset's slot layout and segments, each
-    shape's liveness verdict, per-instruction optimized IR and compiled
-    per-instruction code, and the translated sites, hooked or not — is
-    computed once per cache and reused by every later instance. Each
-    part is built when the first interface that runs it is made, so a
-    One or Block interface never pays for the per-segment IR that only
-    generic items read. A cache is a plain mutable value owned by its
-    caller: one campaign, one worker domain, one supervised session. It
-    is never global and never crosses domains (DESIGN.md, "synthesis
-    plan vs instance"). *)
+    alone — the decoder, the block engine's chain IR, each buildset's
+    slot layout and segments, each shape's liveness verdict,
+    per-instruction optimized IR and compiled per-instruction code, and
+    the translated sites, hooked or not — is computed once per cache and
+    reused by every later instance. Each part is built when the first
+    interface that runs it is made, so a One or Block interface never
+    pays for the per-segment IR that only generic items read. A cache is
+    a plain mutable value owned by its caller: one campaign, one worker
+    domain, one supervised session. It is never global and never crosses
+    domains (DESIGN.md, "synthesis plan vs instance"). *)
 
 exception Synth_error of string
 
@@ -152,9 +151,9 @@ type shape = {
   mutable seg_ir : Semir.Ir.program array array option;
       (** optimized IR per instruction, per flat segment: built with the
           first generic items (see {!compile_items}) *)
-  mutable items : ((bool * bool) * item array array) list;
-      (** compiled items of [Compiled] instances, keyed by [(hooked,
-          absint)] ([absint] decides the memory fast paths) *)
+  mutable items : (bool * item array array) list;
+      (** compiled items of the instances that share code (see
+          {!shared_items}), keyed by [hooked] *)
 }
 
 type buildset = {
@@ -203,7 +202,6 @@ type t = {
   decoder : Decoder.t;
   size64 : int64 array;  (** per class: encoded width in bytes *)
   size_mask : int64 array;  (** per class: mask of the encoded parcel *)
-  mutable store_free : bool array option;  (** verdicts per class *)
   mutable block : block_plan option;
   buildsets : (string, buildset) Hashtbl.t;
   mutable shapes :
@@ -227,34 +225,11 @@ let create (spec : Lis.Spec.t) =
           if i.i_size >= 8 then -1L
           else Int64.sub (Int64.shift_left 1L (8 * i.i_size)) 1L)
         spec.instrs;
-    store_free = None;
     block = None;
     buildsets = Hashtbl.create 16;
     shapes = [];
     sites = [];
   }
-
-(** [store_free t ~absint] is the per-class store-free verdict and the
-    analysis time this call spent (0 when the cache already held it).
-    With [absint = false] every verdict is "unsafe". A class is
-    store-free when none of its programs holds a [Store] or a [Syscall]
-    ({!Classify}'s [is_store] and [is_syscall]). Sema admits no action
-    outside the sequence, so this is {!Analysis.Absint.store_free}'s
-    verdict, found without running the abstract interpreter. *)
-let store_free t ~absint =
-  if not absint then (Array.make (Array.length t.spec.instrs) false, 0)
-  else
-    match t.store_free with
-    | Some v -> (v, 0)
-    | None ->
-      let t0 = Obs.Clock.now_ns () in
-      let v =
-        Array.map
-          (fun (k : Classify.kind) -> not (k.is_store || k.is_syscall))
-          (Classify.of_spec t.spec)
-      in
-      t.store_free <- Some v;
-      (v, Obs.Clock.elapsed_ns t0)
 
 let block_plan t =
   match t.block with
@@ -306,13 +281,11 @@ let seg_ir t bp =
     bp.shape.seg_ir <- Some ir;
     ir
 
-(** [compile_items t bp ~compile ~store_free] compiles every entrypoint's
-    per-instruction code; class [i]'s code gets the memory fast path when
-    [store_free.(i)]. The first call for a shape also optimizes its
-    per-segment IR. With [on_first_run], each class's code is compiled
-    the first time it runs, in place of a stub. *)
-let compile_items ?(on_first_run = false) t bp ~compile ~store_free :
-    item array array =
+(** [compile_items t bp ~compile] compiles every entrypoint's
+    per-instruction code with [compile]. The first call for a shape also
+    optimizes its per-segment IR. With [on_first_run], each class's code
+    is compiled the first time it runs, in place of a stub. *)
+let compile_items ?(on_first_run = false) t bp ~compile : item array array =
   let seg_ir = seg_ir t bp in
   let n_instrs = Array.length seg_ir in
   let k = ref (-1) in
@@ -323,9 +296,7 @@ let compile_items ?(on_first_run = false) t bp ~compile ~store_free :
            (fun seg ->
              incr k;
              let k = !k in
-             let code ii =
-               compile ~mem_fast_path:store_free.(ii) seg_ir.(ii).(k)
-             in
+             let code ii = compile seg_ir.(ii).(k) in
              let codes () =
                if not on_first_run then Array.init n_instrs code
                else begin
@@ -347,17 +318,17 @@ let compile_items ?(on_first_run = false) t bp ~compile ~store_free :
            segs))
     bp.ep_segs
 
-(** [shared_items bp ~hooked ~absint build] is the compiled code of
-    [bp]'s shape stored under [(hooked, absint)], built by [build] on
-    first use: an instance without hooks never gets hooked code, nor one
-    with hooks plain code. *)
-let shared_items bp ~hooked ~absint build =
-  let key = (hooked, absint) in
-  match List.assoc_opt key bp.shape.items with
+(** [shared_items bp ~hooked build] is the compiled code of [bp]'s
+    shape stored under [hooked], built by [build] on first use: an
+    instance without hooks never gets hooked code, nor one with hooks
+    plain code. Only instances that share sites share items ([Compiled]
+    with [site_cache]), so all of it has the per-site TLB. *)
+let shared_items bp ~hooked build =
+  match List.assoc_opt hooked bp.shape.items with
   | Some items -> items
   | None ->
     let items = build () in
-    bp.shape.items <- (key, items) :: bp.shape.items;
+    bp.shape.items <- (hooked, items) :: bp.shape.items;
     items
 
 (** Most sites one shared table holds. *)

@@ -45,7 +45,7 @@ let decoder (c : cache) = c.Plan.decoder
 (* ------------------------------------------------------------------ *)
 
 let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
-    ?(site_cache = true) ?(absint = true) ?mutate ?hooks ?cache ?obs ?st
+    ?(site_cache = true) ?absint:_ ?mutate ?hooks ?cache ?obs ?st
     (spec : Lis.Spec.t) (bs_name : string) : Iface.t =
   let plan =
     match cache with
@@ -84,8 +84,8 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     | Some j, None -> Some (Specul.hooks j)
   in
   let e =
-    Engine.create ~backend ~chain ~site_cache ~absint ~mutate ~hooks ~journal
-      ~obs plan bp st
+    Engine.create ~backend ~chain ~site_cache ~mutate ~hooks ~journal ~obs plan
+      bp st
   in
   let no_spec (_ : unit) =
     Machine.Sim_error.raisef ~component:"interface"

@@ -32,14 +32,15 @@ val mutation_of_string : string -> mutation option
 val spec_window : int
 
 (** A synthesis cache: the {!Plan} of one specification, filled on use.
-    It holds what synthesis derives without a machine — the
-    store-free verdicts, the decoder, the block engine's chain IR, and
-    per buildset the slot layout, liveness verdict, segments and
-    optimized IR — plus the compiled per-instruction code that later
-    [Compiled] interfaces of the same entrypoints and visibility share,
-    and the translated sites those of the same visibility share, plain
-    code apart from hooked: speculative interfaces share as plain ones
-    do. A cache belongs to its caller (a campaign, a fleet worker, a
+    It holds what synthesis derives without a machine — the decoder,
+    the block engine's chain IR, and per buildset the slot layout,
+    liveness verdict, segments and optimized IR — plus the compiled
+    per-instruction code that later interfaces of the same entrypoints
+    and visibility share, and the translated sites those of the same
+    visibility share, plain code apart from hooked: speculative
+    interfaces share as plain ones do. Only [Compiled] interfaces with
+    [site_cache] share code, all of it compiled with the per-site
+    memory fast paths; the others compile their own. A cache belongs to its caller (a campaign, a fleet worker, a
     supervised session) and to the one domain that uses it; the library
     holds none globally. *)
 type cache
@@ -65,13 +66,20 @@ val decoder : cache -> Decoder.t
     blocks carry a bi-morphic successor cache so hot edges dispatch
     block-to-block without a hash probe ([chain], default on; stats
     [chain_taken]/[chain_miss]), compiled sites are shared across blocks
-    through an [(instr, encoding)] cache and get per-site memory fast
-    paths ([site_cache], default on; stat [site_cache_hits]), and pages
-    holding translated code are tracked so writes to them invalidate the
-    affected blocks and chain links — self-modifying code observes its
-    own stores. Disabling both flags turns both caches off, and the
+    through an [(instr, encoding)] cache ([site_cache], default on; stat
+    [site_cache_hits]), and pages holding translated code are tracked so
+    writes to them invalidate the affected blocks and chain links —
+    self-modifying code observes its own stores. Disabling both flags turns both caches off, and the
     fast-forward loop ([run_fast]) stays DI-free either way, so the A/B
     isolates the caches.
+
+    [site_cache] also gives every load and store that any interface
+    compiles, Step interfaces' generic code included, a per-site memory
+    fast path (a one-entry page cache), and lets [Compiled] interfaces
+    share compiled code through [cache]; without it an interface
+    compiles its own code, without fast paths. The fast path is safe for
+    stores: a store site never caches a page that holds translated
+    code, and marking a page as code invalidates every cached page.
 
     Every one-entrypoint interface (Block and One) runs [run_one] on the
     same translated sites, through a small pc-indexed cache of decoded
@@ -96,15 +104,9 @@ val decoder : cache -> Decoder.t
     [hooks] never runs hooked code, and is the one [make] built before
     they existed; one with [hooks] never runs plain code.
 
-    [absint] (default on) computes per-class store-free verdicts at
-    synthesis time (a scan for stores and syscalls, which gives
-    {!Analysis.Absint.store_free}'s verdicts) and gates one
-    optimization on them: instruction classes proved store- and
-    syscall-free get the memory fast path outside block mode. The
-    analysis is advisory — [absint:false] degrades every verdict to
-    "unsafe" and reproduces the unanalyzed engine. Stats [absint_ns]
-    (time this synthesis spent on the verdicts: 0 when [cache] already
-    held them) and [fastpath_classes].
+    [absint] is ignored: no verdict gates the memory fast paths any
+    more. It is accepted only so that existing callers (the ledger's
+    ablations) still compile.
 
     [obs], when given, compiles instrumentation into the interface's
     call paths (see {!Instrument}): every entrypoint crossing is counted

@@ -20,8 +20,11 @@ type code = Machine.State.t -> Frame.t -> unit
     load/store site a one-entry page cache — a per-site software TLB —
     hitting the backing bytes directly and falling back to
     {!Machine.Memory} on page cross, memory change, or generation
-    mismatch. Fast-path stores never cache code pages, so code-write
-    hooks still fire; hooked stores always take the slow path. *)
+    mismatch. It is safe for any program, stores included: a store site
+    never caches a code page, and marking a page as code bumps the
+    memory's generation, so every write to code still runs the
+    code-write hooks. Hooked stores always take the slow path, so the
+    hooks see every store. *)
 val program :
   ?hooked:bool ->
   ?layout:Machine.Regfile.t ->

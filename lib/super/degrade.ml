@@ -51,6 +51,10 @@ let ladder (spec : Lis.Spec.t) ~buildset ~chain ~site_cache ~mutate ~reference
       lv_mutate = mutate;
     }
   in
+  (* [site_cache] off also turns off a Step interface's per-site TLB and
+     its sharing of compiled code through the session's cache, so the
+     reference rung runs code compiled for it alone, none of it shared
+     with the shadow. *)
   let reference_level =
     {
       lv_name = reference;

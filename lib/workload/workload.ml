@@ -84,10 +84,10 @@ let load_image ?obs ?input (t : target) (program : Vir.Lang.program)
     [obs] compiles instrumentation into the interface (see
     {!Specsim.Synth.make}); omitted, the interface is uninstrumented.
     [cache] is a synthesis cache for [t]'s spec. *)
-let load ?(backend = Specsim.Synth.Compiled) ?chain ?site_cache ?absint ?cache
-    ?obs ?input (t : target) ~buildset (program : Vir.Lang.program) : loaded =
+let load ?(backend = Specsim.Synth.Compiled) ?chain ?site_cache ?cache ?obs
+    ?input (t : target) ~buildset (program : Vir.Lang.program) : loaded =
   let iface =
-    Specsim.Synth.make ~backend ?chain ?site_cache ?absint ?cache ?obs
+    Specsim.Synth.make ~backend ?chain ?site_cache ?cache ?obs
       (Lazy.force t.spec) buildset
   in
   let os = load_image ?obs ?input t program iface.st in

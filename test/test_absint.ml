@@ -1,7 +1,8 @@
 (** Abstract interpretation: value-domain unit tests, a qcheck soundness
     property per shipped ISA (everything the reference interpreter is
-    observed to do must be inside the static effect summary), and the
-    synthesizer's store-free gating. *)
+    observed to do must be inside the static effect summary), the
+    store-free verdicts, and {!Specsim.Classify}'s store and syscall
+    flags against the analysis. *)
 
 module A = Semir.Absint
 module Iset = A.Iset
@@ -257,58 +258,7 @@ let test_tiny16_defect_carriers_not_safe () =
   Alcotest.(check bool) "LDW is store-free (loads only)" true (verdict "LDW")
 
 (* ------------------------------------------------------------------ *)
-(* Synthesizer gating                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_synth_fastpath_gating () =
-  let spec = Lazy.force Isa_alpha.Alpha.spec in
-  let on = Specsim.Synth.make spec "one_all" in
-  let off = Specsim.Synth.make ~absint:false spec "one_all" in
-  Alcotest.(check bool) "absint on: some classes fast-pathed" true
-    (on.stats.Specsim.Iface.fastpath_classes > 0);
-  Alcotest.(check int) "absint off: no fast path" 0
-    off.stats.Specsim.Iface.fastpath_classes;
-  Alcotest.(check int) "absint off: no analysis time" 0
-    off.stats.Specsim.Iface.absint_ns;
-  (* a synthesis through a cache that already holds the verdicts gates
-     the same classes and spends no analysis time *)
-  let cache = Specsim.Synth.cache spec in
-  ignore (Specsim.Synth.make ~cache spec "one_all");
-  let cached = Specsim.Synth.make ~cache spec "one_all" in
-  Alcotest.(check int) "cached: same fast-path classes"
-    on.stats.Specsim.Iface.fastpath_classes
-    cached.stats.Specsim.Iface.fastpath_classes;
-  Alcotest.(check int) "cached: no analysis time" 0
-    cached.stats.Specsim.Iface.absint_ns
-
-let find_kernel name =
-  match
-    List.find_opt
-      (fun (k : Vir.Kernels.sized) -> k.kname = name)
-      Vir.Kernels.test_suite
-  with
-  | Some k -> k
-  | None -> Alcotest.failf "no test kernel named %s" name
-
-(** The gated engine is observationally identical to the unanalyzed one. *)
-let test_absint_on_off_equivalence () =
-  let k = find_kernel "sort" in
-  let run absint buildset =
-    let l = Workload.load ~absint Workload.alpha ~buildset k.program in
-    Workload.run_to_completion l
-  in
-  List.iter
-    (fun buildset ->
-      let out_on = run true buildset in
-      let out_off = run false buildset in
-      Alcotest.(check bool)
-        (buildset ^ ": outcomes agree")
-        true
-        (Workload.agrees out_on out_off))
-    [ "one_all"; "block_min" ]
-
-(* ------------------------------------------------------------------ *)
-(* Store-free verdicts without the interpreter                         *)
+(* Store and syscall flags without the interpreter                     *)
 (* ------------------------------------------------------------------ *)
 
 (* [Test_semir.gen_program] emits no syscall, halt or fault; add some,
@@ -345,9 +295,10 @@ let rec with_control (p : Semir.Ir.program) =
     in
     extra @ (s :: rest)
 
-(* The plan's verdict scan, {!Specsim.Classify}, against the flags the
-   abstract interpreter computes, on random programs with nested [If]s:
-   each program is the only action body of an otherwise empty class. *)
+(* {!Specsim.Classify}'s syntactic scan, which the timing models and the
+   fuzz generator read, against the flags the abstract interpreter
+   computes, on random programs with nested [If]s: each program is the
+   only action body of an otherwise empty class. *)
 let prop_scan_matches_absint =
   QCheck.Test.make ~name:"classify store/syscall = absint stores || syscall"
     ~count:500
@@ -362,31 +313,6 @@ let prop_scan_matches_absint =
           { base with i_decode = []; i_read = p; i_writeback = []; i_user = [] }
       in
       (k.is_store || k.is_syscall) = (e.A.stores || e.A.syscall))
-
-(* Every class of every shipped description: the plan's verdict is the
-   one the summaries give. *)
-let test_plan_verdicts () =
-  List.iter
-    (fun (name, spec) ->
-      let spec = Lazy.force spec in
-      let expected =
-        Array.map Analysis.Absint.store_free (Analysis.Absint.summarize spec)
-      in
-      let got, _ = Specsim.Plan.store_free (Specsim.Plan.create spec) ~absint:true in
-      Array.iteri
-        (fun i (instr : Lis.Spec.instr) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s %s store-free" name instr.i_name)
-            expected.(i) got.(i))
-        spec.instrs)
-    [
-      ("alpha", Isa_alpha.Alpha.spec);
-      ("arm", Isa_arm.Arm.spec);
-      ("ppc", Isa_ppc.Ppc.spec);
-      ("riscv", Isa_riscv.Riscv.spec);
-      ("tiny16", Fuzz.Tiny.spec);
-      ("demo", Demo_isa.spec);
-    ]
 
 let suite =
   [
@@ -408,11 +334,5 @@ let suite =
       test_alpha_stores_not_store_free;
     Alcotest.test_case "tiny16 defect carriers not safe" `Quick
       test_tiny16_defect_carriers_not_safe;
-    Alcotest.test_case "synth fast-path gating" `Quick
-      test_synth_fastpath_gating;
-    Alcotest.test_case "absint on/off equivalence" `Quick
-      test_absint_on_off_equivalence;
     QCheck_alcotest.to_alcotest prop_scan_matches_absint;
-    Alcotest.test_case "plan verdicts = absint verdicts" `Quick
-      test_plan_verdicts;
   ]

@@ -8,7 +8,8 @@
     analytic exit status, all interfaces must agree on the full outcome,
     and the block engine must actually have invalidated translations —
     a trampoline that never tripped SMC detection would be a miscompile
-    waiting to happen. *)
+    waiting to happen. It is also pinned rotating a Step and a Block
+    interface on one machine. *)
 
 let budget = 20_000_000
 
@@ -21,13 +22,19 @@ let check_reference (t : Workload.target) bs (k : Workload.Hostile.kernel) () =
   Alcotest.(check int) (k.hname ^ " exit") expected.exit_status got.exit_status;
   Alcotest.(check string) (k.hname ^ " output") expected.output got.output
 
+let kernel name =
+  List.find
+    (fun (k : Workload.Hostile.kernel) -> String.equal k.hname name)
+    Workload.Hostile.test_suite
+
+let analytic_exit (k : Workload.Hostile.kernel) =
+  match k.expected_exit with
+  | Some e -> e
+  | None -> Alcotest.fail "trampoline kernel carries no analytic exit"
+
 let check_trampoline (t : Workload.target) bs (k : Workload.Hostile.kernel) ()
     =
-  let expected_exit =
-    match k.expected_exit with
-    | Some e -> e
-    | None -> Alcotest.fail "trampoline kernel carries no analytic exit"
-  in
+  let expected_exit = analytic_exit k in
   let got, stats = run_loaded (Workload.load t ~buildset:bs k.program) in
   Alcotest.(check int) (k.hname ^ " analytic exit") expected_exit
     got.exit_status;
@@ -54,11 +61,7 @@ let check (t : Workload.target) bs (k : Workload.Hostile.kernel) =
    a megamorphic indirect jump. The bi-morphic successor cache cannot
    hold it, so the chain hit rate must visibly collapse. *)
 let check_interp_chain_miss (t : Workload.target) () =
-  let k =
-    List.find
-      (fun (k : Workload.Hostile.kernel) -> String.equal k.hname "interp")
-      Workload.Hostile.test_suite
-  in
+  let k = kernel "interp" in
   let _, stats = run_loaded (Workload.load t ~buildset:"block_min" k.program) in
   let taken = stats.Specsim.Iface.chain_taken
   and miss = stats.Specsim.Iface.chain_miss in
@@ -67,6 +70,18 @@ let check_interp_chain_miss (t : Workload.target) () =
   if rate >= 0.9 then
     Alcotest.failf "chain hit rate %.1f%% — megamorphic dispatch was absorbed"
       (100. *. rate)
+
+(* The trampoline with a Step and a Block interface taking turns on one
+   machine: the Step interface's stores, through its per-site page
+   caches, rewrite code the Block interface has translated, and the Block
+   interface's translations mark the pages those caches may hold as
+   code. *)
+let rotation = [ "block_min"; "step_all" ]
+
+let check_trampoline_rotating (t : Workload.target) () =
+  let k = kernel "trampoline" in
+  let got = Workload.run_rotating ~budget t ~buildsets:rotation k.program in
+  Alcotest.(check int) "analytic exit" (analytic_exit k) got.exit_status
 
 (* Cheap sanity pin: the analytic trampoline model matches a direct
    simulation of its own definition for several round counts. *)
@@ -105,3 +120,10 @@ let suite =
     ]
   (* last, so the cases above keep their indices *)
   @ cases [ "one_all" ]
+  @ List.map
+      (fun (t : Workload.target) ->
+        Alcotest.test_case
+          (Printf.sprintf "trampoline %s rotating %s" t.tname
+             (String.concat "+" rotation))
+          `Quick (check_trampoline_rotating t))
+      Workload.targets

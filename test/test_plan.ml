@@ -68,13 +68,12 @@ let summary i =
   if not st.halted then Alcotest.failf "%s did not halt" i.iface.bs.bs_name;
   Printf.sprintf
     "retired=%Ld regs=%Lx mem=%Lx blocks=%d hits=%d invalidations=%d \
-     sites=%d site_hits=%d chain=%d/%d instrs=%d fastpath=%d"
+     sites=%d site_hits=%d chain=%d/%d instrs=%d"
     st.instr_count
     (Inject.Watchdog.regs_digest st.regs)
     (Machine.Memory.digest st.mem)
     s.blocks_compiled s.block_hits s.block_invalidations s.sites_compiled
     s.site_cache_hits s.chain_taken s.chain_miss s.instrs_executed
-    s.fastpath_classes
 
 let fresh t bs k =
   let i = boot t bs k in

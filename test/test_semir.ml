@@ -136,15 +136,22 @@ let arb_program =
 
 type mode = Interp | Compiled
 
-(* How a program is compiled and where its cells live. *)
+(* When the state's pages become code: never, before the first pass, or
+   between the passes, after the first one filled the page caches. *)
+type code_pages = Data | Code_before | Code_between
+
+(* How a program is compiled, where its cells live and when its pages
+   become code. *)
 type config = {
   layout : bool;  (** compile against the register-file layout *)
   fast : bool;  (** per-site page caches *)
   big : bool;  (** big-endian memory *)
   visible : int;  (** bit [c]: cell [c] lives in the DI slots *)
+  code : code_pages;
 }
 
-let default_config = { layout = false; fast = false; big = false; visible = 0 }
+let default_config =
+  { layout = false; fast = false; big = false; visible = 0; code = Data }
 
 let loc_of cfg =
   let di = ref 0 and scratch = ref 0 in
@@ -158,13 +165,19 @@ let loc_of cfg =
 
 let gen_config =
   QCheck.Gen.(
-    map2
-      (fun (layout, fast, big) visible -> { layout; fast; big; visible })
-      (triple bool bool bool) (int_bound 15))
+    map3
+      (fun (layout, fast, big) visible code ->
+        { layout; fast; big; visible; code })
+      (triple bool bool bool) (int_bound 15)
+      (oneofl [ Data; Code_before; Code_between ]))
 
 let print_config c =
-  Printf.sprintf "{layout=%b; fast=%b; big=%b; visible=0x%x}" c.layout c.fast
-    c.big c.visible
+  Printf.sprintf "{layout=%b; fast=%b; big=%b; visible=0x%x; code=%s}" c.layout
+    c.fast c.big c.visible
+    (match c.code with
+    | Data -> "data"
+    | Code_before -> "before"
+    | Code_between -> "between")
 
 let fresh_state ?(big = false) seed =
   let endian = if big then Machine.Memory.Big else Machine.Memory.Little in
@@ -197,7 +210,9 @@ let fresh_frame ?(hooks = Hooks.none) ?(loc = loc_of default_config) seed =
 
 (* Runs [p] [passes] times; a second pass hits the page caches the first
    one filled. (Optimizer properties run one pass: a second would read
-   cells that DCE legitimately left unwritten.) *)
+   cells that DCE legitimately left unwritten.) Pages 0 and 1, which hold
+   every address the generator makes, become code before the pass that
+   [cfg.code] names. *)
 let exec ?(hooked = false) ?(passes = 1) mode cfg p st fr =
   let loc = loc_of cfg in
   let once =
@@ -208,12 +223,21 @@ let exec ?(hooked = false) ?(passes = 1) mode cfg p st fr =
       let code = Compile.program ~hooked ?layout ~mem_fast_path:cfg.fast ~loc p in
       fun () -> code st fr
   in
-  for _ = 1 to passes do
+  let code_at =
+    match cfg.code with Data -> 0 | Code_before -> 1 | Code_between -> 2
+  in
+  for pass = 1 to passes do
+    if pass = code_at then begin
+      Machine.Memory.note_code_page st.Machine.State.mem 0;
+      Machine.Memory.note_code_page st.mem 1
+    end;
     once ()
   done
 
-let run mode ?(cfg = default_config) ?passes p seed =
+(* [on_code_write] runs on every write to a code page. *)
+let run mode ?(cfg = default_config) ?passes ?(on_code_write = ignore) p seed =
   let st = fresh_state ~big:cfg.big seed in
+  Machine.Memory.add_code_write_hook st.mem on_code_write;
   let fr = fresh_frame ~loc:(loc_of cfg) seed in
   exec ?passes mode cfg p st fr;
   (st, fr)
@@ -249,14 +273,25 @@ let arb_case =
     QCheck.Gen.(triple (gen_program ~wild:true) small_nat gen_config)
 
 (* Under every compile configuration: layout on and off, page caches on
-   and off, either byte order, DI and scratch cells mixed. *)
+   and off, either byte order, DI and scratch cells mixed, pages that
+   become code before or between the passes. Every write to a code page
+   runs the code-write hooks as often as in the interpreter: a page cache
+   never holds a code page for a store, nor a page from before it became
+   code. *)
 let prop_compile_matches_eval =
   QCheck.Test.make ~name:"compiled closures = reference interpreter" ~count:500
     arb_case
     (fun (p, seed, cfg) ->
-      outcome (fun () -> observe_full ~cfg (run Interp ~cfg ~passes:2 p seed))
-      = outcome (fun () ->
-            observe_full ~cfg (run Compiled ~cfg ~passes:2 p seed)))
+      let observe mode =
+        let code_writes = ref 0 in
+        outcome (fun () ->
+            let r =
+              run mode ~cfg ~passes:2 ~on_code_write:(fun _ -> incr code_writes)
+                p seed
+            in
+            (observe_full ~cfg r, !code_writes))
+      in
+      observe Interp = observe Compiled)
 
 (* Compiled with journal hooks, a program matches the hooked reference,
    and rolling the journal back restores the starting registers and
