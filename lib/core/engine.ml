@@ -6,14 +6,14 @@
     the items, the site compiler's state and the block tables, each
     built with the instance or on first use. Every loop is a top-level
     function over it: the generic and the translated [run_one], [step],
-    the block loop [run_block], the DI-free chained loop, [run_fast]'s
-    generic loop, block building, dispatch and flush. The closures that
+    the block loop [run_block], the DI-free chained and flat loops,
+    [run_fast]'s generic loop, block building, dispatch and flush. The closures that
     go into {!Iface.t} are built here too (the last section), so each
     interface call is one closure call into a known function.
 
     The call styles share one module because they share [retire],
-    [auto_checkpoint], [exec_item], [load_frame]/[save_frame] and the
-    per-block exit, and under [-opaque] a call into another module is
+    [auto_checkpoint], [exec_item], the fetch, [load_frame]/[save_frame]
+    and the per-block exit, and under [-opaque] a call into another module is
     never inlined and boxes an [int64] argument or result (DESIGN.md §6
     item 7, rule a). A synthesis-time choice ([ins], [prof], the
     journal, [chain], the translator, the mutations) is an immutable
@@ -22,8 +22,13 @@
 
 open Machine
 
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
 let pc_off = Semir.Frame.pc_off
 let enc_off = Semir.Frame.enc_off
@@ -242,6 +247,13 @@ type t = {
   stride4 : bool;
   instr_bytes64 : int64;
   mutable ep_items : Plan.item array array;  (** [[||]] until built *)
+  mutable flat : Plan.item array;
+      (** a Step interface's items of every entrypoint in turn: one
+          instruction's walk *)
+  mutable fetch_idx : int;  (** the page the fetch holds; -1: none *)
+  mutable fetch_gen : int;  (** the memory's generation when it was taken *)
+  mutable fetch_page : Bytes.t;
+  fetch_swap : bool;  (** the memory's byte order differs from the host's *)
   mutable ring : owned;
   sites : sites option;  (** one-entrypoint instances *)
   tables : tables option;  (** block instances *)
@@ -316,14 +328,56 @@ let compile_site e s enc idx =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let exec_item e (di : Di.t) item =
+(* The fetch of both front ends ([I_fetch] and translated One): the
+   window at native-int address [a] into the frame's encoding slot. It
+   holds the page of its last fetch, and reads the window from it with
+   one load while the memory's generation is the one it took the page at
+   (so no [clear], checkpoint restore or newly marked code page came
+   between). Another page, a new generation or a window that crosses a
+   page goes through {!Memory.load_into}, and the first two take the new
+   page. [window] is {!Memory}'s page read, kept here because a call
+   into [Memory] would box the window. *)
+let[@inline] window p off width swap =
+  Int64.add 0L
+    (match width with
+    | 4 ->
+      let w = get32 p off in
+      Int64.logand (Int64.of_int32 (if swap then bswap32 w else w)) 0xFFFFFFFFL
+    | 2 ->
+      let h = get16 p off in
+      Int64.of_int (if swap then bswap16 h else h)
+    | 1 -> Int64.of_int (Char.code (Bytes.unsafe_get p off))
+    | _ ->
+      let d = get64 p off in
+      if swap then bswap64 d else d)
+
+let refetch e a =
+  let m = e.st.mem and width = e.spec.instr_bytes in
+  Memory.load_into m ~addr:a ~width ~signed:false e.fs enc_off;
+  if a land Memory.page_mask + width <= Memory.page_size then begin
+    let idx = a lsr Memory.page_bits in
+    e.fetch_page <- Memory.lookup_page m idx;
+    e.fetch_idx <- idx;
+    e.fetch_gen <- Memory.generation m
+  end
+
+let[@inline] fetch e a =
+  let off = a land Memory.page_mask and width = e.spec.instr_bytes in
+  if
+    a lsr Memory.page_bits = e.fetch_idx
+    && e.fetch_gen = Memory.generation e.st.mem
+    && off + width <= Memory.page_size
+  then set64 e.fs enc_off (window e.fetch_page off width e.fetch_swap)
+  else refetch e a
+
+(* One item. The unobserved walk inlines it, so a whole instruction's
+   items run in one loop body; the counted crossings call it. *)
+let[@inline] exec_item e (di : Di.t) item =
   let st = e.st and fs = e.fs in
   match item with
   | Plan.I_fetch ->
     let pc = get64 fs pc_off in
-    Memory.load_into st.mem
-      ~addr:(Int64.to_int pc land max_int)
-      ~width:e.spec.instr_bytes ~signed:false fs enc_off;
+    fetch e (Int64.to_int pc land max_int);
     set64 fs next_pc_off (Int64.add pc e.instr_bytes64)
   | Plan.I_decode codes ->
     let idx = Decoder.decode_slot e.plan.decoder fs enc_off in
@@ -343,7 +397,7 @@ let exec_item e (di : Di.t) item =
       Sim_error.raisef ~component:"interface"
         ~context:
           [ ("isa", e.spec.name); ("buildset", e.bp.bs.bs_name);
-            ("pc", Printf.sprintf "0x%Lx" di.pc) ]
+            ("pc", Printf.sprintf "0x%Lx" (get64 fs pc_off)) ]
         "entrypoint called before decode"
     else (Array.unsafe_get codes idx) st e.frame
 
@@ -393,7 +447,7 @@ let timed e (i : Instrument.t) di (items : Plan.item array) k =
   let j = ref 0 in
   while !j < Array.length items && not e.st.halted do
     let item = Array.unsafe_get items !j in
-    exec_item e di item;
+    (exec_item [@inlined never]) e di item;
     let s = segment item in
     count i.seg_calls.(s);
     let now = Obs.Clock.now () in
@@ -403,9 +457,19 @@ let timed e (i : Instrument.t) di (items : Plan.item array) k =
   done;
   Obs.Hist.record i.ep_ns.(k) (!last - t0)
 
-(* One entrypoint crossing: the hook [step] and a Step interface's
-   [run_one] call. The synthesis-time constant [ins] picks its body, so
-   an unobserved crossing pays one predicted branch. Loops, not local
+(* Items in turn until they end or the machine halts: an unobserved
+   crossing, or a whole instruction's flat items. *)
+let[@inline] walk e di (items : Plan.item array) =
+  let st = e.st in
+  let j = ref 0 in
+  while !j < Array.length items && not st.halted do
+    exec_item e di (Array.unsafe_get items !j);
+    incr j
+  done
+
+(* One entrypoint crossing: the hook [step] and an observed Step
+   interface's [run_one] call. The synthesis-time constant [ins] picks
+   its body, so an unobserved crossing pays one predicted branch. Loops, not local
    recursive functions: a per-call closure would be the engine's largest
    allocation. This and the translated crossing are the per-crossing
    paths; they update counters and the sampler's countdown in place,
@@ -415,12 +479,7 @@ let timed e (i : Instrument.t) di (items : Plan.item array) k =
 let exec_ep e di k (items : Plan.item array) =
   let st = e.st in
   match e.ins with
-  | None ->
-    let j = ref 0 in
-    while !j < Array.length items && not st.halted do
-      exec_item e di (Array.unsafe_get items !j);
-      incr j
-    done
+  | None -> walk e di items
   | Some i ->
     let smp = i.sampler in
     (* [Obs.Sample.tick], inlined: keep the two in step *)
@@ -429,7 +488,7 @@ let exec_ep e di k (items : Plan.item array) =
       let j = ref 0 in
       while !j < Array.length items && not st.halted do
         let item = Array.unsafe_get items !j in
-        exec_item e di item;
+        (exec_item [@inlined never]) e di item;
         count (Array.unsafe_get i.seg_calls (segment item));
         incr j
       done
@@ -466,15 +525,19 @@ let auto_checkpoint e (di : Di.t) pc k =
    which every [run_one] and a stepped flow reach, and each block at its
    entry pc in the per-block exit. A halting instruction is never
    retired, so never attributed. *)
-let[@inline] retire e (di : Di.t) =
+let[@inline] retire_at e pc next =
   let st = e.st in
-  st.pc <- di.next_pc;
+  st.pc <- next;
   st.instr_count <- Int64.add st.instr_count 1L;
   e.stats.instrs_executed <- e.stats.instrs_executed + 1;
-  match e.prof with None -> () | Some p -> Obs.Prof.note p ~pc:di.pc ~instrs:1
+  match e.prof with None -> () | Some p -> Obs.Prof.note p ~pc ~instrs:1
 
-(* The generic [run_one] of a Step interface: every entrypoint's items
-   in turn. *)
+let[@inline] retire e (di : Di.t) = retire_at e di.pc di.next_pc
+
+(* The generic [run_one] of a Step interface: unobserved, one walk of
+   the flat items, which stops where the crossings would (a halt stops
+   both); observed, every entrypoint's crossing in turn, so the counts
+   and sampled times stay per crossing. *)
 let[@inline] run_one_items e (di : Di.t) =
   let st = e.st in
   if not st.halted then begin
@@ -483,15 +546,43 @@ let[@inline] run_one_items e (di : Di.t) =
     if di.fault != None then di.fault <- None;
     auto_checkpoint e di di.pc 0;
     load_frame e di;
-    let items = e.ep_items in
-    let k = ref 0 in
-    while !k < Array.length items && not st.halted do
-      exec_ep e di !k (Array.unsafe_get items !k);
-      incr k
-    done;
+    (match e.ins with
+    | None -> walk e di e.flat
+    | Some _ ->
+      let items = e.ep_items in
+      let k = ref 0 in
+      while !k < Array.length items && not st.halted do
+        exec_ep e di !k (Array.unsafe_get items !k);
+        incr k
+      done);
     save_frame e di;
     if not st.halted then retire e di
   end
+
+(* [run_fast] of an unobserved Step interface: the flat walk with no DI
+   header. The header lives in the frame's slots alone; the class index
+   and a journal mark go to the ring's first record, whose info bytes
+   the items write. Only the pc is stored before the walk: the
+   encoding and next-pc slots hold what the last instruction left, as
+   the record's header would. An instruction retires from the frame's
+   next-pc slot. *)
+let[@inline] run_flat e n =
+  let st = e.st and fs = e.fs in
+  let di = e.ring.o_dis.(0) and items = e.flat in
+  if e.frame.di != di.info then e.frame.di <- di.info;
+  let executed = ref 0 in
+  while !executed < n && not st.halted do
+    let pc = st.pc in
+    di.instr_index <- -1;
+    auto_checkpoint e di pc 0;
+    set64 fs pc_off pc;
+    walk e di items;
+    if not st.halted then begin
+      retire_at e pc (get64 fs next_pc_off);
+      incr executed
+    end
+  done;
+  !executed
 
 (* ------------------------------------------------------------------ *)
 (* Translated One                                                      *)
@@ -504,11 +595,6 @@ let[@inline] run_one_items e (di : Di.t) =
    and ir unless decode found no instruction), and a sampled crossing
    times fetch as "fetch", the lookup as "decode" and the site as
    "ir". *)
-let fetch e pc =
-  Memory.load_into e.st.mem
-    ~addr:(Int64.to_int pc land max_int)
-    ~width:e.spec.instr_bytes ~signed:false e.fs enc_off
-
 let lookup e s pc =
   let win = get64 e.fs enc_off in
   let slot = dcache_slot pc in
@@ -574,14 +660,14 @@ let[@inline] run_one_translated e s (di : Di.t) =
     auto_checkpoint e di pc 0;
     (match e.ins with
     | None ->
-      fetch e pc;
+      fetch e (Int64.to_int pc land max_int);
       exec_site e di pc (lookup e s pc)
     | Some i ->
       let smp = i.sampler in
       (* [Obs.Sample.tick], inlined, as in [exec_ep] *)
       if smp.left > 1 then begin
         smp.left <- smp.left - 1;
-        fetch e pc;
+        fetch e (Int64.to_int pc land max_int);
         let d = lookup e s pc in
         exec_site e di pc d;
         count_segs i d
@@ -589,7 +675,7 @@ let[@inline] run_one_translated e s (di : Di.t) =
       else begin
         Obs.Sample.rearm smp;
         let t0 = Obs.Clock.now () in
-        fetch e pc;
+        fetch e (Int64.to_int pc land max_int);
         let t1 = Obs.Clock.now () in
         let d = lookup e s pc in
         let t2 = Obs.Clock.now () in
@@ -914,10 +1000,11 @@ let[@inline] run_chained e s tb n =
   done;
   !executed
 
-(* [run_fast]'s generic loop, for journaled block interfaces and every
-   per-instruction one: [run_block] or [run_one] until [n] instructions
-   (plus block slack) retired. [run_one] writes the ring's first record,
-   as [run_batch] does, so a call allocates no record of its own. *)
+(* [run_fast]'s generic loop, for journaled block interfaces, One
+   interfaces and observed Step ones: [run_block] or [run_one] until [n]
+   instructions (plus block slack) retired. [run_one] writes the ring's
+   first record, as [run_batch] does, so a call allocates no record of
+   its own. *)
 let run_generic e ~run_block ~run_one n =
   let st = e.st in
   let start = st.instr_count in
@@ -1052,6 +1139,11 @@ let create ~backend ~chain ~site_cache ~mutate ~hooks ~journal ~obs
       stride4 = mutate = Some Stride4;
       instr_bytes64 = Int64.of_int spec.instr_bytes;
       ep_items = [||];
+      flat = [||];
+      fetch_idx = -1;
+      fetch_gen = 0;
+      fetch_page = Bytes.empty;
+      fetch_swap = Sys.big_endian <> (Memory.endian st.mem = Memory.Big);
       ring =
         owned frame
           (Array.init 4 (fun _ -> Di.create ~info_slots:slots.di_size));
@@ -1059,7 +1151,12 @@ let create ~backend ~chain ~site_cache ~mutate ~hooks ~journal ~obs
       tables;
     }
   in
-  if n_eps <> 1 then e.ep_items <- items e;
+  if n_eps <> 1 then begin
+    e.ep_items <- items e;
+    (* the same item values: a lazily compiled stub replaces itself in
+       the code array both hold *)
+    e.flat <- Array.concat (Array.to_list e.ep_items)
+  end;
   (match tables with
   | Some tb when mutate <> Some Skip_invalidate ->
     Memory.add_code_write_hook st.mem (invalidate e tb)
@@ -1097,10 +1194,12 @@ let run_block_fn e run_one : unit -> Di.t array * int =
 
 (** [run_fast_fn e ~run_block ~run_one] is the interface's [run_fast]:
     the DI-free chained loop on an unjournaled block interface, the
-    generic loop over [run_block] or [run_one] otherwise. *)
+    DI-free flat walk on an unobserved Step interface, the generic loop
+    over [run_block] or [run_one] otherwise. *)
 let run_fast_fn e ~run_block ~run_one : int -> int =
-  match (e.sites, e.tables, e.journal) with
-  | Some s, Some tb, None -> fun n -> run_chained e s tb n
+  match (e.sites, e.tables, e.journal, e.ins) with
+  | Some s, Some tb, None, _ -> fun n -> run_chained e s tb n
+  | None, _, _, None -> fun n -> run_flat e n
   | _ -> fun n -> run_generic e ~run_block ~run_one n
 
 (* [Sys.opaque_identity] keeps each closure below apart from its

@@ -65,9 +65,12 @@ type t = {
   run_fast : int -> int;
       (** [run_fast n] executes at least [n] instructions (rounding up to
           a block boundary) through the fastest dispatch path of this
-          interface — chained block-to-block dispatch when available —
-          and returns the number actually executed (less than [n] only on
-          halt/fault). Produces no DI records. *)
+          interface and returns the number actually executed (less than
+          [n] only on halt/fault). Produces no DI records. An unjournaled
+          Block interface dispatches block to block through its chains;
+          an unobserved Step interface walks each instruction's items in
+          one loop, with the header in the engine's frame alone; the
+          rest run [run_block] or [run_one] on a record of the engine's. *)
   stats : stats;
 }
 
@@ -96,10 +99,12 @@ let rollback_di t (di : Di.t) =
   t.rollback di.ckpt
 
 (** [run_n t n] executes up to [n] instructions through the fastest call
-    style of this interface (chained blocks when available) and returns
-    the number actually executed (less than [n] on halt/fault). This is
-    the paper's "fast-forward" entry used during sampling. Each call
-    returns after at most [n] instructions (plus block slack), which is
-    the preemption point watchdogs and injectors rely on: chained
-    dispatch cannot spin past the slice. *)
+    style of this interface ([run_fast]: chained blocks, or a Step
+    interface's DI-free walk, when available) and returns the number
+    actually executed (less than [n] on halt/fault). This is the paper's
+    "fast-forward" entry used during sampling, and the supervised
+    runtime's for its step_all shadow. Each call returns after at most
+    [n] instructions (plus block slack), which is the preemption point
+    watchdogs and injectors rely on: chained dispatch cannot spin past
+    the slice. *)
 let run_n t n = t.run_fast n

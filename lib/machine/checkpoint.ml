@@ -56,12 +56,17 @@ let put_string b pos s =
   Bytes.blit_string s 0 b pos (String.length s);
   pos + String.length s
 
-(** [save st] serializes the machine's architectural state. The syscall
+(** [save_into buf st] serializes the machine's architectural state
+    into [buf] when [buf] has exactly the saved size, into a fresh
+    buffer otherwise, and returns the buffer that holds it. The syscall
     handler and any attached OS-emulator state are not captured (an OS
     emulator has its own buffers; re-install it after restore). The
-    bytes are written in one pass into a result of exact size. *)
-let save (st : State.t) : string =
-  let b = Bytes.create (saved_size st) in
+    bytes are written in one pass. A session that checkpoints one
+    machine again and again passes back the buffer it got, and
+    allocates a new one only when the machine's page count changes. *)
+let save_into (buf : Bytes.t) (st : State.t) : Bytes.t =
+  let size = saved_size st in
+  let b = if Bytes.length buf = size then buf else Bytes.create size in
   let pos = ref (put_string b 0 magic) in
   Bytes.set b !pos (match Memory.endian st.mem with Little -> 'L' | Big -> 'B');
   incr pos;
@@ -106,7 +111,11 @@ let save (st : State.t) : string =
         pos + 8 + Memory.page_size)
   in
   assert (stop = Bytes.length b);
-  Bytes.unsafe_to_string b
+  b
+
+(** [save st] is {!save_into} into a result of its own. *)
+let save (st : State.t) : string =
+  Bytes.unsafe_to_string (save_into Bytes.empty st)
 
 (* splitmix64 finalizer, same step as {!Memory.digest} uses. *)
 let mix64 z =
@@ -207,3 +216,9 @@ let restore (st : State.t) (data : string) : unit =
       (Bytes.of_string (String.sub data r.pos Memory.page_size));
     r.pos <- r.pos + Memory.page_size
   done
+
+(** [restore_from st buf] is {!restore} of the checkpoint [buf] holds
+    (from {!save_into}). [restore] keeps nothing of its argument, so
+    [buf] may be saved into again afterwards. *)
+let restore_from (st : State.t) (buf : Bytes.t) : unit =
+  restore st (Bytes.unsafe_to_string buf)

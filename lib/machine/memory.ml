@@ -7,6 +7,12 @@ let page_mask = page_size - 1
 type t = {
   endian : endian;
   pages : (int, Bytes.t) Hashtbl.t;
+  (* The same pages listed in two arrays, so a walk over them is a loop
+     with no closure: page [list_idx.(i)] is [list_pages.(i)] for
+     [i < n_listed]. A page leaves only with [clear] or a page copy. *)
+  mutable list_idx : int array;
+  mutable list_pages : Bytes.t array;
+  mutable n_listed : int;
   (* One-entry cache of the most recently touched page: instruction fetch
      and stack traffic hit the same page repeatedly. *)
   mutable last_index : int;
@@ -31,6 +37,9 @@ let create endian =
   {
     endian;
     pages = Hashtbl.create 64;
+    list_idx = [||];
+    list_pages = [||];
+    n_listed = 0;
     last_index = -1;
     last_page = no_page;
     generation = 0;
@@ -44,8 +53,32 @@ let endian t = t.endian
 let page_count t = Hashtbl.length t.pages
 let generation t = t.generation
 
+let list_page t idx p =
+  let n = t.n_listed in
+  if n = Array.length t.list_pages then begin
+    let cap = max 8 (2 * n) in
+    let idxs = Array.make cap 0 and pages = Array.make cap no_page in
+    Array.blit t.list_idx 0 idxs 0 n;
+    Array.blit t.list_pages 0 pages 0 n;
+    t.list_idx <- idxs;
+    t.list_pages <- pages
+  end;
+  t.list_idx.(n) <- idx;
+  t.list_pages.(n) <- p;
+  t.n_listed <- n + 1
+
+(* [p] becomes page [idx] *)
+let add_page t idx p =
+  Hashtbl.add t.pages idx p;
+  list_page t idx p
+
+let unlist_all t =
+  Array.fill t.list_pages 0 t.n_listed no_page;
+  t.n_listed <- 0
+
 let clear t =
   Hashtbl.reset t.pages;
+  unlist_all t;
   t.last_index <- -1;
   t.last_page <- no_page;
   Hashtbl.reset t.code_pages;
@@ -83,7 +116,7 @@ let page t index =
       | Some p -> p
       | None ->
         let p = Bytes.make page_size '\000' in
-        Hashtbl.add t.pages index p;
+        add_page t index p;
         p
     in
     t.last_index <- index;
@@ -291,10 +324,12 @@ let copy_pages ~keep ~src ~dst =
         Some p
       | _ -> None)
     dst.pages;
+  unlist_all dst;
+  Hashtbl.iter (list_page dst) dst.pages;
   Hashtbl.iter
     (fun idx q ->
       if (not (Hashtbl.mem dst.pages idx)) && keep q then
-        Hashtbl.add dst.pages idx (Bytes.copy q))
+        add_page dst idx (Bytes.copy q))
     src.pages;
   dst.last_index <- -1;
   dst.last_page <- no_page;
@@ -306,24 +341,28 @@ let copy_pages ~keep ~src ~dst =
 let blit_all ~src ~dst = copy_pages ~keep:(fun q -> not (is_zero q)) ~src ~dst
 let assign ~src ~dst = copy_pages ~keep:(fun _ -> true) ~src ~dst
 
-exception Differ
-
 (* Page by page, an absent page standing for an all-zero one (the same
    canonical form [digest] hashes): every page of [a] against its
-   counterpart in [b], then [b]'s pages that [a] lacks. *)
+   counterpart in [b], then [b]'s pages that [a] lacks. Two loops over
+   the listed pages, so a compare allocates nothing. *)
 let equal_contents a b =
-  let same idx p =
-    match Hashtbl.find b.pages idx with
-    | q -> compare_bytes p q = 0
-    | exception Not_found -> is_zero p
-  in
-  let extra idx q = Hashtbl.mem a.pages idx || is_zero q in
-  match
-    Hashtbl.iter (fun idx p -> if not (same idx p) then raise_notrace Differ) a.pages;
-    Hashtbl.iter (fun idx q -> if not (extra idx q) then raise_notrace Differ) b.pages
-  with
-  | () -> true
-  | exception Differ -> false
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < a.n_listed do
+    let p = Array.unsafe_get a.list_pages !i in
+    (ok :=
+       match Hashtbl.find b.pages (Array.unsafe_get a.list_idx !i) with
+       | q -> compare_bytes p q = 0
+       | exception Not_found -> is_zero p);
+    incr i
+  done;
+  i := 0;
+  while !ok && !i < b.n_listed do
+    ok :=
+      Hashtbl.mem a.pages (Array.unsafe_get b.list_idx !i)
+      || is_zero (Array.unsafe_get b.list_pages !i);
+    incr i
+  done;
+  !ok
 
 let dump_bytes t addr len =
   let b = Bytes.create len in

@@ -81,9 +81,10 @@ val addr_int : int64 -> int
 val lookup_page : t -> int -> bytes
 
 (** [generation mem] changes whenever previously handed-out page buffers
-    may no longer be trusted: on {!clear} and when a page is newly marked
-    as code. A one-entry per-site page cache is valid only while the
-    generation it captured still matches. *)
+    may no longer be trusted: on {!clear}, on a page copy ({!blit_all},
+    {!assign}) and when a page is newly marked as code. A one-entry page
+    cache (a compiled site's, the engine's fetch page) is valid only
+    while the generation it captured still matches. *)
 val generation : t -> int
 
 (** [note_code_page mem index] marks page [index] as holding translated
@@ -132,5 +133,6 @@ external compare_bytes : Bytes.t -> Bytes.t -> int = "caml_bytes_compare"
 (** [equal_contents a b] is [true] when [a] and [b] hold the same bytes
     at every address: pages are compared directly, an absent page
     standing for an all-zero one, so it agrees with comparing
-    {!digest}s (up to hash collisions) without hashing anything. *)
+    {!digest}s (up to hash collisions) without hashing anything. It
+    allocates nothing. *)
 val equal_contents : t -> t -> bool

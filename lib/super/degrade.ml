@@ -91,7 +91,9 @@ type t = {
   mutable d_iface : Specsim.Iface.t;  (** primary interface, re-synthesized on demote *)
   d_shadow_st : State.t;
   d_shadow : Specsim.Iface.t;  (** trusted [reference] lockstep shadow *)
-  mutable d_ckpt : string;  (** state at the last verified slice boundary *)
+  mutable d_ckpt : Bytes.t;
+      (** state at the last verified slice boundary; each verified slice
+          saves into it again ({!Machine.Checkpoint.save_into}) *)
   d_obs : Obs.t option;
   d_stats : Supervisor.stats option;
   d_cache : Specsim.Synth.cache;
@@ -130,7 +132,7 @@ let create ?obs ?stats ?mutate ?(chain = true) ?(site_cache = true)
     d_iface = synth_level ?obs ~cache ~st spec levels.(0);
     d_shadow_st = sst;
     d_shadow = Specsim.Synth.make ~cache ~st:sst spec reference;
-    d_ckpt = Checkpoint.save sst;
+    d_ckpt = Checkpoint.save_into Bytes.empty sst;
     d_obs = obs;
     d_stats = stats;
     d_cache = cache;
@@ -173,8 +175,8 @@ let demote t ~detail =
           ("detail", detail);
         ]
       "degradation ladder exhausted: the reference level itself failed";
-  Checkpoint.restore t.d_st t.d_ckpt;
-  Checkpoint.restore t.d_shadow_st t.d_ckpt;
+  Checkpoint.restore_from t.d_st t.d_ckpt;
+  Checkpoint.restore_from t.d_shadow_st t.d_ckpt;
   t.d_idx <- t.d_idx + 1;
   (* the next rung's gauges replace the abandoned interface's *)
   Option.iter
@@ -245,7 +247,7 @@ let run ?(slice = 256) ?deadline ?force_demote_at ~budget t : result =
         else begin
           sync t;
           if states_agree t.d_st t.d_shadow_st then begin
-            t.d_ckpt <- Checkpoint.save t.d_shadow_st;
+            t.d_ckpt <- Checkpoint.save_into t.d_ckpt t.d_shadow_st;
             incr slices;
             Option.iter
               (fun s -> Obs.Registry.incr s.Supervisor.s_slices)

@@ -124,7 +124,7 @@ let run ?(bug = fun (_ : Machine.State.t) (_ : Specsim.Di.t) -> ())
   (* Recovery checkpoints are taken from the *functional* simulator — the
      trusted side — and restored into the timing machine (same spec, so
      the layouts match). *)
-  let ckpt = ref (Machine.Checkpoint.save cst) in
+  let ckpt = ref (Machine.Checkpoint.save_into Bytes.empty cst) in
   let ckpt_at = ref 0 in
   let storm_start = ref 0 in
   let storm_count = ref 0 in
@@ -158,7 +158,7 @@ let run ?(bug = fun (_ : Machine.State.t) (_ : Specsim.Di.t) -> ())
      aggressive timing interface over the same machine retries the same
      replay. The recursion is bounded by the ladder returning [None]. *)
   let rec restore_and_replay () =
-    Machine.Checkpoint.restore tst !ckpt;
+    Machine.Checkpoint.restore_from tst !ckpt;
     (!timing).flush_code_cache ();
     while
       Int64.compare tst.instr_count cst.instr_count < 0 && not tst.halted
@@ -214,7 +214,7 @@ let run ?(bug = fun (_ : Machine.State.t) (_ : Specsim.Di.t) -> ())
       else record Memory (Int64.of_int (!retired - !last_mem_check));
     (* periodic recovery checkpoint of the trusted side *)
     if (not cst.halted) && !retired - !ckpt_at >= ckpt_interval then begin
-      ckpt := Machine.Checkpoint.save cst;
+      ckpt := Machine.Checkpoint.save_into !ckpt cst;
       ckpt_at := !retired
     end
   done;

@@ -29,6 +29,7 @@ let () =
       ("analysis", Test_analysis.suite);
       ("absint", Test_absint.suite);
       ("dispatch", Test_dispatch.suite);
+      ("front", Test_front.suite);
       ("export", Test_export.suite);
       ("fuzz", Test_fuzz.suite);
       ("super", Test_super.suite);
