@@ -149,8 +149,8 @@ let dispatch_invariant_violation (st : State.t) ~want ~got =
 
 (* The site of an encoding no instruction matches. *)
 let illegal_site : Semir.Compile.code =
- fun st fr ->
-  State.raise_fault st (Fault.Illegal_instruction (Semir.Frame.enc fr))
+ fun fr ->
+  State.raise_fault fr.st (Fault.Illegal_instruction (Semir.Frame.enc fr))
 
 (* ------------------------------------------------------------------ *)
 (* Decoded-instruction cache                                           *)
@@ -275,14 +275,14 @@ let compiler ~backend ~hooked ~mem_fast_path ~layout loc ir :
     Semir.Compile.code =
   match backend with
   | Compiled -> Semir.Compile.program ~hooked ~layout ~mem_fast_path ~loc ir
-  | Interpreted -> fun st fr -> Semir.Eval.exec ~loc st fr ir
+  | Interpreted -> fun fr -> Semir.Eval.exec ~loc fr ir
 
-(* Every entrypoint's generic per-segment code. Compiled code reads the
-   machine only through its [st] argument and the hooks only through its
-   frame, so instances that share sites share it through the shape,
-   hooked apart from plain. The caller's hooks record a short run that
-   meets few classes, so items built for them compile each class when it
-   first runs, for every later instance too. *)
+(* Every entrypoint's generic per-segment code. Compiled code takes the
+   frame alone and reads the machine and the hooks only through it, so
+   instances that share sites share it through the shape, hooked apart
+   from plain. The caller's hooks record a short run that meets few
+   classes, so items built for them compile each class when it first
+   runs, for every later instance too. *)
 let items e =
   let build () =
     Plan.compile_items e.plan e.bp
@@ -389,7 +389,7 @@ let[@inline] exec_item e (di : Di.t) item =
         (Int64.logand (get64 fs enc_off) (Array.unsafe_get e.plan.size_mask idx));
       set64 fs next_pc_off
         (Int64.add (get64 fs pc_off) (Array.unsafe_get e.plan.size64 idx));
-      (Array.unsafe_get codes idx) st e.frame
+      (Array.unsafe_get codes idx) e.frame
     end
   | Plan.I_chunk codes ->
     let idx = di.instr_index in
@@ -399,7 +399,7 @@ let[@inline] exec_item e (di : Di.t) item =
           [ ("isa", e.spec.name); ("buildset", e.bp.bs.bs_name);
             ("pc", Printf.sprintf "0x%Lx" (get64 fs pc_off)) ]
         "entrypoint called before decode"
-    else (Array.unsafe_get codes idx) st e.frame
+    else (Array.unsafe_get codes idx) e.frame
 
 (* The engine moves the frame header through its unboxed slots. A
    pointer field of a long-lived record (a DI header field, [frame.di])
@@ -511,8 +511,10 @@ let[@inline] step e di k =
 
 (* [di]'s checkpoint restores pc [pc] and [k] instructions past
    [st.instr_count]: a block's sites run before [st] moves past the
-   block. *)
-let auto_checkpoint e (di : Di.t) pc k =
+   block. Inlined, so the synthesis-time constant [journal] is a
+   predicted branch at each call, as [prof] is in [retire_at], and an
+   interface without speculation pays no call per instruction. *)
+let[@inline] auto_checkpoint e (di : Di.t) pc k =
   match e.journal with
   | None -> ()
   | Some j ->
@@ -635,7 +637,7 @@ let exec_site e (di : Di.t) pc d =
   set64 fs enc_off d.d_enc;
   set64 fs next_pc_off d.d_fall;
   if frame.di != di.info then frame.di <- di.info;
-  d.d_site e.st frame;
+  d.d_site frame;
   let n = get64 fs next_pc_off in
   di.next_pc <-
     (if Int64.equal n d.d_fall then d.d_fall
@@ -698,8 +700,9 @@ let[@inline] run_one_translated e s (di : Di.t) =
 
 (* Each record gets its own frame, the engine's with the record's info
    bytes, so a site never repoints [frame.di] and every frame carries
-   the instance's hooks. The ring serves a block's first dispatch, a
-   non-block buildset's one-instruction batch and [run_generic]. *)
+   the instance's machine and hooks. The ring serves a block's first
+   dispatch, a non-block buildset's one-instruction batch and
+   [run_generic]. *)
 let owned (frame : Semir.Frame.t) dis =
   {
     o_dis = dis;
@@ -934,7 +937,7 @@ let[@inline] run_block e s tb =
       set64 fs pc_off pc;
       set64 fs enc_off enc;
       set64 fs next_pc_off fall;
-      (Array.unsafe_get codes !k) st (Array.unsafe_get frames !k);
+      (Array.unsafe_get codes !k) (Array.unsafe_get frames !k);
       let n = get64 fs next_pc_off in
       if Int64.equal n fall then begin
         if di.next_pc != fall then di.next_pc <- fall
@@ -981,7 +984,7 @@ let[@inline] run_chained e s tb n =
       set64 fs pc_off (Array.unsafe_get pcs !k);
       set64 fs enc_off (Array.unsafe_get encs !k);
       set64 fs next_pc_off (Array.unsafe_get pcs (!k + 1));
-      (Array.unsafe_get codes !k) st frame;
+      (Array.unsafe_get codes !k) frame;
       if st.halted then go := false
       else begin
         incr k;
@@ -1051,8 +1054,8 @@ let flush_code_cache e =
 
 (** [create ~backend ~chain ~site_cache ~mutate ~hooks ~journal ~obs
     plan bp st] is the engine of buildset [bp] on machine [st]: its
-    statistics and instruments, its frames, which carry [hooks] (the
-    caller's or the journal's), the items of a Step interface, the
+    statistics and instruments, its frames, which carry [st] and [hooks]
+    (the caller's or the journal's), the items of a Step interface, the
     translator's state of a one-entrypoint interface and the block
     tables of a Block interface, whose code-write hook it registers
     unless [mutate] skips it. *)
@@ -1085,7 +1088,7 @@ let create ~backend ~chain ~site_cache ~mutate ~hooks ~journal ~obs
      with and without the TLB never mixes. *)
   let shares = site_cache && backend = Compiled in
   let frame =
-    Semir.Frame.create
+    Semir.Frame.create ~st
       ~hooks:(Option.value hooks ~default:Semir.Hooks.none)
       ~di_slots:slots.di_size ~scratch_slots:slots.scratch_size
   in

@@ -300,13 +300,13 @@ let compile_items ?(on_first_run = false) t bp ~compile : item array array =
              let codes () =
                if not on_first_run then Array.init n_instrs code
                else begin
-                 let a = Array.make n_instrs (fun _ _ -> ()) in
+                 let a = Array.make n_instrs (fun _ -> ()) in
                  for ii = 0 to n_instrs - 1 do
                    a.(ii) <-
-                     (fun st fr ->
+                     (fun fr ->
                        let c = code ii in
                        a.(ii) <- c;
-                       c st fr)
+                       c fr)
                  done;
                  a
                end

@@ -17,9 +17,9 @@
 
 open Machine
 
-type code = State.t -> Frame.t -> unit
+type code = Frame.t -> unit
 
-let nop : code = fun _ _ -> ()
+let nop : code = fun _ -> ()
 
 external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
 external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
@@ -64,12 +64,12 @@ type opnd =
 
 (* The [O_const] arm loads a boxed value; [Int64.add 0L] keeps the
    inlined match unboxed all the same (DESIGN.md rule b). *)
-let[@inline] rd o (st : State.t) (fr : Frame.t) =
+let[@inline] rd o (fr : Frame.t) =
   Int64.add 0L
     (match o with
     | O_frame off -> get64 fr.s off
     | O_di off -> get64 fr.di off
-    | O_reg off -> get64 st.regs.Regfile.v off
+    | O_reg off -> get64 fr.st.regs.Regfile.v off
     | O_const v -> v
     | O_enc_u { sl; sr } ->
       Int64.shift_right_logical (Int64.shift_left (get64 fr.s enc_off) sl) sr
@@ -81,12 +81,12 @@ let[@inline] rd o (st : State.t) (fr : Frame.t) =
    writes to a hardwired zero. *)
 type dest = D_frame of int | D_di of int | D_reg of int
 
-let[@inline] wr d (st : State.t) (fr : Frame.t) v =
+let[@inline] wr d (fr : Frame.t) v =
   match d with
   | D_frame off -> set64 fr.s off v
   | D_di off -> set64 fr.di off v
   | D_reg off ->
-    let r = st.regs in
+    let r = fr.st.regs in
     set64 r.Regfile.v off (Int64.logand v (get64 r.Regfile.masks off))
 
 let temp_off i =
@@ -249,75 +249,75 @@ let[@inline] page_write p off w swap v =
 
 (* Effective address [a + b] in the native-int form of
    {!Memory.addr_int}. *)
-let[@inline] address a b st fr =
-  Int64.to_int (Int64.add (rd a st fr) (rd b st fr)) land max_int
+let[@inline] address a b fr =
+  Int64.to_int (Int64.add (rd a fr) (rd b fr)) land max_int
 
 (* A load of [w] bytes at [a + b] into [dst]. The slow path goes through
    {!Memory.load_into} via the temporary at [toff]. *)
 let load_node env ~signed ~w a b dst ~toff : code =
-  let slow (st : State.t) (fr : Frame.t) ai =
-    Memory.load_into st.mem ~addr:ai ~width:w ~signed fr.s toff;
-    wr dst st fr (get64 fr.s toff)
+  let slow (fr : Frame.t) ai =
+    Memory.load_into fr.st.mem ~addr:ai ~width:w ~signed fr.s toff;
+    wr dst fr (get64 fr.s toff)
   in
-  if not env.env_fast_mem then fun st fr -> slow st fr (address a b st fr)
+  if not env.env_fast_mem then fun fr -> slow fr (address a b fr)
   else begin
     let tl = fresh_tlb () in
     let max_off = Memory.page_size - w in
-    let miss (st : State.t) fr ai =
-      slow st fr ai;
+    let miss (fr : Frame.t) ai =
+      slow fr ai;
       if ai land Memory.page_mask <= max_off then
-        tlb_refill tl st.mem (ai lsr Memory.page_bits)
+        tlb_refill tl fr.st.mem (ai lsr Memory.page_bits)
     in
-    fun st fr ->
-      let ai = address a b st fr in
+    fun fr ->
+      let ai = address a b fr in
       let off = ai land Memory.page_mask in
-      let m = st.mem in
+      let m = fr.st.mem in
       if
         ai lsr Memory.page_bits = tl.tl_idx
         && m == tl.tl_mem
         && tl.tl_gen = Memory.generation m
         && off <= max_off
-      then wr dst st fr (page_read tl.tl_page off w signed tl.tl_swap)
-      else miss st fr ai
+      then wr dst fr (page_read tl.tl_page off w signed tl.tl_swap)
+      else miss fr ai
   end
 
 (* A store of [w] bytes of [v] at [a + b]. The value is staged in the
    temporary at [toff] for {!Memory.store_from} on the slow path. *)
 let store_node env ~w a b v ~toff : code =
-  let slow (st : State.t) (fr : Frame.t) ai =
-    Memory.store_from st.mem ~addr:ai ~width:w fr.s toff
+  let slow (fr : Frame.t) ai =
+    Memory.store_from fr.st.mem ~addr:ai ~width:w fr.s toff
   in
   if env.env_hooked then
     (* Hooked stores keep the slow path: the hook must see every store,
        and speculation dominates the cost anyway. *)
-    fun st fr ->
-      let ai = address a b st fr in
-      set64 fr.s toff (rd v st fr);
-      fr.hooks.on_store st ai w;
-      slow st fr ai
+    fun fr ->
+      let ai = address a b fr in
+      set64 fr.s toff (rd v fr);
+      fr.hooks.on_store fr.st ai w;
+      slow fr ai
   else if not env.env_fast_mem then
-    fun st fr ->
-      let ai = address a b st fr in
-      set64 fr.s toff (rd v st fr);
-      slow st fr ai
+    fun fr ->
+      let ai = address a b fr in
+      set64 fr.s toff (rd v fr);
+      slow fr ai
   else
     let tl = fresh_tlb () in
     let max_off = Memory.page_size - w in
-    let miss (st : State.t) fr ai =
-      slow st fr ai;
+    let miss (fr : Frame.t) ai =
+      slow fr ai;
       let idx = ai lsr Memory.page_bits in
       (* Never cache a code page: a fast-path hit must imply the write
          needs no code-write hook. *)
       if
         ai land Memory.page_mask <= max_off
-        && not (Memory.is_code_page st.mem idx)
-      then tlb_refill tl st.mem idx
+        && not (Memory.is_code_page fr.st.mem idx)
+      then tlb_refill tl fr.st.mem idx
     in
-    fun st fr ->
-      let ai = address a b st fr in
+    fun fr ->
+      let ai = address a b fr in
       let off = ai land Memory.page_mask in
-      let m = st.mem in
-      let x = rd v st fr in
+      let m = fr.st.mem in
+      let x = rd v fr in
       if
         ai lsr Memory.page_bits = tl.tl_idx
         && m == tl.tl_mem
@@ -326,7 +326,7 @@ let store_node env ~w a b v ~toff : code =
       then page_write tl.tl_page off w tl.tl_swap x
       else begin
         set64 fr.s toff x;
-        miss st fr ai
+        miss fr ai
       end
 
 (* ------------------------------------------------------------------ *)
@@ -357,17 +357,17 @@ let class_shape env cls =
 (* ------------------------------------------------------------------ *)
 
 let seq (pre : code option) (c : code) : code =
-  match pre with None -> c | Some p -> fun st fr -> p st fr; c st fr
+  match pre with None -> c | Some p -> fun fr -> p fr; c fr
 
 let seq2 pa pb c =
   match (pa, pb) with
   | None, _ -> seq pb c
   | _, None -> seq pa c
   | Some (pa : code), Some (pb : code) ->
-    fun st fr ->
-      pa st fr;
-      pb st fr;
-      c st fr
+    fun fr ->
+      pa fr;
+      pb fr;
+      c fr
 
 (* An expression that needs no code of its own: read inline. *)
 let leaf env loc (e : Ir.expr) =
@@ -420,32 +420,32 @@ and cond env loc (e : Ir.expr) ~tmp =
    temporaries from [tmp] up. *)
 and expr env loc (e : Ir.expr) ~dst ~tmp : code =
   match leaf env loc e with
-  | Some o -> fun st fr -> wr dst st fr (rd o st fr)
+  | Some o -> fun fr -> wr dst fr (rd o fr)
   | None -> (
     match e with
     | Const _ | Cell _ | Pc | Next_pc -> assert false
     | Enc { lo; len; signed } ->
       (* a field outside the 64-bit word: the reference semantics *)
-      fun st fr -> wr dst st fr (Value.enc_bits (Frame.enc fr) ~lo ~len ~signed)
+      fun fr -> wr dst fr (Value.enc_bits (Frame.enc fr) ~lo ~len ~signed)
     | Bin (op, a, b) ->
       let oa, ob, pa, pb, _ = operands env loc a b ~tmp in
       seq2 pa pb
         (if rare_binop op then
            let f = Value.binop op in
-           fun st fr -> wr dst st fr (f (rd oa st fr) (rd ob st fr))
-         else fun st fr -> wr dst st fr (bin op (rd oa st fr) (rd ob st fr)))
+           fun fr -> wr dst fr (f (rd oa fr) (rd ob fr))
+         else fun fr -> wr dst fr (bin op (rd oa fr) (rd ob fr)))
     | Un (op, a) ->
       let oa, pa, _ = operand env loc a ~tmp in
       seq pa
         (if rare_unop op then
            let f = Value.unop op in
-           fun st fr -> wr dst st fr (f (rd oa st fr))
-         else fun st fr -> wr dst st fr (un op (rd oa st fr)))
+           fun fr -> wr dst fr (f (rd oa fr))
+         else fun fr -> wr dst fr (un op (rd oa fr)))
     | Ite (c, a, b) ->
       let op, ox, oy, px, py, _ = cond env loc c ~tmp in
       let ca = expr env loc a ~dst ~tmp and cb = expr env loc b ~dst ~tmp in
-      seq2 px py (fun st fr ->
-          if truth op (rd ox st fr) (rd oy st fr) then ca st fr else cb st fr)
+      seq2 px py (fun fr ->
+          if truth op (rd ox fr) (rd oy fr) then ca fr else cb fr)
     | Load { width; signed; addr } ->
       let oa, ob, pa, pb, tmp = effective env loc addr ~tmp in
       seq2 pa pb
@@ -454,10 +454,10 @@ and expr env loc (e : Ir.expr) ~dst ~tmp : code =
     | Reg_read { cls; index } ->
       let oi, pi, _ = operand env loc index ~tmp in
       let base, count = class_shape env cls in
-      seq pi (fun st fr ->
-          let r = st.regs in
-          let flat = resolve r cls base count (Int64.to_int (rd oi st fr)) in
-          wr dst st fr (get64 r.v (8 * flat))))
+      seq pi (fun fr ->
+          let r = fr.st.regs in
+          let flat = resolve r cls base count (Int64.to_int (rd oi fr)) in
+          wr dst fr (get64 r.v (8 * flat))))
 
 (* An address as the sum of two operands: [base + displacement] is read
    inline, anything else is [e + 0]. *)
@@ -491,42 +491,46 @@ let rec stmt (env : env) (loc : Frame.location array) (s : Ir.stmt) : code =
          computed straight into the register's slot. *)
       let flat = Regaccess.flat l ~cls i in
       let cv = expr env loc value ~dst:(D_reg (8 * flat)) ~tmp:0 in
-      if env.env_hooked then fun st fr ->
-        fr.hooks.on_reg_write st flat;
-        cv st fr
+      if env.env_hooked then fun fr ->
+        fr.hooks.on_reg_write fr.st flat;
+        cv fr
       else cv)
     | _ ->
       let oi, ov, pi, pv, _ = operands env loc index value ~tmp:0 in
       let base, count = class_shape env cls in
       seq2 pi pv
-        (if env.env_hooked then fun st fr ->
-           let r = st.regs in
-           let flat = resolve r cls base count (Int64.to_int (rd oi st fr)) in
-           fr.hooks.on_reg_write st flat;
+        (if env.env_hooked then fun fr ->
+           let r = fr.st.regs in
+           let flat = resolve r cls base count (Int64.to_int (rd oi fr)) in
+           fr.hooks.on_reg_write fr.st flat;
            let o = 8 * flat in
-           set64 r.v o (Int64.logand (rd ov st fr) (get64 r.masks o))
-         else fun st fr ->
-           let r = st.regs in
-           let o = 8 * resolve r cls base count (Int64.to_int (rd oi st fr)) in
-           set64 r.v o (Int64.logand (rd ov st fr) (get64 r.masks o))))
+           set64 r.v o (Int64.logand (rd ov fr) (get64 r.masks o))
+         else fun fr ->
+           let r = fr.st.regs in
+           let o = 8 * resolve r cls base count (Int64.to_int (rd oi fr)) in
+           set64 r.v o (Int64.logand (rd ov fr) (get64 r.masks o))))
   | If (c, t, f) -> (
     let op, ox, oy, px, py, _ = cond env loc c ~tmp:0 in
     let ct = block env loc t and cf = block env loc f in
     seq2 px py
       (match f with
-      | [] -> fun st fr -> if truth op (rd ox st fr) (rd oy st fr) then ct st fr
+      | [] -> fun fr -> if truth op (rd ox fr) (rd oy fr) then ct fr
       | _ ->
-        fun st fr ->
-          if truth op (rd ox st fr) (rd oy st fr) then ct st fr else cf st fr))
+        fun fr ->
+          if truth op (rd ox fr) (rd oy fr) then ct fr else cf fr))
   | Fault_illegal ->
-    fun st fr -> State.raise_fault st (Fault.Illegal_instruction (Frame.enc fr))
+    fun fr ->
+      State.raise_fault fr.st (Fault.Illegal_instruction (Frame.enc fr))
   | Fault_unaligned e ->
     let o, p, _ = operand env loc e ~tmp:0 in
-    seq p (fun st fr ->
-        State.raise_fault st (Fault.Unaligned_access (rd o st fr)))
-  | Fault_arith msg -> fun st _ -> State.raise_fault st (Fault.Arith msg)
-  | Syscall -> fun st _ -> st.syscall_handler st
-  | Halt -> fun st _ -> st.halted <- true
+    seq p (fun fr ->
+        State.raise_fault fr.st (Fault.Unaligned_access (rd o fr)))
+  | Fault_arith msg -> fun fr -> State.raise_fault fr.st (Fault.Arith msg)
+  | Syscall ->
+    fun fr ->
+      let st = fr.st in
+      st.syscall_handler st
+  | Halt -> fun fr -> fr.st.halted <- true
 
 (** [block env loc stmts] fuses a statement list into one closure. *)
 and block env (loc : Frame.location array) (stmts : Ir.stmt list) : code =
@@ -535,16 +539,16 @@ and block env (loc : Frame.location array) (stmts : Ir.stmt list) : code =
   | [ s ] -> stmt env loc s
   | [ s1; s2 ] ->
     let c1 = stmt env loc s1 and c2 = stmt env loc s2 in
-    fun st fr ->
-      c1 st fr;
-      c2 st fr
+    fun fr ->
+      c1 fr;
+      c2 fr
   | s1 :: s2 :: rest ->
     let c1 = stmt env loc s1 and c2 = stmt env loc s2 in
     let crest = block env loc rest in
-    fun st fr ->
-      c1 st fr;
-      c2 st fr;
-      crest st fr
+    fun fr ->
+      c1 fr;
+      c2 fr;
+      crest fr
 
 (** [program ~loc p] compiles a whole action body. [hooked] code calls
     the frame's write hooks; [layout], when given, lets static register

@@ -2,14 +2,19 @@
     simulators (the analog of the paper's LLVM-based binary translation).
     Compilation happens once, at synthesis time; execution runs no IR
     dispatch at all. Compiled code captures no machine and no hooks: it
-    reads the machine through its [st] argument and, when compiled
-    [hooked], the write hooks through its frame ({!Frame.t.hooks}), so
-    one compilation serves every machine and every journal. *)
+    takes the frame as its only argument, and reads the machine through
+    the frame's [st] ({!Frame.t.st}) and, when compiled [hooked], the
+    write hooks through its [hooks] ({!Frame.t.hooks}), so one
+    compilation serves every machine and every journal. A node calls
+    its children with the frame alone: a call of an unknown closure with
+    one argument jumps through the closure's code pointer, where two
+    arguments would go through the generic [caml_apply2] (DESIGN.md §6
+    item 7, rule f). *)
 
 (** A compiled statement sequence. It allocates nothing: values move
     through the unboxed slots of the frame, the DI record and the
     register file. *)
-type code = Machine.State.t -> Frame.t -> unit
+type code = Frame.t -> unit
 
 (** [program ?hooked ?layout ?mem_fast_path ~loc p] compiles a whole
     action body. [hooked] (default off) code calls the frame's hooks

@@ -1,9 +1,10 @@
 (** Per-instruction execution frame.
 
     The frame is the runtime view of one dynamic instruction while its
-    actions run: its pc, its encoding, its computed next pc, and the two
-    cell stores — [di], the interface-visible information bytes retained in
-    the dynamic-instruction record handed to the timing simulator, and the
+    actions run: the machine it runs on, its pc, its encoding, its
+    computed next pc, and the two cell stores — [di], the
+    interface-visible information bytes retained in the
+    dynamic-instruction record handed to the timing simulator, and the
     hidden scratch cells that are reused from instruction to instruction
     and never escape the functional simulator. Which cell lives where is
     the buildset's informational-detail decision.
@@ -14,7 +15,11 @@
     expression temporaries for the closure compiler, then the scratch
     cells. [hooks] are the write hooks hooked code calls ({!Hooks}):
     {!Hooks.none} in a plain frame, a journal's or a recorder's
-    otherwise. *)
+    otherwise. [st] is the machine: compiled code takes the frame as its
+    only argument and reads registers, memory and the fault state through
+    [st], so one compilation serves every machine whose frame it is
+    handed, and a node calls its children with one argument, a direct
+    call (DESIGN.md §6 item 7, rule f). *)
 
 (** Storage assignment for one cell, fixed at synthesis time. *)
 type location =
@@ -25,6 +30,7 @@ type t = {
   s : Bytes.t;  (** header, temporaries, scratch cells *)
   mutable di : Bytes.t;  (** the current DI record's information slots *)
   hooks : Hooks.t;  (** called by hooked code before every write *)
+  st : Machine.State.t;  (** the machine the frame's code runs on *)
 }
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -44,9 +50,9 @@ let di_off i = 8 * i
 (** [info_bytes n] is a zeroed store of [n] (at least one) DI slots. *)
 let info_bytes n = Bytes.make (8 * max n 1) '\000'
 
-let create ~hooks ~di_slots ~scratch_slots =
+let create ~st ~hooks ~di_slots ~scratch_slots =
   let s = Bytes.make (scratch_off (max scratch_slots 1)) '\000' in
-  { s; di = info_bytes di_slots; hooks }
+  { s; di = info_bytes di_slots; hooks; st }
 
 let pc fr = get64 fr.s pc_off
 let enc fr = get64 fr.s enc_off

@@ -143,7 +143,7 @@ let check_instr_against_summary (spec : Lis.Spec.t)
     }
   in
   let loc = Array.init n_cells (fun c -> Semir.Frame.In_scratch c) in
-  let fr = Semir.Frame.create ~hooks ~di_slots:1 ~scratch_slots:n_cells in
+  let fr = Semir.Frame.create ~st ~hooks ~di_slots:1 ~scratch_slots:n_cells in
   Semir.Frame.set_pc fr 0x1000L;
   Semir.Frame.set_next_pc fr 0x1004L;
   Semir.Frame.set_enc fr enc;
@@ -152,7 +152,7 @@ let check_instr_against_summary (spec : Lis.Spec.t)
     Semir.Frame.write fr (In_scratch c) (sentinel c)
   done;
   List.iter
-    (fun (_, p) -> Semir.Eval.exec ~loc st fr p)
+    (fun (_, p) -> Semir.Eval.exec ~loc fr p)
     (Analysis.Absint.sequence_programs spec i);
   let e = s.Analysis.Absint.s_total.A.effects in
   let fail fmt =

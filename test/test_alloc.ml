@@ -83,12 +83,12 @@ let test_shape (name, p) () =
   List.iter
     (fun (i, v) -> Machine.Regfile.write st.regs ~cls:0 ~idx:i v)
     [ (1, 7L); (2, 9L); (5, 0x2000L) ];
-  let fr = Frame.create ~hooks:Hooks.none ~di_slots:2 ~scratch_slots:2 in
+  let fr = Frame.create ~st ~hooks:Hooks.none ~di_slots:2 ~scratch_slots:2 in
   Frame.set_pc fr 0x1000L;
   Frame.set_next_pc fr 0x1004L;
   Frame.set_enc fr 0x2C5F_0123L;
   let code = Compile.program ~layout:st.regs ~mem_fast_path:true ~loc p in
-  let w = words_per (fun () -> code st fr) in
+  let w = words_per (fun () -> code fr) in
   if w > 0.01 then Alcotest.failf "%s: %.2f minor words per execution" name w
 
 (* ------------------------------------------------------------------ *)

@@ -104,6 +104,47 @@ let test_isa (t : Workload.target) () =
         (summary b))
     buildsets
 
+(* [run_fast]'s loops take the machine from the frame their code is
+   handed: block_min's chained loop, step_all's flat walk, and the
+   generic loop of one_all and of journaled block_decode_spec. Two
+   instances made through one cache take turns, [run_fast k] each with
+   [k] cycling through 1, 7 and 64, and each must end as it ends
+   alone. *)
+let fast_sizes = [| 1; 7; 64 |]
+
+let advance_fast i =
+  if not i.iface.st.halted then begin
+    ignore (i.iface.run_fast fast_sizes.(i.units mod Array.length fast_sizes));
+    i.units <- i.units + 1
+  end
+
+let test_fast_shared (t : Workload.target) () =
+  let cache = Specsim.Synth.cache (Lazy.force t.spec) in
+  let ka = kernel "vec_sum" and kb = kernel "sort" in
+  let solo bs k =
+    let i = boot t bs k in
+    while (not i.iface.st.halted) && i.units < budget do
+      advance_fast i
+    done;
+    summary i
+  in
+  List.iter
+    (fun bs ->
+      let expect_a = solo bs ka and expect_b = solo bs kb in
+      let a = boot ~cache t bs ka and b = boot ~cache t bs kb in
+      while
+        (not (a.iface.st.halted && b.iface.st.halted))
+        && a.units + b.units < budget
+      do
+        advance_fast a;
+        advance_fast b
+      done;
+      Alcotest.(check string) (bs ^ ": shared run_fast, vec_sum") expect_a
+        (summary a);
+      Alcotest.(check string) (bs ^ ": shared run_fast, sort") expect_b
+        (summary b))
+    [ "block_min"; "step_all"; "one_all"; "block_decode_spec" ]
+
 (* ------------------------------------------------------------------ *)
 (* The optimizer on real sites                                         *)
 (* ------------------------------------------------------------------ *)
@@ -293,6 +334,12 @@ let suite =
       (fun (t : Workload.target) ->
         Alcotest.test_case ("hooked and plain code apart: " ^ t.tname) `Quick
           (test_hooks_apart t))
+      Workload.targets
+  @ List.map
+      (fun (t : Workload.target) ->
+        Alcotest.test_case
+          ("run_fast on two machines sharing code: " ^ t.tname)
+          `Quick (test_fast_shared t))
       Workload.targets
 
 (* Shared items keep the compile function their lazy stubs call, so it

@@ -197,12 +197,16 @@ let fresh_state ?(big = false) seed =
   done;
   st
 
-let fresh_frame ?(hooks = Hooks.none) ?(loc = loc_of default_config) seed =
-  let fr = Frame.create ~hooks ~di_slots:n_cells ~scratch_slots:n_cells in
+let fresh_enc seed = Int64.of_int (seed * 2654435761)
+
+(* A frame on machine [st]: compiled code and the interpreter run on the
+   frame's machine. *)
+let fresh_frame ?(hooks = Hooks.none) ?(loc = loc_of default_config) st seed =
+  let fr = Frame.create ~st ~hooks ~di_slots:n_cells ~scratch_slots:n_cells in
   let pc = Int64.of_int (4096 + (seed mod 64 * 4)) in
   Frame.set_pc fr pc;
   Frame.set_next_pc fr (Int64.add pc 4L);
-  Frame.set_enc fr (Int64.of_int (seed * 2654435761));
+  Frame.set_enc fr (fresh_enc seed);
   Array.iteri
     (fun i l -> Frame.write fr l (Int64.of_int ((seed * 13) + (i * 55555))))
     loc;
@@ -213,15 +217,15 @@ let fresh_frame ?(hooks = Hooks.none) ?(loc = loc_of default_config) seed =
    cells that DCE legitimately left unwritten.) Pages 0 and 1, which hold
    every address the generator makes, become code before the pass that
    [cfg.code] names. *)
-let exec ?(hooked = false) ?(passes = 1) mode cfg p st fr =
-  let loc = loc_of cfg in
+let exec ?(hooked = false) ?(passes = 1) mode cfg p (fr : Frame.t) =
+  let loc = loc_of cfg and st = fr.st in
   let once =
     match mode with
-    | Interp -> fun () -> Eval.exec ~loc st fr p
+    | Interp -> fun () -> Eval.exec ~loc fr p
     | Compiled ->
       let layout = if cfg.layout then Some st.Machine.State.regs else None in
       let code = Compile.program ~hooked ?layout ~mem_fast_path:cfg.fast ~loc p in
-      fun () -> code st fr
+      fun () -> code fr
   in
   let code_at =
     match cfg.code with Data -> 0 | Code_before -> 1 | Code_between -> 2
@@ -238,8 +242,8 @@ let exec ?(hooked = false) ?(passes = 1) mode cfg p st fr =
 let run mode ?(cfg = default_config) ?passes ?(on_code_write = ignore) p seed =
   let st = fresh_state ~big:cfg.big seed in
   Machine.Memory.add_code_write_hook st.mem on_code_write;
-  let fr = fresh_frame ~loc:(loc_of cfg) seed in
-  exec ?passes mode cfg p st fr;
+  let fr = fresh_frame ~loc:(loc_of cfg) st seed in
+  exec ?passes mode cfg p fr;
   (st, fr)
 
 let regs_of (st : Machine.State.t) =
@@ -304,11 +308,11 @@ let prop_journal_rolls_back =
         let st = fresh_state ~big:cfg.big seed in
         let j = Specsim.Specul.create () in
         let fr =
-          fresh_frame ~hooks:(Specsim.Specul.hooks j) ~loc:(loc_of cfg) seed
+          fresh_frame ~hooks:(Specsim.Specul.hooks j) ~loc:(loc_of cfg) st seed
         in
         let tok = Specsim.Specul.checkpoint j st in
         outcome (fun () ->
-            exec ~hooked:true ~passes:2 mode cfg p st fr;
+            exec ~hooked:true ~passes:2 mode cfg p fr;
             let after = observe_full ~cfg (st, fr) in
             Specsim.Specul.rollback j st tok;
             (after, regs_of st, Machine.Memory.digest st.mem))
@@ -346,8 +350,7 @@ let prop_specialize_enc =
     ~count:300
     QCheck.(pair arb_program small_nat)
     (fun (p, seed) ->
-      let fr = fresh_frame seed in
-      let sp = Opt.specialize_enc ~enc:(Frame.enc fr) p in
+      let sp = Opt.specialize_enc ~enc:(fresh_enc seed) p in
       observe_full (run Compiled p seed) = observe_full (run Compiled sp seed))
 
 let prop_full_pipeline =
@@ -355,8 +358,7 @@ let prop_full_pipeline =
     ~count:300
     QCheck.(pair arb_program small_nat)
     (fun (p, seed) ->
-      let fr = fresh_frame seed in
-      let opt = Opt.optimize ~enc:(Frame.enc fr) ~keep:(fun _ -> false) p in
+      let opt = Opt.optimize ~enc:(fresh_enc seed) ~keep:(fun _ -> false) p in
       observe_arch (run Compiled p seed) = observe_arch (run Compiled opt seed))
 
 (* Cell [c] renamed [41 * c], so a program's cells span two words of
